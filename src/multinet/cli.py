@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -138,7 +139,7 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
             f"(choose from {SWEEPABLE[scenario]})"
         )
     if "sweep_values" in exp:
-        values = [float(v) for v in _parse_list(exp["sweep_values"])]
+        values = _get(exp, "sweep_values", lambda raw: [float(v) for v in _parse_list(raw)])
     else:
         lo = _get(exp, "sweep_min", float, required=True)
         hi = _get(exp, "sweep_max", float, required=True)
@@ -151,12 +152,6 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
             values = [lo]
         else:
             values = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-    if sweep_param in ("capacity", "levels", "block_size"):
-        for v in values:
-            if abs(v - round(v)) > 1e-9:
-                raise ConfigError(
-                    f"[experiment] sweep over '{sweep_param}' needs integer values, got {v}"
-                )
 
     target = _get(exp, "target", str, default="m")
     if target not in ("m", "threshold"):
@@ -178,7 +173,7 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
         capacity=_get(store, "capacity", int, default=0),
         schemes=_get(arch, "schemes", _parse_list, default=[]),
         families=_get(arch, "families", _parse_list, default=[]),
-        block_sizes=[int(b) for b in _get(arch, "block_sizes", _parse_list, default=["1"])],
+        block_sizes=_get(arch, "block_sizes", lambda raw: [int(b) for b in _parse_list(raw)], default=[1]),
         dims=_get(arch, "dims", _parse_dims, default=()),
         levels=_get(arch, "levels", int, default=0),
     )
@@ -187,6 +182,23 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    finite = {
+        "[experiment] key 'threshold'": cfg.threshold,
+        "[noise] key 'q'": cfg.q,
+        "[noise] key 'p'": cfg.p,
+        "[noise] key 'px'": cfg.px,
+        "[noise] key 'pz'": cfg.pz,
+    }
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: must be a finite number, got {value}")
+    for v in cfg.sweep_values:
+        if not math.isfinite(v):
+            raise ConfigError(f"[experiment] sweep value {v} is not a finite number")
+        if cfg.sweep_param in ("capacity", "levels", "block_size") and abs(v - round(v)) > 1e-9:
+            raise ConfigError(
+                f"[experiment] sweep over '{cfg.sweep_param}' needs integer values, got {v}"
+            )
     if cfg.channel not in ("ldn", "z", "biased", "edge"):
         raise ConfigError(f"[noise] unknown channel {cfg.channel!r}")
     if cfg.target == "m" and cfg.m < 1:

@@ -20,10 +20,20 @@ Delta = (1 - sum_c S_c - m/n)/2 to distribute over the colors, and inside a
 color every vertex with entropy below the color maximum automatically gets
 the surplus (delta_k = delta_c + (S_c - S_k)/2).  The global bound is the
 product of the per-vertex success probabilities.
+
+The class-level bound is evaluated by one engine.  Each
+:class:`MarginalClass` computes its S, a and V once, on first use, which is
+also when its distribution is validated.  For one (classes, n, m),
+:class:`_SplitBound` does the color grouping, the target check, Delta and
+the per-class constants once; the bound at a given split then costs only the
+Bennett arithmetic, through the same kernel as :func:`bennett_loss`.  The
+slack-split optimizer and the threshold search evaluate every candidate
+through it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,6 +94,14 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float, h_mode: str = "si
     if delta <= 0.0:
         raise InfeasibleTargetError(f"slack must be positive, got delta={delta}")
     s, a, v = _spread_and_variance(probs)
+    return _loss(s, a, v, n, delta, h_mode)
+
+
+def _loss(s: float, a: float, v: float, n: int, delta: float, h_mode: str) -> float:
+    """The failure weight of :func:`bennett_loss` from a distribution's S, a, V.
+
+    ``n >= 1`` and ``delta > 0`` are the caller's to check.
+    """
     if s == 0.0 or a == 0.0 or v == 0.0:
         concentration = 0.0
     else:
@@ -120,6 +138,11 @@ class HashingRun:
     fidelity: float
 
 
+def _check_target(n: int, m: int) -> None:
+    if not 1 <= m <= n:
+        raise InfeasibleTargetError(f"need 1 <= m <= n, got n={n} m={m}")
+
+
 def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     """Finite-size bound for hashing an ensemble of Bell-diagonal pairs.
 
@@ -127,8 +150,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     :class:`InfeasibleTargetError` when the entropy already exceeds the
     requested yield.
     """
-    if not 1 <= m <= n:
-        raise InfeasibleTargetError(f"need 1 <= m <= n, got n={n} m={m}")
+    _check_target(n, m)
     s = entropy(probs)
     delta = 0.5 * (1.0 - s - m / n)
     if delta <= 0.0:
@@ -151,7 +173,12 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
 
 @dataclass(frozen=True)
 class MarginalClass:
-    """A group of vertices sharing one binary marginal and one color."""
+    """A group of vertices sharing one binary marginal and one color.
+
+    The entropy and the Bennett constants are computed on first use and
+    kept.  Validation happens then too, and a malformed class raises
+    :class:`DistributionError` wherever it is used, as nothing is kept.
+    """
 
     lambda1: float
     color: int
@@ -161,9 +188,14 @@ class MarginalClass:
     def distribution(self) -> tuple[float, float]:
         return (1.0 - self.lambda1, self.lambda1)
 
-    @property
+    @functools.cached_property
     def entropy(self) -> float:
         return entropy(self.distribution)
+
+    @functools.cached_property
+    def _constants(self) -> tuple[float, float, float]:
+        """(S, a, V) as :func:`bennett_loss` computes them."""
+        return _spread_and_variance(self.distribution)
 
 
 def _group_classes(classes: Iterable[MarginalClass]):
@@ -185,6 +217,64 @@ def _group_classes(classes: Iterable[MarginalClass]):
     return by_color, s_color, active
 
 
+class _SplitBound:
+    """The class-level bound for one (classes, n, m), as a function of the split.
+
+    Construction groups the classes (validating them), checks 1 <= m <= n
+    and computes the budget Delta, raising :class:`InfeasibleTargetError`
+    when it is not positive.  It keeps one row (color index, count,
+    (S_c - S_k)/2, (S, a, V)) per class of positive entropy, in sorted color
+    order, so that evaluating a split repeats none of that work.
+    """
+
+    def __init__(self, classes: Iterable[MarginalClass], n: int, m: int, h_mode: str):
+        by_color, s_color, self.active = _group_classes(classes)
+        _check_target(n, m)
+        self.colors = sorted(self.active)
+        self.n = n
+        self.h_mode = h_mode
+        self.budget = 0.0
+        self.rows = []
+        if not self.active:
+            return
+        total_entropy = sum(s_color[c] for c in self.active)
+        self.budget = 0.5 * (1.0 - total_entropy - m / n)
+        if self.budget <= 0.0:
+            raise InfeasibleTargetError(
+                f"target m/n={m}/{n} unreachable: color entropies sum to {total_entropy:.6f}"
+            )
+        self.rows = [
+            (i, cls.count, 0.5 * (s_color[color] - cls.entropy), cls._constants)
+            for i, color in enumerate(self.colors)
+            for cls in by_color[color]
+            if cls.entropy != 0.0
+        ]
+
+    def fidelity(self, slacks: Sequence[float]) -> float:
+        """The bound when ``colors[i]`` gets the (positive) slack ``slacks[i]``."""
+        n, h_mode = self.n, self.h_mode
+        log_f = 0.0
+        for i, count, gap, (s, a, v) in self.rows:
+            loss = _loss(s, a, v, n, slacks[i] + gap, h_mode)
+            if loss >= 1.0:
+                return 0.0
+            log_f += count * math.log1p(-loss)
+        return math.exp(log_f)
+
+    def at(self, fracs: Sequence[float]) -> float | None:
+        """The bound at slack fractions ``fracs`` (in ``colors`` order).
+
+        None unless the fractions sum to 1 (within 1e-9) and give every
+        color a positive slack.
+        """
+        if abs(sum(fracs) - 1.0) > 1e-9:
+            return None
+        slacks = [self.budget * frac for frac in fracs]
+        if any(d <= 0.0 for d in slacks):
+            return None
+        return self.fidelity(slacks)
+
+
 def multipartite_bound_classes(
     classes: Sequence[MarginalClass],
     n: int,
@@ -200,17 +290,11 @@ def multipartite_bound_classes(
     natural unit here, so lattice-scale products cost one Bennett evaluation
     per class rather than per vertex.
     """
-    if not 1 <= m <= n:
-        raise InfeasibleTargetError(f"need 1 <= m <= n, got n={n} m={m}")
-    by_color, s_color, active = _group_classes(classes)
+    _check_target(n, m)  # before the classes are validated, unlike the optimizer
+    bound = _SplitBound(classes, n, m, h_mode)
+    active = bound.active
     if not active:
         return 1.0, {}
-    total_entropy = sum(s_color[c] for c in active)
-    budget = 0.5 * (1.0 - total_entropy - m / n)
-    if budget <= 0.0:
-        raise InfeasibleTargetError(
-            f"target m/n={m}/{n} unreachable: color entropies sum to {total_entropy:.6f}"
-        )
     if delta_split is None:
         delta_split = {c: 1.0 / len(active) for c in active}
     if set(delta_split) != active:
@@ -219,20 +303,10 @@ def multipartite_bound_classes(
         )
     if abs(sum(delta_split.values()) - 1.0) > 1e-9:
         raise InfeasibleTargetError("split fractions must sum to 1")
-    delta_color = {c: budget * delta_split[c] for c in active}
+    delta_color = {c: bound.budget * delta_split[c] for c in active}
     if any(d <= 0.0 for d in delta_color.values()):
         raise InfeasibleTargetError("every active color needs a positive slack share")
-    log_f = 0.0
-    for color in sorted(active):
-        for cls in by_color[color]:
-            if cls.entropy == 0.0:
-                continue
-            delta_k = delta_color[color] + 0.5 * (s_color[color] - cls.entropy)
-            loss = bennett_loss(cls.distribution, n, delta_k, h_mode=h_mode)
-            if loss >= 1.0:
-                return 0.0, delta_color
-            log_f += cls.count * math.log1p(-loss)
-    return math.exp(log_f), delta_color
+    return bound.fidelity([delta_color[c] for c in bound.colors]), delta_color
 
 
 def _classes_from_marginals(
@@ -300,20 +374,11 @@ def multipartite_bound(
     )
 
 
-def _simplex_grid(colors: list[int], steps: int):
-    """All integer compositions of ``steps`` over the colors, as fractions."""
-    k = len(colors)
-    if k == 1:
-        yield {colors[0]: 1.0}
-        return
+def _simplex_grid(k: int, steps: int):
+    """All integer compositions of ``steps`` into ``k`` positive parts, as fractions."""
     for cuts in itertools.combinations(range(1, steps), k - 1):
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(steps - prev)
-        yield {col: p / steps for col, p in zip(colors, parts)}
+        edges = (0,) + cuts + (steps,)
+        yield tuple((hi - lo) / steps for lo, hi in zip(edges, edges[1:]))
 
 
 def optimize_delta_split_classes(
@@ -327,39 +392,33 @@ def optimize_delta_split_classes(
     Scans the split simplex in steps of 1/200, then refines once around the
     best cell at 1/20 of the step.  The equal split is always evaluated
     first and ties break toward it, so the result never falls below the
-    equal-split baseline.
+    equal-split baseline.  The classes are grouped and checked once, and
+    every candidate is evaluated through one :class:`_SplitBound`.  Every
+    candidate fraction is positive by construction; a candidate whose
+    fractions do not sum to 1 or leave a color without slack is skipped.
     """
-    _, _, active = _group_classes(classes)
-    colors = sorted(active)
-    equal = {c: 1.0 / len(colors) for c in colors} if colors else {}
-    best_f, _ = multipartite_bound_classes(classes, n, m, delta_split=equal or None, h_mode=h_mode)
-    best_split = equal
-    if len(colors) <= 1:
-        return best_split, best_f
+    bound = _SplitBound(classes, n, m, h_mode)
+    colors = bound.colors
+    if not colors:
+        return {}, 1.0
+    best = (1.0 / len(colors),) * len(colors)
+    best_f = bound.at(best)
+    if len(colors) > 1:
 
-    def scan(candidates):
-        nonlocal best_f, best_split
-        for split in candidates:
-            if any(frac <= 0.0 for frac in split.values()):
-                continue
-            try:
-                f, _ = multipartite_bound_classes(classes, n, m, delta_split=split, h_mode=h_mode)
-            except InfeasibleTargetError:
-                continue
-            if f > best_f:
-                best_f, best_split = f, dict(split)
+        def scan(candidates):
+            nonlocal best_f, best
+            for fracs in candidates:
+                f = bound.at(fracs)
+                if f is not None and f > best_f:
+                    best_f, best = f, fracs
 
-    scan(_simplex_grid(colors, SPLIT_GRID_STEPS))
-    if len(colors) == 2:
-        lo = best_split[colors[0]] - 1.0 / SPLIT_GRID_STEPS
-        fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
-        candidates = []
-        for i in range(2 * SPLIT_REFINE_FACTOR + 1):
-            x = lo + i / fine
-            if 0.0 < x < 1.0:
-                candidates.append({colors[0]: x, colors[1]: 1.0 - x})
-        scan(candidates)
-    return best_split, best_f
+        scan(_simplex_grid(len(colors), SPLIT_GRID_STEPS))
+        if len(colors) == 2:
+            lo = best[0] - 1.0 / SPLIT_GRID_STEPS
+            fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
+            xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
+            scan([(x, 1.0 - x) for x in xs if 0.0 < x < 1.0])
+    return dict(zip(colors, best)), best_f
 
 
 def optimize_delta_split(
@@ -378,16 +437,16 @@ def optimize_delta_split(
     return split, run
 
 
-def max_output_copies_classes(
-    classes: Sequence[MarginalClass],
-    n: int,
-    threshold: float,
-    optimize: bool = True,
-    h_mode: str = "simplified",
-) -> int:
-    """Largest m with bound >= threshold, by binary search (0 if none)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+@functools.lru_cache(maxsize=32)
+def _threshold_search(
+    classes: tuple[MarginalClass, ...], n: int, threshold: float, optimize: bool, h_mode: str
+) -> tuple[int, float]:
+    """(largest m with bound >= threshold, the bound the search found there).
+
+    (0, 0.0) if even m = 1 falls short.  Memoized, so a caller of
+    :func:`max_output_copies_classes` can read the bound at its result
+    without evaluating it again.
+    """
 
     def value(m: int) -> float:
         try:
@@ -399,16 +458,48 @@ def max_output_copies_classes(
         except InfeasibleTargetError:
             return -1.0
 
-    if value(1) < threshold:
-        return 0
+    f_lo = value(1)
+    if f_lo < threshold:
+        return 0, 0.0
     lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if value(mid) >= threshold:
-            lo = mid
+        f_mid = value(mid)
+        if f_mid >= threshold:
+            lo, f_lo = mid, f_mid
         else:
             hi = mid - 1
-    return lo
+    return lo, f_lo
+
+
+def max_output_copies_classes(
+    classes: Sequence[MarginalClass],
+    n: int,
+    threshold: float,
+    optimize: bool = True,
+    h_mode: str = "simplified",
+) -> int:
+    """Largest m with bound >= threshold, by binary search (0 if none).
+
+    The search keeps the bound it computed at its result and is memoized,
+    so :func:`_max_output_copies_and_bound` reads that bound without a
+    further optimization.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+    return _threshold_search(tuple(classes), n, threshold, optimize, h_mode)[0]
+
+
+def _max_output_copies_and_bound(
+    classes: Sequence[MarginalClass], n: int, threshold: float
+) -> tuple[int, float]:
+    """:func:`max_output_copies_classes` with the optimized bound at its result.
+
+    The bound is the one the search computed there (0.0 when the result is
+    0), not a second optimization.
+    """
+    max_output_copies_classes(classes, n, threshold)
+    return _threshold_search(tuple(classes), n, threshold, True, "simplified")
 
 
 def max_output_copies(

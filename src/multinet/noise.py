@@ -100,7 +100,10 @@ class BitMarginal:
     lambda1: float
 
     def __post_init__(self):
-        assert abs(self.lambda0 + self.lambda1 - 1.0) <= _PROB_SUM_TOL
+        if not abs(self.lambda0 + self.lambda1 - 1.0) <= _PROB_SUM_TOL:
+            raise ChannelError(
+                f"marginal at vertex {self.vertex} sums to {self.lambda0 + self.lambda1}, not 1"
+            )
 
     @property
     def distribution(self) -> tuple[float, float]:
@@ -143,7 +146,8 @@ def compose_depolarizing(q1: float, q2: float) -> float:
 
 
 def _clamp(p: float) -> float:
-    assert -_DRIFT_TOL <= p <= 1.0 + _DRIFT_TOL, f"probability drifted to {p}"
+    if not -_DRIFT_TOL <= p <= 1.0 + _DRIFT_TOL:
+        raise ChannelError(f"probability drifted to {p}")
     return min(1.0, max(0.0, p))
 
 
@@ -215,7 +219,8 @@ def pair_pattern_distribution(
     for ch in channels_b:
         fold([(ch.p_i, 0b00), (ch.p_x, 0b10), (ch.p_y, 0b11), (ch.p_z, 0b01)])
     total = sum(probs)
-    assert abs(total - 1.0) <= _DRIFT_TOL
+    if not abs(total - 1.0) <= _DRIFT_TOL:
+        raise ChannelError(f"pattern probabilities sum to {total}, not 1")
     return tuple(_clamp(p) for p in probs)  # type: ignore[return-value]
 
 

@@ -24,8 +24,8 @@ from .graphstate import Graph, build_graph, color_graph, merge_vertices
 from .hashing import (
     InfeasibleTargetError,
     MarginalClass,
+    _max_output_copies_and_bound,
     bipartite_bound,
-    max_output_copies_classes,
     multipartite_bound_classes,
     optimize_delta_split_classes,
 )
@@ -380,12 +380,9 @@ def cluster_architecture_run(
         if m is not None:
             fid, _ = multipartite_bound_classes(classes, n, m)
             return SchemeResult(label, fid, m, n, storage_info)
-        best = max_output_copies_classes(classes, n, threshold)
+        best, fid = _max_output_copies_and_bound(classes, n, threshold)
     except InfeasibleTargetError:
         return SchemeResult.infeasible_point(label, n_used=n, storage=storage_info)
-    if best == 0:
-        return SchemeResult(label, 0.0, 0, n, storage_info)
-    _, fid = optimize_delta_split_classes(classes, n, best)
     return SchemeResult(label, fid, best, n, storage_info)
 
 
@@ -425,12 +422,8 @@ def from_bell_run(
             fid, _ = multipartite_bound_classes(classes, n_multi, m)
             multi = SchemeResult("multipartite", fid, m, n_multi, {"bottleneck": 1})
         else:
-            best = max_output_copies_classes(classes, n_multi, threshold)
-            if best == 0:
-                multi = SchemeResult("multipartite", 0.0, 0, n_multi, {"bottleneck": 1})
-            else:
-                _, fid = optimize_delta_split_classes(classes, n_multi, best)
-                multi = SchemeResult("multipartite", fid, best, n_multi, {"bottleneck": 1})
+            best, fid = _max_output_copies_and_bound(classes, n_multi, threshold)
+            multi = SchemeResult("multipartite", fid, best, n_multi, {"bottleneck": 1})
     except InfeasibleTargetError:
         multi = SchemeResult.infeasible_point("multipartite", n_used=n_multi, storage={"bottleneck": 1})
 

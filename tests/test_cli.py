@@ -1,5 +1,7 @@
 """Config parsing, CSV output, presets, exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 from multinet.cli import (
@@ -29,6 +31,24 @@ q = 0.98
 [architecture]
 schemes = A,C
 """
+
+CLUSTER = """
+[experiment]
+scenario = cluster
+sweep = q
+sweep_values = 0.97,0.99
+target = threshold
+threshold = 0.9
+
+[architecture]
+families = windmill
+dims = 8x8
+
+[storage]
+capacity = 400
+"""
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParsing:
@@ -76,6 +96,26 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="treshold"):
             parse_config(MINIMAL + "treshold = 0.5\n")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("q = 0.98", "q = nan"),
+            ("q = 0.98", "q = 0.98\npx = inf"),
+            ("q = 0.98", "q = 0.98\npz = -inf"),
+            ("m = 1", "m = 1\nthreshold = nan"),
+            ("sweep_max = 400", "sweep_max = inf"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, old, new):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(MINIMAL.replace(old, new))
+
+    def test_unparseable_list_entries_name_key(self):
+        with pytest.raises(ConfigError, match="sweep_values"):
+            parse_config(MINIMAL.replace(
+                "sweep_min = 200\nsweep_max = 400\nsweep_steps = 3", "sweep_values = 200,lots"
+            ))
 
     def test_unparseable_syntax_reports_source(self):
         with pytest.raises(ConfigError, match="cannot parse"):
@@ -167,9 +207,18 @@ class TestMain:
             start = time.time()
             assert main(["run", name, "--out", str(out)]) == 0, name
             assert time.time() - start < 60.0, name
-            lines = out.read_text().splitlines()
-            assert lines[0] == "sweep_param,sweep_value,scheme,F,m,n_used,infeasible"
-            assert len(lines) > 1
+            assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), name
+
+    @pytest.mark.parametrize("values", ["nan,0.99", "0.95,inf", "-inf"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_sweep_value_is_a_config_error(self, tmp_path, capsys, command, values):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(CLUSTER.replace("sweep_values = 0.97,0.99", f"sweep_values = {values}"))
+        out = tmp_path / "nonfinite.csv"
+        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_path(self, tmp_path):
         assert main(["run", "fig3", "--out", str(tmp_path)]) == 2

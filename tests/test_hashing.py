@@ -10,10 +10,12 @@ from multinet.graphstate import build_graph, color_graph
 from multinet.hashing import (
     InfeasibleTargetError,
     MarginalClass,
+    bennett_loss,
     bennett_success,
     bipartite_bound,
     entropy,
     max_output_copies,
+    max_output_copies_classes,
     multipartite_bound,
     multipartite_bound_classes,
     optimize_delta_split,
@@ -257,3 +259,132 @@ class TestMaxOutputCopies:
             except InfeasibleTargetError:
                 above = -1.0
             assert above < thr
+
+
+def reference_class_bound(classes, n, m, delta_split=None):
+    """The class-level bound written out from its definition, class by class.
+
+    Every class's entropy and Bennett loss are computed afresh from its
+    distribution, with the sums taken in the same order as the library's.
+    """
+    if not 1 <= m <= n:
+        raise InfeasibleTargetError("m out of range")
+    by_color = {}
+    for cls in classes:
+        if cls.count:
+            by_color.setdefault(cls.color, []).append(cls)
+    s_color = {col: max(entropy(c.distribution) for c in group) for col, group in by_color.items()}
+    active = {col for col, s in s_color.items() if s > 0.0}
+    if not active:
+        return 1.0
+    budget = 0.5 * (1.0 - sum(s_color[c] for c in active) - m / n)
+    if budget <= 0.0:
+        raise InfeasibleTargetError("no budget")
+    if delta_split is None:
+        delta_split = {c: 1.0 / len(active) for c in active}
+    if set(delta_split) != active or abs(sum(delta_split.values()) - 1.0) > 1e-9:
+        raise InfeasibleTargetError("bad split")
+    delta_color = {c: budget * delta_split[c] for c in active}
+    if any(d <= 0.0 for d in delta_color.values()):
+        raise InfeasibleTargetError("no slack")
+    log_f = 0.0
+    for color in sorted(active):
+        for cls in by_color[color]:
+            s_k = entropy(cls.distribution)
+            if s_k == 0.0:
+                continue
+            delta_k = delta_color[color] + 0.5 * (s_color[color] - s_k)
+            loss = bennett_loss(cls.distribution, n, delta_k)
+            if loss >= 1.0:
+                return 0.0
+            log_f += cls.count * math.log1p(-loss)
+    return math.exp(log_f)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except InfeasibleTargetError:
+        return "infeasible"
+
+
+# mostly mild noise, for which the bound is informative, and the edge cases:
+# deterministic marginals, any marginal, and the uniform one (a = V = 0)
+LAMBDAS = st.one_of(
+    *[st.floats(min_value=1e-9, max_value=0.05)] * 6,
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.just(0.5),
+)
+
+
+# mildly noisy marginals, for which the search's result usually lies inside (0, n)
+SEARCH_LAMBDAS = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.04))
+
+
+@st.composite
+def class_sets(draw, colors=(0, 1, 2), lambdas=LAMBDAS, min_count=0):
+    specs = draw(
+        st.lists(
+            st.tuples(lambdas, st.sampled_from(colors), st.integers(min_value=min_count, max_value=40)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return [MarginalClass(lambda1=lam, color=col, count=cnt) for lam, col, cnt in specs]
+
+
+class TestEngineMatchesDefinition:
+    @settings(max_examples=200, deadline=None)
+    @given(class_sets(), st.integers(min_value=20, max_value=20000), st.data())
+    def test_bound_equals_reference(self, classes, n, data):
+        # mostly small yields, where the bound is informative
+        small = st.integers(min_value=1, max_value=n // 20 + 1)
+        m = data.draw(small | small | small | st.sampled_from([0, n, n + 1]), label="m")
+        colors = sorted({c.color for c in classes})
+        weights = data.draw(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=len(colors), max_size=len(colors)),
+            label="weights",
+        )
+        total = sum(weights)
+        split = None
+        if total > 0.0 and data.draw(st.booleans(), label="explicit split"):
+            split = {c: w / total for c, w in zip(colors, weights) if w > 0.0}
+        reference = outcome(lambda: reference_class_bound(classes, n, m, split))
+        engine = outcome(lambda: multipartite_bound_classes(classes, n, m, delta_split=split)[0])
+        assert engine == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(class_sets(colors=(0, 1)), st.integers(min_value=1, max_value=5000), st.data())
+    def test_optimized_value_equals_reference_at_its_split(self, classes, n, data):
+        m = data.draw(st.integers(min_value=1, max_value=n), label="m")
+        found = outcome(lambda: optimize_delta_split_classes(classes, n, m))
+        if found == "infeasible":
+            assert outcome(lambda: reference_class_bound(classes, n, m)) == "infeasible"
+            return
+        split, value = found
+        assert value == reference_class_bound(classes, n, m, split or None)
+        assert value >= reference_class_bound(classes, n, m)
+
+
+class TestThresholdSearchMonotone:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        class_sets(colors=(0, 1), lambdas=SEARCH_LAMBDAS, min_count=1),
+        st.integers(min_value=50, max_value=3000),
+        st.floats(min_value=0.05, max_value=0.99),
+        st.data(),
+    )
+    def test_no_larger_m_passes(self, classes, n, threshold, data):
+        best = max_output_copies_classes(classes, n, threshold)
+        assert 0 <= best <= n
+        if best:
+            assert optimize_delta_split_classes(classes, n, best)[1] >= threshold
+        if best == n:
+            return
+        larger = {best + 1} | set(
+            data.draw(st.lists(st.integers(min_value=best + 1, max_value=n), max_size=3), label="larger m")
+        )
+        for m in sorted(larger):
+            value = outcome(lambda: optimize_delta_split_classes(classes, n, m)[1])
+            assert value == "infeasible" or value < threshold, m

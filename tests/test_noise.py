@@ -1,5 +1,10 @@
 """Noise channels and graph-basis flip statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,7 @@ from multinet.graphstate import Graph, build_graph
 from multinet.noise import (
     ChannelError,
     EdgeZChannel,
+    BitMarginal,
     PauliChannel,
     bit_marginals,
     channel_to_flip_source,
@@ -161,3 +167,37 @@ class TestOutputNoiseFactor:
         g = Graph(range(2), [])
         with pytest.raises(ChannelError):
             output_noise_factor(g, [0], 0.9)
+
+
+class TestInvariants:
+    """The probability invariants raise ChannelError, also under ``python -O``."""
+
+    BAD = [
+        "BitMarginal(0, 0.5, 0.9)",
+        "BitMarginal(0, float('nan'), 0.5)",
+        "uniform_depolarizing_marginal(1.5, 1)",
+        "uniform_depolarizing_marginal(float('nan'), 2)",
+    ]
+
+    @pytest.mark.parametrize("code", BAD)
+    def test_raises_channel_error(self, code):
+        with pytest.raises(ChannelError):
+            eval(code)
+
+    def test_good_marginal_accepted(self):
+        assert BitMarginal(0, 0.5, 0.5).distribution == (0.5, 0.5)
+
+    @pytest.mark.parametrize("code", BAD)
+    def test_raises_under_optimize_flag(self, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "from multinet.noise import BitMarginal, ChannelError, uniform_depolarizing_marginal\n"
+            "try:\n"
+            f"    {code}\n"
+            "except ChannelError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('no ChannelError raised')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
