@@ -22,6 +22,7 @@ lattice edge set exactly, so an incompatible lattice size fails loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .graphstate import Graph
@@ -320,12 +321,14 @@ def smallest_dims(family: str, dim: int, b: int) -> tuple[int, ...]:
     return (max(4, 4 * b),) * dim
 
 
-def storage_bottleneck(family: str, dim: int, b: int = 1) -> int:
-    """Worst-case stored qubits per site per copy for the family."""
-    if family == "bipartite":
-        return 2 * dim
-    hist = per_site_cost_histogram(family, smallest_dims(family, dim, b), b)
-    return max(hist)
+@functools.cache
+def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]:
+    """(qubits stored per copy, sites) pairs, ascending in cost.
+
+    Counted on :func:`smallest_dims`, which shows every kind of site the
+    family has; cached, as every sweep point of a scenario asks again.
+    """
+    return tuple(per_site_cost_histogram(family, smallest_dims(family, dim, b), b).items())
 
 
 def per_copy_total(family: str, dims: tuple[int, ...], b: int = 1) -> int:

@@ -7,8 +7,8 @@ per (sweep point, scheme) with the fixed column set
     sweep_param,sweep_value,scheme,F,m,n_used,infeasible
 
 ordered by sweep value then scheme id, numbers serialized with 12
-significant digits.  Output is byte-identical across runs and parallelism
-levels; ``MULTINET_THREADS`` caps the worker count (0 or unset = auto).
+significant digits.  Sweep points are evaluated one after another, in sweep
+order, and output is byte-identical across runs.
 
 Exit codes: 0 success, 2 configuration error, 3 every sweep point was
 infeasible (the CSV is still written).
@@ -21,10 +21,11 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .blocks import BlockError, FAMILIES, blocks_count
+from .noise import ChannelError
 from .schemes import (
     Architecture,
     SchemeError,
@@ -209,6 +210,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         )
     if not 0.0 <= cfg.q <= 1.0 or not 0.0 <= cfg.p <= 1.0:
         raise ConfigError("[noise] keys 'q' and 'p' must be in [0,1]")
+    if not 0.0 <= cfg.px <= 1.0 or not 0.0 <= cfg.pz <= 1.0 or cfg.px + cfg.pz > 1.0:
+        raise ConfigError(
+            f"[noise] keys 'px' and 'pz' must be in [0,1] with px + pz <= 1, got {cfg.px} and {cfg.pz}"
+        )
     if any(b < 1 for b in cfg.block_sizes):
         raise ConfigError("[architecture] key 'block_sizes': entries must be >= 1")
     domains = {"q": (0.0, 1.0), "capacity": (1, None), "levels": (0, None), "block_size": (1, None)}
@@ -234,6 +239,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("[architecture] key 'families': required for the cluster scenario")
         if not cfg.dims:
             raise ConfigError("[architecture] key 'dims': required for the cluster scenario")
+        swept = cfg.sweep_param == "block_size"
+        sizes = [int(round(v)) for v in cfg.sweep_values] if swept else cfg.block_sizes
+        for family in cfg.families:
+            if family not in FAMILIES:
+                raise ConfigError(f"[architecture] unknown family {family!r} (choose from {FAMILIES})")
+            for b in [1] if family == "bipartite" else sizes:
+                try:
+                    blocks_count(family, cfg.dims, b)
+                except BlockError as exc:
+                    raise ConfigError(f"[architecture] family {family!r}, block size {b}: {exc}") from exc
     if cfg.scenario == "from-bell" and not cfg.dims:
         raise ConfigError("[architecture] key 'dims': required for the from-bell scenario")
     if cfg.scenario == "from-bell" and cfg.channel not in ("ldn", "edge"):
@@ -291,37 +306,13 @@ def _point_results(cfg: ExperimentConfig, value: float) -> list[SchemeResult]:
     return results
 
 
-def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> list[tuple]:
+def run_experiment(cfg: ExperimentConfig) -> list[tuple]:
     """Evaluate all sweep points; returns ordered CSV rows (without header)."""
-    workers = max_workers if max_workers else _thread_cap()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_point = list(pool.map(lambda v: _point_results(cfg, v), cfg.sweep_values))
-    rows = []
-    for value, results in zip(cfg.sweep_values, per_point):
-        for res in sorted(results, key=lambda r: r.scheme):
-            rows.append(
-                (
-                    cfg.sweep_param,
-                    value,
-                    res.scheme,
-                    res.fidelity,
-                    res.m,
-                    res.n_used,
-                    1 if res.infeasible else 0,
-                )
-            )
-    return rows
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MULTINET_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"MULTINET_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"MULTINET_THREADS must be >= 0, got {n}")
-    return n if n > 0 else min(8, os.cpu_count() or 1)
+    return [
+        (cfg.sweep_param, value, res.scheme, res.fidelity, res.m, res.n_used, 1 if res.infeasible else 0)
+        for value in cfg.sweep_values
+        for res in sorted(_point_results(cfg, value), key=lambda r: r.scheme)
+    ]
 
 
 def rows_to_csv(rows: list[tuple]) -> str:
@@ -385,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         rows = run_experiment(cfg)
-    except (ConfigError, SchemeError) as exc:
+    except (ConfigError, SchemeError, BlockError, ChannelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     csv_text = rows_to_csv(rows)

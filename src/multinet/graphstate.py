@@ -13,11 +13,11 @@ This module provides:
   local Z corrections.
 - ``color_graph``: deterministic proper coloring (bipartite BFS with a
   greedy fallback).
-- ``to_text`` / ``from_text``: the newline-delimited exchange format used
-  by the CLI and test fixtures.
+- ``to_text`` / ``from_text``: a newline-delimited exchange format for
+  library users and tests (the CLI does not use it).
 
-All operations return new graphs; nothing here mutates shared state, so
-evaluations are safe to run in parallel.
+All operations return new graphs and leave their inputs unchanged; the CLI
+evaluates sweep points one after another, not in parallel.
 """
 
 from __future__ import annotations

@@ -27,8 +27,13 @@ also when its distribution is validated.  For one (classes, n, m),
 :class:`_SplitBound` does the color grouping, the target check, Delta and
 the per-class constants once; the bound at a given split then costs only the
 Bennett arithmetic, through the same kernel as :func:`bennett_loss`.  The
-slack-split optimizer and the threshold search evaluate every candidate
-through it.
+slack-split optimizer evaluates every candidate through it.
+
+Threshold targets have one search, :func:`largest_m`: a bisection for the
+largest m whose bound (any function of m that does not increase with it)
+clears the threshold.  It returns the bound it computed at its result, and
+serves the class-level bound here as well as the bipartite lattice product
+in the scenarios.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphstate import Graph
 from .noise import BitMarginal
@@ -437,34 +442,30 @@ def optimize_delta_split(
     return split, run
 
 
-@functools.lru_cache(maxsize=32)
-def _threshold_search(
-    classes: tuple[MarginalClass, ...], n: int, threshold: float, optimize: bool, h_mode: str
-) -> tuple[int, float]:
-    """(largest m with bound >= threshold, the bound the search found there).
+def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[int, float]:
+    """Largest m in [1, n] with ``value(m) >= threshold``, and the value there.
 
-    (0, 0.0) if even m = 1 falls short.  Memoized, so a caller of
-    :func:`max_output_copies_classes` can read the bound at its result
-    without evaluating it again.
+    A bisection that assumes ``value`` is nonincreasing in m; an m whose
+    target is infeasible counts as falling short.  (0, 0.0) if even m = 1
+    falls short.  The value returned is the one the search computed, so a
+    caller never evaluates the bound at the result a second time.
     """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0,1), got {threshold}")
 
-    def value(m: int) -> float:
+    def value_or_short(m: int) -> float:
         try:
-            if optimize:
-                _, f = optimize_delta_split_classes(classes, n, m, h_mode=h_mode)
-            else:
-                f, _ = multipartite_bound_classes(classes, n, m, h_mode=h_mode)
-            return f
+            return value(m)
         except InfeasibleTargetError:
             return -1.0
 
-    f_lo = value(1)
+    f_lo = value_or_short(1)
     if f_lo < threshold:
         return 0, 0.0
     lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        f_mid = value(mid)
+        f_mid = value_or_short(mid)
         if f_mid >= threshold:
             lo, f_lo = mid, f_mid
         else:
@@ -479,27 +480,14 @@ def max_output_copies_classes(
     optimize: bool = True,
     h_mode: str = "simplified",
 ) -> int:
-    """Largest m with bound >= threshold, by binary search (0 if none).
+    """Largest m with bound >= threshold, by :func:`largest_m` (0 if none)."""
 
-    The search keeps the bound it computed at its result and is memoized,
-    so :func:`_max_output_copies_and_bound` reads that bound without a
-    further optimization.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
-    return _threshold_search(tuple(classes), n, threshold, optimize, h_mode)[0]
+    def value(m: int) -> float:
+        if optimize:
+            return optimize_delta_split_classes(classes, n, m, h_mode=h_mode)[1]
+        return multipartite_bound_classes(classes, n, m, h_mode=h_mode)[0]
 
-
-def _max_output_copies_and_bound(
-    classes: Sequence[MarginalClass], n: int, threshold: float
-) -> tuple[int, float]:
-    """:func:`max_output_copies_classes` with the optimized bound at its result.
-
-    The bound is the one the search computed there (0.0 when the result is
-    0), not a second optimization.
-    """
-    max_output_copies_classes(classes, n, threshold)
-    return _threshold_search(tuple(classes), n, threshold, True, "simplified")
+    return largest_m(value, n, threshold)[0]
 
 
 def max_output_copies(

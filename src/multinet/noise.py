@@ -234,11 +234,9 @@ def output_noise_factor(g: Graph, qubits: list[int], p: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ChannelError(f"output noise parameter must be in [0,1], got {p}")
-    factor = 1.0
     for v in qubits:
         if g.degree(v) == 0:
             raise ChannelError(
                 f"output vertex {v} is isolated; the pattern-orthogonality bound does not apply"
             )
-        factor *= (1.0 + 3.0 * p) / 4.0
-    return factor
+    return ((1.0 + 3.0 * p) / 4.0) ** len(qubits)

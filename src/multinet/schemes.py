@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import blocks
 from .graphstate import Graph, build_graph, color_graph, merge_vertices
 from .hashing import (
     InfeasibleTargetError,
     MarginalClass,
-    _max_output_copies_and_bound,
     bipartite_bound,
+    largest_m,
     multipartite_bound_classes,
     optimize_delta_split_classes,
 )
@@ -33,6 +34,7 @@ from .noise import (
     PauliChannel,
     bit_marginals,
     channel_to_flip_source,
+    output_noise_factor,
     pair_pattern_distribution,
     uniform_depolarizing_marginal,
     uniform_edge_channel_marginal,
@@ -70,15 +72,14 @@ class StorageModel:
 
 @dataclass(frozen=True)
 class Architecture:
-    """A named repeater construction."""
+    """A cluster-state construction from one block family."""
 
     family: str
     dims: tuple[int, ...] = ()
     block_size: int = 1
-    scheme: str | None = None
 
     def __post_init__(self):
-        if self.family not in blocks.FAMILIES + ("ghz-star", "triangular"):
+        if self.family not in blocks.FAMILIES:
             raise SchemeError(f"unknown architecture family {self.family!r}")
         if self.dims and len(self.dims) not in (2, 3):
             raise SchemeError(f"architecture dims must be 2D or 3D, got {self.dims}")
@@ -106,24 +107,42 @@ class SchemeResult:
         return cls(scheme=scheme, fidelity=0.0, m=0, n_used=n_used, storage=storage or {}, infeasible=True)
 
 
+def _evaluate(
+    label: str,
+    n: int,
+    storage: dict,
+    bound: Callable[[int], float],
+    m: int | None = None,
+    threshold: float | None = None,
+    search: Callable[[int], float] | None = None,
+) -> SchemeResult:
+    """One scenario point from ``n`` input copies.
+
+    With ``m`` given, the bound ``bound(m)``; otherwise the largest m whose
+    bound clears ``threshold`` (see :func:`largest_m`), searched over
+    ``search`` when given (the multipartite scenarios optimize the slack
+    split there) and over ``bound`` otherwise.  No room for ``max(1, m)``
+    copies, or a fixed target the entropies cannot meet, is an infeasible
+    result.
+    """
+    if n < 1 or (m is not None and n < m):
+        return SchemeResult.infeasible_point(label, n_used=n, storage=storage)
+    if m is None:
+        best, fid = largest_m(search or bound, n, threshold)
+        return SchemeResult(label, fid, best, n, storage)
+    try:
+        return SchemeResult(label, bound(m), m, n, storage)
+    except InfeasibleTargetError:
+        return SchemeResult.infeasible_point(label, n_used=n, storage=storage)
+
+
 # -- storage accounting --------------------------------------------------------
 
 
 def storage_per_node(arch: Architecture) -> tuple[dict, int]:
     """Per-node-class qubits per copy and the bottleneck (maximum) cost."""
-    if arch.family == "ghz-star":
-        cost = GHZ_PER_COPY[arch.scheme or "A"]
-        return ({"station": cost}, cost)
-    if arch.family == "triangular":
-        cost = TRIANGULAR_PER_COPY[arch.scheme or "A"]
-        return ({"station": cost}, cost)
-    dim = arch.dimensionality
-    if arch.family == "bipartite":
-        return ({"node": 2 * dim}, 2 * dim)
-    b = arch.block_size
-    hist = blocks.per_site_cost_histogram(arch.family, blocks.smallest_dims(arch.family, dim, b), b)
-    classes = {f"{cost}-qubit sites": cost for cost in hist}
-    return (classes, max(hist))
+    costs = blocks.site_costs(arch.family, arch.dimensionality, arch.block_size)
+    return ({f"{cost}-qubit sites": cost for cost, _ in costs}, costs[-1][0])
 
 
 def allocate_global_storage(arch: Architecture, total_capacity: int) -> tuple[dict, int]:
@@ -138,11 +157,8 @@ def allocate_global_storage(arch: Architecture, total_capacity: int) -> tuple[di
             f"total capacity {total_capacity} is below the {per_copy} qubits one copy needs"
         )
     n = total_capacity // per_copy
-    hist = blocks.per_site_cost_histogram(
-        arch.family, blocks.smallest_dims(arch.family, arch.dimensionality, arch.block_size), arch.block_size
-    ) if arch.family != "bipartite" else {2 * arch.dimensionality: 1}
-    allocation = {f"{cost}-qubit sites": cost * n for cost in hist}
-    return allocation, n
+    costs = blocks.site_costs(arch.family, arch.dimensionality, arch.block_size)
+    return {f"{cost}-qubit sites": cost * n for cost, _ in costs}, n
 
 
 # -- GHZ schemes ----------------------------------------------------------------
@@ -172,9 +188,8 @@ def _ghz_channels(channel: str, q: float, p: float, q_params: dict | None):
     return star, pair
 
 
-def _star_classes(star_channels: dict[int, list[PauliChannel]]) -> list[MarginalClass]:
-    """Flip marginals of the 3-star under independent per-qubit channels."""
-    g = build_graph("ghz-star", s=3)
+def _star_classes(g: Graph, star_channels: dict[int, list[PauliChannel]]) -> list[MarginalClass]:
+    """Flip marginals of the 3-star ``g`` under independent per-qubit channels."""
     coloring = color_graph(g)
     sources = [
         channel_to_flip_source(g, v, ch)
@@ -188,8 +203,26 @@ def _star_classes(star_channels: dict[int, list[PauliChannel]]) -> list[Marginal
     return [MarginalClass(lambda1=lam, color=c, count=n) for (lam, c), n in sorted(classes.items())]
 
 
-def _output_factor(p: float, qubits: int) -> float:
-    return ((1.0 + 3.0 * p) / 4.0) ** qubits
+def _ghz_bound(scheme: str, n: int, m: int, star, pair, p: float, optimize_split: bool) -> float:
+    """3-GHZ bound of one scheme at (n, m), output noise included.
+
+    Scheme A hashes the star states directly; B and C hash two Bell
+    ensembles and merge them, B with one more noise layer on the two
+    merge-touched qubits.
+    """
+    g = build_graph("ghz-star", s=3)
+    if scheme == "A":
+        classes = _star_classes(g, star)
+        if optimize_split:
+            _, fid = optimize_delta_split_classes(classes, n, m)
+        else:
+            fid, _ = multipartite_bound_classes(classes, n, m)
+        return fid * output_noise_factor(g, [0, 1, 2], p)
+    dist = pair_pattern_distribution(list(pair[0]), list(pair[1]))
+    fid = bipartite_bound(dist, n, m).fidelity ** 2 * output_noise_factor(g, [0, 1, 2], p)
+    if scheme == "B":
+        fid *= output_noise_factor(g, [1, 2], p)
+    return fid
 
 
 def ghz_scheme_fidelity(
@@ -214,27 +247,11 @@ def ghz_scheme_fidelity(
         raise SchemeError(f"scheme must be one of {GHZ_SCHEMES}, got {scheme!r}")
     per_copy = GHZ_PER_COPY[scheme]
     n = capacity // per_copy
-    storage = {"bottleneck": per_copy}
-    if n < max(1, m):
-        return SchemeResult.infeasible_point(scheme, n_used=n, storage=storage)
-    star, pair = _ghz_channels(channel, q, p, channel_params)
-    try:
-        if scheme == "A":
-            classes = _star_classes(star)
-            if optimize_split:
-                _, fid = optimize_delta_split_classes(classes, n, m)
-            else:
-                fid, _ = multipartite_bound_classes(classes, n, m)
-            fid *= _output_factor(p, 3)
-        else:
-            dist = pair_pattern_distribution(list(pair[0]), list(pair[1]))
-            run = bipartite_bound(dist, n, m)
-            fid = run.fidelity**2 * _output_factor(p, 3)
-            if scheme == "B":
-                fid *= _output_factor(p, 2)
-    except InfeasibleTargetError:
-        return SchemeResult.infeasible_point(scheme, n_used=n, storage=storage)
-    return SchemeResult(scheme=scheme, fidelity=fid, m=m, n_used=n, storage=storage)
+
+    def bound(m: int) -> float:
+        return _ghz_bound(scheme, n, m, *_ghz_channels(channel, q, p, channel_params), p, optimize_split)
+
+    return _evaluate(scheme, n, {"bottleneck": per_copy}, bound, m=m)
 
 
 def triangular_repeater(
@@ -259,23 +276,12 @@ def triangular_repeater(
         raise SchemeError(f"scheme must be one of {GHZ_SCHEMES}, got {scheme!r}")
     cost = per_copy if per_copy is not None else TRIANGULAR_PER_COPY[scheme]
     n = capacity // cost
-    storage = {"bottleneck": cost}
-    if n < 1:
-        return SchemeResult.infeasible_point(scheme, n_used=n, storage=storage)
-    star, pair = _ghz_channels("ldn", q, p, None)
     exponent = 3**levels if scheme == "A" else 2 ** (levels + 1)
-    try:
-        if scheme == "A":
-            fid, _ = multipartite_bound_classes(_star_classes(star), n, 1)
-            fid *= _output_factor(p, 3)
-        else:
-            dist = pair_pattern_distribution(list(pair[0]), list(pair[1]))
-            fid = bipartite_bound(dist, n, 1).fidelity ** 2 * _output_factor(p, 3)
-            if scheme == "B":
-                fid *= _output_factor(p, 2)
-    except InfeasibleTargetError:
-        return SchemeResult.infeasible_point(scheme, n_used=n, storage=storage)
-    return SchemeResult(scheme=scheme, fidelity=fid**exponent, m=1, n_used=n, storage=storage)
+
+    def bound(m: int) -> float:
+        return _ghz_bound(scheme, n, m, *_ghz_channels("ldn", q, p, None), p, False) ** exponent
+
+    return _evaluate(scheme, n, {"bottleneck": cost}, bound, m=1)
 
 
 # -- cluster architectures -------------------------------------------------------
@@ -290,30 +296,10 @@ def _cluster_classes(family: str, dim: int, b: int, q: float, count_blocks: int)
 
 
 def _bipartite_lattice_fidelity(q_pair_dist, n: int, m: int, edge_count: int) -> float:
-    run = bipartite_bound(q_pair_dist, n, m)
-    loss = 1.0 - run.fidelity
+    loss = 1.0 - bipartite_bound(q_pair_dist, n, m).fidelity
     if loss >= 1.0:
         return 0.0
     return math.exp(edge_count * math.log1p(-loss))
-
-
-def _bipartite_lattice_max_m(q_pair_dist, n: int, threshold: float, edge_count: int) -> int:
-    def value(m: int) -> float:
-        try:
-            return _bipartite_lattice_fidelity(q_pair_dist, n, m, edge_count)
-        except InfeasibleTargetError:
-            return -1.0
-
-    if value(1) < threshold:
-        return 0
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if value(mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def cluster_architecture_run(
@@ -338,7 +324,6 @@ def cluster_architecture_run(
         raise SchemeError("give exactly one of m= or threshold=")
     if not arch.dims:
         raise SchemeError("cluster architectures need lattice dims")
-    dim = arch.dimensionality
     b = arch.block_size
     family = arch.family
     label = family if family == "bipartite" else f"{family}-b{b}"
@@ -357,33 +342,17 @@ def cluster_architecture_run(
             "mode": "global",
             "per_copy_total": blocks.per_copy_total(family, arch.dims, b),
         }
-    if n < 1 or (m is not None and n < m):
-        return SchemeResult.infeasible_point(label, n_used=n, storage=storage_info)
 
     if family == "bipartite":
         dist = pair_pattern_distribution([PauliChannel.depolarizing(q)], [PauliChannel.depolarizing(q)])
-        edge_count = count
-        try:
-            if m is not None:
-                fid = _bipartite_lattice_fidelity(dist, n, m, edge_count)
-                return SchemeResult(label, fid, m, n, storage_info)
-            best = _bipartite_lattice_max_m(dist, n, threshold, edge_count)
-        except InfeasibleTargetError:
-            return SchemeResult.infeasible_point(label, n_used=n, storage=storage_info)
-        if best == 0:
-            return SchemeResult(label, 0.0, 0, n, storage_info)
-        fid = _bipartite_lattice_fidelity(dist, n, best, edge_count)
-        return SchemeResult(label, fid, best, n, storage_info)
-
-    classes = _cluster_classes(family, dim, b, q, count)
-    try:
-        if m is not None:
-            fid, _ = multipartite_bound_classes(classes, n, m)
-            return SchemeResult(label, fid, m, n, storage_info)
-        best, fid = _max_output_copies_and_bound(classes, n, threshold)
-    except InfeasibleTargetError:
-        return SchemeResult.infeasible_point(label, n_used=n, storage=storage_info)
-    return SchemeResult(label, fid, best, n, storage_info)
+        return _evaluate(
+            label, n, storage_info, lambda m: _bipartite_lattice_fidelity(dist, n, m, count), m, threshold
+        )
+    classes = _cluster_classes(family, arch.dimensionality, b, q, count)
+    return _evaluate(
+        label, n, storage_info, lambda m: multipartite_bound_classes(classes, n, m)[0], m, threshold,
+        search=lambda m: optimize_delta_split_classes(classes, n, m)[1],
+    )
 
 
 def from_bell_run(
@@ -410,37 +379,24 @@ def from_bell_run(
         sites *= d
     edge_count = dim * sites
 
-    n_multi = capacity
     _, lam1 = uniform_edge_channel_marginal(q, 2 * dim)
     half = sites // 2
     classes = [
         MarginalClass(lambda1=lam1, color=0, count=half),
         MarginalClass(lambda1=lam1, color=1, count=sites - half),
     ]
-    try:
-        if m is not None:
-            fid, _ = multipartite_bound_classes(classes, n_multi, m)
-            multi = SchemeResult("multipartite", fid, m, n_multi, {"bottleneck": 1})
-        else:
-            best, fid = _max_output_copies_and_bound(classes, n_multi, threshold)
-            multi = SchemeResult("multipartite", fid, best, n_multi, {"bottleneck": 1})
-    except InfeasibleTargetError:
-        multi = SchemeResult.infeasible_point("multipartite", n_used=n_multi, storage={"bottleneck": 1})
+    multi = _evaluate(
+        "multipartite", capacity, {"bottleneck": 1},
+        lambda m: multipartite_bound_classes(classes, capacity, m)[0], m, threshold,
+        search=lambda m: optimize_delta_split_classes(classes, capacity, m)[1],
+    )
 
     n_bip = capacity // (2 * dim)
     dist = pair_pattern_distribution([], [PauliChannel.depolarizing(q)])
-    try:
-        if n_bip < 1:
-            raise InfeasibleTargetError("no room for a single copy")
-        if m is not None:
-            fid = _bipartite_lattice_fidelity(dist, n_bip, m, edge_count)
-            bip = SchemeResult("bipartite", fid, m, n_bip, {"bottleneck": 2 * dim})
-        else:
-            best = _bipartite_lattice_max_m(dist, n_bip, threshold, edge_count)
-            fid = _bipartite_lattice_fidelity(dist, n_bip, best, edge_count) if best else 0.0
-            bip = SchemeResult("bipartite", fid, best, n_bip, {"bottleneck": 2 * dim})
-    except InfeasibleTargetError:
-        bip = SchemeResult.infeasible_point("bipartite", n_used=n_bip, storage={"bottleneck": 2 * dim})
+    bip = _evaluate(
+        "bipartite", n_bip, {"bottleneck": 2 * dim},
+        lambda m: _bipartite_lattice_fidelity(dist, n_bip, m, edge_count), m, threshold,
+    )
     return multi, bip
 
 

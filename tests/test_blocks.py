@@ -12,9 +12,13 @@ from multinet.blocks import (
     lattice_edges,
     per_copy_total,
     per_site_cost_histogram,
+    site_costs,
     sites_per_block,
-    storage_bottleneck,
 )
+
+
+def bottleneck(family, dim, b=1):
+    return max(cost for cost, _ in site_costs(family, dim, b))
 
 
 class TestCanonicalBlocks:
@@ -118,12 +122,12 @@ class TestCovers:
 
 class TestStorage:
     def test_bottlenecks(self):
-        assert storage_bottleneck("bipartite", 2) == 4
-        assert storage_bottleneck("windmill", 2) == 2
-        assert storage_bottleneck("shifted-grid", 2) == 2
-        assert storage_bottleneck("bipartite", 3) == 6
-        assert storage_bottleneck("windmill", 3) == 3
-        assert storage_bottleneck("shifted-grid", 3) == 2
+        assert bottleneck("bipartite", 2) == 4
+        assert bottleneck("windmill", 2) == 2
+        assert bottleneck("shifted-grid", 2) == 2
+        assert bottleneck("bipartite", 3) == 6
+        assert bottleneck("windmill", 3) == 3
+        assert bottleneck("shifted-grid", 3) == 2
 
     def test_bottleneck_stable_across_sizes(self):
         for family, dim, expect in [
@@ -133,7 +137,7 @@ class TestStorage:
             ("shifted-grid", 3, 2),
         ]:
             for b in (2, 4):
-                assert storage_bottleneck(family, dim, b) == expect
+                assert bottleneck(family, dim, b) == expect
 
     def test_windmill_3d_histogram(self):
         hist = per_site_cost_histogram("windmill", (8, 8, 8), 1)

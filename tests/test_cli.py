@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from multinet.blocks import site_costs
 from multinet.cli import (
     ConfigError,
     load_config_source,
@@ -125,7 +126,7 @@ class TestParsing:
 class TestRows:
     def test_order_and_format(self):
         cfg = parse_config(MINIMAL)
-        rows = run_experiment(cfg, max_workers=2)
+        rows = run_experiment(cfg)
         assert [r[1] for r in rows] == sorted(r[1] for r in rows)
         schemes_at_first = [r[2] for r in rows if r[1] == 200.0]
         assert schemes_at_first == sorted(schemes_at_first)
@@ -220,14 +221,75 @@ class TestMain:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["px = 0.6\npz = 0.6", "px = -0.1", "pz = 1.5"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_biased_channel_out_of_range_is_a_config_error(self, tmp_path, capsys, command, noise):
+        cfg = tmp_path / "biased.cfg"
+        cfg.write_text(MINIMAL.replace("channel = ldn", f"channel = biased\n{noise}"))
+        out = tmp_path / "biased.csv"
+        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'px' and 'pz'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "arch, named",
+        [
+            ("families = windmill\nblock_sizes = 2\ndims = 6x6", "windmill"),
+            ("families = windmill\nblock_sizes = 1,2\ndims = 6x6", "windmill"),
+            ("families = windmill\nblock_sizes = 2\ndims = 6x6x6", "windmill"),
+            ("families = mesh\ndims = 8x8", "mesh"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_untileable_lattice_is_a_config_error(self, tmp_path, capsys, command, arch, named):
+        cfg = tmp_path / "untileable.cfg"
+        cfg.write_text(CLUSTER.replace("families = windmill\ndims = 8x8", arch))
+        out = tmp_path / "untileable.csv"
+        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_untileable_swept_block_size_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "swept.cfg"
+        cfg.write_text(
+            CLUSTER.replace("sweep = q\nsweep_values = 0.97,0.99", "sweep = block_size\nsweep_values = 1,2,3")
+            .replace("threshold = 0.9", "threshold = 0.9\n\n[noise]\nq = 0.99")
+        )
+        out = tmp_path / "swept.csv"
+        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "block size 3" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_maps_library_errors_to_exit_2(self, tmp_path, capsys, monkeypatch):
+        # whatever validation lets through still ends as a config error
+        monkeypatch.setattr("multinet.cli._validate_config", lambda cfg: None)
+        configs = {
+            "biased": MINIMAL.replace("channel = ldn", "channel = biased\npx = 0.6\npz = 0.6"),
+            "untileable": CLUSTER.replace("dims = 8x8", "block_sizes = 2\ndims = 6x6"),
+        }
+        for name, text in configs.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            assert main(["run", str(cfg), "--out", str(tmp_path / f"{name}.csv")]) == 2, name
+            assert "config error" in capsys.readouterr().err, name
+
     def test_unwritable_output_path(self, tmp_path):
         assert main(["run", "fig3", "--out", str(tmp_path)]) == 2
 
-    def test_determinism_across_parallelism(self, tmp_path, monkeypatch):
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("MULTINET_THREADS", threads)
-            out = tmp_path / f"t{threads}.csv"
-            assert main(["run", "fig3", "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_determinism_across_parallelism(self, tmp_path):
+        # the first run of fig10 fills the storage cache, the second reads it
+        site_costs.cache_clear()
+        for preset in ("fig3", "fig10"):
+            outputs = []
+            for run in (1, 2):
+                out = tmp_path / f"{preset}-{run}.csv"
+                assert main(["run", preset, "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1] == (GOLDEN / f"{preset}.csv").read_bytes()

@@ -218,6 +218,30 @@ class TestFromBell:
         assert ms == sorted(ms)
 
 
+# Scenario evaluations that go through the bipartite lattice product or the
+# from-Bell branches, as functions of the m= / threshold= keyword.
+BIPARTITE_SEARCHES = {
+    "cluster-bipartite": lambda **target: cluster_architecture_run(
+        Architecture("bipartite", (64, 64)), StorageModel("per-node", 1200), 0.99, **target
+    ),
+    "from-bell-multipartite": lambda **target: from_bell_run((64, 64), 0.995, 800, **target)[0],
+    "from-bell-bipartite": lambda **target: from_bell_run((64, 64), 0.995, 800, **target)[1],
+}
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("scenario", sorted(BIPARTITE_SEARCHES))
+def test_threshold_search_returns_last_passing_m(scenario, threshold):
+    run = BIPARTITE_SEARCHES[scenario]
+    res = run(threshold=threshold)
+    assert res.m >= 1 and not res.infeasible
+    assert res.fidelity == run(m=res.m).fidelity
+    assert res.fidelity >= threshold
+    if res.m < res.n_used:
+        above = run(m=res.m + 1)
+        assert above.infeasible or above.fidelity < threshold
+
+
 class TestCoverValidation:
     @pytest.mark.parametrize("family,dims,b", [
         ("bipartite", (4, 4), 1),
