@@ -10,6 +10,7 @@ from .graphstate import (
     ColoringError,
     Graph,
     GraphError,
+    MultinetError,
     build_graph,
     color_graph,
     connect_project,
@@ -66,6 +67,7 @@ __all__ = [
     "GraphError",
     "HashingRun",
     "InfeasibleTargetError",
+    "MultinetError",
     "PauliChannel",
     "SchemeResult",
     "StorageModel",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .graphstate import Graph
+from .graphstate import Graph, MultinetError
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
@@ -33,7 +33,7 @@ Edge = tuple[Site, Site]
 FAMILIES = ("bipartite", "windmill", "shifted-grid")
 
 
-class BlockError(ValueError):
+class BlockError(MultinetError):
     """Unknown family or lattice dimensions the family cannot tile."""
 
 
@@ -166,6 +166,8 @@ def lattice_edges(dims: tuple[int, ...]) -> set[Edge]:
 
 
 def _check_dims(family: str, dims: tuple[int, ...], b: int) -> None:
+    if family not in FAMILIES:
+        raise BlockError(f"unknown block family {family!r} (choose from {FAMILIES})")
     dim = len(dims)
     if dim not in (2, 3):
         raise BlockError(f"lattice must be 2D or 3D, got {dims}")

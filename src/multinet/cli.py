@@ -24,11 +24,10 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .blocks import BlockError, FAMILIES, blocks_count
-from .noise import ChannelError
+from .blocks import BlockError, blocks_count
+from .graphstate import MultinetError
 from .schemes import (
     Architecture,
-    SchemeError,
     SchemeResult,
     StorageModel,
     cluster_architecture_run,
@@ -47,7 +46,7 @@ SWEEPABLE = {
 GHZ_SCHEME_IDS = ("A", "A-opt", "B", "C")
 
 
-class ConfigError(ValueError):
+class ConfigError(MultinetError):
     """Malformed experiment configuration; the message names the offender."""
 
 
@@ -242,17 +241,20 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         swept = cfg.sweep_param == "block_size"
         sizes = [int(round(v)) for v in cfg.sweep_values] if swept else cfg.block_sizes
         for family in cfg.families:
-            if family not in FAMILIES:
-                raise ConfigError(f"[architecture] unknown family {family!r} (choose from {FAMILIES})")
             for b in [1] if family == "bipartite" else sizes:
                 try:
                     blocks_count(family, cfg.dims, b)
                 except BlockError as exc:
                     raise ConfigError(f"[architecture] family {family!r}, block size {b}: {exc}") from exc
-    if cfg.scenario == "from-bell" and not cfg.dims:
-        raise ConfigError("[architecture] key 'dims': required for the from-bell scenario")
-    if cfg.scenario == "from-bell" and cfg.channel not in ("ldn", "edge"):
-        raise ConfigError("[noise] the from-bell scenario models its own edge channel; use channel = edge")
+    if cfg.scenario == "from-bell":
+        if not cfg.dims:
+            raise ConfigError("[architecture] key 'dims': required for the from-bell scenario")
+        if cfg.channel not in ("ldn", "edge"):
+            raise ConfigError("[noise] the from-bell scenario models its own edge channel; use channel = edge")
+        try:
+            blocks_count("bipartite", cfg.dims)
+        except BlockError as exc:
+            raise ConfigError(f"[architecture] from-bell lattice: {exc}") from exc
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -376,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         rows = run_experiment(cfg)
-    except (ConfigError, SchemeError, BlockError, ChannelError) as exc:
+    except MultinetError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     csv_text = rows_to_csv(rows)

@@ -26,7 +26,11 @@ import itertools
 from typing import Iterable, Mapping
 
 
-class GraphError(ValueError):
+class MultinetError(ValueError):
+    """Root of every error the library raises on bad input."""
+
+
+class GraphError(MultinetError):
     """Raised for invalid vertices, malformed input or impossible requests."""
 
 

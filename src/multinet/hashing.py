@@ -44,18 +44,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .graphstate import Graph
+from .graphstate import Graph, MultinetError
 from .noise import BitMarginal
 
 SPLIT_GRID_STEPS = 200
 SPLIT_REFINE_FACTOR = 20
 
 
-class InfeasibleTargetError(ValueError):
+class InfeasibleTargetError(MultinetError):
     """The (n, m) target cannot be met: some slack parameter is not positive."""
 
 
-class DistributionError(ValueError):
+class DistributionError(MultinetError):
     """Malformed outcome distribution."""
 
 

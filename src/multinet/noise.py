@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphstate import Graph
+from .graphstate import Graph, MultinetError
 
 _PROB_SUM_TOL = 1e-12
 _DRIFT_TOL = 1e-9
 
 
-class ChannelError(ValueError):
+class ChannelError(MultinetError):
     """Raised for malformed channel parameters."""
 
 

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import Graph, GraphError, local_complement
+from .graphstate import Graph, GraphError, MultinetError, local_complement
 from .noise import EdgeZChannel, PauliChannel
 
 MAX_DISTRIBUTION_QUBITS = 16
 MAX_STATEVECTOR_QUBITS = 10
 
 
-class OracleSizeError(ValueError):
+class OracleSizeError(MultinetError):
     """Instance exceeds the brute-force size caps."""
 
 

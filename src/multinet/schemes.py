@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import blocks
-from .graphstate import Graph, build_graph, color_graph, merge_vertices
+from .graphstate import Graph, MultinetError, build_graph, color_graph
 from .hashing import (
     InfeasibleTargetError,
     MarginalClass,
@@ -52,7 +52,7 @@ GHZ_PER_COPY = {"A": 1, "B": 2, "C": 2}
 TRIANGULAR_PER_COPY = {"A": 3, "B": 4, "C": 4}
 
 
-class SchemeError(ValueError):
+class SchemeError(MultinetError):
     """Unknown scheme / family or inconsistent scenario parameters."""
 
 
@@ -275,6 +275,8 @@ def triangular_repeater(
     if scheme not in GHZ_SCHEMES:
         raise SchemeError(f"scheme must be one of {GHZ_SCHEMES}, got {scheme!r}")
     cost = per_copy if per_copy is not None else TRIANGULAR_PER_COPY[scheme]
+    if cost < 1:
+        raise SchemeError(f"per_copy must be >= 1, got {cost}")
     n = capacity // cost
     exponent = 3**levels if scheme == "A" else 2 ** (levels + 1)
 
@@ -374,10 +376,8 @@ def from_bell_run(
     if (m is None) == (threshold is None):
         raise SchemeError("give exactly one of m= or threshold=")
     dim = len(dims)
-    sites = 1
-    for d in dims:
-        sites *= d
-    edge_count = dim * sites
+    edge_count = blocks.blocks_count("bipartite", dims)
+    sites = edge_count // dim
 
     _, lam1 = uniform_edge_channel_marginal(q, 2 * dim)
     half = sites // 2
@@ -414,45 +414,33 @@ def validate_cover(
     Wherever two or more placed qubits coincide they are merged pairwise in
     ascending block order; the trace of performed merges is returned together
     with the verdict.
+
+    A merge adds one vertex's adjacency row to the survivor's over GF(2)
+    (:func:`~multinet.graphstate.merge_vertices`), so merging every site
+    leaves an edge between two sites exactly when an odd number of placed
+    edges join them, and none inside a site.  The verdict therefore needs
+    only the parity of each site pair, not a replay of the merges.
     """
     if target.coords is None:
         raise SchemeError("target graph carries no coordinates")
-    union_edges = []
-    position: dict[int, tuple] = {}
+    ids: dict[tuple, list[int]] = {}
+    odd: set[tuple] = set()
     next_id = 0
-    ids: dict[tuple[int, int], int] = {}
     for block_idx, (block, placement) in enumerate(cover):
         for v in block.vertices():
             if v not in placement:
                 raise SchemeError(f"block {block_idx} vertex {v} has no placement")
-            ids[(block_idx, v)] = next_id
-            position[next_id] = placement[v]
+            ids.setdefault(placement[v], []).append(next_id)
             next_id += 1
         for a, b in block.edges():
-            union_edges.append((ids[(block_idx, a)], ids[(block_idx, b)]))
-    g = Graph(range(next_id), union_edges)
-    g.coords = dict(position)
-
-    by_coord: dict[tuple, list[int]] = {}
-    for vid, coord in position.items():
-        by_coord.setdefault(coord, []).append(vid)
-    trace = []
-    for coord in sorted(by_coord):
-        group = sorted(by_coord[coord])
-        survivor = group[0]
-        for other in group[1:]:
-            g = merge_vertices(g, survivor, other)
-            trace.append((coord, survivor, other))
-
-    achieved = {
-        tuple(sorted((g.coords[a], g.coords[b]))) for a, b in g.edges()
-    }
+            pair = tuple(sorted((placement[a], placement[b])))
+            if pair[0] != pair[1]:
+                odd ^= {pair}
     wanted = {
         tuple(sorted((target.coords[a], target.coords[b]))) for a, b in target.edges()
     }
-    achieved_sites = {g.coords[v] for v in g.vertices()}
-    wanted_sites = {target.coords[v] for v in target.vertices()}
-    ok = achieved == wanted and achieved_sites == wanted_sites
+    ok = odd == wanted and ids.keys() == {target.coords[v] for v in target.vertices()}
+    trace = [(coord, ids[coord][0], other) for coord in sorted(ids) for other in ids[coord][1:]]
     return ok, trace
 
 

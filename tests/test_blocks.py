@@ -76,6 +76,8 @@ class TestCanonicalBlocks:
     def test_bad_family(self):
         with pytest.raises(BlockError):
             block_edges("spiral", 2, 1)
+        with pytest.raises(BlockError, match="mesh"):
+            blocks_count("mesh", (8, 8), 1)
 
     def test_block_graph_generator_kinds(self):
         from multinet.graphstate import build_graph

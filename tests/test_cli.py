@@ -49,6 +49,24 @@ dims = 8x8
 capacity = 400
 """
 
+FROM_BELL = """
+[experiment]
+scenario = from-bell
+sweep = q
+sweep_values = 0.99
+target = m
+m = 1
+
+[noise]
+channel = edge
+
+[architecture]
+dims = 8x8
+
+[storage]
+capacity = 100
+"""
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -267,12 +285,25 @@ class TestMain:
         assert "block size 3" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_from_bell_odd_lattice_is_a_config_error(self, tmp_path, capsys, command):
+        parse_config(FROM_BELL)  # the even lattice is accepted
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(FROM_BELL.replace("dims = 8x8", "dims = 3x3"))
+        out = tmp_path / "odd.csv"
+        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "from-bell lattice" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_run_maps_library_errors_to_exit_2(self, tmp_path, capsys, monkeypatch):
         # whatever validation lets through still ends as a config error
         monkeypatch.setattr("multinet.cli._validate_config", lambda cfg: None)
         configs = {
             "biased": MINIMAL.replace("channel = ldn", "channel = biased\npx = 0.6\npz = 0.6"),
             "untileable": CLUSTER.replace("dims = 8x8", "block_sizes = 2\ndims = 6x6"),
+            "odd-from-bell": FROM_BELL.replace("dims = 8x8", "dims = 3x3"),
         }
         for name, text in configs.items():
             cfg = tmp_path / f"{name}.cfg"

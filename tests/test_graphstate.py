@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multinet.blocks import BlockError
+from multinet.cli import ConfigError
 from multinet.graphstate import (
     ColoringError,
     Graph,
     GraphError,
+    MultinetError,
     build_graph,
     color_graph,
     connect_project,
@@ -18,6 +21,10 @@ from multinet.graphstate import (
     merge_vertices,
     to_text,
 )
+from multinet.hashing import DistributionError, InfeasibleTargetError
+from multinet.noise import ChannelError
+from multinet.oracle import OracleSizeError
+from multinet.schemes import SchemeError
 
 
 
@@ -223,3 +230,11 @@ class TestSerialization:
     def test_tombstoned_graph_serializes_densely(self):
         g = merge_vertices(build_graph("line", n=3), 0, 1)
         assert to_text(g) == "graph 2\ne 0 1\n"
+
+
+@pytest.mark.parametrize("error", [
+    GraphError, ColoringError, BlockError, ChannelError, InfeasibleTargetError,
+    DistributionError, SchemeError, ConfigError, OracleSizeError,
+])
+def test_library_errors_share_one_root(error):
+    assert issubclass(error, MultinetError) and issubclass(error, ValueError)

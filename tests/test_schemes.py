@@ -1,8 +1,13 @@
 """Scenario-level behavior: GHZ schemes, triangular network, clusters, covers."""
 
-import pytest
+import itertools
 
-from multinet.graphstate import build_graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multinet.blocks import FAMILIES, BlockError
+from multinet.graphstate import Graph, build_graph, merge_vertices
 from multinet.schemes import (
     Architecture,
     SchemeError,
@@ -93,6 +98,11 @@ class TestTriangular:
         assert signs[-1] == -1
         changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
         assert changes == 1
+
+    @pytest.mark.parametrize("per_copy", [0, -1])
+    def test_per_copy_below_one_rejected(self, per_copy):
+        with pytest.raises(SchemeError):
+            triangular_repeater(0, 1200, 0.99, scheme="A", per_copy=per_copy)
 
     def test_per_copy_override(self):
         default = triangular_repeater(0, 1600, 0.99, 0.98, "A")
@@ -213,6 +223,12 @@ class TestFromBell:
         assert multi.fidelity == 1.0
         assert multi.fidelity >= bip.fidelity
 
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 5), (4, 4, 3), (1, 2)])
+    def test_odd_or_tiny_lattice_rejected(self, dims):
+        # no two-colouring of the periodic lattice, hence no two classes
+        with pytest.raises(BlockError):
+            from_bell_run(dims, 0.99, 100, m=1)
+
     def test_max_copies_monotone_in_q(self):
         ms = [from_bell_run((64, 64), q, 800, threshold=0.9)[0].m for q in (0.97, 0.98, 0.99, 1.0)]
         assert ms == sorted(ms)
@@ -242,6 +258,60 @@ def test_threshold_search_returns_last_passing_m(scenario, threshold):
         assert above.infeasible or above.fidelity < threshold
 
 
+def replay_cover(cover, target):
+    """Reference verdict: merge a union graph of every placed qubit, site by site."""
+    edges, position = [], {}
+    for block, placement in cover:
+        ids = {v: len(position) + i for i, v in enumerate(block.vertices())}
+        position.update((ids[v], placement[v]) for v in block.vertices())
+        edges += [(ids[a], ids[b]) for a, b in block.edges()]
+    g = Graph(range(len(position)), edges)
+    trace = []
+    for coord in sorted(set(position.values())):
+        group = sorted(v for v, c in position.items() if c == coord)
+        for other in group[1:]:
+            g = merge_vertices(g, group[0], other)
+            trace.append((coord, group[0], other))
+    achieved = {tuple(sorted((position[a], position[b]))) for a, b in g.edges()}
+    wanted = {tuple(sorted((target.coords[a], target.coords[b]))) for a, b in target.edges()}
+    sites = {position[v] for v in g.vertices()}
+    return achieved == wanted and sites == set(target.coords.values()), trace
+
+
+@st.composite
+def random_covers(draw):
+    """Random blocks on a small torus, over an exact cover (one block maybe
+    shifted) half of the time.  Extra blocks are random, placed twice (their
+    edges cancel), confined to one site (in-site edges only) or a lone
+    qubit placed off the lattice."""
+    cover = []
+    if draw(st.booleans()):
+        dims = draw(st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 4)]))
+        cover = family_cover(draw(st.sampled_from(FAMILIES if dims == (4, 4) else ["bipartite"])), dims)
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(cover) - 1))
+            shift = draw(st.integers(1, dims[0] - 1))
+            block, placement = cover[k]
+            cover[k] = (block, {v: ((c[0] + shift) % dims[0], c[1]) for v, c in placement.items()})
+    else:
+        dims = (draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    target = target_lattice(dims)
+    sites = sorted(target.coords.values())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["twice", "one-site", "random", "off-lattice"]))
+        if kind == "off-lattice":
+            cover.append((Graph([0]), {0: dims}))
+            continue
+        n = draw(st.integers(2, 5))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        if kind == "one-site":
+            placement = dict.fromkeys(range(n), draw(st.sampled_from(sites)))
+        else:
+            placement = {v: draw(st.sampled_from(sites)) for v in range(n)}
+        cover += [(Graph(range(n), edges), placement)] * (2 if kind == "twice" else 1)
+    return cover, target
+
 class TestCoverValidation:
     @pytest.mark.parametrize("family,dims,b", [
         ("bipartite", (4, 4), 1),
@@ -268,3 +338,24 @@ class TestCoverValidation:
         ok, trace = validate_cover(cover, target_lattice((4, 4, 4)))
         assert ok
         assert len(trace) == 64  # every site fuses two cube corners
+
+    # the exact covers the 2D presets evaluate (fig9, fig11, fig13)
+    @pytest.mark.parametrize("family,b", [
+        ("bipartite", 1),
+        ("windmill", 1),
+        ("shifted-grid", 1),
+        ("shifted-grid", 2),
+        ("shifted-grid", 4),
+    ])
+    def test_preset_covers_merge_to_lattice(self, family, b):
+        cover = family_cover(family, (64, 64), b)
+        ok, trace = validate_cover(cover, target_lattice((64, 64)))
+        assert ok
+        assert len(trace) == sum(g.vertex_count for g, _ in cover) - 64 * 64
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_covers())
+    def test_matches_merge_replay(self, case):
+        cover, target = case
+        assert validate_cover(cover, target) == replay_cover(cover, target)
+
