@@ -125,14 +125,21 @@ def block_edges(family: str, dim: int, b: int) -> list[Edge]:
     raise BlockError(f"unknown block family {family!r}")
 
 
-def block_graph(family: str, dim: int, b: int) -> Graph:
-    """Canonical block as a Graph; vertex ids index the sorted touched sites."""
-    edges = block_edges(family, dim, b)
+def edge_graph(edges: list[Edge]) -> Graph:
+    """The graph of an edge group over the sites it touches.
+
+    Vertex ids index the sorted sites; ``coords`` maps each id back to its site.
+    """
     sites = sorted({s for e in edges for s in e})
     index = {s: i for i, s in enumerate(sites)}
     g = Graph(range(len(sites)), [(index[a], index[b]) for a, b in edges])
-    g.coords = {i: s for s, i in index.items()}
+    g.coords = dict(enumerate(sites))
     return g
+
+
+def block_graph(family: str, dim: int, b: int) -> Graph:
+    """Canonical block as a Graph; vertex ids index the sorted touched sites."""
+    return edge_graph(block_edges(family, dim, b))
 
 
 def _wrap(site: Site, dims: tuple[int, ...]) -> Site:
@@ -335,9 +342,4 @@ def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]
 
 def per_copy_total(family: str, dims: tuple[int, ...], b: int = 1) -> int:
     """Total stored qubits per copy across the whole lattice."""
-    sites = 1
-    for d in dims:
-        sites *= d
-    if family == "bipartite":
-        return 2 * len(dims) * sites
     return blocks_count(family, dims, b) * sites_per_block(family, len(dims), b)

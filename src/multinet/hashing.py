@@ -19,7 +19,10 @@ copy budget: requesting m outputs from n inputs leaves a total slack
 Delta = (1 - sum_c S_c - m/n)/2 to distribute over the colors, and inside a
 color every vertex with entropy below the color maximum automatically gets
 the surplus (delta_k = delta_c + (S_c - S_k)/2).  The global bound is the
-product of the per-vertex success probabilities.
+product of the per-vertex success probabilities, and vertices sharing a
+marginal and a color give equal factors.  The vertex-level API therefore
+checks and groups its input in one place, :func:`vertex_classes`, and reads
+each vertex's slack and success off its :class:`MarginalClass`.
 
 The class-level bound is evaluated by one engine.  Each
 :class:`MarginalClass` computes its S, a and V once, on first use, which is
@@ -38,6 +41,7 @@ in the scenarios.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -57,6 +61,11 @@ class InfeasibleTargetError(MultinetError):
 
 class DistributionError(MultinetError):
     """Malformed outcome distribution."""
+
+
+def _check_h_mode(h_mode: str) -> None:
+    if h_mode not in ("simplified", "standard"):
+        raise MultinetError(f"unknown h_mode {h_mode!r}")
 
 
 def _validated(probs: Sequence[float]) -> list[float]:
@@ -98,6 +107,7 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float, h_mode: str = "si
         raise InfeasibleTargetError(f"need at least one input copy, got n={n}")
     if delta <= 0.0:
         raise InfeasibleTargetError(f"slack must be positive, got delta={delta}")
+    _check_h_mode(h_mode)
     s, a, v = _spread_and_variance(probs)
     return _loss(s, a, v, n, delta, h_mode)
 
@@ -105,18 +115,15 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float, h_mode: str = "si
 def _loss(s: float, a: float, v: float, n: int, delta: float, h_mode: str) -> float:
     """The failure weight of :func:`bennett_loss` from a distribution's S, a, V.
 
-    ``n >= 1`` and ``delta > 0`` are the caller's to check.
+    ``n >= 1``, ``delta > 0`` and a known ``h_mode`` are the caller's to check.
     """
     if s == 0.0 or a == 0.0 or v == 0.0:
         concentration = 0.0
     else:
         u = a * delta / v
-        if h_mode == "simplified":
-            h = (1.0 + u) * math.log1p(u)
-        elif h_mode == "standard":
-            h = (1.0 + u) * math.log1p(u) - u
-        else:
-            raise ValueError(f"unknown h_mode {h_mode!r}")
+        h = (1.0 + u) * math.log1p(u)
+        if h_mode == "standard":
+            h -= u
         concentration = 2.0 * math.exp(-n * (v / (a * a)) * h)
     identification = 2.0 ** (-n * delta)
     return concentration + identification
@@ -156,13 +163,13 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     requested yield.
     """
     _check_target(n, m)
-    s = entropy(probs)
+    s, a, v = _spread_and_variance(probs)
     delta = 0.5 * (1.0 - s - m / n)
     if delta <= 0.0:
         raise InfeasibleTargetError(
             f"target m/n={m}/{n} unreachable: entropy {s:.6f} leaves slack {delta:.6f}"
         )
-    f = bennett_success(probs, n, delta)
+    f = max(0.0, 1.0 - _loss(s, a, v, n, delta, "simplified"))
     return HashingRun(
         n=n,
         m=m,
@@ -195,7 +202,7 @@ class MarginalClass:
 
     @functools.cached_property
     def entropy(self) -> float:
-        return entropy(self.distribution)
+        return self._constants[0]
 
     @functools.cached_property
     def _constants(self) -> tuple[float, float, float]:
@@ -233,6 +240,7 @@ class _SplitBound:
     """
 
     def __init__(self, classes: Iterable[MarginalClass], n: int, m: int, h_mode: str):
+        _check_h_mode(h_mode)
         by_color, s_color, self.active = _group_classes(classes)
         _check_target(n, m)
         self.colors = sorted(self.active)
@@ -314,20 +322,60 @@ def multipartite_bound_classes(
     return bound.fidelity([delta_color[c] for c in bound.colors]), delta_color
 
 
-def _classes_from_marginals(
-    coloring: dict[int, int], marginals: Sequence[BitMarginal]
-) -> list[MarginalClass]:
-    counts: dict[tuple[float, int], int] = {}
-    for marg in marginals:
-        key = (marg.lambda1, coloring[marg.vertex])
-        counts[key] = counts.get(key, 0) + 1
-    return [MarginalClass(lambda1=lam, color=col, count=cnt) for (lam, col), cnt in sorted(counts.items())]
+def vertex_classes(
+    g: Graph, coloring: dict[int, int], marginals: Sequence[BitMarginal]
+) -> tuple[list[MarginalClass], dict[int, tuple[float, int]]]:
+    """Group the vertices of ``g`` into classes of equal (lambda1, color).
 
-
-def _check_proper(g: Graph, coloring: dict[int, int]) -> None:
+    Returns the classes, sorted by (lambda1, color), and each vertex's
+    (lambda1, color) key, in the order of ``marginals``.  Raises
+    :class:`InfeasibleTargetError` unless ``coloring`` colors every vertex
+    of ``g`` properly, and :class:`DistributionError` unless ``marginals``
+    holds exactly one marginal per vertex of ``g``.
+    """
+    uncolored = [v for v in g.vertices() if v not in coloring]
+    if uncolored:
+        raise InfeasibleTargetError(f"coloring misses vertices {uncolored}")
     for a, b in g.edges():
         if coloring[a] == coloring[b]:
             raise InfeasibleTargetError(f"improper coloring: edge ({a},{b}) inside one color")
+    key_by_vertex: dict[int, tuple[float, int]] = {}
+    for marg in marginals:
+        if not g.has_vertex(marg.vertex):
+            raise DistributionError(f"marginal given for vertex {marg.vertex}, which is not in the graph")
+        if marg.vertex in key_by_vertex:
+            raise DistributionError(f"more than one marginal given for vertex {marg.vertex}")
+        key_by_vertex[marg.vertex] = (marg.lambda1, coloring[marg.vertex])
+    missing = [v for v in g.vertices() if v not in key_by_vertex]
+    if missing:
+        raise DistributionError(f"marginals missing for vertices {missing}")
+    counts = sorted(collections.Counter(key_by_vertex.values()).items())
+    return [MarginalClass(lambda1=lam, color=col, count=cnt) for (lam, col), cnt in counts], key_by_vertex
+
+
+def _vertex_run(classes, key_by_vertex, n: int, m: int, delta_split, h_mode: str) -> HashingRun:
+    """The class bound, with each class's slack and success read onto its vertices.
+
+    A class of an inactive color, or of zero entropy, needs no identification:
+    its vertices get slack 0 and success 1.
+    """
+    fidelity, delta_color = multipartite_bound_classes(classes, n, m, delta_split=delta_split, h_mode=h_mode)
+    s_color = _group_classes(classes)[1]
+    by_class: dict[tuple[float, int], tuple[float, float]] = {}
+    for cls in classes:
+        if cls.color not in delta_color or cls.entropy == 0.0:
+            by_class[cls.lambda1, cls.color] = (0.0, 1.0)
+            continue
+        d_k = delta_color[cls.color] + 0.5 * (s_color[cls.color] - cls.entropy)
+        by_class[cls.lambda1, cls.color] = (d_k, max(0.0, 1.0 - _loss(*cls._constants, n, d_k, h_mode)))
+    return HashingRun(
+        n=n,
+        m=m,
+        delta_by_color=delta_color,
+        delta_by_vertex={v: by_class[key][0] for v, key in key_by_vertex.items()},
+        fidelity_by_vertex={v: by_class[key][1] for v, key in key_by_vertex.items()},
+        fidelity=fidelity,
+    )
 
 
 def multipartite_bound(
@@ -341,42 +389,12 @@ def multipartite_bound(
 ) -> HashingRun:
     """Finite-size bound for multipartite hashing of a colored graph state.
 
-    ``marginals`` must cover every vertex of ``g``.  The per-vertex slack and
-    success probability are reported alongside the global product bound.
+    ``marginals`` must hold one marginal per vertex of ``g`` (see
+    :func:`vertex_classes`).  The per-vertex slack and success probability
+    are reported alongside the global product bound.
     """
-    _check_proper(g, coloring)
-    have = {marg.vertex for marg in marginals}
-    missing = set(g.vertices()) - have
-    if missing:
-        raise DistributionError(f"marginals missing for vertices {sorted(missing)}")
-    classes = _classes_from_marginals(coloring, marginals)
-    fidelity, delta_color = multipartite_bound_classes(
-        classes, n, m, delta_split=delta_split, h_mode=h_mode
-    )
-    by_color: dict[int, float] = {}
-    for marg in marginals:
-        c = coloring[marg.vertex]
-        s_k = entropy(marg.distribution)
-        by_color[c] = max(by_color.get(c, 0.0), s_k)
-    delta_by_vertex: dict[int, float] = {}
-    fidelity_by_vertex: dict[int, float] = {}
-    for marg in marginals:
-        c = coloring[marg.vertex]
-        if c not in delta_color or entropy(marg.distribution) == 0.0:
-            delta_by_vertex[marg.vertex] = 0.0
-            fidelity_by_vertex[marg.vertex] = 1.0
-            continue
-        d_k = delta_color[c] + 0.5 * (by_color[c] - entropy(marg.distribution))
-        delta_by_vertex[marg.vertex] = d_k
-        fidelity_by_vertex[marg.vertex] = bennett_success(marg.distribution, n, d_k, h_mode=h_mode)
-    return HashingRun(
-        n=n,
-        m=m,
-        delta_by_color=delta_color,
-        delta_by_vertex=delta_by_vertex,
-        fidelity_by_vertex=fidelity_by_vertex,
-        fidelity=fidelity,
-    )
+    classes, key_by_vertex = vertex_classes(g, coloring, marginals)
+    return _vertex_run(classes, key_by_vertex, n, m, delta_split, h_mode)
 
 
 def _simplex_grid(k: int, steps: int):
@@ -435,11 +453,9 @@ def optimize_delta_split(
     h_mode: str = "simplified",
 ) -> tuple[dict[int, float], HashingRun]:
     """Best slack split plus the corresponding full run for a colored graph."""
-    _check_proper(g, coloring)
-    classes = _classes_from_marginals(coloring, marginals)
+    classes, key_by_vertex = vertex_classes(g, coloring, marginals)
     split, _ = optimize_delta_split_classes(classes, n, m, h_mode=h_mode)
-    run = multipartite_bound(g, coloring, marginals, n, m, delta_split=split or None, h_mode=h_mode)
-    return split, run
+    return split, _vertex_run(classes, key_by_vertex, n, m, split or None, h_mode)
 
 
 def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[int, float]:
@@ -451,7 +467,7 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
     caller never evaluates the bound at the result a second time.
     """
     if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+        raise MultinetError(f"threshold must be in (0,1), got {threshold}")
 
     def value_or_short(m: int) -> float:
         try:
@@ -473,21 +489,9 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
     return lo, f_lo
 
 
-def max_output_copies_classes(
-    classes: Sequence[MarginalClass],
-    n: int,
-    threshold: float,
-    optimize: bool = True,
-    h_mode: str = "simplified",
-) -> int:
-    """Largest m with bound >= threshold, by :func:`largest_m` (0 if none)."""
-
-    def value(m: int) -> float:
-        if optimize:
-            return optimize_delta_split_classes(classes, n, m, h_mode=h_mode)[1]
-        return multipartite_bound_classes(classes, n, m, h_mode=h_mode)[0]
-
-    return largest_m(value, n, threshold)[0]
+def max_output_copies_classes(classes: Sequence[MarginalClass], n: int, threshold: float) -> int:
+    """Largest m whose optimized bound is >= threshold, by :func:`largest_m` (0 if none)."""
+    return largest_m(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, threshold)[0]
 
 
 def max_output_copies(
@@ -498,6 +502,4 @@ def max_output_copies(
     threshold: float,
 ) -> int:
     """Largest m the colored graph ensemble supports at the given fidelity."""
-    _check_proper(g, coloring)
-    classes = _classes_from_marginals(coloring, marginals)
-    return max_output_copies_classes(classes, n, threshold)
+    return max_output_copies_classes(vertex_classes(g, coloring, marginals)[0], n, threshold)

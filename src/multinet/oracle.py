@@ -159,7 +159,7 @@ def _measure(psi: np.ndarray, bit: int, basis: str) -> list[np.ndarray]:
     elif basis == "y":
         branches = [(zero - 1j * one) / np.sqrt(2), (zero + 1j * one) / np.sqrt(2)]
     else:
-        raise ValueError(f"unsupported measurement basis {basis!r}")
+        raise GraphError(f"unsupported measurement basis {basis!r}")
     out = []
     for branch in branches:
         norm = np.linalg.norm(branch)
@@ -353,7 +353,7 @@ def statevector_check(g_before: Graph, transform: tuple, g_after: Graph) -> bool
         branches = [psi]
         removed = []
     else:
-        raise ValueError(f"unknown transform {kind!r}")
+        raise GraphError(f"unknown transform {kind!r}")
 
     if kind != "connect":
         final_order = {v: i for v, i in order.items() if v not in removed}

@@ -29,6 +29,7 @@ from .hashing import (
     largest_m,
     multipartite_bound_classes,
     optimize_delta_split_classes,
+    vertex_classes,
 )
 from .noise import (
     PauliChannel,
@@ -190,17 +191,12 @@ def _ghz_channels(channel: str, q: float, p: float, q_params: dict | None):
 
 def _star_classes(g: Graph, star_channels: dict[int, list[PauliChannel]]) -> list[MarginalClass]:
     """Flip marginals of the 3-star ``g`` under independent per-qubit channels."""
-    coloring = color_graph(g)
     sources = [
         channel_to_flip_source(g, v, ch)
         for v, chans in star_channels.items()
         for ch in chans
     ]
-    classes: dict[tuple[float, int], int] = {}
-    for marg in bit_marginals(g, sources):
-        key = (marg.lambda1, coloring[marg.vertex])
-        classes[key] = classes.get(key, 0) + 1
-    return [MarginalClass(lambda1=lam, color=c, count=n) for (lam, c), n in sorted(classes.items())]
+    return vertex_classes(g, color_graph(g), bit_marginals(g, sources))[0]
 
 
 def _ghz_bound(scheme: str, n: int, m: int, star, pair, p: float, optimize_split: bool) -> float:
@@ -446,11 +442,4 @@ def validate_cover(
 
 def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[Graph, dict[int, tuple]]]:
     """Materialize a family's cover as (graph, placement) pairs for validation."""
-    groups = blocks.cover_blocks(family, dims, b)
-    out = []
-    for group in groups:
-        sites = sorted({s for e in group for s in e})
-        index = {s: i for i, s in enumerate(sites)}
-        g = Graph(range(len(sites)), [(index[a], index[b]) for a, b in group])
-        out.append((g, {i: s for s, i in index.items()}))
-    return out
+    return [(g, g.coords) for g in map(blocks.edge_graph, blocks.cover_blocks(family, dims, b))]

@@ -1,5 +1,7 @@
 """Block families: canonical shapes, covers, storage accounting."""
 
+import math
+
 import pytest
 
 from multinet.blocks import (
@@ -161,6 +163,14 @@ class TestStorage:
         n3 = 64**3
         assert per_copy_total("bipartite", (64, 64, 64)) == 6 * n3
         assert per_copy_total("shifted-grid", (64, 64, 64), 1) == 2 * n3
+
+    def test_per_copy_total_checks_the_lattice(self):
+        # one block per edge, two stored qubits per block
+        for dims in [(4, 4), (2, 6), (8, 8), (4, 4, 4)]:
+            assert per_copy_total("bipartite", dims) == 2 * len(dims) * math.prod(dims)
+        for dims in [(3, 3), (4, 5), (4, 4, 3)]:
+            with pytest.raises(BlockError):
+                per_copy_total("bipartite", dims)
 
     def test_histogram_totals_match_per_copy(self):
         for family, dims, b in [

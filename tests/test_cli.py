@@ -202,14 +202,22 @@ class TestMain:
         assert out.exists()
 
     def test_console_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import multinet
+
+        # the child imports the package under test, installed or not
+        src = str(Path(multinet.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         out = tmp_path / "fig3.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "multinet.cli", "run", "fig3", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("sweep_param,")

@@ -1,13 +1,16 @@
 """Finite-size hashing bounds."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multinet.graphstate import build_graph, color_graph
+from multinet.graphstate import Graph, MultinetError, build_graph, color_graph
 from multinet.hashing import (
+    DistributionError,
+    HashingRun,
     InfeasibleTargetError,
     MarginalClass,
     bennett_loss,
@@ -68,6 +71,20 @@ class TestBennett:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(InfeasibleTargetError):
             bennett_success((0.9, 0.1), 100, 0.0)
+
+    def test_unknown_h_mode_rejected(self):
+        # checked up front, so also where no concentration term is evaluated
+        deterministic = [MarginalClass(lambda1=0.0, color=0, count=1)]
+        calls = [
+            lambda: bennett_success((1.0, 0.0), 100, 0.1, h_mode="bogus"),
+            lambda: bennett_success((0.9, 0.1), 100, 0.1, h_mode="bogus"),
+            lambda: multipartite_bound_classes(deterministic, 100, 1, h_mode="bogus"),
+            lambda: optimize_delta_split_classes(deterministic, 100, 1, h_mode="bogus"),
+        ]
+        for call in calls:
+            with pytest.raises(MultinetError, match="unknown h_mode 'bogus'") as info:
+                call()
+            assert isinstance(info.value, ValueError)
 
     def test_standard_h_mode_is_more_conservative(self):
         # dropping the -u term makes h larger, so the simplified bound is higher
@@ -388,3 +405,136 @@ class TestThresholdSearchMonotone:
         for m in sorted(larger):
             value = outcome(lambda: optimize_delta_split_classes(classes, n, m)[1])
             assert value == "infeasible" or value < threshold, m
+
+
+def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None, h_mode="simplified"):
+    """The vertex-level bound computed vertex by vertex.
+
+    The global bound comes from the classes of equal (lambda1, color); each
+    vertex's slack comes from the largest entropy among the marginals of its
+    color, and its success from :func:`bennett_success` on its own marginal.
+    """
+    counts = {}
+    for marg in marginals:
+        key = (marg.lambda1, coloring[marg.vertex])
+        counts[key] = counts.get(key, 0) + 1
+    classes = [MarginalClass(lambda1=lam, color=col, count=cnt) for (lam, col), cnt in sorted(counts.items())]
+    fidelity, delta_color = multipartite_bound_classes(classes, n, m, delta_split=delta_split, h_mode=h_mode)
+    s_color = {}
+    for marg in marginals:
+        c = coloring[marg.vertex]
+        s_color[c] = max(s_color.get(c, 0.0), entropy(marg.distribution))
+    delta_by_vertex = {}
+    fidelity_by_vertex = {}
+    for marg in marginals:
+        c = coloring[marg.vertex]
+        s_k = entropy(marg.distribution)
+        if c not in delta_color or s_k == 0.0:
+            delta_by_vertex[marg.vertex] = 0.0
+            fidelity_by_vertex[marg.vertex] = 1.0
+            continue
+        d_k = delta_color[c] + 0.5 * (s_color[c] - s_k)
+        delta_by_vertex[marg.vertex] = d_k
+        fidelity_by_vertex[marg.vertex] = bennett_success(marg.distribution, n, d_k, h_mode=h_mode)
+    return HashingRun(n, m, delta_color, delta_by_vertex, fidelity_by_vertex, fidelity)
+
+
+@st.composite
+def colored_graphs(draw, colors=(0, 1, 2)):
+    """A random properly colored graph and one marginal per vertex, in random order.
+
+    The marginals come from a pool of at most three values, so classes repeat,
+    mostly mild ones, so that the target is mostly feasible.
+    """
+    size = draw(st.integers(min_value=1, max_value=8))
+    coloring = {v: draw(st.sampled_from(colors)) for v in range(size)}
+    pairs = [(a, b) for a, b in itertools.combinations(range(size), 2) if coloring[a] != coloring[b]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    pool = draw(st.lists(SEARCH_LAMBDAS | SEARCH_LAMBDAS | LAMBDAS, min_size=1, max_size=3))
+    # every pool value in use, on randomly chosen vertices
+    rank = draw(st.permutations(range(size)))
+    lams = [pool[rank[v] % len(pool)] for v in range(size)]
+    order = draw(st.permutations(range(size)))
+    marginals = [BitMarginal(vertex=v, lambda0=1 - lams[v], lambda1=lams[v]) for v in order]
+    return Graph(range(size), edges), coloring, marginals
+
+
+class TestVertexAdapter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        colored_graphs(),
+        st.integers(min_value=20, max_value=20000),
+        st.sampled_from(["simplified", "standard"]),
+        st.data(),
+    )
+    def test_matches_per_vertex_reference(self, inputs, n, h_mode, data):
+        g, coloring, marginals = inputs
+        small = st.integers(min_value=1, max_value=n // 20 + 1)
+        m = data.draw(small | small | small | st.sampled_from([0, n, n + 1]), label="m")
+        split = None
+        active = sorted({coloring[marg.vertex] for marg in marginals if entropy(marg.distribution) > 0.0})
+        if active and data.draw(st.booleans(), label="explicit split"):
+            weights = data.draw(
+                st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=len(active), max_size=len(active)),
+                label="weights",
+            )
+            split = {c: w / sum(weights) for c, w in zip(active, weights)}
+        reference = outcome(lambda: reference_vertex_bound(g, coloring, marginals, n, m, split, h_mode))
+        run = outcome(lambda: multipartite_bound(g, coloring, marginals, n, m, delta_split=split, h_mode=h_mode))
+        assert run == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(colored_graphs(colors=(0, 1)), st.integers(min_value=1, max_value=5000), st.data())
+    def test_optimized_run_is_the_bound_at_its_split(self, inputs, n, data):
+        g, coloring, marginals = inputs
+        m = data.draw(st.integers(min_value=1, max_value=n), label="m")
+        found = outcome(lambda: optimize_delta_split(g, coloring, marginals, n, m))
+        if found == "infeasible":
+            assert outcome(lambda: multipartite_bound(g, coloring, marginals, n, m)) == "infeasible"
+            return
+        split, run = found
+        assert run == multipartite_bound(g, coloring, marginals, n, m, delta_split=split or None)
+
+
+def star_with_marginals(lam=0.02):
+    g = build_graph("ghz-star", s=3)
+    return g, color_graph(g), binary_marginals(g, {v: lam for v in g.vertices()})
+
+
+VERTEX_ENTRY_POINTS = {
+    "multipartite_bound": lambda g, coloring, margs: multipartite_bound(g, coloring, margs, 400, 1),
+    "optimize_delta_split": lambda g, coloring, margs: optimize_delta_split(g, coloring, margs, 400, 1),
+    "max_output_copies": lambda g, coloring, margs: max_output_copies(g, coloring, margs, 400, 0.9),
+}
+
+
+@pytest.mark.parametrize("entry", VERTEX_ENTRY_POINTS.values(), ids=list(VERTEX_ENTRY_POINTS))
+class TestVertexInputChecks:
+    def test_partial_coloring(self, entry):
+        g, _, margs = star_with_marginals()
+        with pytest.raises(InfeasibleTargetError, match="coloring misses vertices"):
+            entry(g, {0: 0, 1: 1}, margs)
+
+    def test_off_graph_marginal(self, entry):
+        g, coloring, margs = star_with_marginals()
+        with pytest.raises(DistributionError, match="not in the graph"):
+            entry(g, coloring, margs + [BitMarginal(vertex=7, lambda0=0.98, lambda1=0.02)])
+
+    def test_repeated_marginal(self, entry):
+        g, coloring, margs = star_with_marginals()
+        with pytest.raises(DistributionError, match="more than one marginal"):
+            entry(g, coloring, margs + [margs[1]])
+
+    def test_missing_marginal(self, entry):
+        g, coloring, margs = star_with_marginals()
+        with pytest.raises(DistributionError, match="marginals missing"):
+            entry(g, coloring, margs[:2])
+
+
+def test_threshold_search_needs_every_marginal():
+    # without vertex 2's marginal the search once ran on a two-vertex star and
+    # answered 217 copies where the full star supports 212
+    g, coloring, margs = star_with_marginals(0.02)
+    assert max_output_copies(g, coloring, margs, 400, 0.9) == 212
+    with pytest.raises(DistributionError):
+        max_output_copies(g, coloring, margs[:2], 400, 0.9)

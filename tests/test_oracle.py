@@ -7,6 +7,8 @@ import pytest
 
 from multinet.graphstate import (
     Graph,
+    GraphError,
+    MultinetError,
     build_graph,
     connect_project,
     local_complement,
@@ -101,6 +103,12 @@ class TestStatevector:
     def test_connect_two_stars(self):
         g = Graph(range(6), [(0, 1), (0, 2), (3, 4), (3, 5)])
         assert statevector_check(g, ("connect", 2, 4), connect_project(g, 2, 4))
+
+    def test_unknown_transform_is_a_graph_error(self):
+        g = build_graph("line", n=3)
+        with pytest.raises(GraphError, match="unknown transform 'bogus'") as info:
+            statevector_check(g, ("bogus", 0, 1), g)
+        assert isinstance(info.value, MultinetError) and isinstance(info.value, ValueError)
 
     def test_merge_star_fusion(self):
         # merging the two centers grows the star: 3+3 qubits -> 5-leafed star

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multinet.blocks import FAMILIES, BlockError
-from multinet.graphstate import Graph, build_graph, merge_vertices
+from multinet.graphstate import Graph, MultinetError, build_graph, merge_vertices
 from multinet.schemes import (
     Architecture,
     SchemeError,
@@ -186,6 +186,12 @@ class TestClusterRuns:
             for b in (1, 2, 4)
         ]
         assert fids == sorted(fids)
+
+    def test_threshold_out_of_range_is_a_library_error(self):
+        arch = Architecture("bipartite", (8, 8))
+        with pytest.raises(MultinetError, match="threshold must be in") as info:
+            cluster_architecture_run(arch, StorageModel("per-node", 400), 0.99, threshold=1.5)
+        assert isinstance(info.value, ValueError)
 
     def test_threshold_mode(self):
         store = StorageModel("per-node", 1200)
