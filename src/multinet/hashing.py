@@ -30,7 +30,10 @@ also when its distribution is validated.  For one (classes, n, m),
 :class:`_SplitBound` does the color grouping, the target check, Delta and
 the per-class constants once; the bound at a given split then costs only the
 Bennett arithmetic, through the same kernel as :func:`bennett_loss`.  The
-slack-split optimizer evaluates every candidate through it.
+slack-split optimizer skips runs of candidates whose bound, at each color's
+largest share, cannot beat the best so far: the simplified bound never falls
+as a slack grows, even rounded, and the standard one is never above it.  So
+its result is exactly that of evaluating every candidate.
 
 Threshold targets have one search, :func:`largest_m`: a bisection for the
 largest m whose bound (any function of m that does not increase with it)
@@ -70,7 +73,7 @@ def _check_h_mode(h_mode: str) -> None:
 
 def _validated(probs: Sequence[float]) -> list[float]:
     probs = [float(p) for p in probs]
-    if any(p < -1e-12 or p > 1 + 1e-12 for p in probs):
+    if not all(-1e-12 <= p <= 1 + 1e-12 for p in probs):  # NaN fails too
         raise DistributionError(f"probabilities out of [0,1]: {probs}")
     if abs(sum(probs) - 1.0) > 1e-12:
         raise DistributionError(f"probabilities sum to {sum(probs)}, not 1")
@@ -263,9 +266,9 @@ class _SplitBound:
             if cls.entropy != 0.0
         ]
 
-    def fidelity(self, slacks: Sequence[float]) -> float:
-        """The bound when ``colors[i]`` gets the (positive) slack ``slacks[i]``."""
-        n, h_mode = self.n, self.h_mode
+    def fidelity(self, slacks: Sequence[float], h_mode: str | None = None) -> float:
+        """The bound when ``colors[i]`` gets the (positive) slack ``slacks[i]``, in ``h_mode`` if given."""
+        n, h_mode = self.n, h_mode or self.h_mode
         log_f = 0.0
         for i, count, gap, (s, a, v) in self.rows:
             loss = _loss(s, a, v, n, slacks[i] + gap, h_mode)
@@ -274,18 +277,9 @@ class _SplitBound:
             log_f += count * math.log1p(-loss)
         return math.exp(log_f)
 
-    def at(self, fracs: Sequence[float]) -> float | None:
-        """The bound at slack fractions ``fracs`` (in ``colors`` order).
-
-        None unless the fractions sum to 1 (within 1e-9) and give every
-        color a positive slack.
-        """
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            return None
-        slacks = [self.budget * frac for frac in fracs]
-        if any(d <= 0.0 for d in slacks):
-            return None
-        return self.fidelity(slacks)
+    def at(self, fracs: Sequence[float], h_mode: str | None = None) -> float:
+        """The bound at slack fractions ``fracs`` (in ``colors`` order), which need not sum to 1."""
+        return self.fidelity([self.budget * frac for frac in fracs], h_mode)
 
 
 def multipartite_bound_classes(
@@ -397,11 +391,27 @@ def multipartite_bound(
     return _vertex_run(classes, key_by_vertex, n, m, delta_split, h_mode)
 
 
-def _simplex_grid(k: int, steps: int):
-    """All integer compositions of ``steps`` into ``k`` positive parts, as fractions."""
-    for cuts in itertools.combinations(range(1, steps), k - 1):
-        edges = (0,) + cuts + (steps,)
-        yield tuple((hi - lo) / steps for lo, hi in zip(edges, edges[1:]))
+@functools.cache
+def _simplex_grid(k: int, steps: int) -> tuple[tuple[float, ...], ...]:
+    """All integer compositions of ``steps`` into ``k`` positive parts, as fractions.
+
+    In lexicographic order of the cuts, so the first part never decreases.
+    Built once and kept; past two million points (five colors) it would not fit.
+    """
+    if math.comb(steps - 1, k - 1) > 2_000_000:
+        raise MultinetError(f"a {k}-color split grid has {math.comb(steps - 1, k - 1)} points, too many to scan")
+    return tuple(
+        tuple((hi - lo) / steps for lo, hi in zip((0,) + cuts, cuts + (steps,)))
+        for cuts in itertools.combinations(range(1, steps), k - 1)
+    )
+
+
+def _run_top(cands: Sequence[tuple[float, ...]], lo: int, hi: int) -> tuple[float, ...]:
+    """Each color's largest share over ``cands[lo:hi]``: along the candidate
+    lists the first share never falls and, with two colors, the second never rises."""
+    if len(cands[lo]) == 2:
+        return cands[hi - 1][0], cands[lo][1]
+    return (cands[hi - 1][0], *(max(col) for col in itertools.islice(zip(*cands[lo:hi]), 1, None)))
 
 
 def optimize_delta_split_classes(
@@ -412,13 +422,21 @@ def optimize_delta_split_classes(
 ) -> tuple[dict[int, float], float]:
     """Grid-search the slack split across colors, maximizing the bound.
 
-    Scans the split simplex in steps of 1/200, then refines once around the
-    best cell at 1/20 of the step.  The equal split is always evaluated
-    first and ties break toward it, so the result never falls below the
-    equal-split baseline.  The classes are grouped and checked once, and
-    every candidate is evaluated through one :class:`_SplitBound`.  Every
-    candidate fraction is positive by construction; a candidate whose
-    fractions do not sum to 1 or leave a color without slack is skipped.
+    Scans the split simplex in steps of 1/200, then, with two colors,
+    refines once around the best cell at 1/20 of the step.  The equal split
+    is evaluated first and a candidate replaces the best only if its bound
+    is strictly higher, so the result never falls below the equal split.
+    Five or more active colors raise :class:`MultinetError`.
+
+    The scan visits the candidates in order, but skips a run of them when
+    the simplified bound at each color's largest share over the run is
+    ``<=`` the best so far, and halves a run it does not skip.  Every step
+    from a slack to F (``budget*frac + gap``, u, (1+u)*log1p(u), exp, 2**,
+    log1p(-loss), the running sum, exp) is monotone, rounded to nearest
+    too, so the simplified bound never falls as a slack grows; the standard
+    mode's rounded ``h - u`` is not monotone, but never above the simplified
+    h.  No skipped candidate could have replaced the best, so after every
+    candidate the scan holds the full scan's best split and bound.
     """
     bound = _SplitBound(classes, n, m, h_mode)
     colors = bound.colors
@@ -426,15 +444,22 @@ def optimize_delta_split_classes(
         return {}, 1.0
     best = (1.0 / len(colors),) * len(colors)
     best_f = bound.at(best)
+
+    def scan(cands):
+        nonlocal best_f, best
+        runs = [(0, len(cands))] if cands else []
+        while runs:
+            lo, hi = runs.pop()
+            if hi - lo == 1:
+                f = bound.at(cands[lo])
+                if f > best_f:
+                    best_f, best = f, cands[lo]
+            # bounding a pair would save no evaluation
+            elif hi - lo == 2 or bound.at(_run_top(cands, lo, hi), "simplified") > best_f:
+                mid = (lo + hi) // 2
+                runs += [(mid, hi), (lo, mid)]
+
     if len(colors) > 1:
-
-        def scan(candidates):
-            nonlocal best_f, best
-            for fracs in candidates:
-                f = bound.at(fracs)
-                if f is not None and f > best_f:
-                    best_f, best = f, fracs
-
         scan(_simplex_grid(len(colors), SPLIT_GRID_STEPS))
         if len(colors) == 2:
             lo = best[0] - 1.0 / SPLIT_GRID_STEPS

@@ -13,6 +13,7 @@ from multinet.hashing import (
     HashingRun,
     InfeasibleTargetError,
     MarginalClass,
+    _SplitBound,
     bennett_loss,
     bennett_success,
     bipartite_bound,
@@ -50,6 +51,29 @@ class TestEntropy:
 
     def test_four_outcomes(self):
         assert entropy((0.25,) * 4) == pytest.approx(2.0, abs=1e-15)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+DISTRIBUTION_ENTRY_POINTS = {
+    "entropy": lambda x: entropy((x, 1.0)),
+    "bennett_loss": lambda x: bennett_loss((x, 1.0), 100, 0.1),
+    "bipartite_bound": lambda x: bipartite_bound((x, 1.0, 0.0, 0.0), 100, 1),
+    "multipartite_bound_classes": lambda x: multipartite_bound_classes([MarginalClass(x, 0, 1)], 100, 1),
+    "optimize_delta_split_classes": lambda x: optimize_delta_split_classes(
+        [MarginalClass(0.01, 0, 1), MarginalClass(x, 1, 1)], 100, 1
+    ),
+    "max_output_copies_classes": lambda x: max_output_copies_classes([MarginalClass(x, 0, 1)], 100, 0.9),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("entry", DISTRIBUTION_ENTRY_POINTS.values(), ids=list(DISTRIBUTION_ENTRY_POINTS))
+def test_non_finite_probability_rejected(entry, value):
+    # NaN fails every comparison, so a range check written as "p < lo or
+    # p > hi" would let it through
+    with pytest.raises(DistributionError):
+        entry(value)
 
 
 class TestBennett:
@@ -538,3 +562,155 @@ def test_threshold_search_needs_every_marginal():
     assert max_output_copies(g, coloring, margs, 400, 0.9) == 212
     with pytest.raises(DistributionError):
         max_output_copies(g, coloring, margs[:2], 400, 0.9)
+
+
+def full_scan_split(classes, n, m, h_mode):
+    """The slack-split optimizer as a plain scan that evaluates every candidate.
+
+    The equal split first, then every point of the 1/200 grid in
+    lexicographic order of its cuts and, with two colors, the 41 points
+    1/4000 apart around the best one; a candidate replaces the best only if
+    its bound is strictly higher.
+    """
+    bound = _SplitBound(classes, n, m, h_mode)
+    colors = bound.colors
+    if not colors:
+        return {}, 1.0
+
+    def at(fracs):
+        if abs(sum(fracs) - 1.0) > 1e-9:
+            return None
+        slacks = [bound.budget * frac for frac in fracs]
+        if any(d <= 0.0 for d in slacks):
+            return None
+        return bound.fidelity(slacks)
+
+    best = (1.0 / len(colors),) * len(colors)
+    best_f = at(best)
+
+    def scan(candidates):
+        nonlocal best, best_f
+        for fracs in candidates:
+            f = at(fracs)
+            if f is not None and f > best_f:
+                best_f, best = f, fracs
+
+    if len(colors) > 1:
+        grid = []
+        for cuts in itertools.combinations(range(1, 200), len(colors) - 1):
+            edges = (0,) + cuts + (200,)
+            grid.append(tuple((hi - lo) / 200 for lo, hi in zip(edges, edges[1:])))
+        scan(grid)
+        if len(colors) == 2:
+            lo = best[0] - 1.0 / 200
+            xs = [lo + i / 4000 for i in range(41)]
+            scan([(x, 1.0 - x) for x in xs if 0.0 < x < 1.0])
+    return dict(zip(colors, best)), best_f
+
+
+@st.composite
+def split_problems(draw, colors):
+    """Classes, n, m and h_mode for the split optimizer, biased to its hard cases.
+
+    Every color mostly noisy, colors that mirror each other (ties between
+    splits), counts up to 4e6 (F near 0), n up to 1e13 (F near 1), and m at
+    the edge of feasibility, where the slack and so u are small.
+    """
+    noisy = st.floats(min_value=1e-9, max_value=0.05)
+    lambdas = st.one_of(noisy, noisy, noisy, noisy, LAMBDAS)
+    specs = [(draw(noisy), color, draw(st.integers(min_value=1, max_value=40))) for color in colors]
+    specs += draw(
+        st.lists(
+            st.tuples(lambdas, st.sampled_from(colors), st.integers(min_value=0, max_value=40)),
+            max_size=3,
+        )
+    )
+    if draw(st.integers(min_value=0, max_value=3), label="mirrored") == 0:
+        specs = [(lam, color, count) for lam, _, count in specs[:2] for color in colors]
+    scale = 10 ** draw(st.sampled_from([0, 0, 0, 0, 0, 1, 3, 5]), label="count scale")
+    classes = [MarginalClass(lambda1=lam, color=color, count=count * scale) for lam, color, count in specs]
+    typical = st.integers(min_value=200, max_value=20000)
+    tiny, huge = st.integers(min_value=10, max_value=200), st.integers(min_value=10, max_value=10**13)
+    n = draw(st.one_of(typical, typical, typical, tiny, huge), label="n")
+    s_color = {}
+    for cls in classes:
+        if cls.count:
+            s_color[cls.color] = max(s_color.get(cls.color, 0.0), entropy(cls.distribution))
+    edge = math.floor(n * (1.0 - sum(s_color.values())))
+    small = st.integers(min_value=1, max_value=n // 20 + 1)
+    near_edge = st.integers(min_value=max(1, edge - 3), max_value=max(1, edge + 1))
+    anywhere, invalid = st.integers(min_value=1, max_value=n), st.sampled_from([0, n + 1])
+    m = draw(st.one_of(small, small, small, small, near_edge, near_edge, anywhere, invalid), label="m")
+    return classes, n, m, draw(st.sampled_from(["simplified", "standard"]), label="h_mode")
+
+
+class TestPrunedSplitScan:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems(colors=(0, 1)))
+    def test_two_colors_match_full_scan(self, problem):
+        classes, n, m, h_mode = problem
+        found = outcome(lambda: optimize_delta_split_classes(classes, n, m, h_mode=h_mode))
+        assert found == outcome(lambda: full_scan_split(classes, n, m, h_mode))
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_problems(colors=(0, 1, 2)))
+    def test_three_colors_match_full_scan(self, problem):
+        classes, n, m, h_mode = problem
+        found = outcome(lambda: optimize_delta_split_classes(classes, n, m, h_mode=h_mode))
+        assert found == outcome(lambda: full_scan_split(classes, n, m, h_mode))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        class_sets(lambdas=SEARCH_LAMBDAS),
+        st.integers(min_value=20, max_value=10**9),
+        st.lists(st.floats(min_value=1e-12, max_value=0.5), min_size=3, max_size=3),
+        st.data(),
+    )
+    def test_bound_never_falls_as_a_slack_grows(self, classes, n, slacks, data):
+        # the simplified bound is monotone in every slack once rounded, even
+        # between adjacent floats, and the standard bound never exceeds it
+        bound = _SplitBound(classes, n, 1, "standard")
+        color = data.draw(st.integers(min_value=0, max_value=2), label="color")
+        grown = list(slacks)
+        adjacent = st.just(math.nextafter(slacks[color], math.inf))
+        larger = st.floats(min_value=slacks[color], max_value=1.0)
+        grown[color] = data.draw(adjacent | larger, label="grown slack")
+        simplified = bound.fidelity(slacks, "simplified")
+        assert bound.fidelity(slacks) <= simplified
+        assert bound.fidelity(grown, "simplified") >= simplified
+
+    @staticmethod
+    def bound_evaluations(monkeypatch, classes, n, m):
+        calls = 0
+        fidelity = _SplitBound.fidelity
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return fidelity(self, *args)
+
+        monkeypatch.setattr(_SplitBound, "fidelity", counted)
+        optimize_delta_split_classes(classes, n, m)
+        return calls
+
+    def test_two_colors_prune(self, monkeypatch):
+        # fig11m's 64x64 shifted-grid b=2 point at q = 0.98: n = 800, and
+        # m = 198 is the largest m at threshold 0.9; a full scan takes 241
+        classes = [
+            MarginalClass(0.029404, 0, 2048),
+            MarginalClass(0.029404, 1, 2048),
+            MarginalClass(0.0480396016, 0, 1024),
+            MarginalClass(0.0480396016, 1, 1024),
+        ]
+        assert self.bound_evaluations(monkeypatch, classes, 800, 198) <= 120
+
+    def test_three_colors_prune(self, monkeypatch):
+        # a full scan takes 19 702
+        classes = [MarginalClass(0.01, 0, 3), MarginalClass(0.02, 1, 2), MarginalClass(0.001, 2, 5)]
+        assert self.bound_evaluations(monkeypatch, classes, 400, 1) <= 2000
+
+    def test_five_colors_refused(self):
+        # a five-color grid has 63 391 251 points, more than memory holds
+        classes = [MarginalClass(0.01, color, 1) for color in range(5)]
+        with pytest.raises(MultinetError, match="too many to scan"):
+            optimize_delta_split_classes(classes, 1000, 1)
