@@ -16,14 +16,32 @@ group's edge set over the touched sites.  The families:
 
 Site coordinates double as vertex identities: a tip of one piece landing on
 a corner site of another piece of the same block is the same (fused) vertex.
-Covers are constructed deterministically and verified to partition the
-lattice edge set exactly, so an incompatible lattice size fails loudly.
+
+Every cover is the lift of a per-family unit cell (:func:`unit_cell`): a
+period p and the blocks anchored in one period box.  Key each edge of the
+cell by (lower endpoint mod p, axis); the cell is *exact* when these keys hit
+every residue and axis exactly once, which :func:`unit_cell` checks.
+
+Lemma.  On a torus whose extents are (i) multiples of p and (ii) at least 4,
+the translates of an exact cell by every multiple of p place each lattice
+edge exactly once.  By (i) a translate keeps every key, so the placed
+(site, axis) pairs are each site of each residue class along each axis, once.
+By (ii) the map from (site, axis) to the edge {site, site + e_axis} is
+one-to-one (any extent >= 3 would do; every period is even), so no two
+placements share an edge, no block repeats one and none is a self-loop.
+
+So one check on the cell proves the cover of every admissible torus, and
+extents breaking (i) or (ii) raise :class:`BlockError`.  Storage is read off
+the cell as well (:func:`site_costs`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
+from typing import NamedTuple
 
 from .graphstate import Graph, MultinetError
 
@@ -146,19 +164,6 @@ def _wrap(site: Site, dims: tuple[int, ...]) -> Site:
     return tuple(c % d for c, d in zip(site, dims))
 
 
-def _translate(edges: list[Edge], shift: Site, dims: tuple[int, ...]) -> list[Edge]:
-    out = []
-    for a, b in edges:
-        wa = _wrap(tuple(x + s for x, s in zip(a, shift)), dims)
-        wb = _wrap(tuple(x + s for x, s in zip(b, shift)), dims)
-        if wa == wb:
-            raise BlockError(f"block wraps onto itself on lattice {dims}")
-        out.append(_norm_edge(wa, wb))
-    if len(set(out)) != len(out):
-        raise BlockError(f"block self-overlaps on lattice {dims}")
-    return out
-
-
 def lattice_edges(dims: tuple[int, ...]) -> set[Edge]:
     """All edges of the periodic lattice with the given dimensions."""
     edges = set()
@@ -172,110 +177,86 @@ def lattice_edges(dims: tuple[int, ...]) -> set[Edge]:
     return edges
 
 
-def _check_dims(family: str, dims: tuple[int, ...], b: int) -> None:
+class UnitCell(NamedTuple):
+    """A family's cover of one period box, in unwrapped coordinates."""
+
+    period: tuple[int, ...]
+    groups: tuple[tuple[Edge, ...], ...]
+
+
+@functools.cache
+def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
+    """The family's period and the blocks anchored in one period box.
+
+    Raises :class:`BlockError` unless the cell is exact (module docstring).
+    """
+    canonical = block_edges(family, dim, b)  # checks the family, dimension and size
+    if family == "bipartite":
+        period = (2,) * dim  # even extents keep the lattice two-colourable
+        groups = [
+            [_norm_edge(s, tuple(x + (i == axis) for i, x in enumerate(s)))]
+            for s in itertools.product(*(range(p) for p in period))
+            for axis in range(dim)
+        ]
+    else:
+        if family == "windmill":
+            period, anchors = (2 * b,) * dim, [(0,) * dim]
+        elif dim == 2:
+            period, anchors = (2 * b, 2 * b), [(0, 0), (b, b)]
+        else:
+            period, anchors = (math.lcm(2, b), 2, 2), [(0, 0, 0)] + [(b, 1, 1)] * (b % 2)
+        groups = [
+            [tuple(tuple(x + s for x, s in zip(site, anchor)) for site in e) for e in canonical]
+            for anchor in anchors
+        ]
+    keys = [(_wrap(a, period), tuple(y - x for x, y in zip(a, c))) for g in groups for a, c in g]
+    if len(set(keys)) != len(keys) or len(keys) != dim * math.prod(period):
+        raise BlockError(f"{family} blocks of size {b} do not tile their {period} unit cell exactly")
+    return UnitCell(period, tuple(map(tuple, groups)))
+
+
+def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
     if family not in FAMILIES:
         raise BlockError(f"unknown block family {family!r} (choose from {FAMILIES})")
-    dim = len(dims)
-    if dim not in (2, 3):
+    if len(dims) not in (2, 3):
         raise BlockError(f"lattice must be 2D or 3D, got {dims}")
-    if any(d < 2 or d % 2 for d in dims):
-        raise BlockError(f"periodic lattice dimensions must be even and >= 2, got {dims}")
-    if family == "windmill" and any(d % (2 * b) for d in dims):
-        raise BlockError(f"windmill blocks of size {b} need dimensions divisible by {2 * b}")
-    if family == "shifted-grid" and dim == 2 and any(d % (2 * b) for d in dims):
-        raise BlockError(f"shifted-grid blocks of size {b} need dimensions divisible by {2 * b}")
-    if family == "shifted-grid" and dim == 3:
-        if len(set(dims)) != 1:
-            raise BlockError("3D shifted-grid tiling is defined for cubic lattices")
-        if dims[0] % b:
-            raise BlockError(f"diagonal chains of {b} cubes need the extent divisible by {b}")
+    cell = unit_cell(family, len(dims), b)
+    # the bipartite cover is the lattice's own edge set, so it needs no lift
+    # and also tiles extent 2
+    least = 2 if family == "bipartite" else 4
+    if any(d < least or d % p for d, p in zip(dims, cell.period)):
+        raise BlockError(
+            f"{family} blocks of size {b} need every extent a multiple of the period "
+            f"{cell.period} and >= {least}, got {dims}"
+        )
+    if family == "shifted-grid" and len(dims) == 3 and len(set(dims)) != 1:
+        raise BlockError("3D shifted-grid tiling is defined for cubic lattices")
+    return cell
 
 
 def cover_blocks(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Edge]]:
     """Edge groups of one full cover of the periodic lattice.
 
-    The groups are generated deterministically and checked to partition the
-    lattice edge set exactly (every edge in exactly one group).
+    The unit cell translated by every multiple of its period: exact by the
+    module's lemma, so nothing is rechecked on the lattice.
     """
-    dim = len(dims)
-    _check_dims(family, dims, b)
-    target = lattice_edges(dims)
-    groups: list[list[Edge]] = []
-
+    cell = _check_dims(family, dims, b)
     if family == "bipartite":
-        groups = [[e] for e in sorted(target)]
-    elif family == "windmill":
-        canonical = block_edges(family, dim, b)
-        for anchor in itertools.product(*(range(0, d, 2 * b) for d in dims)):
-            groups.append(_translate(canonical, anchor, dims))
-    elif family == "shifted-grid" and dim == 2:
-        # Fused diamonds tile the black plaquettes; on the torus the lex-first
-        # free plaquette is not always an anchor of the canonical tiling, so
-        # anchors that would collide are skipped and coverage is checked at
-        # the end.
-        canonical = block_edges(family, dim, b)
-        covered: set[Site] = set()
-        black = [
-            (u, v)
-            for u, v in itertools.product(range(dims[0]), range(dims[1]))
-            if (u + v) % 2 == 0
-        ]
-        for u, v in black:
-            plaqs = {
-                _wrap((u + i + j, v + i - j), dims)
-                for i, j in itertools.product(range(b), repeat=2)
-            }
-            if len(plaqs) != b * b or plaqs & covered:
-                continue
-            covered |= plaqs
-            groups.append(_translate(canonical, (u, v), dims))
-        if len(covered) != len(black):
-            raise BlockError(f"shifted-grid size {b} cannot tile lattice {dims}")
-    else:  # shifted-grid 3D
-        canonical = block_edges(family, dim, b)
-        covered = set()
-        cells = [
-            c
-            for c in itertools.product(*(range(d) for d in dims))
-            if c[0] % 2 == c[1] % 2 == c[2] % 2
-        ]
-        for cell in cells:
-            chain = {_wrap(tuple(x + t for x in cell), dims) for t in range(b)}
-            if len(chain) != b or chain & covered:
-                continue
-            covered |= chain
-            groups.append(_translate(canonical, cell, dims))
-        if len(covered) != len(cells):
-            raise BlockError(f"shifted-grid chains of {b} cubes cannot tile lattice {dims}")
-
-    seen: set[Edge] = set()
-    for group in groups:
-        for e in group:
-            if e in seen:
-                raise BlockError(f"cover places edge {e} twice on lattice {dims}")
-            seen.add(e)
-    if seen != target:
-        raise BlockError(
-            f"cover misses {len(target - seen)} lattice edges on {dims} "
-            f"(family {family!r}, block size {b})"
-        )
+        return [[e] for e in sorted(lattice_edges(dims))]
+    groups = []
+    for shift in itertools.product(*(range(0, d, p) for d, p in zip(dims, cell.period))):
+        for group in cell.groups:
+            groups.append([
+                _norm_edge(*(tuple((x + s) % d for x, s, d in zip(site, shift, dims)) for site in e))
+                for e in group
+            ])
     return groups
 
 
 def blocks_count(family: str, dims: tuple[int, ...], b: int = 1) -> int:
     """Number of blocks in a full cover, without materializing it."""
-    _check_dims(family, dims, b)
-    sites = 1
-    for d in dims:
-        sites *= d
-    dim = len(dims)
-    if family == "bipartite":
-        return dim * sites
-    if family == "windmill":
-        return sites // (2 * b) ** dim
-    if dim == 2:
-        return sites // (2 * b * b)
-    return sites // (4 * b)
+    cell = _check_dims(family, dims, b)
+    return math.prod(dims) // math.prod(cell.period) * len(cell.groups)
 
 
 def degree_color_classes(family: str, dim: int, b: int = 1) -> list[tuple[int, int, int]]:
@@ -315,29 +296,17 @@ def per_site_cost_histogram(family: str, dims: tuple[int, ...], b: int = 1) -> d
     return dict(sorted(hist.items()))
 
 
-def smallest_dims(family: str, dim: int, b: int) -> tuple[int, ...]:
-    """Smallest periodic lattice that tiles at size b and shows block boundaries.
-
-    Extents below 4 collapse wrap-around edges, and a lattice holding a
-    single block would hide the sites where neighboring blocks meet, so at
-    least two blocks fit along each axis.
-    """
-    if family == "shifted-grid" and dim == 3:
-        side = b if b % 2 == 0 else 2 * b
-        return (max(side, 4),) * 3
-    if family == "bipartite":
-        return (4,) * dim
-    return (max(4, 4 * b),) * dim
-
-
 @functools.cache
 def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]:
-    """(qubits stored per copy, sites) pairs, ascending in cost.
+    """(qubits stored per copy, sites per unit cell) pairs, ascending in cost.
 
-    Counted on :func:`smallest_dims`, which shows every kind of site the
-    family has; cached, as every sweep point of a scenario asks again.
+    A residue class's load is the number of (block, site) pairs of the cell
+    that land in it: what each of its sites stores on the infinite lattice.
+    Cached, as every sweep point of a scenario asks again.
     """
-    return tuple(per_site_cost_histogram(family, smallest_dims(family, dim, b), b).items())
+    cell = unit_cell(family, dim, b)
+    load = Counter(_wrap(s, cell.period) for group in cell.groups for s in {s for e in group for s in e})
+    return tuple(sorted(Counter(load.values()).items()))
 
 
 def per_copy_total(family: str, dims: tuple[int, ...], b: int = 1) -> int:

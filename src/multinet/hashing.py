@@ -125,7 +125,7 @@ def _loss(s: float, a: float, v: float, n: int, delta: float, h_mode: str) -> fl
     else:
         u = a * delta / v
         h = (1.0 + u) * math.log1p(u)
-        if h_mode == "standard":
+        if h_mode == "standard" and h != math.inf:  # inf - inf would be NaN
             h -= u
         concentration = 2.0 * math.exp(-n * (v / (a * a)) * h)
     identification = 2.0 ** (-n * delta)

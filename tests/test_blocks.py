@@ -1,5 +1,6 @@
 """Block families: canonical shapes, covers, storage accounting."""
 
+import itertools
 import math
 
 import pytest
@@ -16,11 +17,37 @@ from multinet.blocks import (
     per_site_cost_histogram,
     site_costs,
     sites_per_block,
+    unit_cell,
 )
+from multinet.cli import load_config_source, parse_config, preset_names
+
+SIZES = (1, 2, 3, 4, 6, 8)
 
 
 def bottleneck(family, dim, b=1):
     return max(cost for cost, _ in site_costs(family, dim, b))
+
+
+def two_periods(family, dim, b):
+    """A torus at least two unit-cell periods wide along every axis."""
+    dims = tuple(2 * p for p in unit_cell(family, dim, b).period)
+    return (max(dims),) * dim if (family, dim) == ("shifted-grid", 3) else dims
+
+
+def preset_lattices():
+    """Every (family, dims, b) a packaged preset evaluates, read from its config."""
+    cases = set()
+    for name in preset_names():
+        cfg = parse_config(*load_config_source(name))
+        if cfg.scenario == "from-bell":
+            cases.add(("bipartite", cfg.dims, 1))
+        if cfg.scenario == "cluster":
+            swept = cfg.sweep_param == "block_size"
+            sizes = [int(round(v)) for v in cfg.sweep_values] if swept else cfg.block_sizes
+            for family in cfg.families:
+                for b in [1] if family == "bipartite" else sizes:
+                    cases.add((family, cfg.dims, b))
+    return sorted(cases)
 
 
 class TestCanonicalBlocks:
@@ -106,6 +133,15 @@ class TestCovers:
         ("windmill", (4, 4, 4), 2),
         ("windmill", (8, 8, 8), 4),
         ("bipartite", (4, 4), 1),
+        # lifted covers two periods wide
+        *[
+            (family, two_periods(family, dim, b), b)
+            for family in ("windmill", "shifted-grid")
+            for dim in (2, 3)
+            for b in (1, 2, 3)
+        ],
+        ("bipartite", two_periods("bipartite", 3, 1), 1),
+        ("shifted-grid", (12, 12, 12), 4),
     ])
     def test_partition(self, family, dims, b):
         groups = cover_blocks(family, dims, b)
@@ -122,6 +158,46 @@ class TestCovers:
             cover_blocks("windmill", (6, 6), 2)
         with pytest.raises(BlockError):
             cover_blocks("shifted-grid", (4, 6, 8), 1)
+
+    def test_count_raises_exactly_when_cover_raises(self):
+        # a count exists exactly where a cover does
+        tori = [*itertools.product(range(2, 17), repeat=2), *itertools.product(range(2, 13), repeat=3)]
+        kinds = [("bipartite", 1)] + [(f, b) for f in ("windmill", "shifted-grid") for b in range(1, 9)]
+        for dims, (family, b) in itertools.product(tori, kinds):
+            try:
+                cover_blocks(family, dims, b)
+            except BlockError:
+                with pytest.raises(BlockError):
+                    blocks_count(family, dims, b)
+            else:
+                blocks_count(family, dims, b)
+        for family in ("windmill", "shifted-grid"):
+            with pytest.raises(BlockError):
+                blocks_count(family, (2, 2), 1)
+
+    def test_unit_cells(self):
+        assert unit_cell("windmill", 3, 2).period == (4, 4, 4)
+        assert len(unit_cell("windmill", 3, 2).groups) == 1
+        assert unit_cell("shifted-grid", 2, 3).period == (6, 6)
+        assert len(unit_cell("shifted-grid", 2, 3).groups) == 2
+        for b, period, anchors in [(3, (6, 2, 2), 2), (4, (4, 2, 2), 1)]:
+            cell = unit_cell("shifted-grid", 3, b)
+            assert cell.period == period and len(cell.groups) == anchors
+
+    @pytest.mark.parametrize("family,dims,b", preset_lattices())
+    def test_preset_lattices(self, family, dims, b):
+        cell = unit_cell(family, len(dims), b)
+        count = blocks_count(family, dims, b)
+        cells = math.prod(dims) // math.prod(cell.period)
+        per_cell = sum(cost * sites for cost, sites in site_costs(family, len(dims), b))
+        assert count * sites_per_block(family, len(dims), b) == per_copy_total(family, dims, b)
+        assert per_copy_total(family, dims, b) == per_cell * cells
+
+    def test_presets_cover_64_cubed(self):
+        lattices = preset_lattices()
+        assert ("windmill", (64, 64, 64), 1) in lattices
+        assert ("shifted-grid", (64, 64, 64), 4) in lattices
+        assert ("bipartite", (64, 64), 1) in lattices
 
 
 class TestStorage:
@@ -142,6 +218,20 @@ class TestStorage:
         ]:
             for b in (2, 4):
                 assert bottleneck(family, dim, b) == expect
+
+    def test_costs_count_sites_per_unit_cell(self):
+        assert site_costs("windmill", 2, 1) == ((2, 4),)
+        # infinite-lattice shares: chains of four cubes leave 3 of 16 sites at one qubit
+        assert site_costs("shifted-grid", 3, 4) == ((1, 3), (2, 13))
+
+    @pytest.mark.parametrize("family", ["bipartite", "windmill", "shifted-grid"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_costs_match_explicit_cover(self, family, dim):
+        for b in [1] if family == "bipartite" else SIZES:
+            dims = two_periods(family, dim, b)
+            cells = math.prod(dims) // math.prod(unit_cell(family, dim, b).period)
+            hist = per_site_cost_histogram(family, dims, b)
+            assert hist == {cost: sites * cells for cost, sites in site_costs(family, dim, b)}
 
     def test_windmill_3d_histogram(self):
         hist = per_site_cost_histogram("windmill", (8, 8, 8), 1)

@@ -280,6 +280,19 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_extent_two_lattice_is_a_config_error(self, tmp_path, capsys, command):
+        # no block of either family tiles a 2x2 torus, so neither may count blocks on it
+        cfg = tmp_path / "tiny.cfg"
+        arch = "families = windmill,shifted-grid\nblock_sizes = 1\ndims = 2x2"
+        cfg.write_text(CLUSTER.replace("families = windmill\ndims = 8x8", arch))
+        out = tmp_path / "tiny.csv"
+        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_untileable_swept_block_size_is_a_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "swept.cfg"
         cfg.write_text(

@@ -116,6 +116,23 @@ class TestBennett:
         standard = bennett_success((0.9, 0.1), 200, 0.1, h_mode="standard")
         assert standard <= simplified
 
+    def test_subnormal_lambda_leaves_the_identification_loss(self):
+        # u = a*delta/V overflows to inf; the standard h must stay inf, not inf - inf
+        for h_mode in ("simplified", "standard"):
+            assert bennett_loss((1 - 1e-315, 1e-315), 100, 0.1, h_mode=h_mode) == 2**-10
+        standard = bennett_success((1 - 1e-315, 1e-315), 100, 0.1, h_mode="standard")
+        assert standard <= bennett_success((1 - 1e-315, 1e-315), 100, 0.1, h_mode="simplified")
+
+    def test_subnormal_lambda_class_bounds_are_finite(self):
+        single = [MarginalClass(lambda1=4e-320, color=0, count=1)]
+        pair = single + [MarginalClass(lambda1=4e-320, color=1, count=1)]
+        bound = multipartite_bound_classes(single, 100, 1, h_mode="standard")
+        assert bound == multipartite_bound_classes(single, 100, 1)
+        assert 0.0 < bound[0] < 1.0
+        split, fid = optimize_delta_split_classes(pair, 100, 1, h_mode="standard")
+        assert (split, fid) == optimize_delta_split_classes(pair, 100, 1)
+        assert 0.0 < fid < 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(min_value=0.005, max_value=0.45),
