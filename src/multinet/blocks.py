@@ -221,13 +221,10 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
     if len(dims) not in (2, 3):
         raise BlockError(f"lattice must be 2D or 3D, got {dims}")
     cell = unit_cell(family, len(dims), b)
-    # the bipartite cover is the lattice's own edge set, so it needs no lift
-    # and also tiles extent 2
-    least = 2 if family == "bipartite" else 4
-    if any(d < least or d % p for d, p in zip(dims, cell.period)):
+    if any(d < 4 or d % p for d, p in zip(dims, cell.period)):
         raise BlockError(
             f"{family} blocks of size {b} need every extent a multiple of the period "
-            f"{cell.period} and >= {least}, got {dims}"
+            f"{cell.period} and >= 4, got {dims}"
         )
     if family == "shifted-grid" and len(dims) == 3 and len(set(dims)) != 1:
         raise BlockError("3D shifted-grid tiling is defined for cubic lattices")
@@ -241,8 +238,6 @@ def cover_blocks(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Ed
     module's lemma, so nothing is rechecked on the lattice.
     """
     cell = _check_dims(family, dims, b)
-    if family == "bipartite":
-        return [[e] for e in sorted(lattice_edges(dims))]
     groups = []
     for shift in itertools.product(*(range(0, d, p) for d, p in zip(dims, cell.period))):
         for group in cell.groups:

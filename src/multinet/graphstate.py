@@ -5,7 +5,7 @@ This module provides:
 - ``Graph``: an undirected simple graph over integer vertex ids, with an
   optional proper coloring and optional coordinate labels.
 - ``build_graph``: generators for the standard graphs used throughout
-  (GHZ stars, lines, 2D/3D lattices, block graphs).
+  (GHZ stars, lines, 2D/3D lattices).
 - ``local_complement``, ``merge_vertices``, ``connect_project``: the
   transformation rules used to combine graph states, expressed purely at
   the adjacency level.  Local Clifford byproducts are never tracked; the
@@ -184,10 +184,8 @@ def build_graph(kind: str, **params) -> Graph:
     - ``"line"``: path on ``n`` vertices.
     - ``"lattice2d"``: ``w`` x ``h`` grid, optional ``periodic`` wrap.
     - ``"lattice3d"``: ``w`` x ``h`` x ``d`` grid, optional ``periodic``.
-    - ``"windmill"`` / ``"shifted-grid"``: a single building block of the
-      given ``block_size`` and ``dimensionality`` (see :mod:`multinet.blocks`).
 
-    Lattice and block vertices carry coordinate labels in ``coords``.
+    Lattice vertices carry coordinate labels in ``coords``.
     """
     if kind == "ghz-star":
         s = int(params["s"])
@@ -205,14 +203,6 @@ def build_graph(kind: str, **params) -> Graph:
         return _lattice(
             (int(params["w"]), int(params["h"]), int(params["d"])),
             bool(params.get("periodic", False)),
-        )
-    if kind in ("windmill", "shifted-grid"):
-        from . import blocks
-
-        return blocks.block_graph(
-            kind,
-            int(params.get("dimensionality", 2)),
-            int(params.get("block_size", 1)),
         )
     raise GraphError(f"unknown graph generator {kind!r}")
 

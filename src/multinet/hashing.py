@@ -10,9 +10,7 @@ out the string (bounded by 2^(-n*delta)).  Together:
     f = 1 - 2*exp(-n * (V/a^2) * h(a*delta/V)) - 2^(-n*delta)
 
 with a = max_i |-log2(p_i) - S|, V = sum_i p_i log2(p_i)^2 - S^2 taken over
-the nonzero outcomes, and h(u) = (1+u)*ln(1+u) by default (the
-"simplified" mode; the "standard" mode keeps the usual -u term of the
-Bennett rate function, for sensitivity checks).
+the nonzero outcomes, and h(u) = (1+u)*ln(1+u).
 
 For a two-colorable graph state one subprotocol per color runs on a shared
 copy budget: requesting m outputs from n inputs leaves a total slack
@@ -31,9 +29,9 @@ also when its distribution is validated.  For one (classes, n, m),
 the per-class constants once; the bound at a given split then costs only the
 Bennett arithmetic, through the same kernel as :func:`bennett_loss`.  The
 slack-split optimizer skips runs of candidates whose bound, at each color's
-largest share, cannot beat the best so far: the simplified bound never falls
-as a slack grows, even rounded, and the standard one is never above it.  So
-its result is exactly that of evaluating every candidate.
+largest share, cannot beat the best so far: the bound never falls as a slack
+grows, even rounded.  So its result is exactly that of evaluating every
+candidate.
 
 Threshold targets have one search, :func:`largest_m`: a bisection for the
 largest m whose bound (any function of m that does not increase with it)
@@ -66,11 +64,6 @@ class DistributionError(MultinetError):
     """Malformed outcome distribution."""
 
 
-def _check_h_mode(h_mode: str) -> None:
-    if h_mode not in ("simplified", "standard"):
-        raise MultinetError(f"unknown h_mode {h_mode!r}")
-
-
 def _validated(probs: Sequence[float]) -> list[float]:
     probs = [float(p) for p in probs]
     if not all(-1e-12 <= p <= 1 + 1e-12 for p in probs):  # NaN fails too
@@ -98,7 +91,7 @@ def _spread_and_variance(probs: Sequence[float]) -> tuple[float, float, float]:
     return s, a, max(0.0, v)
 
 
-def bennett_loss(probs: Sequence[float], n: int, delta: float, h_mode: str = "simplified") -> float:
+def bennett_loss(probs: Sequence[float], n: int, delta: float) -> float:
     """Total failure weight 2*exp(-n (V/a^2) h(a delta/V)) + 2^(-n delta).
 
     Returned unclamped so callers can form high-precision products of many
@@ -110,35 +103,32 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float, h_mode: str = "si
         raise InfeasibleTargetError(f"need at least one input copy, got n={n}")
     if delta <= 0.0:
         raise InfeasibleTargetError(f"slack must be positive, got delta={delta}")
-    _check_h_mode(h_mode)
     s, a, v = _spread_and_variance(probs)
-    return _loss(s, a, v, n, delta, h_mode)
+    return _loss(s, a, v, n, delta)
 
 
-def _loss(s: float, a: float, v: float, n: int, delta: float, h_mode: str) -> float:
+def _loss(s: float, a: float, v: float, n: int, delta: float) -> float:
     """The failure weight of :func:`bennett_loss` from a distribution's S, a, V.
 
-    ``n >= 1``, ``delta > 0`` and a known ``h_mode`` are the caller's to check.
+    ``n >= 1`` and ``delta > 0`` are the caller's to check.
     """
     if s == 0.0 or a == 0.0 or v == 0.0:
         concentration = 0.0
     else:
         u = a * delta / v
         h = (1.0 + u) * math.log1p(u)
-        if h_mode == "standard" and h != math.inf:  # inf - inf would be NaN
-            h -= u
         concentration = 2.0 * math.exp(-n * (v / (a * a)) * h)
     identification = 2.0 ** (-n * delta)
     return concentration + identification
 
 
-def bennett_success(probs: Sequence[float], n: int, delta: float, h_mode: str = "simplified") -> float:
+def bennett_success(probs: Sequence[float], n: int, delta: float) -> float:
     """Lower bound on the success probability of identifying one string.
 
     Clamped into [0, 1]; strictly increasing in n and in delta wherever the
     bound is informative.
     """
-    return max(0.0, 1.0 - bennett_loss(probs, n, delta, h_mode=h_mode))
+    return max(0.0, 1.0 - bennett_loss(probs, n, delta))
 
 
 @dataclass
@@ -172,7 +162,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
         raise InfeasibleTargetError(
             f"target m/n={m}/{n} unreachable: entropy {s:.6f} leaves slack {delta:.6f}"
         )
-    f = max(0.0, 1.0 - _loss(s, a, v, n, delta, "simplified"))
+    f = max(0.0, 1.0 - _loss(s, a, v, n, delta))
     return HashingRun(
         n=n,
         m=m,
@@ -242,13 +232,11 @@ class _SplitBound:
     order, so that evaluating a split repeats none of that work.
     """
 
-    def __init__(self, classes: Iterable[MarginalClass], n: int, m: int, h_mode: str):
-        _check_h_mode(h_mode)
+    def __init__(self, classes: Iterable[MarginalClass], n: int, m: int):
         by_color, s_color, self.active = _group_classes(classes)
         _check_target(n, m)
         self.colors = sorted(self.active)
         self.n = n
-        self.h_mode = h_mode
         self.budget = 0.0
         self.rows = []
         if not self.active:
@@ -266,20 +254,20 @@ class _SplitBound:
             if cls.entropy != 0.0
         ]
 
-    def fidelity(self, slacks: Sequence[float], h_mode: str | None = None) -> float:
-        """The bound when ``colors[i]`` gets the (positive) slack ``slacks[i]``, in ``h_mode`` if given."""
-        n, h_mode = self.n, h_mode or self.h_mode
+    def fidelity(self, slacks: Sequence[float]) -> float:
+        """The bound when ``colors[i]`` gets the (positive) slack ``slacks[i]``."""
+        n = self.n
         log_f = 0.0
         for i, count, gap, (s, a, v) in self.rows:
-            loss = _loss(s, a, v, n, slacks[i] + gap, h_mode)
+            loss = _loss(s, a, v, n, slacks[i] + gap)
             if loss >= 1.0:
                 return 0.0
             log_f += count * math.log1p(-loss)
         return math.exp(log_f)
 
-    def at(self, fracs: Sequence[float], h_mode: str | None = None) -> float:
+    def at(self, fracs: Sequence[float]) -> float:
         """The bound at slack fractions ``fracs`` (in ``colors`` order), which need not sum to 1."""
-        return self.fidelity([self.budget * frac for frac in fracs], h_mode)
+        return self.fidelity([self.budget * frac for frac in fracs])
 
 
 def multipartite_bound_classes(
@@ -287,7 +275,6 @@ def multipartite_bound_classes(
     n: int,
     m: int,
     delta_split: dict[int, float] | None = None,
-    h_mode: str = "simplified",
 ) -> tuple[float, dict[int, float]]:
     """Global fidelity bound from per-class marginals.
 
@@ -298,7 +285,7 @@ def multipartite_bound_classes(
     per class rather than per vertex.
     """
     _check_target(n, m)  # before the classes are validated, unlike the optimizer
-    bound = _SplitBound(classes, n, m, h_mode)
+    bound = _SplitBound(classes, n, m)
     active = bound.active
     if not active:
         return 1.0, {}
@@ -347,13 +334,13 @@ def vertex_classes(
     return [MarginalClass(lambda1=lam, color=col, count=cnt) for (lam, col), cnt in counts], key_by_vertex
 
 
-def _vertex_run(classes, key_by_vertex, n: int, m: int, delta_split, h_mode: str) -> HashingRun:
+def _vertex_run(classes, key_by_vertex, n: int, m: int, delta_split) -> HashingRun:
     """The class bound, with each class's slack and success read onto its vertices.
 
     A class of an inactive color, or of zero entropy, needs no identification:
     its vertices get slack 0 and success 1.
     """
-    fidelity, delta_color = multipartite_bound_classes(classes, n, m, delta_split=delta_split, h_mode=h_mode)
+    fidelity, delta_color = multipartite_bound_classes(classes, n, m, delta_split=delta_split)
     s_color = _group_classes(classes)[1]
     by_class: dict[tuple[float, int], tuple[float, float]] = {}
     for cls in classes:
@@ -361,7 +348,7 @@ def _vertex_run(classes, key_by_vertex, n: int, m: int, delta_split, h_mode: str
             by_class[cls.lambda1, cls.color] = (0.0, 1.0)
             continue
         d_k = delta_color[cls.color] + 0.5 * (s_color[cls.color] - cls.entropy)
-        by_class[cls.lambda1, cls.color] = (d_k, max(0.0, 1.0 - _loss(*cls._constants, n, d_k, h_mode)))
+        by_class[cls.lambda1, cls.color] = (d_k, max(0.0, 1.0 - _loss(*cls._constants, n, d_k)))
     return HashingRun(
         n=n,
         m=m,
@@ -379,7 +366,6 @@ def multipartite_bound(
     n: int,
     m: int,
     delta_split: dict[int, float] | None = None,
-    h_mode: str = "simplified",
 ) -> HashingRun:
     """Finite-size bound for multipartite hashing of a colored graph state.
 
@@ -388,7 +374,7 @@ def multipartite_bound(
     are reported alongside the global product bound.
     """
     classes, key_by_vertex = vertex_classes(g, coloring, marginals)
-    return _vertex_run(classes, key_by_vertex, n, m, delta_split, h_mode)
+    return _vertex_run(classes, key_by_vertex, n, m, delta_split)
 
 
 @functools.cache
@@ -418,7 +404,6 @@ def optimize_delta_split_classes(
     classes: Sequence[MarginalClass],
     n: int,
     m: int,
-    h_mode: str = "simplified",
 ) -> tuple[dict[int, float], float]:
     """Grid-search the slack split across colors, maximizing the bound.
 
@@ -429,16 +414,15 @@ def optimize_delta_split_classes(
     Five or more active colors raise :class:`MultinetError`.
 
     The scan visits the candidates in order, but skips a run of them when
-    the simplified bound at each color's largest share over the run is
-    ``<=`` the best so far, and halves a run it does not skip.  Every step
-    from a slack to F (``budget*frac + gap``, u, (1+u)*log1p(u), exp, 2**,
-    log1p(-loss), the running sum, exp) is monotone, rounded to nearest
-    too, so the simplified bound never falls as a slack grows; the standard
-    mode's rounded ``h - u`` is not monotone, but never above the simplified
-    h.  No skipped candidate could have replaced the best, so after every
-    candidate the scan holds the full scan's best split and bound.
+    the bound at each color's largest share over the run is ``<=`` the best
+    so far, and halves a run it does not skip.  Every step from a slack to F
+    (``budget*frac + gap``, u, (1+u)*log1p(u), exp, 2**, log1p(-loss), the
+    running sum, exp) is monotone, rounded to nearest too, so the bound
+    never falls as a slack grows.  No skipped candidate could have replaced
+    the best, so after every candidate the scan holds the full scan's best
+    split and bound.
     """
-    bound = _SplitBound(classes, n, m, h_mode)
+    bound = _SplitBound(classes, n, m)
     colors = bound.colors
     if not colors:
         return {}, 1.0
@@ -455,7 +439,7 @@ def optimize_delta_split_classes(
                 if f > best_f:
                     best_f, best = f, cands[lo]
             # bounding a pair would save no evaluation
-            elif hi - lo == 2 or bound.at(_run_top(cands, lo, hi), "simplified") > best_f:
+            elif hi - lo == 2 or bound.at(_run_top(cands, lo, hi)) > best_f:
                 mid = (lo + hi) // 2
                 runs += [(mid, hi), (lo, mid)]
 
@@ -475,12 +459,11 @@ def optimize_delta_split(
     marginals: Sequence[BitMarginal],
     n: int,
     m: int,
-    h_mode: str = "simplified",
 ) -> tuple[dict[int, float], HashingRun]:
     """Best slack split plus the corresponding full run for a colored graph."""
     classes, key_by_vertex = vertex_classes(g, coloring, marginals)
-    split, _ = optimize_delta_split_classes(classes, n, m, h_mode=h_mode)
-    return split, _vertex_run(classes, key_by_vertex, n, m, split or None, h_mode)
+    split, _ = optimize_delta_split_classes(classes, n, m)
+    return split, _vertex_run(classes, key_by_vertex, n, m, split or None)
 
 
 def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[int, float]:

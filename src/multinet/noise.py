@@ -11,8 +11,8 @@ Representation note: states are described only by their independent flip
 sources, never by the full 2^N diagonal distribution, and the two-qubit edge
 channel is likewise reduced to its per-vertex marginals.  This drops
 cross-bit correlations on purpose; no quantity computed downstream depends
-on them (the hashing bounds consume per-bit marginals only).  The oracle
-module keeps the full joint distribution for small instances.
+on them (the hashing bounds consume per-bit marginals only).  The tests'
+oracle keeps the full joint distribution for small instances.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ class PauliChannel:
         return cls(1.0 - p_z, 0.0, 0.0, p_z)
 
     @classmethod
-    def biased(cls, p_x: float, p_z: float, p_y: float = 0.0) -> "PauliChannel":
-        """Asymmetric channel with independent X/Z (and optional Y) weights."""
-        return cls(1.0 - p_x - p_y - p_z, p_x, p_y, p_z)
+    def biased(cls, p_x: float, p_z: float) -> "PauliChannel":
+        """Asymmetric channel with independent X and Z weights and no Y."""
+        return cls(1.0 - p_x - p_z, p_x, 0.0, p_z)
 
 
 @dataclass(frozen=True)

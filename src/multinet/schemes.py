@@ -17,7 +17,7 @@ Conventions shared by all scenarios:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import blocks
@@ -48,8 +48,8 @@ GHZ_SCHEMES = ("A", "B", "C")
 # middle station that holds one half of each Bell ensemble.
 GHZ_PER_COPY = {"A": 1, "B": 2, "C": 2}
 
-# Defaults for the triangular network, where several elementary states meet
-# at each station.  Not pinned by the storage analysis, hence configurable.
+# Qubits a station must hold per copy on the triangular network, where several
+# elementary states meet at each station.
 TRIANGULAR_PER_COPY = {"A": 3, "B": 4, "C": 4}
 
 
@@ -76,20 +76,20 @@ class Architecture:
     """A cluster-state construction from one block family."""
 
     family: str
-    dims: tuple[int, ...] = ()
+    dims: tuple[int, ...]
     block_size: int = 1
 
     def __post_init__(self):
         if self.family not in blocks.FAMILIES:
             raise SchemeError(f"unknown architecture family {self.family!r}")
-        if self.dims and len(self.dims) not in (2, 3):
+        if len(self.dims) not in (2, 3):
             raise SchemeError(f"architecture dims must be 2D or 3D, got {self.dims}")
         if self.block_size < 1:
             raise SchemeError(f"block size must be >= 1, got {self.block_size}")
 
     @property
     def dimensionality(self) -> int:
-        return len(self.dims) if self.dims else 2
+        return len(self.dims)
 
 
 @dataclass
@@ -100,18 +100,16 @@ class SchemeResult:
     fidelity: float
     m: int
     n_used: int
-    storage: dict = field(default_factory=dict)
     infeasible: bool = False
 
     @classmethod
-    def infeasible_point(cls, scheme: str, n_used: int = 0, storage: dict | None = None) -> "SchemeResult":
-        return cls(scheme=scheme, fidelity=0.0, m=0, n_used=n_used, storage=storage or {}, infeasible=True)
+    def infeasible_point(cls, scheme: str, n_used: int = 0) -> "SchemeResult":
+        return cls(scheme=scheme, fidelity=0.0, m=0, n_used=n_used, infeasible=True)
 
 
 def _evaluate(
     label: str,
     n: int,
-    storage: dict,
     bound: Callable[[int], float],
     m: int | None = None,
     threshold: float | None = None,
@@ -127,26 +125,25 @@ def _evaluate(
     result.
     """
     if n < 1 or (m is not None and n < m):
-        return SchemeResult.infeasible_point(label, n_used=n, storage=storage)
+        return SchemeResult.infeasible_point(label, n_used=n)
     if m is None:
         best, fid = largest_m(search or bound, n, threshold)
-        return SchemeResult(label, fid, best, n, storage)
+        return SchemeResult(label, fid, best, n)
     try:
-        return SchemeResult(label, bound(m), m, n, storage)
+        return SchemeResult(label, bound(m), m, n)
     except InfeasibleTargetError:
-        return SchemeResult.infeasible_point(label, n_used=n, storage=storage)
+        return SchemeResult.infeasible_point(label, n_used=n)
 
 
 # -- storage accounting --------------------------------------------------------
 
 
-def storage_per_node(arch: Architecture) -> tuple[dict, int]:
-    """Per-node-class qubits per copy and the bottleneck (maximum) cost."""
-    costs = blocks.site_costs(arch.family, arch.dimensionality, arch.block_size)
-    return ({f"{cost}-qubit sites": cost for cost, _ in costs}, costs[-1][0])
+def storage_per_node(arch: Architecture) -> int:
+    """The bottleneck: the most qubits any site must hold per copy."""
+    return blocks.site_costs(arch.family, arch.dimensionality, arch.block_size)[-1][0]
 
 
-def allocate_global_storage(arch: Architecture, total_capacity: int) -> tuple[dict, int]:
+def allocate_global_storage(arch: Architecture, total_capacity: int) -> int:
     """Best common copy count when storage may be distributed freely.
 
     Every node gets exactly what its class needs per copy, so the copy count
@@ -157,9 +154,7 @@ def allocate_global_storage(arch: Architecture, total_capacity: int) -> tuple[di
         raise SchemeError(
             f"total capacity {total_capacity} is below the {per_copy} qubits one copy needs"
         )
-    n = total_capacity // per_copy
-    costs = blocks.site_costs(arch.family, arch.dimensionality, arch.block_size)
-    return {f"{cost}-qubit sites": cost * n for cost, _ in costs}, n
+    return total_capacity // per_copy
 
 
 # -- GHZ schemes ----------------------------------------------------------------
@@ -241,13 +236,12 @@ def ghz_scheme_fidelity(
     """
     if scheme not in GHZ_SCHEMES:
         raise SchemeError(f"scheme must be one of {GHZ_SCHEMES}, got {scheme!r}")
-    per_copy = GHZ_PER_COPY[scheme]
-    n = capacity // per_copy
+    n = capacity // GHZ_PER_COPY[scheme]
 
     def bound(m: int) -> float:
         return _ghz_bound(scheme, n, m, *_ghz_channels(channel, q, p, channel_params), p, optimize_split)
 
-    return _evaluate(scheme, n, {"bottleneck": per_copy}, bound, m=m)
+    return _evaluate(scheme, n, bound, m=m)
 
 
 def triangular_repeater(
@@ -256,12 +250,11 @@ def triangular_repeater(
     q: float,
     p: float = 1.0,
     scheme: str = "A",
-    per_copy: int | None = None,
 ) -> SchemeResult:
     """Long-distance GHZ bound on the triangular network.
 
     The per-copy elementary fidelity is evaluated exactly as in the 3-GHZ
-    scenario (with the triangular per-station storage defaults) and raised
+    scenario (with the triangular per-station storage costs) and raised
     to the number of elementary states consumed after ``levels`` doublings
     of the distance: 3^k for the multipartite scheme, 2^(k+1) for the
     pair-based ones.
@@ -270,16 +263,13 @@ def triangular_repeater(
         raise SchemeError(f"levels must be >= 0, got {levels}")
     if scheme not in GHZ_SCHEMES:
         raise SchemeError(f"scheme must be one of {GHZ_SCHEMES}, got {scheme!r}")
-    cost = per_copy if per_copy is not None else TRIANGULAR_PER_COPY[scheme]
-    if cost < 1:
-        raise SchemeError(f"per_copy must be >= 1, got {cost}")
-    n = capacity // cost
+    n = capacity // TRIANGULAR_PER_COPY[scheme]
     exponent = 3**levels if scheme == "A" else 2 ** (levels + 1)
 
     def bound(m: int) -> float:
         return _ghz_bound(scheme, n, m, *_ghz_channels("ldn", q, p, None), p, False) ** exponent
 
-    return _evaluate(scheme, n, {"bottleneck": cost}, bound, m=1)
+    return _evaluate(scheme, n, bound, m=1)
 
 
 # -- cluster architectures -------------------------------------------------------
@@ -320,35 +310,25 @@ def cluster_architecture_run(
     """
     if (m is None) == (threshold is None):
         raise SchemeError("give exactly one of m= or threshold=")
-    if not arch.dims:
-        raise SchemeError("cluster architectures need lattice dims")
     b = arch.block_size
     family = arch.family
     label = family if family == "bipartite" else f"{family}-b{b}"
     count = blocks.blocks_count(family, arch.dims, b)
 
     if storage.mode == "per-node":
-        _, bottleneck = storage_per_node(arch)
-        n = storage.capacity // bottleneck
-        storage_info = {"mode": "per-node", "bottleneck": bottleneck}
+        n = storage.capacity // storage_per_node(arch)
     else:
         try:
-            _, n = allocate_global_storage(arch, storage.capacity)
+            n = allocate_global_storage(arch, storage.capacity)
         except SchemeError:
             return SchemeResult.infeasible_point(label)
-        storage_info = {
-            "mode": "global",
-            "per_copy_total": blocks.per_copy_total(family, arch.dims, b),
-        }
 
     if family == "bipartite":
         dist = pair_pattern_distribution([PauliChannel.depolarizing(q)], [PauliChannel.depolarizing(q)])
-        return _evaluate(
-            label, n, storage_info, lambda m: _bipartite_lattice_fidelity(dist, n, m, count), m, threshold
-        )
+        return _evaluate(label, n, lambda m: _bipartite_lattice_fidelity(dist, n, m, count), m, threshold)
     classes = _cluster_classes(family, arch.dimensionality, b, q, count)
     return _evaluate(
-        label, n, storage_info, lambda m: multipartite_bound_classes(classes, n, m)[0], m, threshold,
+        label, n, lambda m: multipartite_bound_classes(classes, n, m)[0], m, threshold,
         search=lambda m: optimize_delta_split_classes(classes, n, m)[1],
     )
 
@@ -382,7 +362,7 @@ def from_bell_run(
         MarginalClass(lambda1=lam1, color=1, count=sites - half),
     ]
     multi = _evaluate(
-        "multipartite", capacity, {"bottleneck": 1},
+        "multipartite", capacity,
         lambda m: multipartite_bound_classes(classes, capacity, m)[0], m, threshold,
         search=lambda m: optimize_delta_split_classes(classes, capacity, m)[1],
     )
@@ -390,7 +370,7 @@ def from_bell_run(
     n_bip = capacity // (2 * dim)
     dist = pair_pattern_distribution([], [PauliChannel.depolarizing(q)])
     bip = _evaluate(
-        "bipartite", n_bip, {"bottleneck": 2 * dim},
+        "bipartite", n_bip,
         lambda m: _bipartite_lattice_fidelity(dist, n_bip, m, edge_count), m, threshold,
     )
     return multi, bip

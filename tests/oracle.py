@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import Graph, GraphError, MultinetError, local_complement
-from .noise import EdgeZChannel, PauliChannel
+from multinet.graphstate import Graph, GraphError, MultinetError, local_complement
+from multinet.noise import EdgeZChannel, PauliChannel
 
 MAX_DISTRIBUTION_QUBITS = 16
 MAX_STATEVECTOR_QUBITS = 10

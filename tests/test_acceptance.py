@@ -34,7 +34,6 @@ from multinet.noise import (
     channel_to_flip_source,
     edge_channel_to_flip_source,
 )
-from multinet.oracle import exact_distribution, statevector_check
 from multinet.schemes import (
     Architecture,
     StorageModel,
@@ -47,6 +46,7 @@ from multinet.schemes import (
 )
 
 from conftest import random_graph
+from oracle import exact_distribution, statevector_check
 
 GOLDEN = Path(__file__).parent / "golden"
 

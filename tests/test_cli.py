@@ -222,6 +222,18 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("sweep_param,")
 
+    def test_package_imports_without_numpy(self):
+        # numpy is a test-only dependency: the library and the CLI never import it
+        import os
+        import subprocess
+        import sys
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = "import sys, multinet, multinet.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
         assert "fig3" in capsys.readouterr().out
@@ -281,16 +293,21 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_extent_two_lattice_is_a_config_error(self, tmp_path, capsys, command):
-        # no block of either family tiles a 2x2 torus, so neither may count blocks on it
-        cfg = tmp_path / "tiny.cfg"
+        # no family's unit cell lifts to an extent-2 torus, so none may count blocks on it
         arch = "families = windmill,shifted-grid\nblock_sizes = 1\ndims = 2x2"
-        cfg.write_text(CLUSTER.replace("families = windmill\ndims = 8x8", arch))
-        out = tmp_path / "tiny.csv"
-        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err and "Traceback" not in err
-        assert not out.exists()
+        configs = {
+            "tiny": CLUSTER.replace("families = windmill\ndims = 8x8", arch),
+            "narrow-from-bell": FROM_BELL.replace("dims = 8x8", "dims = 2x6"),
+        }
+        for name, text in configs.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"{name}.csv"
+            argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+            assert main(argv) == 2, name
+            err = capsys.readouterr().err
+            assert "config error:" in err and "Traceback" not in err, name
+            assert not out.exists(), name
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_untileable_swept_block_size_is_a_config_error(self, tmp_path, capsys, command):

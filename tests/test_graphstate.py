@@ -23,8 +23,9 @@ from multinet.graphstate import (
 )
 from multinet.hashing import DistributionError, InfeasibleTargetError
 from multinet.noise import ChannelError
-from multinet.oracle import OracleSizeError
 from multinet.schemes import SchemeError
+
+from oracle import OracleSizeError
 
 
 

@@ -96,42 +96,15 @@ class TestBennett:
         with pytest.raises(InfeasibleTargetError):
             bennett_success((0.9, 0.1), 100, 0.0)
 
-    def test_unknown_h_mode_rejected(self):
-        # checked up front, so also where no concentration term is evaluated
-        deterministic = [MarginalClass(lambda1=0.0, color=0, count=1)]
-        calls = [
-            lambda: bennett_success((1.0, 0.0), 100, 0.1, h_mode="bogus"),
-            lambda: bennett_success((0.9, 0.1), 100, 0.1, h_mode="bogus"),
-            lambda: multipartite_bound_classes(deterministic, 100, 1, h_mode="bogus"),
-            lambda: optimize_delta_split_classes(deterministic, 100, 1, h_mode="bogus"),
-        ]
-        for call in calls:
-            with pytest.raises(MultinetError, match="unknown h_mode 'bogus'") as info:
-                call()
-            assert isinstance(info.value, ValueError)
-
-    def test_standard_h_mode_is_more_conservative(self):
-        # dropping the -u term makes h larger, so the simplified bound is higher
-        simplified = bennett_success((0.9, 0.1), 200, 0.1, h_mode="simplified")
-        standard = bennett_success((0.9, 0.1), 200, 0.1, h_mode="standard")
-        assert standard <= simplified
-
     def test_subnormal_lambda_leaves_the_identification_loss(self):
-        # u = a*delta/V overflows to inf; the standard h must stay inf, not inf - inf
-        for h_mode in ("simplified", "standard"):
-            assert bennett_loss((1 - 1e-315, 1e-315), 100, 0.1, h_mode=h_mode) == 2**-10
-        standard = bennett_success((1 - 1e-315, 1e-315), 100, 0.1, h_mode="standard")
-        assert standard <= bennett_success((1 - 1e-315, 1e-315), 100, 0.1, h_mode="simplified")
+        # u = a*delta/V overflows to inf, so the concentration term is 0
+        assert bennett_loss((1 - 1e-315, 1e-315), 100, 0.1) == 2**-10
 
     def test_subnormal_lambda_class_bounds_are_finite(self):
         single = [MarginalClass(lambda1=4e-320, color=0, count=1)]
         pair = single + [MarginalClass(lambda1=4e-320, color=1, count=1)]
-        bound = multipartite_bound_classes(single, 100, 1, h_mode="standard")
-        assert bound == multipartite_bound_classes(single, 100, 1)
-        assert 0.0 < bound[0] < 1.0
-        split, fid = optimize_delta_split_classes(pair, 100, 1, h_mode="standard")
-        assert (split, fid) == optimize_delta_split_classes(pair, 100, 1)
-        assert 0.0 < fid < 1.0
+        assert 0.0 < multipartite_bound_classes(single, 100, 1)[0] < 1.0
+        assert 0.0 < optimize_delta_split_classes(pair, 100, 1)[1] < 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -448,7 +421,7 @@ class TestThresholdSearchMonotone:
             assert value == "infeasible" or value < threshold, m
 
 
-def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None, h_mode="simplified"):
+def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None):
     """The vertex-level bound computed vertex by vertex.
 
     The global bound comes from the classes of equal (lambda1, color); each
@@ -460,7 +433,7 @@ def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None, h_mod
         key = (marg.lambda1, coloring[marg.vertex])
         counts[key] = counts.get(key, 0) + 1
     classes = [MarginalClass(lambda1=lam, color=col, count=cnt) for (lam, col), cnt in sorted(counts.items())]
-    fidelity, delta_color = multipartite_bound_classes(classes, n, m, delta_split=delta_split, h_mode=h_mode)
+    fidelity, delta_color = multipartite_bound_classes(classes, n, m, delta_split=delta_split)
     s_color = {}
     for marg in marginals:
         c = coloring[marg.vertex]
@@ -476,7 +449,7 @@ def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None, h_mod
             continue
         d_k = delta_color[c] + 0.5 * (s_color[c] - s_k)
         delta_by_vertex[marg.vertex] = d_k
-        fidelity_by_vertex[marg.vertex] = bennett_success(marg.distribution, n, d_k, h_mode=h_mode)
+        fidelity_by_vertex[marg.vertex] = bennett_success(marg.distribution, n, d_k)
     return HashingRun(n, m, delta_color, delta_by_vertex, fidelity_by_vertex, fidelity)
 
 
@@ -505,10 +478,9 @@ class TestVertexAdapter:
     @given(
         colored_graphs(),
         st.integers(min_value=20, max_value=20000),
-        st.sampled_from(["simplified", "standard"]),
         st.data(),
     )
-    def test_matches_per_vertex_reference(self, inputs, n, h_mode, data):
+    def test_matches_per_vertex_reference(self, inputs, n, data):
         g, coloring, marginals = inputs
         small = st.integers(min_value=1, max_value=n // 20 + 1)
         m = data.draw(small | small | small | st.sampled_from([0, n, n + 1]), label="m")
@@ -520,8 +492,8 @@ class TestVertexAdapter:
                 label="weights",
             )
             split = {c: w / sum(weights) for c, w in zip(active, weights)}
-        reference = outcome(lambda: reference_vertex_bound(g, coloring, marginals, n, m, split, h_mode))
-        run = outcome(lambda: multipartite_bound(g, coloring, marginals, n, m, delta_split=split, h_mode=h_mode))
+        reference = outcome(lambda: reference_vertex_bound(g, coloring, marginals, n, m, split))
+        run = outcome(lambda: multipartite_bound(g, coloring, marginals, n, m, delta_split=split))
         assert run == reference
 
     @settings(max_examples=40, deadline=None)
@@ -581,7 +553,7 @@ def test_threshold_search_needs_every_marginal():
         max_output_copies(g, coloring, margs[:2], 400, 0.9)
 
 
-def full_scan_split(classes, n, m, h_mode):
+def full_scan_split(classes, n, m):
     """The slack-split optimizer as a plain scan that evaluates every candidate.
 
     The equal split first, then every point of the 1/200 grid in
@@ -589,7 +561,7 @@ def full_scan_split(classes, n, m, h_mode):
     1/4000 apart around the best one; a candidate replaces the best only if
     its bound is strictly higher.
     """
-    bound = _SplitBound(classes, n, m, h_mode)
+    bound = _SplitBound(classes, n, m)
     colors = bound.colors
     if not colors:
         return {}, 1.0
@@ -627,7 +599,7 @@ def full_scan_split(classes, n, m, h_mode):
 
 @st.composite
 def split_problems(draw, colors):
-    """Classes, n, m and h_mode for the split optimizer, biased to its hard cases.
+    """Classes, n and m for the split optimizer, biased to its hard cases.
 
     Every color mostly noisy, colors that mirror each other (ties between
     splits), counts up to 4e6 (F near 0), n up to 1e13 (F near 1), and m at
@@ -658,23 +630,23 @@ def split_problems(draw, colors):
     near_edge = st.integers(min_value=max(1, edge - 3), max_value=max(1, edge + 1))
     anywhere, invalid = st.integers(min_value=1, max_value=n), st.sampled_from([0, n + 1])
     m = draw(st.one_of(small, small, small, small, near_edge, near_edge, anywhere, invalid), label="m")
-    return classes, n, m, draw(st.sampled_from(["simplified", "standard"]), label="h_mode")
+    return classes, n, m
 
 
 class TestPrunedSplitScan:
     @settings(max_examples=300, deadline=None)
     @given(split_problems(colors=(0, 1)))
     def test_two_colors_match_full_scan(self, problem):
-        classes, n, m, h_mode = problem
-        found = outcome(lambda: optimize_delta_split_classes(classes, n, m, h_mode=h_mode))
-        assert found == outcome(lambda: full_scan_split(classes, n, m, h_mode))
+        classes, n, m = problem
+        found = outcome(lambda: optimize_delta_split_classes(classes, n, m))
+        assert found == outcome(lambda: full_scan_split(classes, n, m))
 
     @settings(max_examples=40, deadline=None)
     @given(split_problems(colors=(0, 1, 2)))
     def test_three_colors_match_full_scan(self, problem):
-        classes, n, m, h_mode = problem
-        found = outcome(lambda: optimize_delta_split_classes(classes, n, m, h_mode=h_mode))
-        assert found == outcome(lambda: full_scan_split(classes, n, m, h_mode))
+        classes, n, m = problem
+        found = outcome(lambda: optimize_delta_split_classes(classes, n, m))
+        assert found == outcome(lambda: full_scan_split(classes, n, m))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -684,17 +656,15 @@ class TestPrunedSplitScan:
         st.data(),
     )
     def test_bound_never_falls_as_a_slack_grows(self, classes, n, slacks, data):
-        # the simplified bound is monotone in every slack once rounded, even
-        # between adjacent floats, and the standard bound never exceeds it
-        bound = _SplitBound(classes, n, 1, "standard")
+        # the bound is monotone in every slack once rounded, even between
+        # adjacent floats
+        bound = _SplitBound(classes, n, 1)
         color = data.draw(st.integers(min_value=0, max_value=2), label="color")
         grown = list(slacks)
         adjacent = st.just(math.nextafter(slacks[color], math.inf))
         larger = st.floats(min_value=slacks[color], max_value=1.0)
         grown[color] = data.draw(adjacent | larger, label="grown slack")
-        simplified = bound.fidelity(slacks, "simplified")
-        assert bound.fidelity(slacks) <= simplified
-        assert bound.fidelity(grown, "simplified") >= simplified
+        assert bound.fidelity(grown) >= bound.fidelity(slacks)
 
     @staticmethod
     def bound_evaluations(monkeypatch, classes, n, m):

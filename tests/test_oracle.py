@@ -21,14 +21,14 @@ from multinet.noise import (
     channel_to_flip_source,
     edge_channel_to_flip_source,
 )
-from multinet.oracle import (
+
+from conftest import random_graph
+from oracle import (
     OracleSizeError,
     exact_distribution,
     graph_state_vector,
     statevector_check,
 )
-
-from conftest import random_graph
 
 
 class TestExactDistribution:

@@ -99,17 +99,6 @@ class TestTriangular:
         changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
         assert changes == 1
 
-    @pytest.mark.parametrize("per_copy", [0, -1])
-    def test_per_copy_below_one_rejected(self, per_copy):
-        with pytest.raises(SchemeError):
-            triangular_repeater(0, 1200, 0.99, scheme="A", per_copy=per_copy)
-
-    def test_per_copy_override(self):
-        default = triangular_repeater(0, 1600, 0.99, 0.98, "A")
-        wide = triangular_repeater(0, 1600, 0.99, 0.98, "A", per_copy=1)
-        assert wide.n_used == 1600 and default.n_used == 533
-        assert wide.fidelity >= default.fidelity
-
 
 class TestStorageAccounting:
     def test_per_node_bottlenecks(self):
@@ -122,16 +111,14 @@ class TestStorageAccounting:
             ("shifted-grid", (8, 8, 8), 2),
         ]
         for family, dims, expect in expectations:
-            _, bottleneck = storage_per_node(Architecture(family, dims, 1))
-            assert bottleneck == expect, family
+            assert storage_per_node(Architecture(family, dims, 1)) == expect, family
 
     def test_global_allocation_example(self):
-        _, n = allocate_global_storage(Architecture("bipartite", (64, 64)), 1200 * 64 * 64)
-        assert n == 300
+        assert allocate_global_storage(Architecture("bipartite", (64, 64)), 1200 * 64 * 64) == 300
 
     def test_global_copies_grow_with_block_size(self):
         ns = [
-            allocate_global_storage(Architecture("shifted-grid", (64, 64), b), 1200 * 64 * 64)[1]
+            allocate_global_storage(Architecture("shifted-grid", (64, 64), b), 1200 * 64 * 64)
             for b in (1, 2, 4, 8)
         ]
         assert ns == sorted(ns)
@@ -142,8 +129,7 @@ class TestStorageAccounting:
         from multinet.blocks import per_copy_total
 
         need = per_copy_total("shifted-grid", (8, 8), 1)
-        _, n = allocate_global_storage(arch, need)
-        assert n == 1
+        assert allocate_global_storage(arch, need) == 1
         with pytest.raises(SchemeError):
             allocate_global_storage(arch, need - 1)
 
@@ -152,9 +138,8 @@ class TestStorageAccounting:
         sites = 64 * 64
         for b in (2, 4):
             arch = Architecture("shifted-grid", (64, 64), b)
-            _, bottleneck = storage_per_node(arch)
-            per_node_n = 1200 // bottleneck
-            _, global_n = allocate_global_storage(arch, 1200 * sites)
+            per_node_n = 1200 // storage_per_node(arch)
+            global_n = allocate_global_storage(arch, 1200 * sites)
             assert global_n >= per_node_n
 
 
@@ -292,8 +277,8 @@ def random_covers(draw):
     qubit placed off the lattice."""
     cover = []
     if draw(st.booleans()):
-        dims = draw(st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 4)]))
-        cover = family_cover(draw(st.sampled_from(FAMILIES if dims == (4, 4) else ["bipartite"])), dims)
+        dims = draw(st.sampled_from([(4, 4), (4, 8), (8, 4)]))
+        cover = family_cover(draw(st.sampled_from(FAMILIES)), dims)
         if draw(st.booleans()):
             k = draw(st.integers(0, len(cover) - 1))
             shift = draw(st.integers(1, dims[0] - 1))
