@@ -41,6 +41,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from operator import add, mod, sub
 from typing import NamedTuple
 
 from .graphstate import Graph, MultinetError
@@ -155,33 +156,20 @@ def edge_graph(edges: list[Edge]) -> Graph:
     return g
 
 
-def block_graph(family: str, dim: int, b: int) -> Graph:
-    """Canonical block as a Graph; vertex ids index the sorted touched sites."""
-    return edge_graph(block_edges(family, dim, b))
-
-
-def _wrap(site: Site, dims: tuple[int, ...]) -> Site:
-    return tuple(c % d for c, d in zip(site, dims))
-
-
-def lattice_edges(dims: tuple[int, ...]) -> set[Edge]:
-    """All edges of the periodic lattice with the given dimensions."""
-    edges = set()
-    for site in itertools.product(*(range(d) for d in dims)):
-        for axis in range(len(dims)):
-            step = [0] * len(dims)
-            step[axis] = 1
-            other = _wrap(tuple(c + s for c, s in zip(site, step)), dims)
-            if other != site:
-                edges.add(_norm_edge(site, other))
-    return edges
-
-
 class UnitCell(NamedTuple):
-    """A family's cover of one period box, in unwrapped coordinates."""
+    """A family's cover of one period box, in unwrapped coordinates.
+
+    Each block of the box is kept as its shape: its sorted distinct sites,
+    and its edges as pairs of indices into them.
+    """
 
     period: tuple[int, ...]
-    groups: tuple[tuple[Edge, ...], ...]
+    shapes: tuple[tuple[tuple[Site, ...], tuple[tuple[int, int], ...]], ...]
+
+    @property
+    def groups(self) -> tuple[tuple[Edge, ...], ...]:
+        """Each block's edges, rebuilt from its shape in the cell's edge order."""
+        return tuple(tuple((sites[i], sites[j]) for i, j in pairs) for sites, pairs in self.shapes)
 
 
 @functools.cache
@@ -206,13 +194,18 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
         else:
             period, anchors = (math.lcm(2, b), 2, 2), [(0, 0, 0)] + [(b, 1, 1)] * (b % 2)
         groups = [
-            [tuple(tuple(x + s for x, s in zip(site, anchor)) for site in e) for e in canonical]
+            [(tuple(map(add, a, anchor)), tuple(map(add, c, anchor))) for a, c in canonical]
             for anchor in anchors
         ]
-    keys = [(_wrap(a, period), tuple(y - x for x, y in zip(a, c))) for g in groups for a, c in g]
+    keys = [(tuple(map(mod, a, period)), tuple(map(sub, c, a))) for g in groups for a, c in g]
     if len(set(keys)) != len(keys) or len(keys) != dim * math.prod(period):
         raise BlockError(f"{family} blocks of size {b} do not tile their {period} unit cell exactly")
-    return UnitCell(period, tuple(map(tuple, groups)))
+    shapes = []
+    for group in groups:
+        sites = sorted({s for e in group for s in e})
+        index = {s: i for i, s in enumerate(sites)}
+        shapes.append((tuple(sites), tuple((index[a], index[c]) for a, c in group)))
+    return UnitCell(period, tuple(shapes))
 
 
 def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
@@ -235,23 +228,22 @@ def cover_blocks(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Ed
     """Edge groups of one full cover of the periodic lattice.
 
     The unit cell translated by every multiple of its period: exact by the
-    module's lemma, so nothing is rechecked on the lattice.
+    module's lemma, so nothing is rechecked on the lattice.  Each group's
+    distinct sites are wrapped once per translate and its edges read off them.
     """
     cell = _check_dims(family, dims, b)
     groups = []
     for shift in itertools.product(*(range(0, d, p) for d, p in zip(dims, cell.period))):
-        for group in cell.groups:
-            groups.append([
-                _norm_edge(*(tuple((x + s) % d for x, s, d in zip(site, shift, dims)) for site in e))
-                for e in group
-            ])
+        for sites, pairs in cell.shapes:
+            w = [tuple(map(mod, map(add, site, shift), dims)) for site in sites]
+            groups.append([(w[i], w[j]) if w[i] <= w[j] else (w[j], w[i]) for i, j in pairs])
     return groups
 
 
 def blocks_count(family: str, dims: tuple[int, ...], b: int = 1) -> int:
     """Number of blocks in a full cover, without materializing it."""
     cell = _check_dims(family, dims, b)
-    return math.prod(dims) // math.prod(cell.period) * len(cell.groups)
+    return math.prod(dims) // math.prod(cell.period) * len(cell.shapes)
 
 
 def degree_color_classes(family: str, dim: int, b: int = 1) -> list[tuple[int, int, int]]:
@@ -278,19 +270,6 @@ def sites_per_block(family: str, dim: int, b: int = 1) -> int:
     return sum(n for _, _, n in degree_color_classes(family, dim, b))
 
 
-def per_site_cost_histogram(family: str, dims: tuple[int, ...], b: int = 1) -> dict[int, int]:
-    """How many sites store 1, 2, ... qubits per copy, from an explicit cover."""
-    groups = cover_blocks(family, dims, b)
-    load: dict[Site, int] = {}
-    for group in groups:
-        for site in {s for e in group for s in e}:
-            load[site] = load.get(site, 0) + 1
-    hist: dict[int, int] = {}
-    for cost in load.values():
-        hist[cost] = hist.get(cost, 0) + 1
-    return dict(sorted(hist.items()))
-
-
 @functools.cache
 def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]:
     """(qubits stored per copy, sites per unit cell) pairs, ascending in cost.
@@ -300,7 +279,7 @@ def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]
     Cached, as every sweep point of a scenario asks again.
     """
     cell = unit_cell(family, dim, b)
-    load = Counter(_wrap(s, cell.period) for group in cell.groups for s in {s for e in group for s in e})
+    load = Counter(tuple(map(mod, s, cell.period)) for sites, _ in cell.shapes for s in sites)
     return tuple(sorted(Counter(load.values()).items()))
 
 

@@ -23,7 +23,7 @@ evaluates sweep points one after another, not in parallel.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class MultinetError(ValueError):
@@ -42,7 +42,8 @@ class Graph:
     """Undirected simple graph with stable vertex ids.
 
     Vertex ids survive deletions (removing a vertex never renumbers the
-    others), which keeps coordinate labels valid while covers are merged.
+    others), so coordinate labels stay valid across :func:`merge_vertices`
+    and :func:`connect_project`.
 
     Parameters
     ----------
@@ -65,21 +66,19 @@ class Graph:
         coloring: Mapping[int, int] | None = None,
         coords: Mapping[int, tuple] | None = None,
     ):
-        self._adj: dict[int, set[int]] = {int(v): set() for v in vertices}
+        adj: dict[int, set[int]] = {int(v): set() for v in vertices}
         for a, b in edges:
-            self._add_edge(int(a), int(b))
+            a, b = int(a), int(b)
+            if a == b:
+                raise GraphError(f"self-edge at vertex {a}")
+            if a not in adj or b not in adj:
+                raise GraphError(f"edge ({a},{b}) references unknown vertex {b if a in adj else a}")
+            adj[a].add(b)
+            adj[b].add(a)
+        self._adj = adj
         self.coloring = dict(coloring) if coloring is not None else None
         self.coords = dict(coords) if coords is not None else None
         self._check_invariants()
-
-    def _add_edge(self, a: int, b: int) -> None:
-        if a == b:
-            raise GraphError(f"self-edge at vertex {a}")
-        for v in (a, b):
-            if v not in self._adj:
-                raise GraphError(f"edge ({a},{b}) references unknown vertex {v}")
-        self._adj[a].add(b)
-        self._adj[b].add(a)
 
     def _check_invariants(self) -> None:
         if self.coloring is not None:
@@ -117,10 +116,12 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return a in self._adj and b in self._adj[a]
 
+    def iter_edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as ``(a, b)`` with ``a < b``, in adjacency order (unsorted)."""
+        return ((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
+
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b
-        )
+        return sorted(self.iter_edges())
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2

@@ -377,19 +377,28 @@ def multipartite_bound(
     return _vertex_run(classes, key_by_vertex, n, m, delta_split)
 
 
-@functools.cache
-def _simplex_grid(k: int, steps: int) -> tuple[tuple[float, ...], ...]:
-    """All integer compositions of ``steps`` into ``k`` positive parts, as fractions.
-
-    In lexicographic order of the cuts, so the first part never decreases.
-    Built once and kept; past two million points (five colors) it would not fit.
-    """
-    if math.comb(steps - 1, k - 1) > 2_000_000:
-        raise MultinetError(f"a {k}-color split grid has {math.comb(steps - 1, k - 1)} points, too many to scan")
+def _build_grid(k: int, steps: int) -> tuple[tuple[float, ...], ...]:
     return tuple(
         tuple((hi - lo) / steps for lo, hi in zip((0,) + cuts, cuts + (steps,)))
         for cuts in itertools.combinations(range(1, steps), k - 1)
     )
+
+
+_kept_grid = functools.cache(_build_grid)
+
+
+def _simplex_grid(k: int, steps: int) -> tuple[tuple[float, ...], ...]:
+    """All integer compositions of ``steps`` into ``k`` positive parts, as fractions.
+
+    In lexicographic order of the cuts, so the first part never decreases.
+    Grids up to the three-color size (19 701 points at 200 steps) are kept;
+    a four-color grid (1.3 million points, about 270 MB) is built per call.
+    Past two million points (five colors) it would not fit.
+    """
+    points = math.comb(steps - 1, k - 1)
+    if points > 2_000_000:
+        raise MultinetError(f"a {k}-color split grid has {points} points, too many to scan")
+    return (_kept_grid if points <= math.comb(SPLIT_GRID_STEPS - 1, 2) else _build_grid)(k, steps)
 
 
 def _run_top(cands: Sequence[tuple[float, ...]], lo: int, hi: int) -> tuple[float, ...]:

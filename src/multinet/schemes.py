@@ -408,14 +408,21 @@ def validate_cover(
                 raise SchemeError(f"block {block_idx} vertex {v} has no placement")
             ids.setdefault(placement[v], []).append(next_id)
             next_id += 1
-        for a, b in block.edges():
-            pair = tuple(sorted((placement[a], placement[b])))
-            if pair[0] != pair[1]:
-                odd ^= {pair}
-    wanted = {
-        tuple(sorted((target.coords[a], target.coords[b]))) for a, b in target.edges()
-    }
-    ok = odd == wanted and ids.keys() == {target.coords[v] for v in target.vertices()}
+        # parity is order-free, so the edges need no sorting
+        for a, b in block.iter_edges():
+            p, q = placement[a], placement[b]
+            if p != q:
+                pair = (q, p) if q < p else (p, q)
+                if pair in odd:
+                    odd.remove(pair)
+                else:
+                    odd.add(pair)
+    coords = target.coords
+    wanted = set()
+    for a, b in target.iter_edges():
+        p, q = coords[a], coords[b]
+        wanted.add((q, p) if q < p else (p, q))
+    ok = odd == wanted and ids.keys() == {coords[v] for v in target.vertices()}
     trace = [(coord, ids[coord][0], other) for coord in sorted(ids) for other in ids[coord][1:]]
     return ok, trace
 

@@ -1,0 +1,63 @@
+"""Slow, explicit references for the block covers, used by the tests only.
+
+Each function rebuilds from scratch what the package reads off a unit cell:
+the lattice's edge set, a cover lifted by wrapping every edge endpoint, and
+the per-site storage of an explicit cover.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from multinet.blocks import Edge, Site, block_edges, cover_blocks, edge_graph, unit_cell
+from multinet.graphstate import Graph
+
+
+def wrap(site: Site, dims: tuple[int, ...]) -> Site:
+    return tuple(c % d for c, d in zip(site, dims))
+
+
+def norm_edge(a: Site, b: Site) -> Edge:
+    return (a, b) if a <= b else (b, a)
+
+
+def block_graph(family: str, dim: int, b: int) -> Graph:
+    """Canonical block as a Graph; vertex ids index the sorted touched sites."""
+    return edge_graph(block_edges(family, dim, b))
+
+
+def lattice_edges(dims: tuple[int, ...]) -> set[Edge]:
+    """All edges of the periodic lattice with the given dimensions."""
+    edges = set()
+    for site in itertools.product(*(range(d) for d in dims)):
+        for axis in range(len(dims)):
+            step = [0] * len(dims)
+            step[axis] = 1
+            other = wrap(tuple(c + s for c, s in zip(site, step)), dims)
+            if other != site:
+                edges.add(norm_edge(site, other))
+    return edges
+
+
+def endpoint_lift(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Edge]]:
+    """The unit cell translated by every multiple of its period, wrapping
+    both endpoints of every edge.  Assumes ``dims`` is admissible."""
+    cell = unit_cell(family, len(dims), b)
+    return [
+        [norm_edge(*(wrap(tuple(x + s for x, s in zip(site, shift)), dims) for site in e)) for e in group]
+        for shift in itertools.product(*(range(0, d, p) for d, p in zip(dims, cell.period)))
+        for group in cell.groups
+    ]
+
+
+def per_site_cost_histogram(family: str, dims: tuple[int, ...], b: int = 1) -> dict[int, int]:
+    """How many sites store 1, 2, ... qubits per copy, from an explicit cover."""
+    groups = cover_blocks(family, dims, b)
+    load: dict[Site, int] = {}
+    for group in groups:
+        for site in {s for e in group for s in e}:
+            load[site] = load.get(site, 0) + 1
+    hist: dict[int, int] = {}
+    for cost in load.values():
+        hist[cost] = hist.get(cost, 0) + 1
+    return dict(sorted(hist.items()))

@@ -4,22 +4,25 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multinet.blocks import (
+    FAMILIES,
     BlockError,
     block_edges,
-    block_graph,
     blocks_count,
     cover_blocks,
     degree_color_classes,
-    lattice_edges,
     per_copy_total,
-    per_site_cost_histogram,
     site_costs,
     sites_per_block,
     unit_cell,
 )
 from multinet.cli import load_config_source, parse_config, preset_names
+from multinet.schemes import family_cover
+
+from cover_reference import block_graph, endpoint_lift, lattice_edges, per_site_cost_histogram
 
 SIZES = (1, 2, 3, 4, 6, 8)
 
@@ -48,6 +51,20 @@ def preset_lattices():
                 for b in [1] if family == "bipartite" else sizes:
                     cases.add((family, cfg.dims, b))
     return sorted(cases)
+
+
+@st.composite
+def admissible_lattices(draw):
+    """A family, a block size 1-4 and a torus the family covers: 2D extents
+    4-16, 3D extents 4-12, each a multiple of the unit cell's period."""
+    family = draw(st.sampled_from(FAMILIES))
+    dim = draw(st.sampled_from((2, 3)))
+    b = draw(st.integers(1, 4))
+    period = unit_cell(family, dim, b).period
+    extents = [[d for d in range(4, 17 if dim == 2 else 13) if d % p == 0] for p in period]
+    if (family, dim) == ("shifted-grid", 3):
+        return family, (draw(st.sampled_from(extents[0])),) * 3, b
+    return family, tuple(draw(st.sampled_from(e)) for e in extents), b
 
 
 class TestCanonicalBlocks:
@@ -153,6 +170,25 @@ class TestCovers:
         assert seen == lattice_edges(dims)
         assert len(groups) == blocks_count(family, dims, b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(admissible_lattices())
+    # tori narrower than a block, where a placed block folds onto itself
+    @example(("windmill", (4, 4), 2))
+    @example(("windmill", (4, 4, 4), 2))
+    @example(("shifted-grid", (4, 4, 4), 4))
+    def test_site_lift_matches_endpoint_lift(self, case):
+        family, dims, b = case
+        groups = cover_blocks(family, dims, b)
+        assert len(groups) == blocks_count(family, dims, b)
+        # same groups in the same order, each edge in the same order and orientation
+        assert groups == endpoint_lift(family, dims, b)
+        assert all(a < c for group in groups for a, c in group)
+        for group, (g, coords) in zip(groups, family_cover(family, dims, b), strict=True):
+            sites = sorted({s for e in group for s in e})
+            index = {s: i for i, s in enumerate(sites)}
+            assert coords == dict(enumerate(sites))
+            assert g.edges() == sorted((index[a], index[c]) for a, c in group)
+
     def test_incompatible_dims(self):
         with pytest.raises(BlockError):
             cover_blocks("windmill", (6, 6), 2)
@@ -183,6 +219,9 @@ class TestCovers:
         for b, period, anchors in [(3, (6, 2, 2), 2), (4, (4, 2, 2), 1)]:
             cell = unit_cell("shifted-grid", 3, b)
             assert cell.period == period and len(cell.groups) == anchors
+        # the first block is anchored at the origin, edges as in the canonical block
+        for family, dim, b in itertools.product(("windmill", "shifted-grid"), (2, 3), range(1, 5)):
+            assert unit_cell(family, dim, b).groups[0] == tuple(block_edges(family, dim, b))
 
     @pytest.mark.parametrize("family,dims,b", preset_lattices())
     def test_preset_lattices(self, family, dims, b):

@@ -42,12 +42,14 @@ def graphs(max_vertices=8):
 
 class TestInvariants:
     def test_rejects_self_edge(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="self-edge at vertex 0"):
             Graph([0, 1], [(0, 0)])
 
     def test_rejects_unknown_vertex(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"edge \(0,2\) references unknown vertex 2"):
             Graph([0, 1], [(0, 2)])
+        with pytest.raises(GraphError, match=r"edge \(3,2\) references unknown vertex 3"):
+            Graph([0, 1], [("3", 2)])
 
     def test_rejects_improper_coloring(self):
         with pytest.raises(GraphError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multinet import hashing
 from multinet.graphstate import Graph, MultinetError, build_graph, color_graph
 from multinet.hashing import (
     DistributionError,
@@ -695,6 +696,23 @@ class TestPrunedSplitScan:
         # a full scan takes 19 702
         classes = [MarginalClass(0.01, 0, 3), MarginalClass(0.02, 1, 2), MarginalClass(0.001, 2, 5)]
         assert self.bound_evaluations(monkeypatch, classes, 400, 1) <= 2000
+
+    def test_four_color_grid_is_not_kept(self, monkeypatch):
+        # only grids up to the three-color size stay cached; a coarser grid
+        # (1 771 four-color points against 253) keeps the test fast
+        monkeypatch.setattr(hashing, "SPLIT_GRID_STEPS", 24)
+        hashing._kept_grid.cache_clear()
+        four = [
+            MarginalClass(0.01, 0, 3),
+            MarginalClass(0.02, 1, 2),
+            MarginalClass(0.001, 2, 5),
+            MarginalClass(0.005, 3, 4),
+        ]
+        first = optimize_delta_split_classes(four, 400, 1)
+        assert optimize_delta_split_classes(four, 400, 1) == first
+        assert hashing._kept_grid.cache_info().currsize == 0
+        optimize_delta_split_classes(four[:3], 400, 1)
+        assert hashing._kept_grid.cache_info().currsize == 1
 
     def test_five_colors_refused(self):
         # a five-color grid has 63 391 251 points, more than memory holds

@@ -344,6 +344,32 @@ class TestCoverValidation:
         assert ok
         assert len(trace) == sum(g.vertex_count for g, _ in cover) - 64 * 64
 
+    def test_rejects_missing_placement_and_coordinates(self):
+        cover = family_cover("windmill", (8, 8), 1)
+        block, placement = cover[3]
+        cover[3] = (block, {v: c for v, c in placement.items() if v != 2})
+        with pytest.raises(SchemeError, match="block 3 vertex 2 has no placement"):
+            validate_cover(cover, target_lattice((8, 8)))
+        with pytest.raises(SchemeError, match="no coordinates"):
+            validate_cover(family_cover("windmill", (8, 8), 1), Graph(range(4), [(0, 1)]))
+
+    def test_unsorted_adjacency_matches_merge_replay(self):
+        # a block listed with its ids backwards, one vertex split in two and
+        # merged back onto the copy: its edges come out of adjacency unsorted
+        dims = (8, 8)
+        cover = family_cover("windmill", dims, 1)
+        block, placement = cover[0]
+        v = next(u for u in block.vertices() if block.degree(u) > 1)
+        n, nbrs = block.vertex_count, sorted(block.neighbors(v))
+        edges = [e for e in block.edges() if v not in e] + [(v, nbrs[0])] + [(n, u) for u in nbrs[1:]]
+        merged = merge_vertices(Graph(reversed(range(n + 1)), edges), n, v)
+        assert list(merged.iter_edges()) != merged.edges()
+        assert sorted(merged.iter_edges()) == merged.edges()
+        cover[0] = (merged, {**placement, n: placement[v]})
+        ok, trace = validate_cover(cover, target_lattice(dims))
+        assert ok
+        assert (ok, trace) == replay_cover(cover, target_lattice(dims))
+
     @settings(max_examples=200, deadline=None)
     @given(random_covers())
     def test_matches_merge_replay(self, case):
