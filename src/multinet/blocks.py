@@ -172,6 +172,15 @@ class UnitCell(NamedTuple):
         return tuple(tuple((sites[i], sites[j]) for i, j in pairs) for sites, pairs in self.shapes)
 
 
+def _period(family: str, dim: int, b: int) -> tuple[int, ...]:
+    """The period of the family's unit cell, known without building the cell."""
+    if family == "bipartite":
+        return (2,) * dim  # even extents keep the lattice two-colourable
+    if family == "windmill" or dim == 2:
+        return (2 * b,) * dim
+    return (math.lcm(2, b), 2, 2)
+
+
 @functools.cache
 def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     """The family's period and the blocks anchored in one period box.
@@ -179,8 +188,8 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     Raises :class:`BlockError` unless the cell is exact (module docstring).
     """
     canonical = block_edges(family, dim, b)  # checks the family, dimension and size
+    period = _period(family, dim, b)
     if family == "bipartite":
-        period = (2,) * dim  # even extents keep the lattice two-colourable
         groups = [
             [_norm_edge(s, tuple(x + (i == axis) for i, x in enumerate(s)))]
             for s in itertools.product(*(range(p) for p in period))
@@ -188,11 +197,11 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
         ]
     else:
         if family == "windmill":
-            period, anchors = (2 * b,) * dim, [(0,) * dim]
+            anchors = [(0,) * dim]
         elif dim == 2:
-            period, anchors = (2 * b, 2 * b), [(0, 0), (b, b)]
+            anchors = [(0, 0), (b, b)]
         else:
-            period, anchors = (math.lcm(2, b), 2, 2), [(0, 0, 0)] + [(b, 1, 1)] * (b % 2)
+            anchors = [(0, 0, 0)] + [(b, 1, 1)] * (b % 2)
         groups = [
             [(tuple(map(add, a, anchor)), tuple(map(add, c, anchor))) for a, c in canonical]
             for anchor in anchors
@@ -213,15 +222,17 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
         raise BlockError(f"unknown block family {family!r} (choose from {FAMILIES})")
     if len(dims) not in (2, 3):
         raise BlockError(f"lattice must be 2D or 3D, got {dims}")
-    cell = unit_cell(family, len(dims), b)
-    if any(d < 4 or d % p for d, p in zip(dims, cell.period)):
+    if b < 1:
+        raise BlockError(f"block size must be >= 1, got {b}")
+    period = _period(family, len(dims), b)  # checked before the cell, of ~b^dim edges, is built
+    if any(d < 4 or d % p for d, p in zip(dims, period)):
         raise BlockError(
             f"{family} blocks of size {b} need every extent a multiple of the period "
-            f"{cell.period} and >= 4, got {dims}"
+            f"{period} and >= 4, got {dims}"
         )
     if family == "shifted-grid" and len(dims) == 3 and len(set(dims)) != 1:
         raise BlockError("3D shifted-grid tiling is defined for cubic lattices")
-    return cell
+    return unit_cell(family, len(dims), b)
 
 
 def cover_blocks(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Edge]]:

@@ -1,8 +1,12 @@
 """Experiment runner: load a sweep configuration, evaluate it, emit CSV.
 
 Configs are flat ``key = value`` text files with bracketed section headers
-(see the packaged presets for worked examples).  Every run writes one row
-per (sweep point, scheme) with the fixed column set
+(see the packaged presets for worked examples).  Two tables state the whole
+config contract: ``KEYS`` gives each key's field, parser and domain, and
+``SCENARIOS`` gives each scenario's sweeps, channels, needed and read keys,
+scheme ids, lattices and runner.  A key the scenario does not read must be
+absent or hold its default, and a swept value must lie in its key's domain.
+Every run writes one row per (sweep point, scheme) with the fixed column set
 
     sweep_param,sweep_value,scheme,F,m,n_used,infeasible
 
@@ -21,12 +25,17 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
+from typing import Callable, NamedTuple
 
-from .blocks import BlockError, blocks_count
+from .blocks import FAMILIES, BlockError, blocks_count
 from .graphstate import MultinetError
 from .schemes import (
+    GHZ_PER_COPY,
+    MAX_LEVELS,
+    STORAGE_MODES,
+    TRIANGULAR_PER_COPY,
     Architecture,
     SchemeResult,
     StorageModel,
@@ -35,15 +44,6 @@ from .schemes import (
     ghz_scheme_fidelity,
     triangular_repeater,
 )
-
-SCENARIOS = ("ghz", "triangular", "cluster", "from-bell")
-SWEEPABLE = {
-    "ghz": ("capacity", "q"),
-    "triangular": ("levels", "capacity", "q"),
-    "cluster": ("q", "capacity", "block_size"),
-    "from-bell": ("q", "capacity"),
-}
-GHZ_SCHEME_IDS = ("A", "A-opt", "B", "C")
 
 
 class ConfigError(MultinetError):
@@ -55,7 +55,7 @@ class ExperimentConfig:
     scenario: str
     sweep_param: str
     sweep_values: list[float]
-    target: str
+    target: str = "m"
     m: int = 1
     threshold: float = 0.9
     channel: str = "ldn"
@@ -72,23 +72,11 @@ class ExperimentConfig:
     levels: int = 0
 
 
-def _get(section, key, cast, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"[{section.name}] is missing required key '{key}'")
-        return default
-    raw = section[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section.name}] key '{key}': cannot parse {raw!r} ({exc})") from exc
-
-
-def _parse_dims(raw: str) -> tuple[int, ...]:
-    parts = [int(p) for p in raw.lower().split("x")]
-    if len(parts) not in (2, 3) or any(p < 1 for p in parts):
-        raise ValueError(f"dims must look like 64x64 or 64x64x64, got {raw!r}")
-    return tuple(parts)
+def _number(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
 
 
 def _parse_list(raw: str) -> list[str]:
@@ -98,15 +86,123 @@ def _parse_list(raw: str) -> list[str]:
     return items
 
 
-KNOWN_KEYS = {
-    "experiment": {
-        "scenario", "sweep", "sweep_min", "sweep_max", "sweep_steps",
-        "sweep_values", "target", "m", "threshold",
-    },
-    "noise": {"channel", "q", "p", "px", "pz"},
-    "architecture": {"schemes", "families", "block_sizes", "dims", "levels"},
-    "storage": {"mode", "capacity"},
+def _parse_dims(raw: str) -> tuple[int, ...]:
+    parts = [int(p) for p in raw.lower().split("x")]
+    if len(parts) not in (2, 3) or any(p < 1 for p in parts):
+        raise ValueError(f"dims must look like 64x64 or 64x64x64, got {raw!r}")
+    return tuple(parts)
+
+
+@dataclass(frozen=True)
+class Range:
+    """A numeric domain: ``lo <= v <= hi``, or ``lo < v < hi`` when ``open``."""
+
+    lo: float
+    hi: float = math.inf
+    open: bool = False
+
+    def __contains__(self, v) -> bool:
+        return self.lo < v < self.hi if self.open else self.lo <= v <= self.hi
+
+    def __str__(self) -> str:
+        return f"({self.lo:g}, {self.hi:g})" if self.open else f"[{self.lo:g}, {self.hi:g}]"
+
+
+# -- the scenario table ------------------------------------------------------------
+
+
+def _target(cfg: ExperimentConfig) -> dict:
+    return {cfg.target: getattr(cfg, cfg.target)}  # m=... or threshold=...
+
+
+def _cluster_lattices(cfg: ExperimentConfig) -> list[Architecture]:
+    sizes = {f: [1] if f == "bipartite" else cfg.block_sizes for f in cfg.families}  # bipartite has one size
+    return [Architecture(f, cfg.dims, b) for f in cfg.families for b in sizes[f]]
+
+
+class Scenario(NamedTuple):
+    sweeps: dict[str, str]  # sweep name -> the key whose value each sweep point sets
+    channels: tuple[str, ...]
+    needs: tuple[str, ...]  # keys that must be set, unless swept
+    reads: tuple[str, ...]  # further keys read; every other key must be absent or hold its default
+    run: Callable[[ExperimentConfig], list[SchemeResult]]  # one sweep point's results
+    schemes: tuple[str, ...] = ()
+    lattices: Callable[[ExperimentConfig], list[Architecture]] = lambda cfg: []  # validate tiles them
+
+
+SCENARIOS = {
+    "ghz": Scenario(
+        sweeps={"capacity": "capacity", "q": "q"}, channels=("ldn", "z", "biased"),
+        needs=("schemes", "capacity"), reads=("m", "channel", "q", "p", "px", "pz"),
+        run=lambda cfg: [
+            ghz_scheme_fidelity(s, cfg.capacity, cfg.q, cfg.p, m=cfg.m, channel=cfg.channel,
+                                channel_params={"px": cfg.px, "pz": cfg.pz}) for s in cfg.schemes
+        ],
+        schemes=tuple(GHZ_PER_COPY),
+    ),
+    "triangular": Scenario(
+        sweeps={"levels": "levels", "capacity": "capacity", "q": "q"}, channels=("ldn",),
+        needs=("schemes", "capacity"), reads=("channel", "q", "p", "levels"),
+        run=lambda cfg: [triangular_repeater(cfg.levels, cfg.capacity, cfg.q, cfg.p, s) for s in cfg.schemes],
+        schemes=tuple(TRIANGULAR_PER_COPY),
+    ),
+    "cluster": Scenario(
+        sweeps={"q": "q", "capacity": "capacity", "block_size": "block_sizes"}, channels=("ldn",),
+        needs=("families", "dims", "capacity"),
+        reads=("target", "m", "threshold", "channel", "q", "block_sizes", "mode"),
+        run=lambda cfg: [
+            cluster_architecture_run(a, StorageModel(cfg.storage_mode, cfg.capacity), cfg.q, **_target(cfg))
+            for a in _cluster_lattices(cfg)
+        ],
+        lattices=_cluster_lattices,
+    ),
+    "from-bell": Scenario(
+        sweeps={"q": "q", "capacity": "capacity"}, channels=("ldn", "edge"),
+        needs=("dims", "capacity"), reads=("target", "m", "threshold", "channel", "q"),
+        run=lambda cfg: list(from_bell_run(cfg.dims, cfg.q, cfg.capacity, **_target(cfg))),
+        lattices=lambda cfg: [Architecture("bipartite", cfg.dims)],
+    ),
 }
+
+# -- the key table -----------------------------------------------------------------
+
+# section -> key -> (ExperimentConfig field, parser, domain).  A domain is a Range,
+# a tuple of choices or the name of the scenario column that holds the choices;
+# list values are checked entry by entry.  The sweep range keys have no field:
+# parse_config turns them into sweep_values.
+KEYS = {
+    "experiment": {
+        "scenario": ("scenario", str, tuple(SCENARIOS)),
+        "sweep": ("sweep_param", str, "sweeps"),
+        "sweep_values": ("sweep_values", lambda raw: [_number(v) for v in _parse_list(raw)], None),
+        "sweep_min": (None, _number, None),
+        "sweep_max": (None, _number, None),
+        "sweep_steps": (None, int, None),
+        "target": ("target", str, ("m", "threshold")),
+        "m": ("m", int, Range(1)),
+        "threshold": ("threshold", _number, Range(0, 1, open=True)),
+    },
+    "noise": {
+        "channel": ("channel", str, "channels"),
+        "q": ("q", _number, Range(0, 1)),
+        "p": ("p", _number, Range(0, 1)),
+        "px": ("px", _number, None),  # px, pz >= 0 with px + pz <= 1: checked together
+        "pz": ("pz", _number, None),
+    },
+    "architecture": {
+        "schemes": ("schemes", _parse_list, "schemes"),
+        "families": ("families", _parse_list, FAMILIES),
+        "block_sizes": ("block_sizes", lambda raw: [int(b) for b in _parse_list(raw)], Range(1)),
+        "dims": ("dims", _parse_dims, None),
+        "levels": ("levels", int, Range(0, MAX_LEVELS)),
+    },
+    "storage": {
+        "mode": ("storage_mode", str, STORAGE_MODES),
+        "capacity": ("capacity", int, Range(1)),
+    },
+}
+_SPEC = {key: (section, *spec) for section, keys in KEYS.items() for key, spec in keys.items()}
+_SWEEP_RANGE = ("sweep_min", "sweep_max", "sweep_steps")
 
 
 def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
@@ -115,197 +211,83 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
         parser.read_string(text, source=name)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {name}: {exc}") from exc
-    for required in ("experiment",):
-        if required not in parser:
-            raise ConfigError(f"missing [{required}] section")
+    given = {}
     for section in parser.sections():
-        if section not in KNOWN_KEYS:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in KNOWN_KEYS[section]:
+        for key, raw in parser.items(section):
+            if key not in KEYS[section]:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
-    exp = parser["experiment"]
-    noise = parser["noise"] if "noise" in parser else parser["DEFAULT"]
-    arch = parser["architecture"] if "architecture" in parser else parser["DEFAULT"]
-    store = parser["storage"] if "storage" in parser else parser["DEFAULT"]
-
-    scenario = _get(exp, "scenario", str, required=True)
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"[experiment] scenario must be one of {SCENARIOS}, got {scenario!r}")
-    sweep_param = _get(exp, "sweep", str, required=True)
-    if sweep_param not in SWEEPABLE[scenario]:
-        raise ConfigError(
-            f"[experiment] sweep '{sweep_param}' not supported for scenario {scenario!r} "
-            f"(choose from {SWEEPABLE[scenario]})"
-        )
-    if "sweep_values" in exp:
-        values = _get(exp, "sweep_values", lambda raw: [float(v) for v in _parse_list(raw)])
-    else:
-        lo = _get(exp, "sweep_min", float, required=True)
-        hi = _get(exp, "sweep_max", float, required=True)
-        steps = _get(exp, "sweep_steps", int, required=True)
+            try:
+                given[key] = KEYS[section][key][1](raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r} ({exc})") from exc
+    ranged = [key for key in _SWEEP_RANGE if key in given]
+    if "sweep_values" in given and ranged:
+        raise ConfigError(f"[experiment] key '{ranged[0]}': give sweep_values or a sweep range, not both")
+    for key in ("scenario", "sweep") + (() if "sweep_values" in given else _SWEEP_RANGE):
+        if key not in given:
+            raise ConfigError(f"[experiment] is missing required key '{key}'")
+    if ranged:
+        lo, hi, steps = (given.pop(key) for key in _SWEEP_RANGE)
         if steps < 1:
             raise ConfigError("[experiment] key 'sweep_steps': must be >= 1")
         if hi < lo:
             raise ConfigError("[experiment] key 'sweep_min': range is empty (sweep_min > sweep_max)")
-        if steps == 1:
-            values = [lo]
-        else:
-            values = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-
-    target = _get(exp, "target", str, default="m")
-    if target not in ("m", "threshold"):
-        raise ConfigError(f"[experiment] target must be 'm' or 'threshold', got {target!r}")
-
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        sweep_param=sweep_param,
-        sweep_values=values,
-        target=target,
-        m=_get(exp, "m", int, default=1),
-        threshold=_get(exp, "threshold", float, default=0.9),
-        channel=_get(noise, "channel", str, default="ldn"),
-        q=_get(noise, "q", float, default=1.0),
-        p=_get(noise, "p", float, default=1.0),
-        px=_get(noise, "px", float, default=1e-5),
-        pz=_get(noise, "pz", float, default=0.02),
-        storage_mode=_get(store, "mode", str, default="per-node"),
-        capacity=_get(store, "capacity", int, default=0),
-        schemes=_get(arch, "schemes", _parse_list, default=[]),
-        families=_get(arch, "families", _parse_list, default=[]),
-        block_sizes=_get(arch, "block_sizes", lambda raw: [int(b) for b in _parse_list(raw)], default=[1]),
-        dims=_get(arch, "dims", _parse_dims, default=()),
-        levels=_get(arch, "levels", int, default=0),
-    )
+        given["sweep_values"] = [lo + i * (hi - lo) / max(steps - 1, 1) for i in range(steps)]
+    cfg = ExperimentConfig(**{_SPEC[key][1]: value for key, value in given.items()})
     _validate_config(cfg)
     return cfg
 
 
+def _check(name: str, value, domain, scenario: Scenario) -> None:
+    if isinstance(domain, str):
+        domain = tuple(getattr(scenario, domain))
+    for v in value if isinstance(value, list) else [value]:
+        if domain is not None and v not in domain:
+            raise ConfigError(f"{name}: {v!r} is outside the domain {domain}")
+
+
+def _at(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
+    """One sweep point: ``cfg`` with the swept key set to ``value``, parsed as that key."""
+    _, field_name, parse, _ = _SPEC[SCENARIOS[cfg.scenario].sweeps[cfg.sweep_param]]
+    try:
+        return replace(cfg, **{field_name: parse(str(int(value)) if value.is_integer() else repr(value))})
+    except ValueError as exc:
+        raise ConfigError(f"[experiment] sweep over '{cfg.sweep_param}': {value!r} ({exc})") from exc
+
+
 def _validate_config(cfg: ExperimentConfig) -> None:
-    finite = {
-        "[experiment] key 'threshold'": cfg.threshold,
-        "[noise] key 'q'": cfg.q,
-        "[noise] key 'p'": cfg.p,
-        "[noise] key 'px'": cfg.px,
-        "[noise] key 'pz'": cfg.pz,
-    }
-    for name, value in finite.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{name}: must be a finite number, got {value}")
-    for v in cfg.sweep_values:
-        if not math.isfinite(v):
-            raise ConfigError(f"[experiment] sweep value {v} is not a finite number")
-        if cfg.sweep_param in ("capacity", "levels", "block_size") and abs(v - round(v)) > 1e-9:
-            raise ConfigError(
-                f"[experiment] sweep over '{cfg.sweep_param}' needs integer values, got {v}"
-            )
-    if cfg.channel not in ("ldn", "z", "biased", "edge"):
-        raise ConfigError(f"[noise] unknown channel {cfg.channel!r}")
-    if cfg.target == "m" and cfg.m < 1:
-        raise ConfigError(f"[experiment] key 'm': must be >= 1, got {cfg.m}")
-    if cfg.target == "threshold" and not 0.0 < cfg.threshold < 1.0:
-        raise ConfigError(
-            f"[experiment] key 'threshold': must be in (0,1), got {cfg.threshold}"
-        )
-    if not 0.0 <= cfg.q <= 1.0 or not 0.0 <= cfg.p <= 1.0:
-        raise ConfigError("[noise] keys 'q' and 'p' must be in [0,1]")
-    if not 0.0 <= cfg.px <= 1.0 or not 0.0 <= cfg.pz <= 1.0 or cfg.px + cfg.pz > 1.0:
-        raise ConfigError(
-            f"[noise] keys 'px' and 'pz' must be in [0,1] with px + pz <= 1, got {cfg.px} and {cfg.pz}"
-        )
-    if any(b < 1 for b in cfg.block_sizes):
-        raise ConfigError("[architecture] key 'block_sizes': entries must be >= 1")
-    domains = {"q": (0.0, 1.0), "capacity": (1, None), "levels": (0, None), "block_size": (1, None)}
-    lo, hi = domains[cfg.sweep_param]
-    for v in cfg.sweep_values:
-        if v < lo or (hi is not None and v > hi):
-            raise ConfigError(
-                f"[experiment] sweep value {v:g} outside the domain of '{cfg.sweep_param}'"
-            )
-    if cfg.storage_mode not in ("per-node", "global"):
-        raise ConfigError(f"[storage] mode must be 'per-node' or 'global', got {cfg.storage_mode!r}")
-    if cfg.sweep_param != "capacity" and cfg.capacity < 1:
-        raise ConfigError("[storage] key 'capacity': required when capacity is not swept")
-    if cfg.scenario in ("ghz", "triangular"):
-        if not cfg.schemes:
-            raise ConfigError("[architecture] key 'schemes': required for this scenario")
-        allowed = GHZ_SCHEME_IDS if cfg.scenario == "ghz" else ("A", "B", "C")
-        for s in cfg.schemes:
-            if s not in allowed:
-                raise ConfigError(f"[architecture] unknown scheme {s!r} (choose from {allowed})")
-    if cfg.scenario == "cluster":
-        if not cfg.families:
-            raise ConfigError("[architecture] key 'families': required for the cluster scenario")
-        if not cfg.dims:
-            raise ConfigError("[architecture] key 'dims': required for the cluster scenario")
-        swept = cfg.sweep_param == "block_size"
-        sizes = [int(round(v)) for v in cfg.sweep_values] if swept else cfg.block_sizes
-        for family in cfg.families:
-            for b in [1] if family == "bipartite" else sizes:
-                try:
-                    blocks_count(family, cfg.dims, b)
-                except BlockError as exc:
-                    raise ConfigError(f"[architecture] family {family!r}, block size {b}: {exc}") from exc
-    if cfg.scenario == "from-bell":
-        if not cfg.dims:
-            raise ConfigError("[architecture] key 'dims': required for the from-bell scenario")
-        if cfg.channel not in ("ldn", "edge"):
-            raise ConfigError("[noise] the from-bell scenario models its own edge channel; use channel = edge")
-        try:
-            blocks_count("bipartite", cfg.dims)
-        except BlockError as exc:
-            raise ConfigError(f"[architecture] from-bell lattice: {exc}") from exc
+    _check("[experiment] key 'scenario'", cfg.scenario, KEYS["experiment"]["scenario"][2], None)
+    sc = SCENARIOS[cfg.scenario]
+    swept = sc.sweeps.get(cfg.sweep_param)
+    defaults = ExperimentConfig(cfg.scenario, cfg.sweep_param, cfg.sweep_values)
+    for key, (section, field_name, _, domain) in _SPEC.items():
+        if field_name is None or key == swept:
+            continue  # the swept key is checked at each sweep point
+        name, value = f"[{section}] key '{key}'", getattr(cfg, field_name)
+        if key in sc.needs and value == getattr(defaults, field_name):
+            raise ConfigError(f"{name}: required by the {cfg.scenario} scenario")
+        if key not in sc.needs + sc.reads and value != getattr(defaults, field_name):
+            raise ConfigError(f"{name}: the {cfg.scenario} scenario does not read it; remove it")
+        _check(name, value, domain, sc)
+    if not (cfg.px >= 0 and cfg.pz >= 0 and cfg.px + cfg.pz <= 1):
+        raise ConfigError(f"[noise] keys 'px' and 'pz' must be >= 0 with px + pz <= 1, got {cfg.px}, {cfg.pz}")
+    _, field_name, _, domain = _SPEC[swept]
+    for value in cfg.sweep_values:
+        point = _at(cfg, value)
+        _check(f"[experiment] sweep over '{cfg.sweep_param}'", getattr(point, field_name), domain, sc)
+        for arch in sc.lattices(point):
+            try:
+                blocks_count(arch.family, arch.dims, arch.block_size)
+            except BlockError as exc:
+                raise ConfigError(
+                    f"[architecture] {cfg.scenario} lattice, family {arch.family!r}, "
+                    f"block size {arch.block_size}: {exc}"
+                ) from exc
 
 
 # -- evaluation -----------------------------------------------------------------
-
-
-def _point_results(cfg: ExperimentConfig, value: float) -> list[SchemeResult]:
-    q = cfg.q
-    capacity = cfg.capacity
-    levels = cfg.levels
-    block_sizes = list(cfg.block_sizes)
-    if cfg.sweep_param == "q":
-        q = value
-    elif cfg.sweep_param == "capacity":
-        capacity = int(round(value))
-    elif cfg.sweep_param == "levels":
-        levels = int(round(value))
-    elif cfg.sweep_param == "block_size":
-        block_sizes = [int(round(value))]
-
-    m = cfg.m if cfg.target == "m" else None
-    threshold = cfg.threshold if cfg.target == "threshold" else None
-    results: list[SchemeResult] = []
-    if cfg.scenario == "ghz":
-        for scheme_id in cfg.schemes:
-            scheme = "A" if scheme_id == "A-opt" else scheme_id
-            res = ghz_scheme_fidelity(
-                scheme,
-                capacity,
-                q,
-                cfg.p,
-                m=cfg.m,
-                channel=cfg.channel,
-                channel_params={"px": cfg.px, "pz": cfg.pz},
-                optimize_split=(scheme_id == "A-opt"),
-            )
-            res.scheme = scheme_id
-            results.append(res)
-    elif cfg.scenario == "triangular":
-        for scheme_id in cfg.schemes:
-            results.append(triangular_repeater(levels, capacity, q, cfg.p, scheme_id))
-    elif cfg.scenario == "cluster":
-        storage = StorageModel(cfg.storage_mode, capacity)
-        for family in cfg.families:
-            sizes = [1] if family == "bipartite" else block_sizes
-            for b in sizes:
-                arch = Architecture(family, cfg.dims, b)
-                results.append(cluster_architecture_run(arch, storage, q, m=m, threshold=threshold))
-    else:  # from-bell
-        multi, bip = from_bell_run(cfg.dims, q, capacity, m=m, threshold=threshold)
-        results += [multi, bip]
-    return results
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[tuple]:
@@ -313,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[tuple]:
     return [
         (cfg.sweep_param, value, res.scheme, res.fidelity, res.m, res.n_used, 1 if res.infeasible else 0)
         for value in cfg.sweep_values
-        for res in sorted(_point_results(cfg, value), key=lambda r: r.scheme)
+        for res in sorted(SCENARIOS[cfg.scenario].run(_at(cfg, value)), key=lambda r: r.scheme)
     ]
 
 

@@ -41,16 +41,20 @@ from .noise import (
     uniform_edge_channel_marginal,
 )
 
-GHZ_SCHEMES = ("A", "B", "C")
-
-# Qubits a station must hold per copy in the 3-GHZ scenario: the multipartite
-# scheme stores one qubit everywhere, the pair-based schemes store two at the
-# middle station that holds one half of each Bell ensemble.
-GHZ_PER_COPY = {"A": 1, "B": 2, "C": 2}
+# Qubits a station must hold per copy in the 3-GHZ scenario, keyed by scheme
+# id: the multipartite schemes store one qubit everywhere (A with the equal
+# slack split, A-opt with the optimized one), the pair-based schemes store two
+# at the middle station that holds one half of each Bell ensemble.
+GHZ_PER_COPY = {"A": 1, "A-opt": 1, "B": 2, "C": 2}
 
 # Qubits a station must hold per copy on the triangular network, where several
 # elementary states meet at each station.
 TRIANGULAR_PER_COPY = {"A": 3, "B": 4, "C": 4}
+
+# The most distance doublings whose 3^levels elementary states is a finite float.
+MAX_LEVELS = 646
+
+STORAGE_MODES = ("per-node", "global")
 
 
 class SchemeError(MultinetError):
@@ -65,8 +69,8 @@ class StorageModel:
     capacity: int
 
     def __post_init__(self):
-        if self.mode not in ("per-node", "global"):
-            raise SchemeError(f"storage mode must be 'per-node' or 'global', got {self.mode!r}")
+        if self.mode not in STORAGE_MODES:
+            raise SchemeError(f"storage mode must be one of {STORAGE_MODES}, got {self.mode!r}")
         if self.capacity < 1:
             raise SchemeError(f"storage capacity must be >= 1, got {self.capacity}")
 
@@ -175,12 +179,12 @@ def _ghz_channels(channel: str, q: float, p: float, q_params: dict | None):
         ch = PauliChannel.phase_flip(1.0 - q)
         star = {0: list(resource), 1: [ch] + resource, 2: [ch] + resource}
         pair = (list(resource), [ch] + resource)
-    elif channel == "biased":
-        ch = PauliChannel.biased(p_x=params.get("px", 1e-5), p_z=params.get("pz", 0.02))
+    elif channel == "biased" and params.keys() >= {"px", "pz"}:
+        ch = PauliChannel.biased(p_x=params["px"], p_z=params["pz"])
         star = {0: list(resource), 1: [ch] + resource, 2: [ch] + resource}
         pair = (list(resource), [ch] + resource)
     else:
-        raise SchemeError(f"unsupported channel {channel!r} for the GHZ scenario")
+        raise SchemeError(f"unsupported channel {channel!r} for the GHZ scenario (biased needs px and pz)")
     return star, pair
 
 
@@ -194,17 +198,17 @@ def _star_classes(g: Graph, star_channels: dict[int, list[PauliChannel]]) -> lis
     return vertex_classes(g, color_graph(g), bit_marginals(g, sources))[0]
 
 
-def _ghz_bound(scheme: str, n: int, m: int, star, pair, p: float, optimize_split: bool) -> float:
+def _ghz_bound(scheme: str, n: int, m: int, star, pair, p: float) -> float:
     """3-GHZ bound of one scheme at (n, m), output noise included.
 
-    Scheme A hashes the star states directly; B and C hash two Bell
-    ensembles and merge them, B with one more noise layer on the two
-    merge-touched qubits.
+    Schemes A and A-opt hash the star states directly, A-opt at the
+    optimized slack split; B and C hash two Bell ensembles and merge them,
+    B with one more noise layer on the two merge-touched qubits.
     """
     g = build_graph("ghz-star", s=3)
-    if scheme == "A":
+    if scheme.startswith("A"):
         classes = _star_classes(g, star)
-        if optimize_split:
+        if scheme == "A-opt":
             _, fid = optimize_delta_split_classes(classes, n, m)
         else:
             fid, _ = multipartite_bound_classes(classes, n, m)
@@ -222,24 +226,26 @@ def ghz_scheme_fidelity(
     q: float,
     p: float = 1.0,
     m: int = 1,
-    channel: str = "ldn",
+    *,
+    channel: str,
     channel_params: dict | None = None,
-    optimize_split: bool = False,
 ) -> SchemeResult:
     """Reachable-fidelity bound for distributing a 3-qubit GHZ state.
 
     Scheme A purifies the 3-party states directly with the multipartite
-    protocol (one stored qubit per station per copy).  Schemes B and C
-    purify two Bell ensembles (two stored qubits at the middle station) and
-    merge; C does hashing plus merge in a single measurement-based step,
-    B pays an extra noise layer on the two merge-touched qubits.
+    protocol (one stored qubit per station per copy), A-opt likewise at the
+    optimized slack split.  Schemes B and C purify two Bell ensembles (two
+    stored qubits at the middle station) and merge; C does hashing plus
+    merge in a single measurement-based step, B pays an extra noise layer
+    on the two merge-touched qubits.  ``channel`` is ``ldn``, ``z`` or
+    ``biased``, whose weights are ``channel_params["px"]`` and ``["pz"]``.
     """
-    if scheme not in GHZ_SCHEMES:
-        raise SchemeError(f"scheme must be one of {GHZ_SCHEMES}, got {scheme!r}")
+    if scheme not in GHZ_PER_COPY:
+        raise SchemeError(f"scheme must be one of {tuple(GHZ_PER_COPY)}, got {scheme!r}")
     n = capacity // GHZ_PER_COPY[scheme]
 
     def bound(m: int) -> float:
-        return _ghz_bound(scheme, n, m, *_ghz_channels(channel, q, p, channel_params), p, optimize_split)
+        return _ghz_bound(scheme, n, m, *_ghz_channels(channel, q, p, channel_params), p)
 
     return _evaluate(scheme, n, bound, m=m)
 
@@ -259,15 +265,15 @@ def triangular_repeater(
     of the distance: 3^k for the multipartite scheme, 2^(k+1) for the
     pair-based ones.
     """
-    if levels < 0:
-        raise SchemeError(f"levels must be >= 0, got {levels}")
-    if scheme not in GHZ_SCHEMES:
-        raise SchemeError(f"scheme must be one of {GHZ_SCHEMES}, got {scheme!r}")
+    if not 0 <= levels <= MAX_LEVELS:
+        raise SchemeError(f"levels must be in [0, {MAX_LEVELS}], got {levels}")
+    if scheme not in TRIANGULAR_PER_COPY:
+        raise SchemeError(f"scheme must be one of {tuple(TRIANGULAR_PER_COPY)}, got {scheme!r}")
     n = capacity // TRIANGULAR_PER_COPY[scheme]
     exponent = 3**levels if scheme == "A" else 2 ** (levels + 1)
 
     def bound(m: int) -> float:
-        return _ghz_bound(scheme, n, m, *_ghz_channels("ldn", q, p, None), p, False) ** exponent
+        return _ghz_bound(scheme, n, m, *_ghz_channels("ldn", q, p, None), p) ** exponent
 
     return _evaluate(scheme, n, bound, m=1)
 

@@ -134,8 +134,8 @@ def test_criterion_03_ghz_closed_forms():
 
 def test_criterion_04_fig3_bipartite_wins_under_ldn():
     for cap in CAPACITY_SWEEP:
-        fa = ghz_scheme_fidelity("A", cap, 0.98, 1.0).fidelity
-        fc = ghz_scheme_fidelity("C", cap, 0.98, 1.0).fidelity
+        fa = ghz_scheme_fidelity("A", cap, 0.98, 1.0, channel="ldn").fidelity
+        fc = ghz_scheme_fidelity("C", cap, 0.98, 1.0, channel="ldn").fidelity
         assert fc >= fa
     report(4, "q=0.98, p=1: pair-based bound >= multipartite bound at all capacities")
 
@@ -143,9 +143,9 @@ def test_criterion_04_fig3_bipartite_wins_under_ldn():
 def test_criterion_05_fig4_ordering_with_noisy_resources():
     strict_ca = strict_ab = False
     for cap in CAPACITY_SWEEP:
-        fa = ghz_scheme_fidelity("A", cap, 0.99, 0.98).fidelity
-        fb = ghz_scheme_fidelity("B", cap, 0.99, 0.98).fidelity
-        fc = ghz_scheme_fidelity("C", cap, 0.99, 0.98).fidelity
+        fa = ghz_scheme_fidelity("A", cap, 0.99, 0.98, channel="ldn").fidelity
+        fb = ghz_scheme_fidelity("B", cap, 0.99, 0.98, channel="ldn").fidelity
+        fc = ghz_scheme_fidelity("C", cap, 0.99, 0.98, channel="ldn").fidelity
         assert fc >= fa >= fb
         strict_ca |= fc > fa
         strict_ab |= fa > fb
@@ -169,8 +169,7 @@ def test_criterion_07_fig6_split_optimization():
             "A", cap, 0.98, 1.0, channel="biased", channel_params=params
         ).fidelity
         optimized = ghz_scheme_fidelity(
-            "A", cap, 0.98, 1.0, channel="biased", channel_params=params,
-            optimize_split=True,
+            "A-opt", cap, 0.98, 1.0, channel="biased", channel_params=params
         ).fidelity
         assert optimized >= equal
         strictly_better |= optimized > equal

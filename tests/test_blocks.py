@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -188,6 +189,15 @@ class TestCovers:
             index = {s: i for i, s in enumerate(sites)}
             assert coords == dict(enumerate(sites))
             assert g.edges() == sorted((index[a], index[c]) for a, c in group)
+
+    def test_oversized_block_rejected_before_its_cell(self):
+        # the cells would have ~b^dim edges (10^12 at b = 10^6); the period check comes first
+        start = time.perf_counter()
+        for family, dims, b in itertools.product(FAMILIES[1:], ((8, 8), (8, 8, 8), (64, 64)), (64, 10**6)):
+            with pytest.raises(BlockError, match="period"):
+                blocks_count(family, dims, b)
+        assert time.perf_counter() - start < 0.1
+        assert blocks_count("shifted-grid", (8, 8, 8), 8) == 16  # b equal to the extent still tiles
 
     def test_incompatible_dims(self):
         with pytest.raises(BlockError):

@@ -1,8 +1,13 @@
 """Config parsing, CSV output, presets, exit codes."""
 
+import configparser
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinet.blocks import site_costs
 from multinet.cli import (
@@ -362,3 +367,195 @@ class TestMain:
                 assert main(["run", preset, "--out", str(out)]) == 0
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1] == (GOLDEN / f"{preset}.csv").read_bytes()
+
+
+TRIANGULAR = """
+[experiment]
+scenario = triangular
+sweep = levels
+sweep_values = 0,1
+
+[noise]
+q = 0.99
+
+[architecture]
+schemes = A,C
+
+[storage]
+capacity = 1600
+"""
+
+
+def exit_and_err(tmp_path, capsys, command, text):
+    """``main``'s exit code and stderr for ``command`` on a config holding ``text``."""
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "case.csv"
+    code = main([command, str(cfg)] + (["--out", str(out)] if command == "run" else []))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert not out.exists()
+    return code, err
+
+
+class TestScenarioContract:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL.replace("channel = ldn", "channel = edge"),
+            TRIANGULAR.replace("q = 0.99", "q = 0.99\nchannel = z"),
+            TRIANGULAR.replace("q = 0.99", "q = 0.99\nchannel = biased"),
+            CLUSTER + "\n[noise]\nchannel = z\n",
+            CLUSTER + "\n[noise]\nchannel = biased\n",
+            FROM_BELL.replace("channel = edge", "channel = z"),
+        ],
+        ids=["ghz-edge", "triangular-z", "triangular-biased", "cluster-z", "cluster-biased", "from-bell-z"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_channel_the_scenario_does_not_model(self, tmp_path, capsys, command, text):
+        code, err = exit_and_err(tmp_path, capsys, command, text)
+        assert code == 2 and "[noise] key 'channel'" in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (TRIANGULAR.replace("sweep_values = 0,1", "sweep_values = 0,1\ntarget = threshold\nm = 7"), "target"),
+            (TRIANGULAR.replace("sweep_values = 0,1", "sweep_values = 0,1\nm = 7"), "m"),
+            (MINIMAL.replace("target = m\nm = 1", "target = threshold\nm = 0"), "target"),
+            (MINIMAL.replace("m = 1", "m = 1\nthreshold = 0.5"), "threshold"),
+            (CLUSTER + "\n[noise]\np = 0.5\n", "p"),
+            (CLUSTER.replace("dims = 8x8", "dims = 8x8\nschemes = A"), "schemes"),
+            (MINIMAL + "\n[storage]\nmode = global\n", "mode"),
+            (TRIANGULAR.replace("capacity = 1600", "capacity = 1600\nmode = global"), "mode"),
+            (FROM_BELL.replace("capacity = 100", "capacity = 100\nmode = global"), "mode"),
+            (FROM_BELL.replace("dims = 8x8", "dims = 8x8\nblock_sizes = 2"), "block_sizes"),
+            (MINIMAL.replace("schemes = A,C", "schemes = A,C\nlevels = 3"), "levels"),
+        ],
+        ids=[
+            "triangular-threshold", "triangular-m", "ghz-threshold", "ghz-threshold-value", "cluster-p",
+            "cluster-schemes", "ghz-global", "triangular-global", "from-bell-global", "from-bell-block-sizes",
+            "ghz-levels",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_setting_the_scenario_ignores(self, tmp_path, capsys, command, text, key):
+        code, err = exit_and_err(tmp_path, capsys, command, text)
+        assert code == 2 and f"key '{key}'" in err and "does not read" in err
+
+    def test_settings_at_their_default_are_accepted(self):
+        parse_config(MINIMAL + "\n[storage]\nmode = per-node\n")
+        parse_config(CLUSTER + "\n[noise]\np = 1.0\n")
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (TRIANGULAR.replace("sweep = levels\nsweep_values = 0,1", "sweep = capacity\nsweep_values = 1600")
+             .replace("schemes = A,C", "schemes = A,C\nlevels = -1"), "'levels'"),
+            (TRIANGULAR.replace("sweep_values = 0,1", "sweep_values = 0,700"), "domain"),
+            (TRIANGULAR.replace("sweep_values = 0,1", "sweep_values = 0,647"), "domain"),
+            (TRIANGULAR.replace("sweep_values = 0,1", "sweep_values = 0,1.5"), "'levels'"),
+            (MINIMAL.replace("m = 1", "m = 0"), "'m'"),
+            (CLUSTER.replace("dims = 8x8", "dims = 8x8\nblock_sizes = 0"), "'block_sizes'"),
+            (CLUSTER.replace("capacity = 400", "capacity = -5"), "'capacity'"),
+        ],
+        ids=["levels-negative", "levels-swept-700", "levels-swept-647", "levels-swept-fraction", "m-zero",
+             "block-size-zero", "capacity-negative"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_one_domain_per_numeric_key(self, tmp_path, capsys, command, text, named):
+        code, err = exit_and_err(tmp_path, capsys, command, text)
+        assert code == 2 and named in err
+
+    def test_levels_bound_is_accepted(self):
+        rows = run_experiment(parse_config(TRIANGULAR.replace("sweep_values = 0,1", "sweep_values = 646")))
+        assert [r[2] for r in rows] == ["A", "C"] and all(0.0 <= r[3] <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_oversized_block_size_is_rejected_fast(self, tmp_path, capsys, command):
+        import time
+
+        start = time.perf_counter()
+        code, err = exit_and_err(
+            tmp_path, capsys, command, CLUSTER.replace("dims = 8x8", "dims = 8x8\nblock_sizes = 1000000")
+        )
+        assert code == 2 and "block size 1000000" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_sweep_values_and_range_together_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="sweep_min"):
+            parse_config(MINIMAL.replace("sweep_steps = 3", "sweep_steps = 3\nsweep_values = 200"))
+
+
+# Every key a config may hold, with the names it may take, listed here rather
+# than read from the module under test so that the generator runs unchanged
+# against older versions.  Unknown names are mixed in.
+NAMES = {
+    "scenario": ["ghz", "triangular", "cluster", "from-bell", "mesh"],
+    "sweep": ["capacity", "q", "levels", "block_size", "m"],
+    "target": ["m", "threshold", "fidelity"],
+    "channel": ["ldn", "z", "biased", "edge", "amplitude"],
+    "mode": ["per-node", "global", "shared"],
+    "schemes": ["A", "A-opt", "B", "C", "D", "A,A-opt,B,C"],
+    "families": ["bipartite", "windmill", "shifted-grid", "mesh", "bipartite,windmill,shifted-grid"],
+}
+KEYS_BY_SECTION = {
+    "experiment": ("scenario", "sweep", "sweep_values", "target", "m", "threshold"),
+    "noise": ("channel", "q", "p", "px", "pz"),
+    "architecture": ("schemes", "families", "block_sizes", "dims", "levels"),
+    "storage": ("mode", "capacity"),
+}
+# Caps that keep an example fast: at most 3 sweep values, lattice extents at
+# most 64, block sizes at most 8 plus one far above every extent.
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "646", "700", "1e308", "1" + "0" * 40, "fast"]),
+    st.integers(-3, 3000).map(str),
+    st.floats(-0.5, 1.5).map(repr),
+)
+VALUES = {
+    **{key: st.sampled_from(names) for key, names in NAMES.items()},
+    "sweep_values": st.lists(NUMBERS, min_size=1, max_size=3).map(",".join),
+    "dims": st.lists(st.integers(1, 64), min_size=1, max_size=3).map(lambda ds: "x".join(map(str, ds))),
+    "block_sizes": st.lists(st.one_of(st.integers(1, 8), st.just(10**6)), min_size=1, max_size=3)
+    .map(lambda bs: ",".join(map(str, bs))),
+}
+
+
+@st.composite
+def mutated_presets(draw):
+    """A packaged preset cut to at most 3 sweep values, then mutated: each name
+    it holds is swapped 1 time in 2, and 0-2 keys are dropped or set."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(load_config_source(draw(st.sampled_from(preset_names())))[0])
+    exp = parser["experiment"]
+    lo, hi = float(exp.pop("sweep_min")), float(exp.pop("sweep_max"))
+    del exp["sweep_steps"]
+    picks = draw(st.lists(st.sampled_from([lo, (lo + hi) / 2, hi]), min_size=1, max_size=3))
+    exp["sweep_values"] = ",".join(map(repr, sorted(picks)))
+    for section in parser.sections():
+        for key in NAMES.keys() & parser[section].keys():
+            if draw(st.booleans()):
+                parser.set(section, key, draw(st.sampled_from(NAMES[key])))
+    for _ in range(draw(st.integers(0, 2))):
+        section, key = draw(st.sampled_from([(s, k) for s, keys in KEYS_BY_SECTION.items() for k in keys]))
+        if not parser.has_section(section):
+            parser.add_section(section)
+        if draw(st.integers(0, 3)) == 0:
+            parser.remove_option(section, key)
+        else:
+            parser.set(section, key, draw(VALUES.get(key, NUMBERS)))
+    return parser
+
+
+class TestCliProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_presets())
+    def test_validate_agrees_with_run(self, parser):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "case.cfg"), os.path.join(tmp, "case.csv")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                parser.write(fh)
+            checked = main(["validate", cfg])
+            ran = main(["run", cfg, "--out", out])
+        assert checked in (0, 2) and ran in (0, 2, 3)
+        assert not (checked == 0 and ran == 2), "validate accepted a config that run rejects"

@@ -10,6 +10,7 @@ from multinet.blocks import FAMILIES, BlockError
 from multinet.graphstate import Graph, MultinetError, build_graph, merge_vertices
 from multinet.schemes import (
     Architecture,
+    MAX_LEVELS,
     SchemeError,
     StorageModel,
     allocate_global_storage,
@@ -34,40 +35,53 @@ def target_lattice(dims):
 class TestGhzSchemes:
     def test_b_equals_c_with_perfect_resources(self):
         for cap in CAPS:
-            b = ghz_scheme_fidelity("B", cap, 0.98, 1.0)
-            c = ghz_scheme_fidelity("C", cap, 0.98, 1.0)
+            b = ghz_scheme_fidelity("B", cap, 0.98, 1.0, channel="ldn")
+            c = ghz_scheme_fidelity("C", cap, 0.98, 1.0, channel="ldn")
             assert b.fidelity == c.fidelity
 
     def test_b_below_c_with_noisy_resources(self):
         for cap in (200, 800, 1600):
-            b = ghz_scheme_fidelity("B", cap, 0.99, 0.98)
-            c = ghz_scheme_fidelity("C", cap, 0.99, 0.98)
+            b = ghz_scheme_fidelity("B", cap, 0.99, 0.98, channel="ldn")
+            c = ghz_scheme_fidelity("C", cap, 0.99, 0.98, channel="ldn")
             assert b.fidelity <= c.fidelity
             assert b.fidelity == pytest.approx(c.fidelity * 0.985**2, rel=1e-12)
 
     def test_storage_accounting(self):
-        a = ghz_scheme_fidelity("A", 501, 0.98)
-        c = ghz_scheme_fidelity("C", 501, 0.98)
+        a = ghz_scheme_fidelity("A", 501, 0.98, channel="ldn")
+        c = ghz_scheme_fidelity("C", 501, 0.98, channel="ldn")
         assert a.n_used == 501
         assert c.n_used == 250
 
     def test_fidelities_in_unit_interval(self):
         for scheme in "ABC":
             for q, p in [(0.98, 1.0), (0.99, 0.98), (0.9, 0.95)]:
-                res = ghz_scheme_fidelity(scheme, 400, q, p)
+                res = ghz_scheme_fidelity(scheme, 400, q, p, channel="ldn")
                 assert 0.0 <= res.fidelity <= 1.0
 
     def test_very_noisy_input_infeasible(self):
-        res = ghz_scheme_fidelity("A", 400, 0.3, 1.0)
+        res = ghz_scheme_fidelity("A", 400, 0.3, 1.0, channel="ldn")
         assert res.infeasible and res.fidelity == 0.0
 
     def test_unknown_scheme(self):
         with pytest.raises(SchemeError):
-            ghz_scheme_fidelity("D", 400, 0.98)
+            ghz_scheme_fidelity("D", 400, 0.98, channel="ldn")
+
+    def test_optimized_split_is_a_scheme_of_its_own(self):
+        biased = {"channel": "biased", "channel_params": {"px": 1e-5, "pz": 0.02}}
+        equal = ghz_scheme_fidelity("A", 200, 1.0, **biased)
+        optimized = ghz_scheme_fidelity("A-opt", 200, 1.0, **biased)
+        assert (equal.scheme, optimized.scheme) == ("A", "A-opt")
+        assert optimized.n_used == equal.n_used and optimized.fidelity > equal.fidelity
+        with pytest.raises(SchemeError):
+            triangular_repeater(0, 1600, 0.99, 0.98, "A-opt")
+
+    def test_biased_channel_needs_its_weights(self):
+        with pytest.raises(SchemeError, match="biased"):
+            ghz_scheme_fidelity("A", 1000, 0.98, channel="biased", channel_params={"px": 1e-5})
 
     def test_output_copies_parameter(self):
-        one = ghz_scheme_fidelity("A", 800, 0.98, m=1)
-        many = ghz_scheme_fidelity("A", 800, 0.98, m=100)
+        one = ghz_scheme_fidelity("A", 800, 0.98, m=1, channel="ldn")
+        many = ghz_scheme_fidelity("A", 800, 0.98, m=100, channel="ldn")
         assert many.fidelity < one.fidelity
 
 
@@ -76,11 +90,20 @@ class TestTriangular:
         a = triangular_repeater(0, 1600, 0.99, 0.98, "A")
         c = triangular_repeater(0, 1600, 0.99, 0.98, "C")
         # same protocols at the same copy count, exponents 3^0 = 1 vs 2^1 = 2
-        elem_a = ghz_scheme_fidelity("A", 533, 0.99, 0.98)
-        elem_c = ghz_scheme_fidelity("C", 800, 0.99, 0.98)  # n = 400 pairs
+        elem_a = ghz_scheme_fidelity("A", 533, 0.99, 0.98, channel="ldn")
+        elem_c = ghz_scheme_fidelity("C", 800, 0.99, 0.98, channel="ldn")  # n = 400 pairs
         assert a.n_used == 533 and c.n_used == 400
         assert a.fidelity == pytest.approx(elem_a.fidelity, rel=1e-12)
         assert c.fidelity == pytest.approx(elem_c.fidelity**2, rel=1e-12)
+
+    def test_levels_bounded_where_the_exponent_stays_finite(self):
+        assert float(3**MAX_LEVELS) < float("inf")
+        with pytest.raises(OverflowError):
+            float(3 ** (MAX_LEVELS + 1))
+        for scheme in ("A", "C"):
+            assert 0.0 <= triangular_repeater(MAX_LEVELS, 1600, 0.99, 0.98, scheme).fidelity <= 1.0
+            with pytest.raises(SchemeError, match="levels"):
+                triangular_repeater(MAX_LEVELS + 1, 1600, 0.99, 0.98, scheme)
 
     def test_perfect_channel(self):
         for k in range(9):
