@@ -14,10 +14,8 @@ from .graphstate import (
     build_graph,
     color_graph,
     connect_project,
-    from_text,
     local_complement,
     merge_vertices,
-    to_text,
 )
 from .hashing import (
     HashingRun,
@@ -25,9 +23,7 @@ from .hashing import (
     bennett_success,
     bipartite_bound,
     entropy,
-    max_output_copies,
     multipartite_bound,
-    optimize_delta_split,
 )
 from .noise import (
     BitMarginal,
@@ -37,7 +33,6 @@ from .noise import (
     PauliChannel,
     bit_marginals,
     channel_to_flip_source,
-    compose_depolarizing,
     edge_channel_to_flip_source,
     output_noise_factor,
 )
@@ -79,21 +74,16 @@ __all__ = [
     "channel_to_flip_source",
     "cluster_architecture_run",
     "color_graph",
-    "compose_depolarizing",
     "connect_project",
     "edge_channel_to_flip_source",
     "entropy",
     "from_bell_run",
-    "from_text",
     "ghz_scheme_fidelity",
     "local_complement",
-    "max_output_copies",
     "merge_vertices",
     "multipartite_bound",
-    "optimize_delta_split",
     "output_noise_factor",
     "storage_per_node",
-    "to_text",
     "triangular_repeater",
     "validate_cover",
 ]

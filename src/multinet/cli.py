@@ -14,7 +14,8 @@ ordered by sweep value then scheme id, numbers serialized with 12
 significant digits.  Sweep points are evaluated one after another, in sweep
 order, and output is byte-identical across runs.
 
-Exit codes: 0 success, 2 configuration error, 3 every sweep point was
+A sweep range has at most ``MAX_SWEEP_STEPS`` points, checked before any is
+built.  Exit codes: 0 success, 2 configuration error, 3 every sweep point was
 infeasible (the CSV is still written).
 """
 
@@ -44,6 +45,9 @@ from .schemes import (
     ghz_scheme_fidelity,
     triangular_repeater,
 )
+
+
+MAX_SWEEP_STEPS = 100_000
 
 
 class ConfigError(MultinetError):
@@ -230,8 +234,8 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"[experiment] is missing required key '{key}'")
     if ranged:
         lo, hi, steps = (given.pop(key) for key in _SWEEP_RANGE)
-        if steps < 1:
-            raise ConfigError("[experiment] key 'sweep_steps': must be >= 1")
+        if not 1 <= steps <= MAX_SWEEP_STEPS:
+            raise ConfigError(f"[experiment] key 'sweep_steps': must be in [1, {MAX_SWEEP_STEPS}]")
         if hi < lo:
             raise ConfigError("[experiment] key 'sweep_min': range is empty (sweep_min > sweep_max)")
         given["sweep_values"] = [lo + i * (hi - lo) / max(steps - 1, 1) for i in range(steps)]
@@ -263,9 +267,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     swept = sc.sweeps.get(cfg.sweep_param)
     defaults = ExperimentConfig(cfg.scenario, cfg.sweep_param, cfg.sweep_values)
     for key, (section, field_name, _, domain) in _SPEC.items():
-        if field_name is None or key == swept:
-            continue  # the swept key is checked at each sweep point
+        if field_name is None:
+            continue
         name, value = f"[{section}] key '{key}'", getattr(cfg, field_name)
+        if key == swept:  # its values are the sweep's, checked at each point below
+            if value != getattr(defaults, field_name):
+                raise ConfigError(f"{name}: the sweep over '{cfg.sweep_param}' sets it; remove it")
+            continue
         if key in sc.needs and value == getattr(defaults, field_name):
             raise ConfigError(f"{name}: required by the {cfg.scenario} scenario")
         if key not in sc.needs + sc.reads and value != getattr(defaults, field_name):

@@ -13,8 +13,6 @@ This module provides:
   local Z corrections.
 - ``color_graph``: deterministic proper coloring (bipartite BFS with a
   greedy fallback).
-- ``to_text`` / ``from_text``: a newline-delimited exchange format for
-  library users and tests (the CLI does not use it).
 
 All operations return new graphs and leave their inputs unchanged; the CLI
 evaluates sweep points one after another, not in parallel.
@@ -338,48 +336,3 @@ def color_graph(g: Graph, max_colors: int = 2) -> dict[int, int]:
             raise ColoringError(f"greedy coloring needs more than {max_colors} colors")
         coloring[v] = color
     return coloring
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def to_text(g: Graph) -> str:
-    """Serialize to the newline-delimited exchange format.
-
-    Vertices are relabeled densely to ``0..n-1`` in ascending id order, so
-    graphs with deletion holes serialize cleanly; coordinates are not kept.
-    """
-    ids = {v: i for i, v in enumerate(g.vertices())}
-    lines = [f"graph {g.vertex_count}"]
-    lines += [f"e {ids[a]} {ids[b]}" for a, b in g.edges()]
-    if g.coloring is not None:
-        lines += [f"c {ids[v]} {g.coloring[v]}" for v in g.vertices()]
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Graph:
-    """Parse the exchange format produced by :func:`to_text`."""
-    n = None
-    edges = []
-    coloring: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "graph" and len(parts) == 2:
-            if n is not None:
-                raise GraphError(f"line {lineno}: duplicate header")
-            n = int(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "c" and len(parts) == 3:
-            coloring[int(parts[1])] = int(parts[2])
-        else:
-            raise GraphError(f"line {lineno}: cannot parse {raw!r}")
-    if n is None:
-        raise GraphError("missing 'graph <n>' header")
-    for a, b in edges:
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphError(f"edge ({a},{b}) out of range for {n} vertices")
-    return Graph(range(n), edges, coloring=coloring or None)

@@ -27,11 +27,22 @@ The class-level bound is evaluated by one engine.  Each
 also when its distribution is validated.  For one (classes, n, m),
 :class:`_SplitBound` does the color grouping, the target check, Delta and
 the per-class constants once; the bound at a given split then costs only the
-Bennett arithmetic, through the same kernel as :func:`bennett_loss`.  The
-slack-split optimizer skips runs of candidates whose bound, at each color's
-largest share, cannot beat the best so far: the bound never falls as a slack
-grows, even rounded.  So its result is exactly that of evaluating every
-candidate.
+Bennett arithmetic, through the same kernel as :func:`bennett_loss`, summed
+in log space one color at a time.
+
+The slack-split optimizer rests on a lemma: for any c = n*V/a^2, each loss
+L = 2*exp(-c*h(u)) + 2^(-n*delta), u = a*delta/V, is convex in delta wherever
+L < 1.  The second term is convex, and the first wherever c*h'^2 >= h'', that
+is c*(1+u)*(1+t)^2 >= 1 with t = ln(1+u).  L < 1 needs c*h(u) > ln 2, and
+then c*(1+u)*(1+t)^2 > ln2*(1+t)^2/t >= 1, as ln2*t^2 + (2*ln2 - 1)*t + ln2
+has discriminant 1 - 4*ln2 < 0.  So log F, a sum of count*log(1 - L), is
+concave along the two-color candidate line (each slack is affine on it)
+wherever it is finite, which is an interval: a color's rows are finite once
+its share is large enough.  With two colors the optimizer therefore searches
+for the optimum; with more, it skips runs of candidates whose bound, at each
+color's largest share, cannot beat the best so far, as the bound never falls
+while a slack grows, even rounded.  Either way its result is exactly that of
+evaluating every candidate.
 
 Threshold targets have one search, :func:`largest_m`: a bisection for the
 largest m whose bound (any function of m that does not increase with it)
@@ -227,9 +238,9 @@ class _SplitBound:
 
     Construction groups the classes (validating them), checks 1 <= m <= n
     and computes the budget Delta, raising :class:`InfeasibleTargetError`
-    when it is not positive.  It keeps one row (color index, count,
-    (S_c - S_k)/2, (S, a, V)) per class of positive entropy, in sorted color
-    order, so that evaluating a split repeats none of that work.
+    when it is not positive.  It keeps, per color in sorted order, one row
+    (count, (S_c - S_k)/2, (S, a, V)) per class of positive entropy, so
+    that evaluating a split repeats none of that work.
     """
 
     def __init__(self, classes: Iterable[MarginalClass], n: int, m: int):
@@ -248,21 +259,30 @@ class _SplitBound:
                 f"target m/n={m}/{n} unreachable: color entropies sum to {total_entropy:.6f}"
             )
         self.rows = [
-            (i, cls.count, 0.5 * (s_color[color] - cls.entropy), cls._constants)
-            for i, color in enumerate(self.colors)
-            for cls in by_color[color]
-            if cls.entropy != 0.0
+            [(cls.count, 0.5 * (s_color[color] - cls.entropy), cls._constants)
+             for cls in by_color[color] if cls.entropy != 0.0]
+            for color in self.colors
         ]
+
+    def fold(self, i: int, slack: float, log_f: float = 0.0, worst: float = 0.0) -> tuple[float, float]:
+        """``log_f`` plus color i's terms count*log1p(-loss) at ``slack``, -inf once a loss
+        reaches 1, and the largest of ``worst`` and those losses."""
+        n = self.n
+        for count, gap, (s, a, v) in self.rows[i]:
+            loss = _loss(s, a, v, n, slack + gap)
+            if loss >= 1.0:
+                return -math.inf, loss
+            log_f += count * math.log1p(-loss)
+            if loss > worst:
+                worst = loss
+        return log_f, worst
 
     def fidelity(self, slacks: Sequence[float]) -> float:
         """The bound when ``colors[i]`` gets the (positive) slack ``slacks[i]``."""
-        n = self.n
         log_f = 0.0
-        for i, count, gap, (s, a, v) in self.rows:
-            loss = _loss(s, a, v, n, slacks[i] + gap)
-            if loss >= 1.0:
-                return 0.0
-            log_f += count * math.log1p(-loss)
+        for i in range(len(self.rows)):
+            if log_f > -math.inf:
+                log_f = self.fold(i, slacks[i], log_f)[0]
         return math.exp(log_f)
 
     def at(self, fracs: Sequence[float]) -> float:
@@ -334,12 +354,23 @@ def vertex_classes(
     return [MarginalClass(lambda1=lam, color=col, count=cnt) for (lam, col), cnt in counts], key_by_vertex
 
 
-def _vertex_run(classes, key_by_vertex, n: int, m: int, delta_split) -> HashingRun:
-    """The class bound, with each class's slack and success read onto its vertices.
+def multipartite_bound(
+    g: Graph,
+    coloring: dict[int, int],
+    marginals: Sequence[BitMarginal],
+    n: int,
+    m: int,
+    delta_split: dict[int, float] | None = None,
+) -> HashingRun:
+    """Finite-size bound for multipartite hashing of a colored graph state.
 
-    A class of an inactive color, or of zero entropy, needs no identification:
-    its vertices get slack 0 and success 1.
+    ``marginals`` must hold one marginal per vertex of ``g`` (see
+    :func:`vertex_classes`).  The per-vertex slack and success probability
+    are reported alongside the global product bound.  A class of an
+    inactive color, or of zero entropy, needs no identification: its
+    vertices get slack 0 and success 1.
     """
+    classes, key_by_vertex = vertex_classes(g, coloring, marginals)
     fidelity, delta_color = multipartite_bound_classes(classes, n, m, delta_split=delta_split)
     s_color = _group_classes(classes)[1]
     by_class: dict[tuple[float, int], tuple[float, float]] = {}
@@ -357,24 +388,6 @@ def _vertex_run(classes, key_by_vertex, n: int, m: int, delta_split) -> HashingR
         fidelity_by_vertex={v: by_class[key][1] for v, key in key_by_vertex.items()},
         fidelity=fidelity,
     )
-
-
-def multipartite_bound(
-    g: Graph,
-    coloring: dict[int, int],
-    marginals: Sequence[BitMarginal],
-    n: int,
-    m: int,
-    delta_split: dict[int, float] | None = None,
-) -> HashingRun:
-    """Finite-size bound for multipartite hashing of a colored graph state.
-
-    ``marginals`` must hold one marginal per vertex of ``g`` (see
-    :func:`vertex_classes`).  The per-vertex slack and success probability
-    are reported alongside the global product bound.
-    """
-    classes, key_by_vertex = vertex_classes(g, coloring, marginals)
-    return _vertex_run(classes, key_by_vertex, n, m, delta_split)
 
 
 def _build_grid(k: int, steps: int) -> tuple[tuple[float, ...], ...]:
@@ -402,11 +415,68 @@ def _simplex_grid(k: int, steps: int) -> tuple[tuple[float, ...], ...]:
 
 
 def _run_top(cands: Sequence[tuple[float, ...]], lo: int, hi: int) -> tuple[float, ...]:
-    """Each color's largest share over ``cands[lo:hi]``: along the candidate
-    lists the first share never falls and, with two colors, the second never rises."""
-    if len(cands[lo]) == 2:
-        return cands[hi - 1][0], cands[lo][1]
+    """Each color's largest share over ``cands[lo:hi]``, along which the first share never falls."""
     return (cands[hi - 1][0], *(max(col) for col in itertools.islice(zip(*cands[lo:hi]), 1, None)))
+
+
+def _log_band(log_f: float, worst: float) -> float:
+    """A bound on the rounding error of a computed log F whose largest loss is ``worst``.
+
+    A loss is off by far less than a relative 2^-30 (exp amplifies a few
+    roundings by its argument, at most about 745), log1p(-loss) scales that
+    by at most 1/(1 - loss), and no term of log F is positive.  The absolute
+    part covers terms that underflow; near a loss of 1 no bound is claimed.
+    """
+    return -log_f * 2.0**-30 / (1.0 - worst) + 2.0**-1000 if worst < 1.0 - 2.0**-20 else math.inf
+
+
+def _peak(bound: _SplitBound, cands, best, best_f):
+    """The search of two-color ``cands`` from (best, best_f) in :func:`optimize_delta_split_classes`."""
+    budget, end = bound.budget, len(cands)
+    seen = {}
+
+    def probe(j):
+        """(rank in the search, log F, largest loss) of candidate j."""
+        if j >= end:
+            return (-1, -j), -math.inf, 1.0
+        if j not in seen:
+            log_f, worst = bound.fold(0, budget * cands[j][0])
+            if log_f == -math.inf:
+                seen[j] = (-1, j), log_f, worst
+            else:
+                log_f, worst = bound.fold(1, budget * cands[j][1], log_f, worst)
+                seen[j] = (0, log_f) if log_f > -math.inf else (-1, -j), log_f, worst
+        return seen[j]
+
+    fib = [1, 1]
+    while fib[-1] < end + 1:
+        fib.append(fib[-1] + fib[-2])
+    a = -1  # the peak lies in (a, a + fib[k])
+    for k in range(len(fib) - 1, 2, -1):
+        if probe(a + fib[k - 2])[0] < probe(a + fib[k - 1])[0]:
+            a += fib[k - 2]
+    top = max(seen, key=lambda j: seen[j][0], default=0)
+    peak_log = probe(top)[1]
+    if peak_log == -math.inf:
+        return best, best_f  # F = 0 throughout
+    ends = []
+    for step in (1, -1):
+        j = top
+        while 0 <= j + step < end:
+            j += step
+            _, log_f, worst = probe(j)
+            if log_f == -math.inf:
+                break  # and so is every candidate past j
+            peak_log = max(peak_log, log_f)
+            cap = log_f + _log_band(log_f, worst)
+            f_cap = math.exp(cap) if cap < peak_log else 1.0  # F past j is at most f_cap
+            if f_cap <= best_f or (f_cap <= math.exp(peak_log) if step > 0 else f_cap < math.exp(peak_log)):
+                break
+        ends.append(j)
+    for j in range(ends[1], ends[0] + 1):
+        if math.exp(seen[j][1]) > best_f:
+            best, best_f = cands[j], math.exp(seen[j][1])
+    return best, best_f
 
 
 def optimize_delta_split_classes(
@@ -414,22 +484,35 @@ def optimize_delta_split_classes(
     n: int,
     m: int,
 ) -> tuple[dict[int, float], float]:
-    """Grid-search the slack split across colors, maximizing the bound.
+    """Search the slack split across colors on a grid, maximizing the bound.
 
-    Scans the split simplex in steps of 1/200, then, with two colors,
-    refines once around the best cell at 1/20 of the step.  The equal split
-    is evaluated first and a candidate replaces the best only if its bound
-    is strictly higher, so the result never falls below the equal split.
-    Five or more active colors raise :class:`MultinetError`.
+    The candidates are the split simplex in steps of 1/200 and then, with
+    two colors, the 41 points 1/4000 apart around the best one.  The equal
+    split comes first, and a candidate replaces the best only if its bound
+    is strictly higher.  The result is exactly that of evaluating every
+    candidate in order, ties and subnormal bounds included.  Five or more
+    active colors raise :class:`MultinetError`.
 
-    The scan visits the candidates in order, but skips a run of them when
-    the bound at each color's largest share over the run is ``<=`` the best
-    so far, and halves a run it does not skip.  Every step from a slack to F
-    (``budget*frac + gap``, u, (1+u)*log1p(u), exp, 2**, log1p(-loss), the
-    running sum, exp) is monotone, rounded to nearest too, so the bound
-    never falls as a slack grows.  No skipped candidate could have replaced
-    the best, so after every candidate the scan holds the full scan's best
-    split and bound.
+    With two colors log F is concave where finite (see the module docstring):
+
+    1. A Fibonacci (golden-section) search on log F nears the peak.  A
+       candidate's terms are summed one color at a time, so where log F is
+       -inf it shows whose rows are infinite.  The first color's rows are
+       finite from some candidate on and the second's up to some candidate,
+       so the search ranks those candidates below the finite ones, rising
+       towards them from either side: it bisects for the finite interval.
+    2. A walk outward from the best candidate so far stops on each side at
+       a candidate j that settles the rest.  log F at j plus its rounding
+       band (:func:`_log_band`) caps the exact log F there; if the cap is
+       below the best log F found, concavity keeps every candidate past j
+       below it, and otherwise F <= 1 does.  j settles its side once
+       exp(cap) cannot beat the incoming best, or falls below the best F
+       found, or, to the right, ties it, as a later tie never wins.
+    3. The strict-improvement rule is replayed over the walked candidates.
+
+    With three or four colors the scan skips a run of candidates when the
+    bound at each color's largest share over the run is ``<=`` the best so
+    far, as every step from a slack to F is monotone, rounded too.
     """
     bound = _SplitBound(classes, n, m)
     colors = bound.colors
@@ -437,10 +520,15 @@ def optimize_delta_split_classes(
         return {}, 1.0
     best = (1.0 / len(colors),) * len(colors)
     best_f = bound.at(best)
-
-    def scan(cands):
-        nonlocal best_f, best
-        runs = [(0, len(cands))] if cands else []
+    if len(colors) == 2:
+        best, best_f = _peak(bound, _simplex_grid(2, SPLIT_GRID_STEPS), best, best_f)
+        lo = best[0] - 1.0 / SPLIT_GRID_STEPS
+        fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
+        xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
+        best, best_f = _peak(bound, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], best, best_f)
+    elif len(colors) > 2:
+        cands = _simplex_grid(len(colors), SPLIT_GRID_STEPS)
+        runs = [(0, len(cands))]
         while runs:
             lo, hi = runs.pop()
             if hi - lo == 1:
@@ -451,28 +539,7 @@ def optimize_delta_split_classes(
             elif hi - lo == 2 or bound.at(_run_top(cands, lo, hi)) > best_f:
                 mid = (lo + hi) // 2
                 runs += [(mid, hi), (lo, mid)]
-
-    if len(colors) > 1:
-        scan(_simplex_grid(len(colors), SPLIT_GRID_STEPS))
-        if len(colors) == 2:
-            lo = best[0] - 1.0 / SPLIT_GRID_STEPS
-            fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
-            xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
-            scan([(x, 1.0 - x) for x in xs if 0.0 < x < 1.0])
     return dict(zip(colors, best)), best_f
-
-
-def optimize_delta_split(
-    g: Graph,
-    coloring: dict[int, int],
-    marginals: Sequence[BitMarginal],
-    n: int,
-    m: int,
-) -> tuple[dict[int, float], HashingRun]:
-    """Best slack split plus the corresponding full run for a colored graph."""
-    classes, key_by_vertex = vertex_classes(g, coloring, marginals)
-    split, _ = optimize_delta_split_classes(classes, n, m)
-    return split, _vertex_run(classes, key_by_vertex, n, m, split or None)
 
 
 def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[int, float]:
@@ -509,14 +576,3 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
 def max_output_copies_classes(classes: Sequence[MarginalClass], n: int, threshold: float) -> int:
     """Largest m whose optimized bound is >= threshold, by :func:`largest_m` (0 if none)."""
     return largest_m(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, threshold)[0]
-
-
-def max_output_copies(
-    g: Graph,
-    coloring: dict[int, int],
-    marginals: Sequence[BitMarginal],
-    n: int,
-    threshold: float,
-) -> int:
-    """Largest m the colored graph ensemble supports at the given fidelity."""
-    return max_output_copies_classes(vertex_classes(g, coloring, marginals)[0], n, threshold)

@@ -137,14 +137,6 @@ def edge_channel_to_flip_source(edge: tuple[int, int], q: float) -> FlipSource:
     return FlipSource(flip_prob={a: p, b: p})
 
 
-def compose_depolarizing(q1: float, q2: float) -> float:
-    """Strength of two local depolarizing maps in sequence (parameters multiply)."""
-    for q in (q1, q2):
-        if not 0.0 <= q <= 1.0:
-            raise ChannelError(f"depolarizing parameter must be in [0,1], got {q}")
-    return q1 * q2
-
-
 def _clamp(p: float) -> float:
     if not -_DRIFT_TOL <= p <= 1.0 + _DRIFT_TOL:
         raise ChannelError(f"probability drifted to {p}")

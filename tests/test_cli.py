@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from multinet.blocks import site_costs
 from multinet.cli import (
+    MAX_SWEEP_STEPS,
     ConfigError,
     load_config_source,
     main,
@@ -109,7 +110,7 @@ class TestParsing:
     def test_missing_capacity_for_fixed_sweep(self):
         text = MINIMAL.replace("sweep = capacity", "sweep = q").replace(
             "sweep_min = 200\nsweep_max = 400", "sweep_min = 0.9\nsweep_max = 1.0"
-        )
+        ).replace("q = 0.98\n", "")
         with pytest.raises(ConfigError, match="capacity"):
             parse_config(text)
 
@@ -485,6 +486,26 @@ class TestScenarioContract:
     def test_sweep_values_and_range_together_is_a_config_error(self):
         with pytest.raises(ConfigError, match="sweep_min"):
             parse_config(MINIMAL.replace("sweep_steps = 3", "sweep_steps = 3\nsweep_values = 200"))
+
+    @pytest.mark.parametrize("steps", [MAX_SWEEP_STEPS + 1, 10**12])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_oversized_sweep_range_is_rejected_fast(self, tmp_path, capsys, command, steps):
+        import time
+
+        start = time.perf_counter()
+        code, err = exit_and_err(tmp_path, capsys, command, MINIMAL.replace("sweep_steps = 3", f"sweep_steps = {steps}"))
+        assert code == 2 and "sweep_steps" in err and str(MAX_SWEEP_STEPS) in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_setting_the_swept_key_is_a_config_error(self, tmp_path, capsys, command):
+        # the sweep sets q at every point, so the config's own q would never be read
+        text = MINIMAL.replace("sweep = capacity", "sweep = q").replace(
+            "sweep_min = 200\nsweep_max = 400", "sweep_min = 0.9\nsweep_max = 1.0"
+        ) + "\n[storage]\ncapacity = 400\n"
+        code, err = exit_and_err(tmp_path, capsys, command, text)
+        assert code == 2 and "key 'q'" in err and "sweep over 'q'" in err
+        parse_config(text.replace("q = 0.98", "q = 1.0"))  # its default is accepted
 
 
 # Every key a config may hold, with the names it may take, listed here rather

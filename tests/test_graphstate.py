@@ -16,15 +16,14 @@ from multinet.graphstate import (
     build_graph,
     color_graph,
     connect_project,
-    from_text,
     local_complement,
     merge_vertices,
-    to_text,
 )
 from multinet.hashing import DistributionError, InfeasibleTargetError
 from multinet.noise import ChannelError
 from multinet.schemes import SchemeError
 
+from extras import from_text, to_text
 from oracle import OracleSizeError
 
 

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multinet import hashing
@@ -19,14 +19,14 @@ from multinet.hashing import (
     bennett_success,
     bipartite_bound,
     entropy,
-    max_output_copies,
     max_output_copies_classes,
     multipartite_bound,
     multipartite_bound_classes,
-    optimize_delta_split,
     optimize_delta_split_classes,
 )
 from multinet.noise import BitMarginal
+
+from extras import max_output_copies, optimize_delta_split
 
 # frozen with an independent 40-digit evaluation of the same formulas
 ENTROPY_0198 = 0.140316123604030
@@ -634,9 +634,47 @@ def split_problems(draw, colors):
     return classes, n, m
 
 
+# fig10m and fig12m points whose best bound is subnormal; at the second and
+# third the equal split gives F = 0, and the best split is off the 1/200 grid
+SUBNORMAL_OPTIMA = [
+    ([MarginalClass(0.07532672000000007, 0, 262144), MarginalClass(0.07532672000000007, 1, 262144)], 900, 113),
+    (
+        [
+            MarginalClass(0.05917612023950003, 0, 262144),
+            MarginalClass(0.05917612023950003, 1, 196608),
+            MarginalClass(0.09891497839607899, 1, 32768),
+        ],
+        960,
+        121,
+    ),
+    (
+        [
+            MarginalClass(0.04815605468750006, 0, 229376),
+            MarginalClass(0.04815605468750006, 1, 196608),
+            MarginalClass(0.08120420325012212, 0, 16384),
+            MarginalClass(0.08120420325012212, 1, 32768),
+        ],
+        993,
+        125,
+    ),
+]
+
+# F is finite only on grid points 104-118 and 84-87, which hold neither the
+# equal split nor the first two points a Fibonacci search looks at
+NARROW_OPTIMA = [
+    ([MarginalClass(0.0006287708947664953, 0, 1), MarginalClass(0.004538660510236856, 1, 1)], 13600, 12900),
+    ([MarginalClass(0.009348019427979037, 0, 1), MarginalClass(0.00012879928608706772, 1, 100)], 3361, 3075),
+]
+
+
 class TestPrunedSplitScan:
     @settings(max_examples=300, deadline=None)
     @given(split_problems(colors=(0, 1)))
+    @example(SUBNORMAL_OPTIMA[0])
+    @example(SUBNORMAL_OPTIMA[1])
+    @example(SUBNORMAL_OPTIMA[2])
+    @example(NARROW_OPTIMA[0])
+    @example(NARROW_OPTIMA[1])
     def test_two_colors_match_full_scan(self, problem):
         classes, n, m = problem
         found = outcome(lambda: optimize_delta_split_classes(classes, n, m))
@@ -667,30 +705,56 @@ class TestPrunedSplitScan:
         grown[color] = data.draw(adjacent | larger, label="grown slack")
         assert bound.fidelity(grown) >= bound.fidelity(slacks)
 
+    @settings(max_examples=150, deadline=None)
+    @given(split_problems(colors=(0, 1)), st.integers(min_value=1, max_value=199))
+    @example(SUBNORMAL_OPTIMA[1], 126)
+    def test_log_bound_concave_within_band(self, problem, k):
+        # what the two-color search stands on: along the 1/200 grid and the
+        # 1/4000 refinement around any grid point, log F is finite on one
+        # interval, where no second difference exceeds its points' bands
+        classes, n, m = problem
+        try:
+            bound = _SplitBound(classes, n, m)
+        except InfeasibleTargetError:
+            return
+        if len(bound.colors) != 2:
+            return
+        refinement = [(x, 1.0 - x) for x in ((k - 1) / 200 + i / 4000 for i in range(41)) if 0.0 < x < 1.0]
+        for cands in (hashing._simplex_grid(2, 200), refinement):
+            logs = [bound.fold(1, bound.budget * x1, *bound.fold(0, bound.budget * x0)) for x0, x1 in cands]
+            finite = [j for j, (log_f, _) in enumerate(logs) if log_f > -math.inf]
+            assert finite == list(range(min(finite, default=0), max(finite, default=-1) + 1))
+            points = [(logs[j][0], hashing._log_band(*logs[j])) for j in finite]
+            for (a, band_a), (b, band_b), (c, band_c) in zip(points, points[1:], points[2:]):
+                assert a - 2 * b + c <= band_a + 2 * band_b + band_c
+
     @staticmethod
     def bound_evaluations(monkeypatch, classes, n, m):
+        # every split looked at, even one left at an infinite first color,
+        # starts with the first color's terms
         calls = 0
-        fidelity = _SplitBound.fidelity
+        fold = _SplitBound.fold
 
-        def counted(self, *args):
+        def counted(self, i, *args):
             nonlocal calls
-            calls += 1
-            return fidelity(self, *args)
+            calls += i == 0
+            return fold(self, i, *args)
 
-        monkeypatch.setattr(_SplitBound, "fidelity", counted)
+        monkeypatch.setattr(_SplitBound, "fold", counted)
         optimize_delta_split_classes(classes, n, m)
         return calls
 
     def test_two_colors_prune(self, monkeypatch):
         # fig11m's 64x64 shifted-grid b=2 point at q = 0.98: n = 800, and
-        # m = 198 is the largest m at threshold 0.9; a full scan takes 241
+        # m = 198 is the largest m at threshold 0.9; a full scan takes 241,
+        # the search 20 (the equal split and about ten per candidate list)
         classes = [
             MarginalClass(0.029404, 0, 2048),
             MarginalClass(0.029404, 1, 2048),
             MarginalClass(0.0480396016, 0, 1024),
             MarginalClass(0.0480396016, 1, 1024),
         ]
-        assert self.bound_evaluations(monkeypatch, classes, 800, 198) <= 120
+        assert self.bound_evaluations(monkeypatch, classes, 800, 198) <= 30
 
     def test_three_colors_prune(self, monkeypatch):
         # a full scan takes 19 702

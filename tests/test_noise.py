@@ -18,13 +18,14 @@ from multinet.noise import (
     PauliChannel,
     bit_marginals,
     channel_to_flip_source,
-    compose_depolarizing,
     edge_channel_to_flip_source,
     output_noise_factor,
     pair_pattern_distribution,
     uniform_depolarizing_marginal,
     uniform_edge_channel_marginal,
 )
+
+from extras import compose_depolarizing
 
 
 class TestChannels:
