@@ -4,8 +4,9 @@ Configs are flat ``key = value`` text files with bracketed section headers
 (see the packaged presets for worked examples).  Two tables state the whole
 config contract: ``KEYS`` gives each key's field, parser and domain, and
 ``SCENARIOS`` gives each scenario's sweeps, channels, needed and read keys,
-scheme ids, lattices and runner.  A key the scenario does not read must be
-absent or hold its default, and a swept value must lie in its key's domain.
+scheme ids, lattices with the keys they read, and runner.  A key the
+scenario does not read must be absent or hold its default, and a swept
+value must lie in its key's domain.
 Every run writes one row per (sweep point, scheme) with the fixed column set
 
     sweep_param,sweep_value,scheme,F,m,n_used,infeasible
@@ -132,6 +133,7 @@ class Scenario(NamedTuple):
     run: Callable[[ExperimentConfig], list[SchemeResult]]  # one sweep point's results
     schemes: tuple[str, ...] = ()
     lattices: Callable[[ExperimentConfig], list[Architecture]] = lambda cfg: []  # validate tiles them
+    lattice_keys: tuple[str, ...] = ()  # the keys lattices reads
 
 
 SCENARIOS = {
@@ -158,13 +160,13 @@ SCENARIOS = {
             cluster_architecture_run(a, StorageModel(cfg.storage_mode, cfg.capacity), cfg.q, **_target(cfg))
             for a in _cluster_lattices(cfg)
         ],
-        lattices=_cluster_lattices,
+        lattices=_cluster_lattices, lattice_keys=("families", "dims", "block_sizes"),
     ),
     "from-bell": Scenario(
         sweeps={"q": "q", "capacity": "capacity"}, channels=("ldn", "edge"),
         needs=("dims", "capacity"), reads=("target", "m", "threshold", "channel", "q"),
         run=lambda cfg: list(from_bell_run(cfg.dims, cfg.q, cfg.capacity, **_target(cfg))),
-        lattices=lambda cfg: [Architecture("bipartite", cfg.dims)],
+        lattices=lambda cfg: [Architecture("bipartite", cfg.dims)], lattice_keys=("dims",),
     ),
 }
 
@@ -252,13 +254,19 @@ def _check(name: str, value, domain, scenario: Scenario) -> None:
             raise ConfigError(f"{name}: {v!r} is outside the domain {domain}")
 
 
-def _at(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
-    """One sweep point: ``cfg`` with the swept key set to ``value``, parsed as that key."""
-    _, field_name, parse, _ = _SPEC[SCENARIOS[cfg.scenario].sweeps[cfg.sweep_param]]
+def _setting(cfg: ExperimentConfig, value: float):
+    """The swept key's setting at one sweep point: ``value`` parsed as that key."""
+    parse = _SPEC[SCENARIOS[cfg.scenario].sweeps[cfg.sweep_param]][2]
     try:
-        return replace(cfg, **{field_name: parse(str(int(value)) if value.is_integer() else repr(value))})
+        return parse(str(int(value)) if value.is_integer() else repr(value))
     except ValueError as exc:
         raise ConfigError(f"[experiment] sweep over '{cfg.sweep_param}': {value!r} ({exc})") from exc
+
+
+def _at(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
+    """One sweep point: ``cfg`` with the swept key set to ``value``, parsed as that key."""
+    field_name = _SPEC[SCENARIOS[cfg.scenario].sweeps[cfg.sweep_param]][1]
+    return replace(cfg, **{field_name: _setting(cfg, value)})
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
@@ -282,10 +290,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if not (cfg.px >= 0 and cfg.pz >= 0 and cfg.px + cfg.pz <= 1):
         raise ConfigError(f"[noise] keys 'px' and 'pz' must be >= 0 with px + pz <= 1, got {cfg.px}, {cfg.pz}")
     _, field_name, _, domain = _SPEC[swept]
-    for value in cfg.sweep_values:
-        point = _at(cfg, value)
-        _check(f"[experiment] sweep over '{cfg.sweep_param}'", getattr(point, field_name), domain, sc)
-        for arch in sc.lattices(point):
+    name = f"[experiment] sweep over '{cfg.sweep_param}'"
+    tiled = set()  # the lattices checked so far
+    for i, value in enumerate(cfg.sweep_values):
+        setting = _setting(cfg, value)
+        _check(name, setting, domain, sc)
+        if i and swept not in sc.lattice_keys:
+            continue  # every point has the first point's lattices
+        for arch in sc.lattices(replace(cfg, **{field_name: setting})):
+            if arch in tiled:
+                continue
             try:
                 blocks_count(arch.family, arch.dims, arch.block_size)
             except BlockError as exc:
@@ -293,6 +307,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                     f"[architecture] {cfg.scenario} lattice, family {arch.family!r}, "
                     f"block size {arch.block_size}: {exc}"
                 ) from exc
+            tiled.add(arch)
 
 
 # -- evaluation -----------------------------------------------------------------

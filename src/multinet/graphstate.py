@@ -11,8 +11,8 @@ This module provides:
   the adjacency level.  Local Clifford byproducts are never tracked; the
   downstream pipeline only consumes statistics that are invariant under
   local Z corrections.
-- ``color_graph``: deterministic proper coloring (bipartite BFS with a
-  greedy fallback).
+- ``color_graph``: the deterministic two-coloring of a bipartite graph, by
+  BFS.
 
 All operations return new graphs and leave their inputs unchanged; the CLI
 evaluates sweep points one after another, not in parallel.
@@ -33,7 +33,7 @@ class GraphError(MultinetError):
 
 
 class ColoringError(GraphError):
-    """Raised when no proper coloring exists within the allowed color count."""
+    """Raised when a graph has no proper two-coloring."""
 
 
 class Graph:
@@ -298,41 +298,28 @@ def connect_project(g: Graph, a: int, b: int) -> Graph:
 # -- coloring ----------------------------------------------------------------
 
 
-def color_graph(g: Graph, max_colors: int = 2) -> dict[int, int]:
-    """Return a deterministic proper coloring with at most ``max_colors`` colors.
+def color_graph(g: Graph) -> dict[int, int]:
+    """Return the deterministic proper two-coloring of a bipartite graph.
 
-    Bipartite graphs are detected by BFS and always colored with the two
-    colors {0, 1} (isolated vertices get color 0).  Otherwise a greedy pass
-    in ascending vertex order assigns the lowest admissible color and fails
-    loudly if it would exceed ``max_colors``.
+    Each connected component is colored by BFS from its smallest vertex,
+    which gets color 0, with the colors {0, 1} (isolated vertices get
+    color 0).  A graph with an odd cycle raises :class:`ColoringError`:
+    hashing purifies two-colorable graph states only.
     """
     if g.vertex_count == 0:
         raise GraphError("cannot color an empty graph")
     coloring: dict[int, int] = {}
-    bipartite = True
     for start in g.vertices():
         if start in coloring:
             continue
         coloring[start] = 0
         queue = [start]
-        while queue and bipartite:
+        while queue:
             v = queue.pop(0)
             for u in sorted(g._adj[v]):
                 if u not in coloring:
                     coloring[u] = 1 - coloring[v]
                     queue.append(u)
                 elif coloring[u] == coloring[v]:
-                    bipartite = False
-                    break
-    if bipartite:
-        return coloring
-    if max_colors < 3:
-        raise ColoringError(f"graph is not {max_colors}-colorable (odd cycle present)")
-    coloring = {}
-    for v in g.vertices():
-        used = {coloring[u] for u in g._adj[v] if u in coloring}
-        color = next(c for c in itertools.count() if c not in used)
-        if color >= max_colors:
-            raise ColoringError(f"greedy coloring needs more than {max_colors} colors")
-        coloring[v] = color
+                    raise ColoringError("graph is not 2-colorable (odd cycle present)")
     return coloring

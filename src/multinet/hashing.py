@@ -38,24 +38,20 @@ then c*(1+u)*(1+t)^2 > ln2*(1+t)^2/t >= 1, as ln2*t^2 + (2*ln2 - 1)*t + ln2
 has discriminant 1 - 4*ln2 < 0.  So log F, a sum of count*log(1 - L), is
 concave along the two-color candidate line (each slack is affine on it)
 wherever it is finite, which is an interval: a color's rows are finite once
-its share is large enough.  With two colors the optimizer therefore searches
-for the optimum; with more, it skips runs of candidates whose bound, at each
-color's largest share, cannot beat the best so far, as the bound never falls
-while a slack grows, even rounded.  Either way its result is exactly that of
-evaluating every candidate.
+its share is large enough.  The optimizer therefore searches for the
+optimum, and its result is exactly that of evaluating every candidate.
 
 Threshold targets have one search, :func:`largest_m`: a bisection for the
 largest m whose bound (any function of m that does not increase with it)
 clears the threshold.  It returns the bound it computed at its result, and
-serves the class-level bound here as well as the bipartite lattice product
-in the scenarios.
+serves both the optimized class-level bound and the bipartite lattice
+product in the scenarios.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -65,6 +61,11 @@ from .noise import BitMarginal
 
 SPLIT_GRID_STEPS = 200
 SPLIT_REFINE_FACTOR = 20
+# the two-color split candidates in steps of 1/200, first share ascending; the second
+# share is (200 - c)/200, which 1 - c/200 misses in the last bit at 80 of the points
+SPLIT_GRID = tuple(
+    (c / SPLIT_GRID_STEPS, (SPLIT_GRID_STEPS - c) / SPLIT_GRID_STEPS) for c in range(1, SPLIT_GRID_STEPS)
+)
 
 
 class InfeasibleTargetError(MultinetError):
@@ -390,35 +391,6 @@ def multipartite_bound(
     )
 
 
-def _build_grid(k: int, steps: int) -> tuple[tuple[float, ...], ...]:
-    return tuple(
-        tuple((hi - lo) / steps for lo, hi in zip((0,) + cuts, cuts + (steps,)))
-        for cuts in itertools.combinations(range(1, steps), k - 1)
-    )
-
-
-_kept_grid = functools.cache(_build_grid)
-
-
-def _simplex_grid(k: int, steps: int) -> tuple[tuple[float, ...], ...]:
-    """All integer compositions of ``steps`` into ``k`` positive parts, as fractions.
-
-    In lexicographic order of the cuts, so the first part never decreases.
-    Grids up to the three-color size (19 701 points at 200 steps) are kept;
-    a four-color grid (1.3 million points, about 270 MB) is built per call.
-    Past two million points (five colors) it would not fit.
-    """
-    points = math.comb(steps - 1, k - 1)
-    if points > 2_000_000:
-        raise MultinetError(f"a {k}-color split grid has {points} points, too many to scan")
-    return (_kept_grid if points <= math.comb(SPLIT_GRID_STEPS - 1, 2) else _build_grid)(k, steps)
-
-
-def _run_top(cands: Sequence[tuple[float, ...]], lo: int, hi: int) -> tuple[float, ...]:
-    """Each color's largest share over ``cands[lo:hi]``, along which the first share never falls."""
-    return (cands[hi - 1][0], *(max(col) for col in itertools.islice(zip(*cands[lo:hi]), 1, None)))
-
-
 def _log_band(log_f: float, worst: float) -> float:
     """A bound on the rounding error of a computed log F whose largest loss is ``worst``.
 
@@ -484,16 +456,17 @@ def optimize_delta_split_classes(
     n: int,
     m: int,
 ) -> tuple[dict[int, float], float]:
-    """Search the slack split across colors on a grid, maximizing the bound.
+    """Search the two-color slack split on a grid, maximizing the bound.
 
-    The candidates are the split simplex in steps of 1/200 and then, with
-    two colors, the 41 points 1/4000 apart around the best one.  The equal
+    The candidates are the splits in steps of 1/200 (:data:`SPLIT_GRID`)
+    and then the 41 points 1/4000 apart around the best one.  The equal
     split comes first, and a candidate replaces the best only if its bound
     is strictly higher.  The result is exactly that of evaluating every
-    candidate in order, ties and subnormal bounds included.  Five or more
-    active colors raise :class:`MultinetError`.
+    candidate in order, ties and subnormal bounds included.  With one
+    active color the split is trivial; more than two active colors raise
+    :class:`MultinetError`.
 
-    With two colors log F is concave where finite (see the module docstring):
+    log F is concave where finite (see the module docstring):
 
     1. A Fibonacci (golden-section) search on log F nears the peak.  A
        candidate's terms are summed one color at a time, so where log F is
@@ -509,36 +482,21 @@ def optimize_delta_split_classes(
        exp(cap) cannot beat the incoming best, or falls below the best F
        found, or, to the right, ties it, as a later tie never wins.
     3. The strict-improvement rule is replayed over the walked candidates.
-
-    With three or four colors the scan skips a run of candidates when the
-    bound at each color's largest share over the run is ``<=`` the best so
-    far, as every step from a slack to F is monotone, rounded too.
     """
     bound = _SplitBound(classes, n, m)
     colors = bound.colors
+    if len(colors) > 2:
+        raise MultinetError(f"the split search needs at most two active colors, got {len(colors)}")
     if not colors:
         return {}, 1.0
     best = (1.0 / len(colors),) * len(colors)
     best_f = bound.at(best)
     if len(colors) == 2:
-        best, best_f = _peak(bound, _simplex_grid(2, SPLIT_GRID_STEPS), best, best_f)
+        best, best_f = _peak(bound, SPLIT_GRID, best, best_f)
         lo = best[0] - 1.0 / SPLIT_GRID_STEPS
         fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
         xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
         best, best_f = _peak(bound, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], best, best_f)
-    elif len(colors) > 2:
-        cands = _simplex_grid(len(colors), SPLIT_GRID_STEPS)
-        runs = [(0, len(cands))]
-        while runs:
-            lo, hi = runs.pop()
-            if hi - lo == 1:
-                f = bound.at(cands[lo])
-                if f > best_f:
-                    best_f, best = f, cands[lo]
-            # bounding a pair would save no evaluation
-            elif hi - lo == 2 or bound.at(_run_top(cands, lo, hi)) > best_f:
-                mid = (lo + hi) // 2
-                runs += [(mid, hi), (lo, mid)]
     return dict(zip(colors, best)), best_f
 
 
@@ -571,8 +529,3 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
         else:
             hi = mid - 1
     return lo, f_lo
-
-
-def max_output_copies_classes(classes: Sequence[MarginalClass], n: int, threshold: float) -> int:
-    """Largest m whose optimized bound is >= threshold, by :func:`largest_m` (0 if none)."""
-    return largest_m(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, threshold)[0]

@@ -1,13 +1,14 @@
 """Helpers the package does not export, kept for the tests that use them.
 
 A text exchange format for graphs, the composition of two depolarizing
-maps, and the vertex-level forms of the slack-split optimizer and the
-threshold search.  Nothing in ``multinet`` or its CLI calls them.
+maps, the vertex-level form of the slack-split optimizer, and the threshold
+search over the optimized bound, by classes and by vertices.  Nothing in
+``multinet`` or its CLI calls them.
 """
 
 from multinet.graphstate import Graph, GraphError
 from multinet.hashing import (
-    max_output_copies_classes,
+    largest_m,
     multipartite_bound,
     optimize_delta_split_classes,
     vertex_classes,
@@ -70,6 +71,11 @@ def optimize_delta_split(g, coloring, marginals, n, m):
     classes, _ = vertex_classes(g, coloring, marginals)
     split, _ = optimize_delta_split_classes(classes, n, m)
     return split, multipartite_bound(g, coloring, marginals, n, m, delta_split=split or None)
+
+
+def max_output_copies_classes(classes, n, threshold):
+    """Largest m whose optimized bound is >= threshold, by ``largest_m`` (0 if none)."""
+    return largest_m(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, threshold)[0]
 
 
 def max_output_copies(g, coloring, marginals, n, threshold):

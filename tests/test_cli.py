@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multinet import cli
 from multinet.blocks import site_costs
 from multinet.cli import (
     MAX_SWEEP_STEPS,
@@ -177,6 +178,16 @@ class TestPresets:
             text, label = load_config_source(name)
             cfg = parse_config(text, name=label)
             assert cfg.sweep_values
+
+    def test_lattices_read_only_their_keys(self):
+        # validation builds a sweep's lattices once unless the swept key is
+        # one of the scenario's lattice_keys
+        for name in preset_names():
+            cfg = parse_config(load_config_source(name)[0])
+            sc = cli.SCENARIOS[cfg.scenario]
+            if sc.sweeps[cfg.sweep_param] not in sc.lattice_keys:
+                points = {tuple(sc.lattices(cli._at(cfg, v))) for v in cfg.sweep_values}
+                assert points == {tuple(sc.lattices(cfg))}, name
 
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
@@ -482,6 +493,23 @@ class TestScenarioContract:
         )
         assert code == 2 and "block size 1000000" in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("sweep, values, lattices", [
+        ("q", "sweep_min = 0.9\nsweep_max = 1.0\nsweep_steps = 1000", 5),
+        ("block_size", "sweep_values = 1,2,1,4,2", 7),
+    ])
+    def test_validation_tiles_each_lattice_once(self, monkeypatch, sweep, values, lattices):
+        # a q sweep leaves the lattices as they are, and a block_size sweep
+        # repeats some: each distinct lattice is tiled once, not once per point
+        calls = []
+        count = cli.blocks_count
+        monkeypatch.setattr(cli, "blocks_count", lambda *args: calls.append(args) or count(*args))
+        text = CLUSTER.replace("sweep = q", f"sweep = {sweep}").replace("sweep_values = 0.97,0.99", values)
+        text = text.replace("families = windmill", "families = bipartite,windmill,shifted-grid")
+        if sweep == "q":
+            text = text.replace("dims = 8x8", "dims = 64x64\nblock_sizes = 1,2")
+        parse_config(text)
+        assert len(calls) == len(set(calls)) == lattices
 
     def test_sweep_values_and_range_together_is_a_config_error(self):
         with pytest.raises(ConfigError, match="sweep_min"):

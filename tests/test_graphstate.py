@@ -206,12 +206,16 @@ class TestColoring:
     def test_triangle_not_two_colorable(self):
         tri = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ColoringError):
-            color_graph(tri, max_colors=2)
-        assert len(set(color_graph(tri, max_colors=3).values())) == 3
+            color_graph(tri)
 
     def test_deterministic(self):
-        g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert color_graph(g, max_colors=3) == color_graph(g, max_colors=3)
+        # a 6-cycle, an isolated vertex and an edge: each component's
+        # smallest vertex gets color 0, whatever order the edges came in
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (7, 8)]
+        g = Graph(range(9), edges)
+        expected = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0, 7: 0, 8: 1}
+        assert color_graph(g) == expected
+        assert color_graph(Graph(reversed(range(9)), [(b, a) for a, b in reversed(edges)])) == expected
 
 
 class TestSerialization:

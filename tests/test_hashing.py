@@ -19,14 +19,13 @@ from multinet.hashing import (
     bennett_success,
     bipartite_bound,
     entropy,
-    max_output_copies_classes,
     multipartite_bound,
     multipartite_bound_classes,
     optimize_delta_split_classes,
 )
 from multinet.noise import BitMarginal
 
-from extras import max_output_copies, optimize_delta_split
+from extras import max_output_copies, max_output_copies_classes, optimize_delta_split
 
 # frozen with an independent 40-digit evaluation of the same formulas
 ENTROPY_0198 = 0.140316123604030
@@ -680,13 +679,6 @@ class TestPrunedSplitScan:
         found = outcome(lambda: optimize_delta_split_classes(classes, n, m))
         assert found == outcome(lambda: full_scan_split(classes, n, m))
 
-    @settings(max_examples=40, deadline=None)
-    @given(split_problems(colors=(0, 1, 2)))
-    def test_three_colors_match_full_scan(self, problem):
-        classes, n, m = problem
-        found = outcome(lambda: optimize_delta_split_classes(classes, n, m))
-        assert found == outcome(lambda: full_scan_split(classes, n, m))
-
     @settings(max_examples=300, deadline=None)
     @given(
         class_sets(lambdas=SEARCH_LAMBDAS),
@@ -720,7 +712,7 @@ class TestPrunedSplitScan:
         if len(bound.colors) != 2:
             return
         refinement = [(x, 1.0 - x) for x in ((k - 1) / 200 + i / 4000 for i in range(41)) if 0.0 < x < 1.0]
-        for cands in (hashing._simplex_grid(2, 200), refinement):
+        for cands in (hashing.SPLIT_GRID, refinement):
             logs = [bound.fold(1, bound.budget * x1, *bound.fold(0, bound.budget * x0)) for x0, x1 in cands]
             finite = [j for j, (log_f, _) in enumerate(logs) if log_f > -math.inf]
             assert finite == list(range(min(finite, default=0), max(finite, default=-1) + 1))
@@ -756,30 +748,21 @@ class TestPrunedSplitScan:
         ]
         assert self.bound_evaluations(monkeypatch, classes, 800, 198) <= 30
 
-    def test_three_colors_prune(self, monkeypatch):
-        # a full scan takes 19 702
+    def test_three_colors_refused(self, monkeypatch):
+        # hashing purifies two-colorable graph states only; the call raises
+        # before it evaluates any split
+        def no_evaluation(*args):
+            raise AssertionError("a split was evaluated")
+
+        monkeypatch.setattr(_SplitBound, "fold", no_evaluation)
         classes = [MarginalClass(0.01, 0, 3), MarginalClass(0.02, 1, 2), MarginalClass(0.001, 2, 5)]
-        assert self.bound_evaluations(monkeypatch, classes, 400, 1) <= 2000
+        with pytest.raises(MultinetError, match="at most two active colors"):
+            optimize_delta_split_classes(classes, 400, 1)
 
-    def test_four_color_grid_is_not_kept(self, monkeypatch):
-        # only grids up to the three-color size stay cached; a coarser grid
-        # (1 771 four-color points against 253) keeps the test fast
-        monkeypatch.setattr(hashing, "SPLIT_GRID_STEPS", 24)
-        hashing._kept_grid.cache_clear()
-        four = [
-            MarginalClass(0.01, 0, 3),
-            MarginalClass(0.02, 1, 2),
-            MarginalClass(0.001, 2, 5),
-            MarginalClass(0.005, 3, 4),
-        ]
-        first = optimize_delta_split_classes(four, 400, 1)
-        assert optimize_delta_split_classes(four, 400, 1) == first
-        assert hashing._kept_grid.cache_info().currsize == 0
-        optimize_delta_split_classes(four[:3], 400, 1)
-        assert hashing._kept_grid.cache_info().currsize == 1
-
-    def test_five_colors_refused(self):
-        # a five-color grid has 63 391 251 points, more than memory holds
-        classes = [MarginalClass(0.01, color, 1) for color in range(5)]
-        with pytest.raises(MultinetError, match="too many to scan"):
-            optimize_delta_split_classes(classes, 1000, 1)
+    def test_zero_entropy_third_color_is_inactive(self):
+        # a color whose marginals are all deterministic needs no subprotocol,
+        # so it neither counts as a color nor changes the split
+        two = [MarginalClass(1.9998e-5, 0, 1), MarginalClass(0.02, 1, 2)]
+        split, f = optimize_delta_split_classes(two + [MarginalClass(0.0, 2, 5)], 200, 1)
+        assert (split, f) == optimize_delta_split_classes(two, 200, 1)
+        assert split[0] != 0.5
