@@ -44,10 +44,11 @@ from collections import Counter
 from operator import add, mod, sub
 from typing import NamedTuple
 
-from .graphstate import Graph, MultinetError
+from .graphstate import MultinetError
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
+Shape = tuple[tuple[Site, ...], tuple[tuple[int, int], ...]]
 
 FAMILIES = ("bipartite", "windmill", "shifted-grid")
 
@@ -144,32 +145,12 @@ def block_edges(family: str, dim: int, b: int) -> list[Edge]:
     raise BlockError(f"unknown block family {family!r}")
 
 
-def edge_graph(edges: list[Edge]) -> Graph:
-    """The graph of an edge group over the sites it touches.
-
-    Vertex ids index the sorted sites; ``coords`` maps each id back to its site.
-    """
-    sites = sorted({s for e in edges for s in e})
-    index = {s: i for i, s in enumerate(sites)}
-    g = Graph(range(len(sites)), [(index[a], index[b]) for a, b in edges])
-    g.coords = dict(enumerate(sites))
-    return g
-
-
 class UnitCell(NamedTuple):
-    """A family's cover of one period box, in unwrapped coordinates.
-
-    Each block of the box is kept as its shape: its sorted distinct sites,
-    and its edges as pairs of indices into them.
-    """
+    """A family's cover of one period box, in unwrapped coordinates: each block
+    as its shape, its sorted distinct sites and its edges as index pairs into them."""
 
     period: tuple[int, ...]
-    shapes: tuple[tuple[tuple[Site, ...], tuple[tuple[int, int], ...]], ...]
-
-    @property
-    def groups(self) -> tuple[tuple[Edge, ...], ...]:
-        """Each block's edges, rebuilt from its shape in the cell's edge order."""
-        return tuple(tuple((sites[i], sites[j]) for i, j in pairs) for sites, pairs in self.shapes)
+    shapes: tuple[Shape, ...]
 
 
 def _period(family: str, dim: int, b: int) -> tuple[int, ...]:
@@ -189,32 +170,33 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     """
     canonical = block_edges(family, dim, b)  # checks the family, dimension and size
     period = _period(family, dim, b)
+    origin = (0,) * dim
     if family == "bipartite":
-        groups = [
-            [_norm_edge(s, tuple(x + (i == axis) for i, x in enumerate(s)))]
-            for s in itertools.product(*(range(p) for p in period))
-            for axis in range(dim)
-        ]
+        shapes = [((origin, tuple(int(i == axis) for i in range(dim))), ((0, 1),)) for axis in range(dim)]
+        anchors = itertools.product(*map(range, period))
     else:
+        sites = sorted({s for e in canonical for s in e})
+        index = {s: i for i, s in enumerate(sites)}
+        shapes = [(tuple(sites), tuple((index[a], index[c]) for a, c in canonical))]
         if family == "windmill":
-            anchors = [(0,) * dim]
+            anchors = [origin]
         elif dim == 2:
-            anchors = [(0, 0), (b, b)]
+            anchors = [origin, (b, b)]
         else:
-            anchors = [(0, 0, 0)] + [(b, 1, 1)] * (b % 2)
-        groups = [
-            [(tuple(map(add, a, anchor)), tuple(map(add, c, anchor))) for a, c in canonical]
-            for anchor in anchors
-        ]
-    keys = [(tuple(map(mod, a, period)), tuple(map(sub, c, a))) for g in groups for a, c in g]
+            anchors = [origin] + [(b, 1, 1)] * (b % 2)
+    # a translate keeps the sites' order, so every block reuses its shape's index pairs
+    cell = tuple(
+        (tuple(tuple(map(add, s, anchor)) for s in sites) if any(anchor) else sites, pairs)
+        for anchor in anchors
+        for sites, pairs in shapes
+    )
+    keys = []
+    for sites, pairs in cell:
+        residues = [tuple(map(mod, s, period)) for s in sites]
+        keys += [(residues[i], tuple(map(sub, sites[j], sites[i]))) for i, j in pairs]
     if len(set(keys)) != len(keys) or len(keys) != dim * math.prod(period):
         raise BlockError(f"{family} blocks of size {b} do not tile their {period} unit cell exactly")
-    shapes = []
-    for group in groups:
-        sites = sorted({s for e in group for s in e})
-        index = {s: i for i, s in enumerate(sites)}
-        shapes.append((tuple(sites), tuple((index[a], index[c]) for a, c in group)))
-    return UnitCell(period, tuple(shapes))
+    return UnitCell(period, cell)
 
 
 def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
@@ -235,20 +217,23 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
     return unit_cell(family, len(dims), b)
 
 
-def cover_blocks(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Edge]]:
-    """Edge groups of one full cover of the periodic lattice.
+def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], list[tuple[int, list[Site]]]]:
+    """The cell's translates by every multiple of its period, exact by the module's lemma.
 
-    The unit cell translated by every multiple of its period: exact by the
-    module's lemma, so nothing is rechecked on the lattice.  Each group's
-    distinct sites are wrapped once per translate and its edges read off them.
+    Returns ``(shapes, placed)``.  Each cell shape is folded onto the torus once: its distinct
+    wrapped sites, sorted (fewer than its own on a torus narrower than the block), and its edges
+    as index pairs into them in the cell's order.  ``placed`` lists each block as (shape index, sites).
     """
     cell = _check_dims(family, dims, b)
-    groups = []
-    for shift in itertools.product(*(range(0, d, p) for d, p in zip(dims, cell.period))):
-        for sites, pairs in cell.shapes:
-            w = [tuple(map(mod, map(add, site, shift), dims)) for site in sites]
-            groups.append([(w[i], w[j]) if w[i] <= w[j] else (w[j], w[i]) for i, j in pairs])
-    return groups
+    shapes = []
+    for sites, pairs in cell.shapes:
+        wrapped = [tuple(map(mod, s, dims)) for s in sites]
+        index = {s: i for i, s in enumerate(sorted(set(wrapped)))}
+        shapes.append((tuple(index), tuple((index[wrapped[i]], index[wrapped[j]]) for i, j in pairs)))
+    shifts = itertools.product(*(range(0, d, p) for d, p in zip(dims, cell.period)))
+    placed = [(k, [tuple(map(mod, map(add, site, shift), dims)) for site in sites])
+              for shift in shifts for k, (sites, _) in enumerate(shapes)]
+    return shapes, placed
 
 
 def blocks_count(family: str, dims: tuple[int, ...], b: int = 1) -> int:

@@ -81,10 +81,6 @@ class FlipSource:
 
     flip_prob: dict[int, float]
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.flip_prob)
-
     def __post_init__(self):
         for v, p in self.flip_prob.items():
             if not 0.0 <= p <= 1.0:

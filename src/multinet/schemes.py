@@ -394,45 +394,64 @@ def validate_cover(
     ``cover`` holds (block graph, placement) pairs, the placement mapping
     block vertex ids to target coordinates (as found in ``target.coords``).
     Wherever two or more placed qubits coincide they are merged pairwise in
-    ascending block order; the trace of performed merges is returned together
-    with the verdict.
+    ascending block order; the trace of performed merges, qubits numbered
+    block by block in each graph's vertex order, is returned with the verdict.
 
     A merge adds one vertex's adjacency row to the survivor's over GF(2)
     (:func:`~multinet.graphstate.merge_vertices`), so merging every site
     leaves an edge between two sites exactly when an odd number of placed
     edges join them, and none inside a site.  The verdict therefore needs
-    only the parity of each site pair, not a replay of the merges.
+    only the parity of each site pair, over sites numbered by small ints (the
+    target's first).  Blocks may share a graph, as in :func:`family_cover`: it
+    is read once per call, safe because graphs are never mutated in place.
     """
     if target.coords is None:
         raise SchemeError("target graph carries no coordinates")
-    ids: dict[tuple, list[int]] = {}
-    odd: set[tuple] = set()
-    next_id = 0
+    coords = target.coords
+    number: dict[tuple, int] = {}
+    for v in target.vertices():
+        number.setdefault(coords[v], len(number))
+    on_target = len(number)
+    wanted = {(p, q) if p < q else (q, p) for p, q in
+              ((number[coords[a]], number[coords[b]]) for a, b in target.iter_edges())}
+    read: dict[int, tuple] = {}  # by id: (graph, its vertices, its edges as vertex positions)
+    placed: list[int] = []  # the site of each qubit id
+    odd: set[tuple[int, int]] = set()
     for block_idx, (block, placement) in enumerate(cover):
-        for v in block.vertices():
-            if v not in placement:
-                raise SchemeError(f"block {block_idx} vertex {v} has no placement")
-            ids.setdefault(placement[v], []).append(next_id)
-            next_id += 1
-        # parity is order-free, so the edges need no sorting
-        for a, b in block.iter_edges():
-            p, q = placement[a], placement[b]
+        if id(block) not in read:  # the entry holds the graph, so its id is not reused
+            at = {v: i for i, v in enumerate(block.vertices())}
+            read[id(block)] = (block, list(at), [(at[a], at[b]) for a, b in block.iter_edges()])
+        _, vertices, pairs = read[id(block)]
+        try:
+            sites = [number.setdefault(placement[v], len(number)) for v in vertices]
+        except KeyError:
+            v = next(v for v in vertices if v not in placement)
+            raise SchemeError(f"block {block_idx} vertex {v} has no placement") from None
+        placed += sites
+        for i, j in pairs:  # parity is order-free, so the edges need no sorting
+            p, q = sites[i], sites[j]
             if p != q:
                 pair = (q, p) if q < p else (p, q)
                 if pair in odd:
                     odd.remove(pair)
                 else:
                     odd.add(pair)
-    coords = target.coords
-    wanted = set()
-    for a, b in target.iter_edges():
-        p, q = coords[a], coords[b]
-        wanted.add((q, p) if q < p else (p, q))
-    ok = odd == wanted and ids.keys() == {coords[v] for v in target.vertices()}
-    trace = [(coord, ids[coord][0], other) for coord in sorted(ids) for other in ids[coord][1:]]
-    return ok, trace
+    ids: list[list[int]] = [[] for _ in number]
+    for qubit, site in enumerate(placed):
+        ids[site].append(qubit)
+    site_of = list(number)
+    trace = [(site_of[k], ids[k][0], other) for k in sorted(range(len(ids)), key=site_of.__getitem__)
+             for other in ids[k][1:]]
+    return odd == wanted and len(number) == on_target and all(ids), trace
 
 
 def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[Graph, dict[int, tuple]]]:
-    """Materialize a family's cover as (graph, placement) pairs for validation."""
-    return [(g, g.coords) for g in map(blocks.edge_graph, blocks.cover_blocks(family, dims, b))]
+    """Materialize a family's cover as (graph, placement) pairs for validation.
+
+    The blocks of one cell shape (:func:`blocks.lift`) share one graph, safe because graphs are
+    never mutated in place; each has its own placement.  Trace ids follow each block's vertex
+    order, so they may renumber against sorted sites while the merge count stays the same.
+    """
+    shapes, placed = blocks.lift(family, dims, b)
+    graphs = [Graph(range(len(sites)), pairs) for sites, pairs in shapes]
+    return [(graphs[k], dict(enumerate(sites))) for k, sites in placed]

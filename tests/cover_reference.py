@@ -2,14 +2,15 @@
 
 Each function rebuilds from scratch what the package reads off a unit cell:
 the lattice's edge set, a cover lifted by wrapping every edge endpoint, and
-the per-site storage of an explicit cover.
+the per-site storage of an explicit cover.  ``cover_blocks`` and
+``edge_graph`` give a cover and a block as plain edge lists and graphs.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from multinet.blocks import Edge, Site, block_edges, cover_blocks, edge_graph, unit_cell
+from multinet.blocks import Edge, Site, block_edges, lift, unit_cell
 from multinet.graphstate import Graph
 
 
@@ -19,6 +20,18 @@ def wrap(site: Site, dims: tuple[int, ...]) -> Site:
 
 def norm_edge(a: Site, b: Site) -> Edge:
     return (a, b) if a <= b else (b, a)
+
+
+def edge_graph(edges: list[Edge]) -> Graph:
+    """The graph of an edge group over the sites it touches.
+
+    Vertex ids index the sorted sites; ``coords`` maps each id back to its site.
+    """
+    sites = sorted({s for e in edges for s in e})
+    index = {s: i for i, s in enumerate(sites)}
+    g = Graph(range(len(sites)), [(index[a], index[b]) for a, b in edges])
+    g.coords = dict(enumerate(sites))
+    return g
 
 
 def block_graph(family: str, dim: int, b: int) -> Graph:
@@ -39,6 +52,18 @@ def lattice_edges(dims: tuple[int, ...]) -> set[Edge]:
     return edges
 
 
+def cell_groups(cell) -> tuple[tuple[Edge, ...], ...]:
+    """Each block's edges, rebuilt from a unit cell's shapes in the cell's edge order."""
+    return tuple(tuple((sites[i], sites[j]) for i, j in pairs) for sites, pairs in cell.shapes)
+
+
+def cover_blocks(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Edge]]:
+    """Edge groups of one full cover, read off ``blocks.lift``: each block's
+    edges as normalised site pairs, in the cell's edge order."""
+    shapes, placed = lift(family, dims, b)
+    return [[norm_edge(sites[i], sites[j]) for i, j in shapes[k][1]] for k, sites in placed]
+
+
 def endpoint_lift(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Edge]]:
     """The unit cell translated by every multiple of its period, wrapping
     both endpoints of every edge.  Assumes ``dims`` is admissible."""
@@ -46,7 +71,7 @@ def endpoint_lift(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[E
     return [
         [norm_edge(*(wrap(tuple(x + s for x, s in zip(site, shift)), dims) for site in e)) for e in group]
         for shift in itertools.product(*(range(0, d, p) for d, p in zip(dims, cell.period)))
-        for group in cell.groups
+        for group in cell_groups(cell)
     ]
 
 

@@ -13,8 +13,8 @@ from multinet.blocks import (
     BlockError,
     block_edges,
     blocks_count,
-    cover_blocks,
     degree_color_classes,
+    lift,
     per_copy_total,
     site_costs,
     sites_per_block,
@@ -23,7 +23,15 @@ from multinet.blocks import (
 from multinet.cli import load_config_source, parse_config, preset_names
 from multinet.schemes import family_cover
 
-from cover_reference import block_graph, endpoint_lift, lattice_edges, per_site_cost_histogram
+from cover_reference import (
+    block_graph,
+    cell_groups,
+    cover_blocks,
+    endpoint_lift,
+    lattice_edges,
+    norm_edge,
+    per_site_cost_histogram,
+)
 
 SIZES = (1, 2, 3, 4, 6, 8)
 
@@ -184,11 +192,25 @@ class TestCovers:
         # same groups in the same order, each edge in the same order and orientation
         assert groups == endpoint_lift(family, dims, b)
         assert all(a < c for group in groups for a, c in group)
-        for group, (g, coords) in zip(groups, family_cover(family, dims, b), strict=True):
-            sites = sorted({s for e in group for s in e})
-            index = {s: i for i, s in enumerate(sites)}
-            assert coords == dict(enumerate(sites))
-            assert g.edges() == sorted((index[a], index[c]) for a, c in group)
+        # each placed block: its group's distinct sites, one vertex each, and its edges
+        for group, (g, placement) in zip(groups, family_cover(family, dims, b), strict=True):
+            assert sorted(placement) == g.vertices()
+            assert sorted(placement.values()) == sorted({s for e in group for s in e})
+            assert sorted(norm_edge(placement[a], placement[c]) for a, c in g.edges()) == sorted(group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(admissible_lattices())
+    @example(("windmill", (8, 8), 1))
+    @example(("shifted-grid", (8, 8), 1))
+    @example(("shifted-grid", (6, 6, 6), 3))
+    @example(("windmill", (4, 4), 2))
+    def test_one_graph_per_cell_shape(self, case):
+        family, dims, b = case
+        cover = family_cover(family, dims, b)
+        assert len(cover) == blocks_count(family, dims, b)
+        assert len({id(g) for g, _ in cover}) == len(unit_cell(family, len(dims), b).shapes)
+        # every block has a placement of its own
+        assert len({id(placement) for _, placement in cover}) == len(cover)
 
     def test_oversized_block_rejected_before_its_cell(self):
         # the cells would have ~b^dim edges (10^12 at b = 10^6); the period check comes first
@@ -211,7 +233,7 @@ class TestCovers:
         kinds = [("bipartite", 1)] + [(f, b) for f in ("windmill", "shifted-grid") for b in range(1, 9)]
         for dims, (family, b) in itertools.product(tori, kinds):
             try:
-                cover_blocks(family, dims, b)
+                lift(family, dims, b)
             except BlockError:
                 with pytest.raises(BlockError):
                     blocks_count(family, dims, b)
@@ -223,15 +245,15 @@ class TestCovers:
 
     def test_unit_cells(self):
         assert unit_cell("windmill", 3, 2).period == (4, 4, 4)
-        assert len(unit_cell("windmill", 3, 2).groups) == 1
+        assert len(unit_cell("windmill", 3, 2).shapes) == 1
         assert unit_cell("shifted-grid", 2, 3).period == (6, 6)
-        assert len(unit_cell("shifted-grid", 2, 3).groups) == 2
+        assert len(unit_cell("shifted-grid", 2, 3).shapes) == 2
         for b, period, anchors in [(3, (6, 2, 2), 2), (4, (4, 2, 2), 1)]:
             cell = unit_cell("shifted-grid", 3, b)
-            assert cell.period == period and len(cell.groups) == anchors
+            assert cell.period == period and len(cell.shapes) == anchors
         # the first block is anchored at the origin, edges as in the canonical block
         for family, dim, b in itertools.product(("windmill", "shifted-grid"), (2, 3), range(1, 5)):
-            assert unit_cell(family, dim, b).groups[0] == tuple(block_edges(family, dim, b))
+            assert cell_groups(unit_cell(family, dim, b))[0] == tuple(block_edges(family, dim, b))
 
     @pytest.mark.parametrize("family,dims,b", preset_lattices())
     def test_preset_lattices(self, family, dims, b):

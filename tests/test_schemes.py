@@ -347,6 +347,45 @@ class TestCoverValidation:
         ok, _ = validate_cover(cover, target_lattice((8, 8)))
         assert not ok
 
+    def test_shared_graph_placed_and_misplaced(self):
+        # every windmill block shares one graph: block 0 placed right, block 1 shifted
+        dims = (8, 8)
+        cover = family_cover("windmill", dims, 1)
+        block, placement = cover[1]
+        assert block is cover[0][0]
+        cover[1] = (block, {v: (c[0], (c[1] + 1) % 8) for v, c in placement.items()})
+        target = target_lattice(dims)
+        ok, trace = validate_cover(cover, target)
+        assert not ok
+        assert (ok, trace) == replay_cover(cover, target)
+        # a placement missing a vertex only in the second use of the shared graph
+        cover = family_cover("windmill", dims, 1)
+        cover[1] = (block, {v: c for v, c in cover[1][1].items() if v != 0})
+        with pytest.raises(SchemeError, match="block 1 vertex 0 has no placement"):
+            validate_cover(cover, target)
+
+    def test_changing_one_placement_changes_only_that_block(self):
+        dims = (8, 8)
+        cover, fresh = family_cover("shifted-grid", dims, 1), family_cover("shifted-grid", dims, 1)
+        placement = cover[5][1]
+        for v, c in placement.items():
+            placement[v] = ((c[0] + 1) % 8, c[1])
+        assert placement != fresh[5][1]
+        assert [p for _, p in cover[:5] + cover[6:]] == [p for _, p in fresh[:5] + fresh[6:]]
+        assert all(g == h for (g, _), (h, _) in zip(cover, fresh, strict=True))
+        target = target_lattice(dims)
+        ok, trace = validate_cover(cover, target)
+        assert not ok
+        assert (ok, trace) == replay_cover(cover, target)
+
+    def test_cover_of_fresh_graphs_matches_shared(self):
+        # a lazily built cover of one copy per block: each graph is read once
+        dims = (4, 4, 4)
+        cover, target = family_cover("shifted-grid", dims, 2), target_lattice(dims)
+        result = validate_cover(((g.copy(), p) for g, p in cover), target)
+        assert result == validate_cover(cover, target) == replay_cover(cover, target)
+        assert result[0]
+
     def test_merge_trace_reports_collisions(self):
         cover = family_cover("shifted-grid", (4, 4, 4), 1)
         ok, trace = validate_cover(cover, target_lattice((4, 4, 4)))
