@@ -242,12 +242,13 @@ def blocks_count(family: str, dims: tuple[int, ...], b: int = 1) -> int:
     return math.prod(dims) // math.prod(cell.period) * len(cell.shapes)
 
 
-def degree_color_classes(family: str, dim: int, b: int = 1) -> list[tuple[int, int, int]]:
+@functools.cache
+def degree_color_classes(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int, int], ...]:
     """Per-block vertex classes as (degree, color, count).
 
     The color is the site parity inside the canonical block, which is a
     proper two-coloring because every block is a subgraph of the bipartite
-    lattice.
+    lattice.  Cached, as every sweep point of a scenario asks again.
     """
     edges = block_edges(family, dim, b)
     degree: dict[Site, int] = {}
@@ -258,7 +259,7 @@ def degree_color_classes(family: str, dim: int, b: int = 1) -> list[tuple[int, i
     for site, d in degree.items():
         key = (d, sum(site) % 2)
         counts[key] = counts.get(key, 0) + 1
-    return [(d, color, n) for (d, color), n in sorted(counts.items())]
+    return tuple((d, color, n) for (d, color), n in sorted(counts.items()))
 
 
 def sites_per_block(family: str, dim: int, b: int = 1) -> int:

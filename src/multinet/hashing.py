@@ -43,9 +43,41 @@ optimum, and its result is exactly that of evaluating every candidate.
 
 Threshold targets have one search, :func:`largest_m`: a bisection for the
 largest m whose bound (any function of m that does not increase with it)
-clears the threshold.  It returns the bound it computed at its result, and
-serves both the optimized class-level bound and the bipartite lattice
-product in the scenarios.
+clears the threshold t.  It serves both the optimized class-level bound and
+the bipartite lattice product in the scenarios.  A step of the search over
+the optimized bound needs only to know whether the optimizer's F is >= t,
+and the optimizer stops once that is settled (``threshold=``); the search
+then runs the whole optimization once, at its result.  A pass is settled by
+a witness: the optimizer's F is the largest F it computes, so any candidate
+whose computed F is >= t shows it (a step reaches the refinement only after
+the whole grid search, so its refinement points are the optimizer's).  A
+fail is settled by a certificate:
+
+- Slacks.  With budget B, every two-color candidate has slacks at most
+  (B, B/2) or (B/2, B) as floats: B*x rounds to at most B when x <= 1 and to
+  at most B*0.5 when x <= 0.5, as rounding is monotone.  The equal split is
+  (0.5, 0.5); a grid point (c/200, (200-c)/200) has both shares below 1 and
+  one at most 0.5; a refinement point (x, 1 - x) with 0 < x < 1 has
+  1 - x <= 1, and 1 - x is exact and below 0.5 when x > 0.5.
+- Monotonicity.  Write G_c(s) for color c's terms count*log(1 - L) at
+  slack s, as real numbers at the rounded delta = fl(s + gap).  L falls as
+  delta grows and fl(s + gap) never falls as s grows, so G_c never falls as
+  s grows, and every candidate's exact log F is at most
+  U = max(G_0(B) + G_1(B/2), G_0(B/2) + G_1(B)).
+- Rounding.  A computed log F is within :func:`_log_band` of the exact one
+  at the same slacks (no claim once a loss is within 2^-20 of 1).  If a
+  candidate's computed F is >= t, its largest loss w has 1 - w >= t*(1 -
+  2^-40) (each term is at most log1p(-w)), so for t >= 2^-10 its band is at
+  most 2^-20*|log t| + 2^-50, with |log F| <= |log t| + 2^-50.
+- Certificate.  Compute both sums of U as a candidate's log F is computed,
+  each plus its band, which bounds the exact sums.  If both are below
+  log t - 2^-19*|log t| - 2^-40, no candidate's computed F reaches t: it
+  would need an exact log F of at least log t - 2^-20*|log t| - 2^-49, and
+  the few roundings of the test itself are far inside the remaining
+  2^-20*|log t| + 2^-41.  The certificate does not fire, and the search
+  runs in full, when t < 2^-10 (``_CERTIFICATE_FLOOR``), when either sum
+  has a loss within 2^-20 of 1 (an infinite band) or reaching 1 (an
+  infinite sum, whose band is NaN), or when a sum comes near log t.
 """
 
 from __future__ import annotations
@@ -61,6 +93,8 @@ from .noise import BitMarginal
 
 SPLIT_GRID_STEPS = 200
 SPLIT_REFINE_FACTOR = 20
+# the least threshold the certificate that a split search falls short is used for
+_CERTIFICATE_FLOOR = 2.0**-10
 # the two-color split candidates in steps of 1/200, first share ascending; the second
 # share is (200 - c)/200, which 1 - c/200 misses in the last bit at 80 of the points
 SPLIT_GRID = tuple(
@@ -402,8 +436,32 @@ def _log_band(log_f: float, worst: float) -> float:
     return -log_f * 2.0**-30 / (1.0 - worst) + 2.0**-1000 if worst < 1.0 - 2.0**-20 else math.inf
 
 
-def _peak(bound: _SplitBound, cands, best, best_f):
-    """The search of two-color ``cands`` from (best, best_f) in :func:`optimize_delta_split_classes`."""
+class _Cleared(Exception):
+    """A thresholded search met a candidate, ``args`` = (split, F), whose F clears the threshold."""
+
+
+def _falls_short(bound: _SplitBound, threshold: float) -> bool:
+    """Whether no two-color candidate's computed F can reach ``threshold`` (the certificate
+    in the module docstring): F at (B, B/2) and at (B/2, B), widened by the rounding margin."""
+    if not threshold >= _CERTIFICATE_FLOOR:
+        return False
+    log_t = math.log(threshold)
+    cut = log_t - 2.0**-19 * abs(log_t) - 2.0**-40
+    full, half = bound.budget, bound.budget * 0.5
+    for s0, s1 in ((full, half), (half, full)):
+        log_f, worst = bound.fold(0, s0)
+        if log_f > -math.inf:
+            log_f, worst = bound.fold(1, s1, log_f, worst)
+        if not log_f + _log_band(log_f, worst) < cut:
+            return False
+    return True
+
+
+def _peak(bound: _SplitBound, cands, best, best_f, threshold=math.inf):
+    """The search of two-color ``cands`` from (best, best_f) in :func:`optimize_delta_split_classes`.
+
+    Raises :class:`_Cleared` at the first candidate whose F is at least ``threshold``.
+    """
     budget, end = bound.budget, len(cands)
     seen = {}
 
@@ -417,6 +475,8 @@ def _peak(bound: _SplitBound, cands, best, best_f):
                 seen[j] = (-1, j), log_f, worst
             else:
                 log_f, worst = bound.fold(1, budget * cands[j][1], log_f, worst)
+                if math.exp(log_f) >= threshold:
+                    raise _Cleared(cands[j], math.exp(log_f))
                 seen[j] = (0, log_f) if log_f > -math.inf else (-1, -j), log_f, worst
         return seen[j]
 
@@ -455,6 +515,8 @@ def optimize_delta_split_classes(
     classes: Sequence[MarginalClass],
     n: int,
     m: int,
+    *,
+    threshold: float | None = None,
 ) -> tuple[dict[int, float], float]:
     """Search the two-color slack split on a grid, maximizing the bound.
 
@@ -482,6 +544,15 @@ def optimize_delta_split_classes(
        exp(cap) cannot beat the incoming best, or falls below the best F
        found, or, to the right, ties it, as a later tie never wins.
     3. The strict-improvement rule is replayed over the walked candidates.
+
+    With ``threshold``, the call answers only whether the result's F is at
+    least ``threshold``, and stops once that is settled: at the first
+    candidate whose F clears it (a witness, as the result's F is the
+    largest computed), or, when the equal split falls short, on the
+    certificate of the module docstring that no candidate can clear it.  It
+    then returns the split that settled the answer and that split's F,
+    which is on the same side of ``threshold`` as the result's F, not the
+    result itself; without an early answer it returns the result.
     """
     bound = _SplitBound(classes, n, m)
     colors = bound.colors
@@ -491,29 +562,40 @@ def optimize_delta_split_classes(
         return {}, 1.0
     best = (1.0 / len(colors),) * len(colors)
     best_f = bound.at(best)
-    if len(colors) == 2:
-        best, best_f = _peak(bound, SPLIT_GRID, best, best_f)
-        lo = best[0] - 1.0 / SPLIT_GRID_STEPS
-        fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
-        xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
-        best, best_f = _peak(bound, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], best, best_f)
+    if len(colors) == 2 and (threshold is None or not (best_f >= threshold or _falls_short(bound, threshold))):
+        clears = math.inf if threshold is None else threshold
+        try:
+            best, best_f = _peak(bound, SPLIT_GRID, best, best_f, clears)
+            lo = best[0] - 1.0 / SPLIT_GRID_STEPS
+            fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
+            xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
+            best, best_f = _peak(bound, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], best, best_f, clears)
+        except _Cleared as witness:
+            best, best_f = witness.args
     return dict(zip(colors, best)), best_f
 
 
-def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[int, float]:
+def largest_m(
+    value: Callable[..., float], n: int, threshold: float, *, early: bool = False
+) -> tuple[int, float]:
     """Largest m in [1, n] with ``value(m) >= threshold``, and the value there.
 
     A bisection that assumes ``value`` is nonincreasing in m; an m whose
     target is infeasible counts as falling short.  (0, 0.0) if even m = 1
-    falls short.  The value returned is the one the search computed, so a
-    caller never evaluates the bound at the result a second time.
+    falls short.  Without ``early``, the value returned is the one the
+    search computed at its result.  With ``early``, each step calls
+    ``value(m, threshold)``, which may stop once it knows on which side of
+    ``threshold`` ``value(m)`` lies and return any number on that side;
+    the search then calls ``value(m)`` once more, at its result, and
+    returns that.
     """
     if not 0.0 < threshold < 1.0:
         raise MultinetError(f"threshold must be in (0,1), got {threshold}")
+    step = (threshold,) if early else ()
 
     def value_or_short(m: int) -> float:
         try:
-            return value(m)
+            return value(m, *step)
         except InfeasibleTargetError:
             return -1.0
 
@@ -528,4 +610,4 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
             lo, f_lo = mid, f_mid
         else:
             hi = mid - 1
-    return lo, f_lo
+    return lo, value(lo) if early else f_lo

@@ -117,21 +117,21 @@ def _evaluate(
     bound: Callable[[int], float],
     m: int | None = None,
     threshold: float | None = None,
-    search: Callable[[int], float] | None = None,
+    search: Callable[..., float] | None = None,
 ) -> SchemeResult:
     """One scenario point from ``n`` input copies.
 
     With ``m`` given, the bound ``bound(m)``; otherwise the largest m whose
     bound clears ``threshold`` (see :func:`largest_m`), searched over
     ``search`` when given (the multipartite scenarios optimize the slack
-    split there) and over ``bound`` otherwise.  No room for ``max(1, m)``
-    copies, or a fixed target the entropies cannot meet, is an infeasible
-    result.
+    split there, see :func:`_optimized`) and over ``bound`` otherwise.  No
+    room for ``max(1, m)`` copies, or a fixed target the entropies cannot
+    meet, is an infeasible result.
     """
     if n < 1 or (m is not None and n < m):
         return SchemeResult.infeasible_point(label, n_used=n)
     if m is None:
-        best, fid = largest_m(search or bound, n, threshold)
+        best, fid = largest_m(search, n, threshold, early=True) if search else largest_m(bound, n, threshold)
         return SchemeResult(label, fid, best, n)
     try:
         return SchemeResult(label, bound(m), m, n)
@@ -289,6 +289,11 @@ def _cluster_classes(family: str, dim: int, b: int, q: float, count_blocks: int)
     return classes
 
 
+def _optimized(classes: list[MarginalClass], n: int) -> Callable[..., float]:
+    """The optimized bound at m, settled early against a threshold, for :func:`largest_m`'s ``early`` steps."""
+    return lambda m, threshold=None: optimize_delta_split_classes(classes, n, m, threshold=threshold)[1]
+
+
 def _bipartite_lattice_fidelity(q_pair_dist, n: int, m: int, edge_count: int) -> float:
     loss = 1.0 - bipartite_bound(q_pair_dist, n, m).fidelity
     if loss >= 1.0:
@@ -335,7 +340,7 @@ def cluster_architecture_run(
     classes = _cluster_classes(family, arch.dimensionality, b, q, count)
     return _evaluate(
         label, n, lambda m: multipartite_bound_classes(classes, n, m)[0], m, threshold,
-        search=lambda m: optimize_delta_split_classes(classes, n, m)[1],
+        search=_optimized(classes, n),
     )
 
 
@@ -370,7 +375,7 @@ def from_bell_run(
     multi = _evaluate(
         "multipartite", capacity,
         lambda m: multipartite_bound_classes(classes, capacity, m)[0], m, threshold,
-        search=lambda m: optimize_delta_split_classes(classes, capacity, m)[1],
+        search=_optimized(classes, capacity),
     )
 
     n_bip = capacity // (2 * dim)

@@ -14,6 +14,7 @@ from multinet.hashing import (
     vertex_classes,
 )
 from multinet.noise import ChannelError
+from multinet.schemes import _optimized
 
 
 def to_text(g):
@@ -74,8 +75,9 @@ def optimize_delta_split(g, coloring, marginals, n, m):
 
 
 def max_output_copies_classes(classes, n, threshold):
-    """Largest m whose optimized bound is >= threshold, by ``largest_m`` (0 if none)."""
-    return largest_m(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, threshold)[0]
+    """Largest m whose optimized bound is >= threshold, by ``largest_m`` (0 if none),
+    searched as the scenarios search it."""
+    return largest_m(_optimized(classes, n), n, threshold, early=True)[0]
 
 
 def max_output_copies(g, coloring, marginals, n, threshold):

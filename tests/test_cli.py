@@ -549,13 +549,21 @@ NAMES = {
     "families": ["bipartite", "windmill", "shifted-grid", "mesh", "bipartite,windmill,shifted-grid"],
 }
 KEYS_BY_SECTION = {
-    "experiment": ("scenario", "sweep", "sweep_values", "target", "m", "threshold"),
+    "experiment": ("scenario", "sweep", "sweep_values", "sweep_steps", "target", "m", "threshold"),
     "noise": ("channel", "q", "p", "px", "pz"),
     "architecture": ("schemes", "families", "block_sizes", "dims", "levels"),
     "storage": ("mode", "capacity"),
 }
-# Caps that keep an example fast: at most 3 sweep values, lattice extents at
-# most 64, block sizes at most 8 plus one far above every extent.
+# The key each sweep sets, and keys the generator draws more often than the rest.
+SWEPT_KEYS = {
+    "q": ("noise", "q"),
+    "capacity": ("storage", "capacity"),
+    "levels": ("architecture", "levels"),
+    "block_size": ("architecture", "block_sizes"),
+}
+RARE_KEYS = [("architecture", "levels"), ("experiment", "sweep_steps"), ("experiment", "sweep_values")]
+# Caps that keep an example fast: at most 3 sweep values or steps, lattice
+# extents at most 64, block sizes at most 8 plus one far above every extent.
 NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-1", "0", "646", "700", "1e308", "1" + "0" * 40, "fast"]),
     st.integers(-3, 3000).map(str),
@@ -563,7 +571,9 @@ NUMBERS = st.one_of(
 )
 VALUES = {
     **{key: st.sampled_from(names) for key, names in NAMES.items()},
-    "sweep_values": st.lists(NUMBERS, min_size=1, max_size=3).map(",".join),
+    "sweep_values": st.lists(NUMBERS | st.sampled_from(["645", "646", "647", "700"]), min_size=1, max_size=3)
+    .map(",".join),
+    "sweep_steps": st.one_of(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "2.5", "nan", "fast"])),
     "dims": st.lists(st.integers(1, 64), min_size=1, max_size=3).map(lambda ds: "x".join(map(str, ds))),
     "block_sizes": st.lists(st.one_of(st.integers(1, 8), st.just(10**6)), min_size=1, max_size=3)
     .map(lambda bs: ",".join(map(str, bs))),
@@ -573,20 +583,34 @@ VALUES = {
 @st.composite
 def mutated_presets(draw):
     """A packaged preset cut to at most 3 sweep values, then mutated: each name
-    it holds is swapped 1 time in 2, and 0-2 keys are dropped or set."""
+    it holds is swapped 1 time in 2, and 0-2 keys are dropped or set.
+
+    One preset in four keeps its sweep range, with 1-3 steps or a malformed
+    step count.  Half the keys drawn are the key the sweep sets, and the
+    triangular ``levels``, ``sweep_steps`` and ``sweep_values`` (with values
+    around 646, the most ``levels`` allowed) are drawn as often as all the
+    other keys together.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(load_config_source(draw(st.sampled_from(preset_names())))[0])
     exp = parser["experiment"]
-    lo, hi = float(exp.pop("sweep_min")), float(exp.pop("sweep_max"))
-    del exp["sweep_steps"]
-    picks = draw(st.lists(st.sampled_from([lo, (lo + hi) / 2, hi]), min_size=1, max_size=3))
-    exp["sweep_values"] = ",".join(map(repr, sorted(picks)))
+    if draw(st.integers(0, 3), label="keep the sweep range") == 0:
+        exp["sweep_steps"] = draw(VALUES["sweep_steps"])
+    else:
+        lo, hi = float(exp.pop("sweep_min")), float(exp.pop("sweep_max"))
+        del exp["sweep_steps"]
+        picks = draw(st.lists(st.sampled_from([lo, (lo + hi) / 2, hi]), min_size=1, max_size=3))
+        exp["sweep_values"] = ",".join(map(repr, sorted(picks)))
     for section in parser.sections():
         for key in NAMES.keys() & parser[section].keys():
             if draw(st.booleans()):
                 parser.set(section, key, draw(st.sampled_from(NAMES[key])))
+    keys = [(s, k) for s, keys in KEYS_BY_SECTION.items() for k in keys]
+    keys += RARE_KEYS * (len(keys) // len(RARE_KEYS))
+    if exp.get("sweep") in SWEPT_KEYS:
+        keys += [SWEPT_KEYS[exp["sweep"]]] * len(keys)
     for _ in range(draw(st.integers(0, 2))):
-        section, key = draw(st.sampled_from([(s, k) for s, keys in KEYS_BY_SECTION.items() for k in keys]))
+        section, key = draw(st.sampled_from(keys))
         if not parser.has_section(section):
             parser.add_section(section)
         if draw(st.integers(0, 3)) == 0:

@@ -1,5 +1,6 @@
 """Finite-size hashing bounds."""
 
+import functools
 import itertools
 import math
 
@@ -19,11 +20,13 @@ from multinet.hashing import (
     bennett_success,
     bipartite_bound,
     entropy,
+    largest_m,
     multipartite_bound,
     multipartite_bound_classes,
     optimize_delta_split_classes,
 )
 from multinet.noise import BitMarginal
+from multinet.schemes import Architecture, StorageModel, _optimized, cluster_architecture_run
 
 from extras import max_output_copies, max_output_copies_classes, optimize_delta_split
 
@@ -666,6 +669,26 @@ NARROW_OPTIMA = [
 ]
 
 
+def evaluations(monkeypatch, fn):
+    """The number of splits ``fn()`` evaluates, and its result.
+
+    Every split looked at, even one left at an infinite first color, starts
+    with the first color's terms.
+    """
+    calls = 0
+    fold = _SplitBound.fold
+
+    def counted(self, i, *args):
+        nonlocal calls
+        calls += i == 0
+        return fold(self, i, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_SplitBound, "fold", counted)
+        result = fn()
+    return calls, result
+
+
 class TestPrunedSplitScan:
     @settings(max_examples=300, deadline=None)
     @given(split_problems(colors=(0, 1)))
@@ -722,19 +745,21 @@ class TestPrunedSplitScan:
 
     @staticmethod
     def bound_evaluations(monkeypatch, classes, n, m):
-        # every split looked at, even one left at an infinite first color,
-        # starts with the first color's terms
-        calls = 0
-        fold = _SplitBound.fold
+        return evaluations(monkeypatch, lambda: optimize_delta_split_classes(classes, n, m))[0]
 
-        def counted(self, i, *args):
-            nonlocal calls
-            calls += i == 0
-            return fold(self, i, *args)
+    def test_whole_threshold_search(self, monkeypatch):
+        # the scenario's search for fig11m's 64x64 shifted-grid b=2 point at
+        # q = 0.98 (n = 800, answer m = 198 at threshold 0.9): eleven steps
+        # (one infeasible, eight settled at the equal split, two unsettled)
+        # and one full optimization at the answer take 70; running the full
+        # optimization at every step took 200
+        def search():
+            arch = Architecture("shifted-grid", (64, 64), 2)
+            return cluster_architecture_run(arch, StorageModel("global", 4915200), 0.98, threshold=0.9)
 
-        monkeypatch.setattr(_SplitBound, "fold", counted)
-        optimize_delta_split_classes(classes, n, m)
-        return calls
+        calls, res = evaluations(monkeypatch, search)
+        assert (res.m, res.n_used) == (198, 800)
+        assert calls <= 100
 
     def test_two_colors_prune(self, monkeypatch):
         # fig11m's 64x64 shifted-grid b=2 point at q = 0.98: n = 800, and
@@ -766,3 +791,99 @@ class TestPrunedSplitScan:
         split, f = optimize_delta_split_classes(two + [MarginalClass(0.0, 2, 5)], 200, 1)
         assert (split, f) == optimize_delta_split_classes(two, 200, 1)
         assert split[0] != 0.5
+
+
+# fig11m's 64x64 shifted-grid b=2 classes at q = 0.98, n = 800: at threshold
+# 0.9 the equal split is a witness at m = 198; at m = 199 neither the
+# witness nor the certificate settles the step (F = 0.8995); at m = 250
+# the certificate does (F = 0.0157)
+FIG11M_CLASSES = [
+    MarginalClass(0.029404, 0, 2048),
+    MarginalClass(0.029404, 1, 2048),
+    MarginalClass(0.0480396016, 0, 1024),
+    MarginalClass(0.0480396016, 1, 1024),
+]
+SETTLED_AT_EQUAL_SPLIT = ((FIG11M_CLASSES, 800, 198), 0.9)
+SETTLED_BY_CERTIFICATE = ((FIG11M_CLASSES, 800, 250), 0.9)
+UNSETTLED = ((FIG11M_CLASSES, 800, 199), 0.9)
+
+
+def thresholds_at(f, extra):
+    """The optimizer's F, its two float neighbours and one more threshold, those in (0, 1)."""
+    return [t for t in (f, math.nextafter(f, 0.0), math.nextafter(f, 1.0), extra) if 0.0 < t < 1.0]
+
+
+THRESHOLDS = st.floats(min_value=2.0**-11, max_value=1.0, exclude_max=True)
+
+
+class TestThresholdSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems(colors=(0, 1)), THRESHOLDS)
+    @example(*SETTLED_AT_EQUAL_SPLIT)
+    @example(*SETTLED_BY_CERTIFICATE)
+    @example(*UNSETTLED)
+    @example(SUBNORMAL_OPTIMA[1], 0.5)
+    @example(NARROW_OPTIMA[0], 0.5)
+    def test_step_decides_as_the_full_optimizer(self, problem, extra):
+        # a thresholded call is on the same side of t as the full result,
+        # at t = F itself and at the floats next to it, and returns a split
+        # it evaluated with that split's bound
+        classes, n, m = problem
+        full = outcome(lambda: optimize_delta_split_classes(classes, n, m))
+        if full == "infeasible":
+            with pytest.raises(InfeasibleTargetError):
+                optimize_delta_split_classes(classes, n, m, threshold=extra)
+            return
+        for t in thresholds_at(full[1], extra):
+            split, f = optimize_delta_split_classes(classes, n, m, threshold=t)
+            assert (f >= t) == (full[1] >= t)
+            assert f == multipartite_bound_classes(classes, n, m, delta_split=split or None)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_problems(colors=(0, 1)), THRESHOLDS)
+    @example(*SETTLED_AT_EQUAL_SPLIT)
+    @example(*UNSETTLED)
+    def test_search_matches_plain_bisection(self, problem, extra):
+        # settling the steps early changes neither the m found nor its F
+        classes, n, m = problem
+        full = outcome(lambda: optimize_delta_split_classes(classes, n, m))
+        f = 0.5 if full == "infeasible" else full[1]
+        for t in thresholds_at(f, extra):
+            found = largest_m(_optimized(classes, n), n, t, early=True)
+            assert found == largest_m(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, t)
+
+    @pytest.mark.parametrize(
+        "case, settled_by",
+        [(SETTLED_AT_EQUAL_SPLIT, "witness"), (SETTLED_BY_CERTIFICATE, "certificate"), (UNSETTLED, None)],
+    )
+    def test_examples_settle_as_named(self, monkeypatch, case, settled_by):
+        # the equal split is one evaluation and the certificate two more (one
+        # if its first half comes near t); an unsettled step also runs the
+        # whole search
+        (classes, n, m), t = case
+        full = TestPrunedSplitScan.bound_evaluations(monkeypatch, classes, n, m)
+        step = functools.partial(optimize_delta_split_classes, classes, n, m, threshold=t)
+        calls, (_, f) = evaluations(monkeypatch, step)
+        if settled_by is None:
+            assert full < calls <= full + 2
+        else:
+            assert calls == {"witness": 1, "certificate": 3}[settled_by]
+        assert (f >= t) == (settled_by == "witness")
+
+    def test_certificate_needs_the_floor(self):
+        # below 2^-10 the search runs in full rather than trust the margin
+        bound = _SplitBound(FIG11M_CLASSES, 800, 300)
+        assert hashing._falls_short(bound, hashing._CERTIFICATE_FLOOR)
+        assert not hashing._falls_short(bound, math.nextafter(hashing._CERTIFICATE_FLOOR, 0.0))
+
+    def test_largest_m_computes_the_answer_in_full(self):
+        # the steps' numbers are only answers; the returned F is the full value at the result
+        calls = []
+
+        def value(m, threshold=None):
+            calls.append((m, threshold))
+            return 0.95 if threshold is not None and m <= 7 else (1.0 if m <= 7 else 0.0)
+
+        assert largest_m(value, 20, 0.9, early=True) == (7, 1.0)
+        assert calls[-1] == (7, None)
+        assert all(t == 0.9 for _, t in calls[:-1])
