@@ -262,11 +262,6 @@ def degree_color_classes(family: str, dim: int, b: int = 1) -> tuple[tuple[int, 
     return tuple((d, color, n) for (d, color), n in sorted(counts.items()))
 
 
-def sites_per_block(family: str, dim: int, b: int = 1) -> int:
-    """Distinct sites touched by one block (= stored qubits per block copy)."""
-    return sum(n for _, _, n in degree_color_classes(family, dim, b))
-
-
 @functools.cache
 def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]:
     """(qubits stored per copy, sites per unit cell) pairs, ascending in cost.
@@ -281,5 +276,6 @@ def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]
 
 
 def per_copy_total(family: str, dims: tuple[int, ...], b: int = 1) -> int:
-    """Total stored qubits per copy across the whole lattice."""
-    return blocks_count(family, dims, b) * sites_per_block(family, len(dims), b)
+    """Total stored qubits per copy across the whole lattice: every cell's loads (:func:`site_costs`)."""
+    cells = math.prod(dims) // math.prod(_check_dims(family, dims, b).period)
+    return cells * sum(cost * sites for cost, sites in site_costs(family, len(dims), b))

@@ -24,11 +24,11 @@ each vertex's slack and success off its :class:`MarginalClass`.
 
 The class-level bound is evaluated by one engine.  Each
 :class:`MarginalClass` computes its S, a and V once, on first use, which is
-also when its distribution is validated.  For one (classes, n, m),
-:class:`_SplitBound` does the color grouping, the target check, Delta and
-the per-class constants once; the bound at a given split then costs only the
-Bennett arithmetic, through the same kernel as :func:`bennett_loss`, summed
-in log space one color at a time.
+also when its distribution is validated.  For one (classes, n),
+:class:`_SplitBound` does the color grouping and the per-class constants
+once, and per m only the target check and Delta; the bound at a given split
+then costs only the Bennett arithmetic, through the same kernel as
+:func:`bennett_loss`, summed in log space one color at a time.
 
 The slack-split optimizer rests on a lemma: for any c = n*V/a^2, each loss
 L = 2*exp(-c*h(u)) + 2^(-n*delta), u = a*delta/V, is convex in delta wherever
@@ -43,15 +43,15 @@ optimum, and its result is exactly that of evaluating every candidate.
 
 Threshold targets have one search, :func:`largest_m`: a bisection for the
 largest m whose bound (any function of m that does not increase with it)
-clears the threshold t.  It serves both the optimized class-level bound and
-the bipartite lattice product in the scenarios.  A step of the search over
-the optimized bound needs only to know whether the optimizer's F is >= t,
-and the optimizer stops once that is settled (``threshold=``); the search
-then runs the whole optimization once, at its result.  A pass is settled by
-a witness: the optimizer's F is the largest F it computes, so any candidate
-whose computed F is >= t shows it (a step reaches the refinement only after
-the whole grid search, so its refinement points are the optimizer's).  A
-fail is settled by a certificate:
+clears the threshold t.  It serves both the optimized class-level bound
+(:func:`max_output_copies_classes`) and the bipartite lattice product in
+the scenarios.  A step of the search over the optimized bound needs only to
+know whether the optimizer's F is >= t, and is settled before the split
+search where it can be: it passes when the equal split, the optimizer's
+first candidate, clears t (the optimizer's F is the largest F it
+computes), and fails on the certificate below.  Any other step runs the
+whole optimization, and the search runs it once more, at its result.  The
+certificate that no two-color candidate's computed F reaches t:
 
 - Slacks.  With budget B, every two-color candidate has slacks at most
   (B, B/2) or (B/2, B) as floats: B*x rounds to at most B when x <= 1 and to
@@ -269,35 +269,37 @@ def _group_classes(classes: Iterable[MarginalClass]):
 
 
 class _SplitBound:
-    """The class-level bound for one (classes, n, m), as a function of the split.
+    """The class-level bound for one (classes, n), as a function of m and the split.
 
-    Construction groups the classes (validating them), checks 1 <= m <= n
-    and computes the budget Delta, raising :class:`InfeasibleTargetError`
-    when it is not positive.  It keeps, per color in sorted order, one row
-    (count, (S_c - S_k)/2, (S, a, V)) per class of positive entropy, so
-    that evaluating a split repeats none of that work.
+    Construction groups the classes (validating them).  It keeps, per color
+    in sorted order, one row (count, (S_c - S_k)/2, (S, a, V)) per class of
+    positive entropy, so that evaluating a split repeats none of that work.
     """
 
-    def __init__(self, classes: Iterable[MarginalClass], n: int, m: int):
+    def __init__(self, classes: Iterable[MarginalClass], n: int):
         by_color, s_color, self.active = _group_classes(classes)
-        _check_target(n, m)
         self.colors = sorted(self.active)
         self.n = n
-        self.budget = 0.0
-        self.rows = []
-        if not self.active:
-            return
-        total_entropy = sum(s_color[c] for c in self.active)
-        self.budget = 0.5 * (1.0 - total_entropy - m / n)
-        if self.budget <= 0.0:
-            raise InfeasibleTargetError(
-                f"target m/n={m}/{n} unreachable: color entropies sum to {total_entropy:.6f}"
-            )
+        self.entropy = sum(s_color[c] for c in self.active)
         self.rows = [
             [(cls.count, 0.5 * (s_color[color] - cls.entropy), cls._constants)
              for cls in by_color[color] if cls.entropy != 0.0]
             for color in self.colors
         ]
+
+    def budget(self, m: int) -> float:
+        """The total slack Delta at m, after checking 1 <= m <= n.
+
+        Raises :class:`InfeasibleTargetError` when it is not positive and
+        some color is active; without one, nothing uses it.
+        """
+        _check_target(self.n, m)
+        budget = 0.5 * (1.0 - self.entropy - m / self.n)
+        if self.active and budget <= 0.0:
+            raise InfeasibleTargetError(
+                f"target m/n={m}/{self.n} unreachable: color entropies sum to {self.entropy:.6f}"
+            )
+        return budget
 
     def fold(self, i: int, slack: float, log_f: float = 0.0, worst: float = 0.0) -> tuple[float, float]:
         """``log_f`` plus color i's terms count*log1p(-loss) at ``slack``, -inf once a loss
@@ -320,10 +322,6 @@ class _SplitBound:
                 log_f = self.fold(i, slacks[i], log_f)[0]
         return math.exp(log_f)
 
-    def at(self, fracs: Sequence[float]) -> float:
-        """The bound at slack fractions ``fracs`` (in ``colors`` order), which need not sum to 1."""
-        return self.fidelity([self.budget * frac for frac in fracs])
-
 
 def multipartite_bound_classes(
     classes: Sequence[MarginalClass],
@@ -340,7 +338,8 @@ def multipartite_bound_classes(
     per class rather than per vertex.
     """
     _check_target(n, m)  # before the classes are validated, unlike the optimizer
-    bound = _SplitBound(classes, n, m)
+    bound = _SplitBound(classes, n)
+    budget = bound.budget(m)
     active = bound.active
     if not active:
         return 1.0, {}
@@ -350,10 +349,10 @@ def multipartite_bound_classes(
         raise InfeasibleTargetError(
             f"split given for colors {sorted(delta_split)}, active colors are {sorted(active)}"
         )
-    if abs(sum(delta_split.values()) - 1.0) > 1e-9:
+    if not abs(sum(delta_split.values()) - 1.0) <= 1e-9:  # NaN fails too
         raise InfeasibleTargetError("split fractions must sum to 1")
-    delta_color = {c: bound.budget * delta_split[c] for c in active}
-    if any(d <= 0.0 for d in delta_color.values()):
+    delta_color = {c: budget * delta_split[c] for c in active}
+    if not all(d > 0.0 for d in delta_color.values()):
         raise InfeasibleTargetError("every active color needs a positive slack share")
     return bound.fidelity([delta_color[c] for c in bound.colors]), delta_color
 
@@ -436,18 +435,14 @@ def _log_band(log_f: float, worst: float) -> float:
     return -log_f * 2.0**-30 / (1.0 - worst) + 2.0**-1000 if worst < 1.0 - 2.0**-20 else math.inf
 
 
-class _Cleared(Exception):
-    """A thresholded search met a candidate, ``args`` = (split, F), whose F clears the threshold."""
-
-
-def _falls_short(bound: _SplitBound, threshold: float) -> bool:
-    """Whether no two-color candidate's computed F can reach ``threshold`` (the certificate
-    in the module docstring): F at (B, B/2) and at (B/2, B), widened by the rounding margin."""
+def _falls_short(bound: _SplitBound, budget: float, threshold: float) -> bool:
+    """Whether no two-color candidate's computed F can reach ``threshold`` at ``budget`` (the
+    certificate in the module docstring): F at (B, B/2) and at (B/2, B), widened by the rounding margin."""
     if not threshold >= _CERTIFICATE_FLOOR:
         return False
     log_t = math.log(threshold)
     cut = log_t - 2.0**-19 * abs(log_t) - 2.0**-40
-    full, half = bound.budget, bound.budget * 0.5
+    full, half = budget, budget * 0.5
     for s0, s1 in ((full, half), (half, full)):
         log_f, worst = bound.fold(0, s0)
         if log_f > -math.inf:
@@ -457,12 +452,9 @@ def _falls_short(bound: _SplitBound, threshold: float) -> bool:
     return True
 
 
-def _peak(bound: _SplitBound, cands, best, best_f, threshold=math.inf):
-    """The search of two-color ``cands`` from (best, best_f) in :func:`optimize_delta_split_classes`.
-
-    Raises :class:`_Cleared` at the first candidate whose F is at least ``threshold``.
-    """
-    budget, end = bound.budget, len(cands)
+def _peak(bound: _SplitBound, budget: float, cands, best, best_f):
+    """The search of two-color ``cands`` from (best, best_f) in :func:`optimize_delta_split_classes`."""
+    end = len(cands)
     seen = {}
 
     def probe(j):
@@ -475,8 +467,6 @@ def _peak(bound: _SplitBound, cands, best, best_f, threshold=math.inf):
                 seen[j] = (-1, j), log_f, worst
             else:
                 log_f, worst = bound.fold(1, budget * cands[j][1], log_f, worst)
-                if math.exp(log_f) >= threshold:
-                    raise _Cleared(cands[j], math.exp(log_f))
                 seen[j] = (0, log_f) if log_f > -math.inf else (-1, -j), log_f, worst
         return seen[j]
 
@@ -512,11 +502,7 @@ def _peak(bound: _SplitBound, cands, best, best_f, threshold=math.inf):
 
 
 def optimize_delta_split_classes(
-    classes: Sequence[MarginalClass],
-    n: int,
-    m: int,
-    *,
-    threshold: float | None = None,
+    classes: Sequence[MarginalClass], n: int, m: int
 ) -> tuple[dict[int, float], float]:
     """Search the two-color slack split on a grid, maximizing the bound.
 
@@ -544,58 +530,50 @@ def optimize_delta_split_classes(
        exp(cap) cannot beat the incoming best, or falls below the best F
        found, or, to the right, ties it, as a later tie never wins.
     3. The strict-improvement rule is replayed over the walked candidates.
-
-    With ``threshold``, the call answers only whether the result's F is at
-    least ``threshold``, and stops once that is settled: at the first
-    candidate whose F clears it (a witness, as the result's F is the
-    largest computed), or, when the equal split falls short, on the
-    certificate of the module docstring that no candidate can clear it.  It
-    then returns the split that settled the answer and that split's F,
-    which is on the same side of ``threshold`` as the result's F, not the
-    result itself; without an early answer it returns the result.
     """
-    bound = _SplitBound(classes, n, m)
+    bound = _SplitBound(classes, n)
+    split, f = _optimum(bound, m)
+    return dict(zip(bound.colors, split)), f
+
+
+def _optimum(bound: _SplitBound, m: int, threshold: float | None = None) -> tuple[tuple[float, ...], float]:
+    """The optimizer's (split in ``colors`` order, F) at m, or, with ``threshold``, a search step.
+
+    A step is settled before the split search where it can be (module
+    docstring): it returns the equal split and its F when that F clears
+    ``threshold`` or the certificate shows no candidate can; otherwise it
+    returns the optimizer's result.
+    """
+    budget = bound.budget(m)
     colors = bound.colors
     if len(colors) > 2:
         raise MultinetError(f"the split search needs at most two active colors, got {len(colors)}")
     if not colors:
-        return {}, 1.0
+        return (), 1.0
     best = (1.0 / len(colors),) * len(colors)
-    best_f = bound.at(best)
-    if len(colors) == 2 and (threshold is None or not (best_f >= threshold or _falls_short(bound, threshold))):
-        clears = math.inf if threshold is None else threshold
-        try:
-            best, best_f = _peak(bound, SPLIT_GRID, best, best_f, clears)
-            lo = best[0] - 1.0 / SPLIT_GRID_STEPS
-            fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
-            xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
-            best, best_f = _peak(bound, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], best, best_f, clears)
-        except _Cleared as witness:
-            best, best_f = witness.args
-    return dict(zip(colors, best)), best_f
+    best_f = bound.fidelity([budget * frac for frac in best])
+    if len(colors) == 2 and (threshold is None or not (best_f >= threshold or _falls_short(bound, budget, threshold))):
+        best, best_f = _peak(bound, budget, SPLIT_GRID, best, best_f)
+        lo = best[0] - 1.0 / SPLIT_GRID_STEPS
+        fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
+        xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
+        best, best_f = _peak(bound, budget, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], best, best_f)
+    return best, best_f
 
 
-def largest_m(
-    value: Callable[..., float], n: int, threshold: float, *, early: bool = False
-) -> tuple[int, float]:
+def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[int, float]:
     """Largest m in [1, n] with ``value(m) >= threshold``, and the value there.
 
     A bisection that assumes ``value`` is nonincreasing in m; an m whose
     target is infeasible counts as falling short.  (0, 0.0) if even m = 1
-    falls short.  Without ``early``, the value returned is the one the
-    search computed at its result.  With ``early``, each step calls
-    ``value(m, threshold)``, which may stop once it knows on which side of
-    ``threshold`` ``value(m)`` lies and return any number on that side;
-    the search then calls ``value(m)`` once more, at its result, and
-    returns that.
+    falls short.
     """
     if not 0.0 < threshold < 1.0:
         raise MultinetError(f"threshold must be in (0,1), got {threshold}")
-    step = (threshold,) if early else ()
 
     def value_or_short(m: int) -> float:
         try:
-            return value(m, *step)
+            return value(m)
         except InfeasibleTargetError:
             return -1.0
 
@@ -610,4 +588,15 @@ def largest_m(
             lo, f_lo = mid, f_mid
         else:
             hi = mid - 1
-    return lo, value(lo) if early else f_lo
+    return lo, f_lo
+
+
+def max_output_copies_classes(classes: Sequence[MarginalClass], n: int, threshold: float) -> tuple[int, float]:
+    """Largest m in [1, n] whose optimized bound is >= ``threshold``, and that bound; (0, 0.0) if none.
+
+    One :func:`largest_m` over settled steps (:func:`_optimum`), on one
+    :class:`_SplitBound`, then the full optimization at the m found.
+    """
+    bound = _SplitBound(classes, n)
+    m = largest_m(lambda m: _optimum(bound, m, threshold)[1], n, threshold)[0]
+    return (m, _optimum(bound, m)[1]) if m else (0, 0.0)

@@ -16,6 +16,7 @@ Conventions shared by all scenarios:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,6 +28,7 @@ from .hashing import (
     MarginalClass,
     bipartite_bound,
     largest_m,
+    max_output_copies_classes,
     multipartite_bound_classes,
     optimize_delta_split_classes,
     vertex_classes,
@@ -61,6 +63,11 @@ class SchemeError(MultinetError):
     """Unknown scheme / family or inconsistent scenario parameters."""
 
 
+def _check_capacity(capacity) -> None:
+    if not (hasattr(capacity, "__index__") and capacity >= 1):  # an integer type, not a float
+        raise SchemeError(f"storage capacity must be an integer >= 1, got {capacity!r}")
+
+
 @dataclass(frozen=True)
 class StorageModel:
     """Memory constraint: per-node capacity, or a global freely assignable pool."""
@@ -71,8 +78,7 @@ class StorageModel:
     def __post_init__(self):
         if self.mode not in STORAGE_MODES:
             raise SchemeError(f"storage mode must be one of {STORAGE_MODES}, got {self.mode!r}")
-        if self.capacity < 1:
-            raise SchemeError(f"storage capacity must be >= 1, got {self.capacity}")
+        _check_capacity(self.capacity)
 
 
 @dataclass(frozen=True)
@@ -117,21 +123,21 @@ def _evaluate(
     bound: Callable[[int], float],
     m: int | None = None,
     threshold: float | None = None,
-    search: Callable[..., float] | None = None,
+    search: Callable[[int, float], tuple[int, float]] | None = None,
 ) -> SchemeResult:
     """One scenario point from ``n`` input copies.
 
     With ``m`` given, the bound ``bound(m)``; otherwise the largest m whose
-    bound clears ``threshold`` (see :func:`largest_m`), searched over
-    ``search`` when given (the multipartite scenarios optimize the slack
-    split there, see :func:`_optimized`) and over ``bound`` otherwise.  No
-    room for ``max(1, m)`` copies, or a fixed target the entropies cannot
-    meet, is an infeasible result.
+    bound clears ``threshold`` and the bound there, as ``search(n,
+    threshold)`` finds them (the multipartite scenarios optimize the slack
+    split, see :func:`max_output_copies_classes`), by default
+    :func:`largest_m` over ``bound``.  No room for ``max(1, m)`` copies, or
+    a fixed target the entropies cannot meet, is an infeasible result.
     """
     if n < 1 or (m is not None and n < m):
         return SchemeResult.infeasible_point(label, n_used=n)
     if m is None:
-        best, fid = largest_m(search, n, threshold, early=True) if search else largest_m(bound, n, threshold)
+        best, fid = (search or functools.partial(largest_m, bound))(n, threshold)
         return SchemeResult(label, fid, best, n)
     try:
         return SchemeResult(label, bound(m), m, n)
@@ -242,6 +248,7 @@ def ghz_scheme_fidelity(
     """
     if scheme not in GHZ_PER_COPY:
         raise SchemeError(f"scheme must be one of {tuple(GHZ_PER_COPY)}, got {scheme!r}")
+    _check_capacity(capacity)
     n = capacity // GHZ_PER_COPY[scheme]
 
     def bound(m: int) -> float:
@@ -269,6 +276,7 @@ def triangular_repeater(
         raise SchemeError(f"levels must be in [0, {MAX_LEVELS}], got {levels}")
     if scheme not in TRIANGULAR_PER_COPY:
         raise SchemeError(f"scheme must be one of {tuple(TRIANGULAR_PER_COPY)}, got {scheme!r}")
+    _check_capacity(capacity)
     n = capacity // TRIANGULAR_PER_COPY[scheme]
     exponent = 3**levels if scheme == "A" else 2 ** (levels + 1)
 
@@ -287,11 +295,6 @@ def _cluster_classes(family: str, dim: int, b: int, q: float, count_blocks: int)
         _, lam1 = uniform_depolarizing_marginal(q, degree)
         classes.append(MarginalClass(lambda1=lam1, color=color, count=per_block * count_blocks))
     return classes
-
-
-def _optimized(classes: list[MarginalClass], n: int) -> Callable[..., float]:
-    """The optimized bound at m, settled early against a threshold, for :func:`largest_m`'s ``early`` steps."""
-    return lambda m, threshold=None: optimize_delta_split_classes(classes, n, m, threshold=threshold)[1]
 
 
 def _bipartite_lattice_fidelity(q_pair_dist, n: int, m: int, edge_count: int) -> float:
@@ -340,7 +343,7 @@ def cluster_architecture_run(
     classes = _cluster_classes(family, arch.dimensionality, b, q, count)
     return _evaluate(
         label, n, lambda m: multipartite_bound_classes(classes, n, m)[0], m, threshold,
-        search=_optimized(classes, n),
+        search=functools.partial(max_output_copies_classes, classes),
     )
 
 
@@ -362,6 +365,7 @@ def from_bell_run(
     """
     if (m is None) == (threshold is None):
         raise SchemeError("give exactly one of m= or threshold=")
+    _check_capacity(capacity)
     dim = len(dims)
     edge_count = blocks.blocks_count("bipartite", dims)
     sites = edge_count // dim
@@ -375,7 +379,7 @@ def from_bell_run(
     multi = _evaluate(
         "multipartite", capacity,
         lambda m: multipartite_bound_classes(classes, capacity, m)[0], m, threshold,
-        search=_optimized(classes, capacity),
+        search=functools.partial(max_output_copies_classes, classes),
     )
 
     n_bip = capacity // (2 * dim)

@@ -1,20 +1,19 @@
 """Helpers the package does not export, kept for the tests that use them.
 
 A text exchange format for graphs, the composition of two depolarizing
-maps, the vertex-level form of the slack-split optimizer, and the threshold
-search over the optimized bound, by classes and by vertices.  Nothing in
-``multinet`` or its CLI calls them.
+maps, and the vertex-level forms of the slack-split optimizer and of the
+threshold search over the optimized bound.  Nothing in ``multinet`` or its
+CLI calls them.
 """
 
 from multinet.graphstate import Graph, GraphError
 from multinet.hashing import (
-    largest_m,
+    max_output_copies_classes,
     multipartite_bound,
     optimize_delta_split_classes,
     vertex_classes,
 )
 from multinet.noise import ChannelError
-from multinet.schemes import _optimized
 
 
 def to_text(g):
@@ -74,12 +73,6 @@ def optimize_delta_split(g, coloring, marginals, n, m):
     return split, multipartite_bound(g, coloring, marginals, n, m, delta_split=split or None)
 
 
-def max_output_copies_classes(classes, n, threshold):
-    """Largest m whose optimized bound is >= threshold, by ``largest_m`` (0 if none),
-    searched as the scenarios search it."""
-    return largest_m(_optimized(classes, n), n, threshold, early=True)[0]
-
-
 def max_output_copies(g, coloring, marginals, n, threshold):
     """Largest m the colored graph ensemble supports at the given fidelity."""
-    return max_output_copies_classes(vertex_classes(g, coloring, marginals)[0], n, threshold)
+    return max_output_copies_classes(vertex_classes(g, coloring, marginals)[0], n, threshold)[0]

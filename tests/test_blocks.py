@@ -17,7 +17,6 @@ from multinet.blocks import (
     lift,
     per_copy_total,
     site_costs,
-    sites_per_block,
     unit_cell,
 )
 from multinet.cli import load_config_source, parse_config, preset_names
@@ -112,7 +111,7 @@ class TestCanonicalBlocks:
                 degs[d] = degs.get(d, 0) + n
             assert degs.get(3, 0) == 8 * b - 2 * (b - 1)
             assert degs.get(6, 0) == b - 1
-            assert sites_per_block("shifted-grid", 3, b) == 7 * b + 1
+            assert sum(degs.values()) == 7 * b + 1  # sites per block
 
     def test_windmill_3d_unit(self):
         degs = {}
@@ -120,7 +119,7 @@ class TestCanonicalBlocks:
             degs[d] = degs.get(d, 0) + n
         # 12 blade tips, 6 one-blade corners, 2 three-blade corners
         assert degs == {1: 12, 4: 6, 6: 2}
-        assert sites_per_block("windmill", 3, 1) == 20
+        assert sum(degs.values()) == 20
 
     def test_classes_are_two_colored(self):
         for family in ("windmill", "shifted-grid"):
@@ -261,7 +260,8 @@ class TestCovers:
         count = blocks_count(family, dims, b)
         cells = math.prod(dims) // math.prod(cell.period)
         per_cell = sum(cost * sites for cost, sites in site_costs(family, len(dims), b))
-        assert count * sites_per_block(family, len(dims), b) == per_copy_total(family, dims, b)
+        per_block = sum(sites for _, _, sites in degree_color_classes(family, len(dims), b))
+        assert count * per_block == per_copy_total(family, dims, b)
         assert per_copy_total(family, dims, b) == per_cell * cells
 
     def test_presets_cover_64_cubed(self):

@@ -1,6 +1,5 @@
 """Finite-size hashing bounds."""
 
-import functools
 import itertools
 import math
 
@@ -21,14 +20,15 @@ from multinet.hashing import (
     bipartite_bound,
     entropy,
     largest_m,
+    max_output_copies_classes,
     multipartite_bound,
     multipartite_bound_classes,
     optimize_delta_split_classes,
 )
 from multinet.noise import BitMarginal
-from multinet.schemes import Architecture, StorageModel, _optimized, cluster_architecture_run
+from multinet.schemes import Architecture, StorageModel, cluster_architecture_run
 
-from extras import max_output_copies, max_output_copies_classes, optimize_delta_split
+from extras import max_output_copies, optimize_delta_split
 
 # frozen with an independent 40-digit evaluation of the same formulas
 ENTROPY_0198 = 0.140316123604030
@@ -197,6 +197,19 @@ class TestMultipartite:
         assert run.fidelity == pytest.approx(
             bennett_success((1 - lam, lam), n, delta), abs=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "split", [{0: math.nan, 1: 0.5}, {0: 0.5, 1: math.nan}, {0: math.nan, 1: math.nan}], ids=repr
+    )
+    def test_nan_split_fraction_rejected(self, split):
+        # NaN fails every comparison, so a check written as "sum off by more
+        # than 1e-9" or "share <= 0" let it through, as F = nan
+        g, coloring, margs = self.star()
+        classes = hashing.vertex_classes(g, coloring, margs)[0]
+        with pytest.raises(InfeasibleTargetError):
+            multipartite_bound_classes(classes, 400, 1, delta_split=split)
+        with pytest.raises(InfeasibleTargetError):
+            multipartite_bound(g, coloring, margs, 400, 1, delta_split=split)
 
     def test_improper_coloring_rejected(self):
         g, _, margs = self.star()
@@ -410,10 +423,10 @@ class TestThresholdSearchMonotone:
         st.data(),
     )
     def test_no_larger_m_passes(self, classes, n, threshold, data):
-        best = max_output_copies_classes(classes, n, threshold)
+        best, f = max_output_copies_classes(classes, n, threshold)
         assert 0 <= best <= n
         if best:
-            assert optimize_delta_split_classes(classes, n, best)[1] >= threshold
+            assert f == optimize_delta_split_classes(classes, n, best)[1] >= threshold
         if best == n:
             return
         larger = {best + 1} | set(
@@ -564,7 +577,8 @@ def full_scan_split(classes, n, m):
     1/4000 apart around the best one; a candidate replaces the best only if
     its bound is strictly higher.
     """
-    bound = _SplitBound(classes, n, m)
+    bound = _SplitBound(classes, n)
+    budget = bound.budget(m)
     colors = bound.colors
     if not colors:
         return {}, 1.0
@@ -572,7 +586,7 @@ def full_scan_split(classes, n, m):
     def at(fracs):
         if abs(sum(fracs) - 1.0) > 1e-9:
             return None
-        slacks = [bound.budget * frac for frac in fracs]
+        slacks = [budget * frac for frac in fracs]
         if any(d <= 0.0 for d in slacks):
             return None
         return bound.fidelity(slacks)
@@ -689,6 +703,13 @@ def evaluations(monkeypatch, fn):
     return calls, result
 
 
+def fig11m_search():
+    """The scenario's search for fig11m's 64x64 shifted-grid b=2 point at q = 0.98
+    (n = 800, answer m = 198 at threshold 0.9)."""
+    arch = Architecture("shifted-grid", (64, 64), 2)
+    return cluster_architecture_run(arch, StorageModel("global", 4915200), 0.98, threshold=0.9)
+
+
 class TestPrunedSplitScan:
     @settings(max_examples=300, deadline=None)
     @given(split_problems(colors=(0, 1)))
@@ -712,7 +733,7 @@ class TestPrunedSplitScan:
     def test_bound_never_falls_as_a_slack_grows(self, classes, n, slacks, data):
         # the bound is monotone in every slack once rounded, even between
         # adjacent floats
-        bound = _SplitBound(classes, n, 1)
+        bound = _SplitBound(classes, n)
         color = data.draw(st.integers(min_value=0, max_value=2), label="color")
         grown = list(slacks)
         adjacent = st.just(math.nextafter(slacks[color], math.inf))
@@ -728,15 +749,16 @@ class TestPrunedSplitScan:
         # 1/4000 refinement around any grid point, log F is finite on one
         # interval, where no second difference exceeds its points' bands
         classes, n, m = problem
+        bound = _SplitBound(classes, n)
         try:
-            bound = _SplitBound(classes, n, m)
+            budget = bound.budget(m)
         except InfeasibleTargetError:
             return
         if len(bound.colors) != 2:
             return
         refinement = [(x, 1.0 - x) for x in ((k - 1) / 200 + i / 4000 for i in range(41)) if 0.0 < x < 1.0]
         for cands in (hashing.SPLIT_GRID, refinement):
-            logs = [bound.fold(1, bound.budget * x1, *bound.fold(0, bound.budget * x0)) for x0, x1 in cands]
+            logs = [bound.fold(1, budget * x1, *bound.fold(0, budget * x0)) for x0, x1 in cands]
             finite = [j for j, (log_f, _) in enumerate(logs) if log_f > -math.inf]
             assert finite == list(range(min(finite, default=0), max(finite, default=-1) + 1))
             points = [(logs[j][0], hashing._log_band(*logs[j])) for j in finite]
@@ -748,18 +770,25 @@ class TestPrunedSplitScan:
         return evaluations(monkeypatch, lambda: optimize_delta_split_classes(classes, n, m))[0]
 
     def test_whole_threshold_search(self, monkeypatch):
-        # the scenario's search for fig11m's 64x64 shifted-grid b=2 point at
-        # q = 0.98 (n = 800, answer m = 198 at threshold 0.9): eleven steps
-        # (one infeasible, eight settled at the equal split, two unsettled)
-        # and one full optimization at the answer take 70; running the full
-        # optimization at every step took 200
-        def search():
-            arch = Architecture("shifted-grid", (64, 64), 2)
-            return cluster_architecture_run(arch, StorageModel("global", 4915200), 0.98, threshold=0.9)
-
-        calls, res = evaluations(monkeypatch, search)
+        # eleven steps (one infeasible, eight settled at the equal split, two
+        # unsettled) and one full optimization at the answer take 70;
+        # running the full optimization at every step took 200
+        calls, res = evaluations(monkeypatch, fig11m_search)
         assert (res.m, res.n_used) == (198, 800)
         assert calls <= 100
+
+    def test_threshold_search_groups_its_classes_once(self, monkeypatch):
+        # one split bound serves the eleven steps and the run at the answer
+        calls = 0
+        group = hashing._group_classes
+
+        def counted(classes):
+            nonlocal calls
+            calls += 1
+            return group(classes)
+
+        monkeypatch.setattr(hashing, "_group_classes", counted)
+        assert (fig11m_search().m, calls) == (198, 1)
 
     def test_two_colors_prune(self, monkeypatch):
         # fig11m's 64x64 shifted-grid b=2 point at q = 0.98: n = 800, and
@@ -794,9 +823,9 @@ class TestPrunedSplitScan:
 
 
 # fig11m's 64x64 shifted-grid b=2 classes at q = 0.98, n = 800: at threshold
-# 0.9 the equal split is a witness at m = 198; at m = 199 neither the
-# witness nor the certificate settles the step (F = 0.8995); at m = 250
-# the certificate does (F = 0.0157)
+# 0.9 the equal split settles a pass at m = 198; at m = 199 neither it nor
+# the certificate settles the step (F = 0.8995); at m = 250 the certificate
+# does (F = 0.0157)
 FIG11M_CLASSES = [
     MarginalClass(0.029404, 0, 2048),
     MarginalClass(0.029404, 1, 2048),
@@ -806,6 +835,12 @@ FIG11M_CLASSES = [
 SETTLED_AT_EQUAL_SPLIT = ((FIG11M_CLASSES, 800, 198), 0.9)
 SETTLED_BY_CERTIFICATE = ((FIG11M_CLASSES, 800, 250), 0.9)
 UNSETTLED = ((FIG11M_CLASSES, 800, 199), 0.9)
+# the equal split falls short of t (F = 0.99176) and the optimum clears it
+# (F = 0.99298 at 0.542); the grid point 0.55 clears it first (F = 0.99294)
+OFF_EQUAL_SPLIT = (([MarginalClass(0.01, 0, 1), MarginalClass(0.03, 1, 1)], 1000, 600), 0.9925)
+# the largest m at threshold 0.9, whose step passes at the equal split
+# (F = 0.90285) though the optimum is higher (F = 0.90521)
+ANSWER_AT_EQUAL_SPLIT = (([MarginalClass(0.01, 0, 10), MarginalClass(0.02, 1, 10)], 500, 276), 0.9)
 
 
 def thresholds_at(f, extra):
@@ -816,74 +851,104 @@ def thresholds_at(f, extra):
 THRESHOLDS = st.floats(min_value=2.0**-11, max_value=1.0, exclude_max=True)
 
 
+def step(problem, t=None):
+    """The threshold search's step at (classes, n, m) against t; the optimizer's result without t."""
+    classes, n, m = problem
+    return hashing._optimum(_SplitBound(classes, n), m, t)
+
+
 class TestThresholdSteps:
     @settings(max_examples=300, deadline=None)
     @given(split_problems(colors=(0, 1)), THRESHOLDS)
     @example(*SETTLED_AT_EQUAL_SPLIT)
     @example(*SETTLED_BY_CERTIFICATE)
     @example(*UNSETTLED)
+    @example(*OFF_EQUAL_SPLIT)
     @example(SUBNORMAL_OPTIMA[1], 0.5)
     @example(NARROW_OPTIMA[0], 0.5)
     def test_step_decides_as_the_full_optimizer(self, problem, extra):
-        # a thresholded call is on the same side of t as the full result,
-        # at t = F itself and at the floats next to it, and returns a split
-        # it evaluated with that split's bound
+        # a step is on the same side of t as the full result, at t = F
+        # itself and at the floats next to it, and returns a split it
+        # evaluated with that split's bound
         classes, n, m = problem
-        full = outcome(lambda: optimize_delta_split_classes(classes, n, m))
+        full = outcome(lambda: step(problem))
         if full == "infeasible":
             with pytest.raises(InfeasibleTargetError):
-                optimize_delta_split_classes(classes, n, m, threshold=extra)
+                step(problem, extra)
             return
+        colors = _SplitBound(classes, n).colors
         for t in thresholds_at(full[1], extra):
-            split, f = optimize_delta_split_classes(classes, n, m, threshold=t)
+            split, f = step(problem, t)
             assert (f >= t) == (full[1] >= t)
-            assert f == multipartite_bound_classes(classes, n, m, delta_split=split or None)[0]
+            assert f == multipartite_bound_classes(classes, n, m, delta_split=dict(zip(colors, split)) or None)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems(colors=(0, 1)), THRESHOLDS)
+    @example(*OFF_EQUAL_SPLIT)
+    def test_passing_step_off_the_equal_split_is_the_result(self, problem, extra):
+        # a step is settled only before the split search, so one that passes
+        # anywhere but at the equal split ran the whole search: it returns
+        # the optimizer's split and F, not the first candidate to clear t
+        classes, n, m = problem
+        full = outcome(lambda: step(problem))
+        if full == "infeasible":
+            return
+        equal_f = multipartite_bound_classes(classes, n, m)[0]
+        for t in [equal_f + (full[1] - equal_f) / 2] + thresholds_at(full[1], extra):
+            split, f = step(problem, t)
+            if f >= t and len(set(split)) > 1:
+                assert (split, f) == full
 
     @settings(max_examples=60, deadline=None)
     @given(split_problems(colors=(0, 1)), THRESHOLDS)
     @example(*SETTLED_AT_EQUAL_SPLIT)
     @example(*UNSETTLED)
+    @example(*ANSWER_AT_EQUAL_SPLIT)
     def test_search_matches_plain_bisection(self, problem, extra):
         # settling the steps early changes neither the m found nor its F
         classes, n, m = problem
         full = outcome(lambda: optimize_delta_split_classes(classes, n, m))
         f = 0.5 if full == "infeasible" else full[1]
         for t in thresholds_at(f, extra):
-            found = largest_m(_optimized(classes, n), n, t, early=True)
+            found = max_output_copies_classes(classes, n, t)
             assert found == largest_m(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, t)
 
     @pytest.mark.parametrize(
         "case, settled_by",
-        [(SETTLED_AT_EQUAL_SPLIT, "witness"), (SETTLED_BY_CERTIFICATE, "certificate"), (UNSETTLED, None)],
+        [(SETTLED_AT_EQUAL_SPLIT, "equal-split"), (SETTLED_BY_CERTIFICATE, "certificate"), (UNSETTLED, None)],
     )
     def test_examples_settle_as_named(self, monkeypatch, case, settled_by):
         # the equal split is one evaluation and the certificate two more (one
         # if its first half comes near t); an unsettled step also runs the
         # whole search
-        (classes, n, m), t = case
-        full = TestPrunedSplitScan.bound_evaluations(monkeypatch, classes, n, m)
-        step = functools.partial(optimize_delta_split_classes, classes, n, m, threshold=t)
-        calls, (_, f) = evaluations(monkeypatch, step)
+        problem, t = case
+        full = TestPrunedSplitScan.bound_evaluations(monkeypatch, *problem)
+        calls, (_, f) = evaluations(monkeypatch, lambda: step(problem, t))
         if settled_by is None:
             assert full < calls <= full + 2
         else:
-            assert calls == {"witness": 1, "certificate": 3}[settled_by]
-        assert (f >= t) == (settled_by == "witness")
+            assert calls == {"equal-split": 1, "certificate": 3}[settled_by]
+        assert (f >= t) == (settled_by == "equal-split")
 
     def test_certificate_needs_the_floor(self):
         # below 2^-10 the search runs in full rather than trust the margin
-        bound = _SplitBound(FIG11M_CLASSES, 800, 300)
-        assert hashing._falls_short(bound, hashing._CERTIFICATE_FLOOR)
-        assert not hashing._falls_short(bound, math.nextafter(hashing._CERTIFICATE_FLOOR, 0.0))
+        bound = _SplitBound(FIG11M_CLASSES, 800)
+        budget = bound.budget(300)
+        assert hashing._falls_short(bound, budget, hashing._CERTIFICATE_FLOOR)
+        assert not hashing._falls_short(bound, budget, math.nextafter(hashing._CERTIFICATE_FLOOR, 0.0))
 
-    def test_largest_m_computes_the_answer_in_full(self):
-        # the steps' numbers are only answers; the returned F is the full value at the result
-        calls = []
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, math.nan])
+    def test_bad_threshold_raises_before_any_evaluation(self, monkeypatch, threshold):
+        def no_evaluation(*args):
+            raise AssertionError("a split was evaluated")
 
-        def value(m, threshold=None):
-            calls.append((m, threshold))
-            return 0.95 if threshold is not None and m <= 7 else (1.0 if m <= 7 else 0.0)
+        monkeypatch.setattr(_SplitBound, "fold", no_evaluation)
+        with pytest.raises(MultinetError, match="threshold must be in"):
+            max_output_copies_classes(FIG11M_CLASSES, 800, threshold)
 
-        assert largest_m(value, 20, 0.9, early=True) == (7, 1.0)
-        assert calls[-1] == (7, None)
-        assert all(t == 0.9 for _, t in calls[:-1])
+    @pytest.mark.parametrize("case", [SETTLED_AT_EQUAL_SPLIT, ANSWER_AT_EQUAL_SPLIT], ids=["fig11m", "asymmetric"])
+    def test_search_reports_the_optimizers_f_at_its_m(self, case):
+        # the step at the answer passes at the equal split; the F reported
+        # is the whole optimization's there, not the step's
+        (classes, n, m), t = case
+        assert max_output_copies_classes(classes, n, t) == (m, optimize_delta_split_classes(classes, n, m)[1])

@@ -1,6 +1,7 @@
 """Scenario-level behavior: GHZ schemes, triangular network, clusters, covers."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,23 @@ class TestFromBell:
     def test_max_copies_monotone_in_q(self):
         ms = [from_bell_run((64, 64), q, 800, threshold=0.9)[0].m for q in (0.97, 0.98, 0.99, 1.0)]
         assert ms == sorted(ms)
+
+
+CAPACITY_ENTRY_POINTS = {
+    "StorageModel": lambda c: StorageModel("global", c),
+    "ghz_scheme_fidelity": lambda c: ghz_scheme_fidelity("A", c, 0.99, channel="ldn"),
+    "triangular_repeater": lambda c: triangular_repeater(1, c, 0.99),
+    "from_bell_run": lambda c: from_bell_run((8, 8), 0.99, c, threshold=0.9),
+}
+
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf, 400.5, 0], ids=repr)
+@pytest.mark.parametrize("entry", CAPACITY_ENTRY_POINTS.values(), ids=list(CAPACITY_ENTRY_POINTS))
+def test_capacity_must_be_a_positive_integer(entry, capacity):
+    # a float capacity would flow into the copy counts: n_used = nan in an
+    # infeasible row, a multipartite branch at F = 1 with n_used = inf, or m = 33.0
+    with pytest.raises(SchemeError, match="capacity must be an integer"):
+        entry(capacity)
 
 
 # Scenario evaluations that go through the bipartite lattice product or the
