@@ -27,7 +27,6 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -55,8 +54,7 @@ class ConfigError(MultinetError):
     """Malformed experiment configuration; the message names the offender."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     scenario: str
     sweep_param: str
     sweep_values: list[float]
@@ -70,9 +68,10 @@ class ExperimentConfig:
     pz: float = 0.02
     storage_mode: str = "per-node"
     capacity: int = 0
-    schemes: list[str] = field(default_factory=list)
-    families: list[str] = field(default_factory=list)
-    block_sizes: list[int] = field(default_factory=lambda: [1])
+    # list defaults, as _validate_config compares parsed lists to them; shared, so never mutated
+    schemes: list[str] = []
+    families: list[str] = []
+    block_sizes: list[int] = [1]
     dims: tuple[int, ...] = ()
     levels: int = 0
 
@@ -98,8 +97,7 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(NamedTuple):
     """A numeric domain: ``lo <= v <= hi``, or ``lo < v < hi`` when ``open``."""
 
     lo: float
@@ -266,7 +264,7 @@ def _setting(cfg: ExperimentConfig, value: float):
 def _at(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
     """One sweep point: ``cfg`` with the swept key set to ``value``, parsed as that key."""
     field_name = _SPEC[SCENARIOS[cfg.scenario].sweeps[cfg.sweep_param]][1]
-    return replace(cfg, **{field_name: _setting(cfg, value)})
+    return cfg._replace(**{field_name: _setting(cfg, value)})
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
@@ -297,7 +295,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         _check(name, setting, domain, sc)
         if i and swept not in sc.lattice_keys:
             continue  # every point has the first point's lattices
-        for arch in sc.lattices(replace(cfg, **{field_name: setting})):
+        for arch in sc.lattices(cfg._replace(**{field_name: setting})):
             if arch in tiled:
                 continue
             try:

@@ -150,27 +150,27 @@ class Graph:
 
 
 def _lattice(dims: tuple[int, ...], periodic: bool) -> Graph:
+    """The grid over ``dims``, sites numbered row-major (the last axis fastest).
+
+    Along an axis of extent d and index stride st, site i joins i + st unless
+    it sits at the axis's end; a periodic axis with d > 2 also joins its two
+    ends (with d = 2 that edge exists already, and d = 1 has none).
+    """
     for d in dims:
         if d < 1:
             raise GraphError(f"lattice dimension must be >= 1, got {d}")
-    sites = sorted(itertools.product(*(range(d) for d in dims)))
-    index = {s: i for i, s in enumerate(sites)}
+    sites = list(itertools.product(*(range(d) for d in dims)))
     edges = []
-    for s in sites:
-        for axis in range(len(dims)):
-            t = list(s)
-            t[axis] += 1
-            if t[axis] == dims[axis]:
-                if not periodic or dims[axis] == 1:
-                    continue
-                t[axis] = 0
-            t = tuple(t)
-            if t == s:
-                continue
-            if index[s] < index[t] or periodic:
-                edges.append((index[s], index[t]))
-    g = Graph(range(len(sites)), set(tuple(sorted(e)) for e in edges))
-    g.coords = {i: s for s, i in index.items()}
+    stride = 1
+    for d in reversed(dims):
+        span = d * stride
+        for base in range(0, len(sites), span):
+            edges += [(i, i + stride) for i in range(base, base + span - stride)]
+            if periodic and d > 2:
+                edges += [(i, i + span - stride) for i in range(base, base + stride)]
+        stride = span
+    g = Graph(range(len(sites)), edges)
+    g.coords = dict(enumerate(sites))
     return g
 
 

@@ -85,8 +85,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphstate import Graph, MultinetError
 from .noise import BitMarginal
@@ -177,8 +176,7 @@ def bennett_success(probs: Sequence[float], n: int, delta: float) -> float:
     return max(0.0, 1.0 - bennett_loss(probs, n, delta))
 
 
-@dataclass
-class HashingRun:
+class HashingRun(NamedTuple):
     """One evaluation of the finite-size machinery."""
 
     n: int
@@ -222,13 +220,19 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
 # -- multipartite machinery ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarginalClass:
+@functools.lru_cache(maxsize=1024)
+def _class_constants(lambda1: float) -> tuple[float, float, float]:
+    """(S, a, V) of the marginal (1 - lambda1, lambda1), as :func:`bennett_loss` computes them."""
+    return _spread_and_variance((1.0 - lambda1, lambda1))
+
+
+class MarginalClass(NamedTuple):
     """A group of vertices sharing one binary marginal and one color.
 
     The entropy and the Bennett constants are computed on first use and
-    kept.  Validation happens then too, and a malformed class raises
-    :class:`DistributionError` wherever it is used, as nothing is kept.
+    kept, in a bounded cache keyed on lambda1.  Validation happens then
+    too, and a malformed class raises :class:`DistributionError` wherever
+    it is used, as the cache keeps no exception.
     """
 
     lambda1: float
@@ -239,14 +243,14 @@ class MarginalClass:
     def distribution(self) -> tuple[float, float]:
         return (1.0 - self.lambda1, self.lambda1)
 
-    @functools.cached_property
+    @property
     def entropy(self) -> float:
-        return self._constants[0]
+        return _class_constants(self.lambda1)[0]
 
-    @functools.cached_property
+    @property
     def _constants(self) -> tuple[float, float, float]:
         """(S, a, V) as :func:`bennett_loss` computes them."""
-        return _spread_and_variance(self.distribution)
+        return _class_constants(self.lambda1)
 
 
 def _group_classes(classes: Iterable[MarginalClass]):
@@ -271,18 +275,19 @@ def _group_classes(classes: Iterable[MarginalClass]):
 class _SplitBound:
     """The class-level bound for one (classes, n), as a function of m and the split.
 
-    Construction groups the classes (validating them).  It keeps, per color
-    in sorted order, one row (count, (S_c - S_k)/2, (S, a, V)) per class of
+    Construction groups the classes (validating them).  It keeps each
+    color's largest entropy S_c (``s_color``) and, per color in sorted
+    order, one row (count, (S_c - S_k)/2, (S, a, V)) per class of
     positive entropy, so that evaluating a split repeats none of that work.
     """
 
     def __init__(self, classes: Iterable[MarginalClass], n: int):
-        by_color, s_color, self.active = _group_classes(classes)
+        by_color, self.s_color, self.active = _group_classes(classes)
         self.colors = sorted(self.active)
         self.n = n
-        self.entropy = sum(s_color[c] for c in self.active)
+        self.entropy = sum(self.s_color[c] for c in self.active)
         self.rows = [
-            [(cls.count, 0.5 * (s_color[color] - cls.entropy), cls._constants)
+            [(cls.count, 0.5 * (self.s_color[color] - cls.entropy), cls._constants)
              for cls in by_color[color] if cls.entropy != 0.0]
             for color in self.colors
         ]
@@ -338,7 +343,11 @@ def multipartite_bound_classes(
     per class rather than per vertex.
     """
     _check_target(n, m)  # before the classes are validated, unlike the optimizer
-    bound = _SplitBound(classes, n)
+    return _at_split(_SplitBound(classes, n), m, delta_split)
+
+
+def _at_split(bound: _SplitBound, m: int, delta_split: dict[int, float] | None) -> tuple[float, dict[int, float]]:
+    """:func:`multipartite_bound_classes` on the classes of ``bound``."""
     budget = bound.budget(m)
     active = bound.active
     if not active:
@@ -405,14 +414,15 @@ def multipartite_bound(
     vertices get slack 0 and success 1.
     """
     classes, key_by_vertex = vertex_classes(g, coloring, marginals)
-    fidelity, delta_color = multipartite_bound_classes(classes, n, m, delta_split=delta_split)
-    s_color = _group_classes(classes)[1]
+    _check_target(n, m)
+    bound = _SplitBound(classes, n)
+    fidelity, delta_color = _at_split(bound, m, delta_split)
     by_class: dict[tuple[float, int], tuple[float, float]] = {}
     for cls in classes:
         if cls.color not in delta_color or cls.entropy == 0.0:
             by_class[cls.lambda1, cls.color] = (0.0, 1.0)
             continue
-        d_k = delta_color[cls.color] + 0.5 * (s_color[cls.color] - cls.entropy)
+        d_k = delta_color[cls.color] + 0.5 * (bound.s_color[cls.color] - cls.entropy)
         by_class[cls.lambda1, cls.color] = (d_k, max(0.0, 1.0 - _loss(*cls._constants, n, d_k)))
     return HashingRun(
         n=n,

@@ -17,7 +17,7 @@ oracle keeps the full joint distribution for small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphstate import Graph, MultinetError
 
@@ -29,21 +29,18 @@ class ChannelError(MultinetError):
     """Raised for malformed channel parameters."""
 
 
-@dataclass(frozen=True)
-class PauliChannel:
+class PauliChannel(NamedTuple("PauliChannel", [("p_i", float), ("p_x", float), ("p_y", float), ("p_z", float)])):
     """Single-qubit Pauli channel with outcome probabilities (I, X, Y, Z)."""
 
-    p_i: float
-    p_x: float
-    p_y: float
-    p_z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        probs = (self.p_i, self.p_x, self.p_y, self.p_z)
+    def __new__(cls, p_i: float, p_x: float, p_y: float, p_z: float):
+        probs = (p_i, p_x, p_y, p_z)
         if any(p < -_PROB_SUM_TOL or p > 1 + _PROB_SUM_TOL for p in probs):
             raise ChannelError(f"channel probabilities out of [0,1]: {probs}")
         if abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
             raise ChannelError(f"channel probabilities sum to {sum(probs)}, not 1")
+        return super().__new__(cls, *probs)
 
     @classmethod
     def depolarizing(cls, q: float) -> "PauliChannel":
@@ -64,42 +61,38 @@ class PauliChannel:
         return cls(1.0 - p_x - p_z, p_x, 0.0, p_z)
 
 
-@dataclass(frozen=True)
-class EdgeZChannel:
+class EdgeZChannel(NamedTuple("EdgeZChannel", [("q", float)])):
     """Correlated two-qubit channel mixing Z_a, Z_b and Z_a Z_b, each (1-q)/3."""
 
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ChannelError(f"edge channel parameter must be in [0,1], got {self.q}")
+    def __new__(cls, q: float):
+        if not 0.0 <= q <= 1.0:
+            raise ChannelError(f"edge channel parameter must be in [0,1], got {q}")
+        return super().__new__(cls, q)
 
 
-@dataclass(frozen=True)
-class FlipSource:
+class FlipSource(NamedTuple("FlipSource", [("flip_prob", dict[int, float])])):
     """One independent noise source as per-vertex bit-flip probabilities."""
 
-    flip_prob: dict[int, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v, p in self.flip_prob.items():
+    def __new__(cls, flip_prob: dict[int, float]):
+        for v, p in flip_prob.items():
             if not 0.0 <= p <= 1.0:
                 raise ChannelError(f"flip probability {p} at vertex {v} out of [0,1]")
+        return super().__new__(cls, flip_prob)
 
 
-@dataclass(frozen=True)
-class BitMarginal:
+class BitMarginal(NamedTuple("BitMarginal", [("vertex", int), ("lambda0", float), ("lambda1", float)])):
     """Per-vertex pair (P(bit=0), P(bit=1)); all the hashing bound ever needs."""
 
-    vertex: int
-    lambda0: float
-    lambda1: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not abs(self.lambda0 + self.lambda1 - 1.0) <= _PROB_SUM_TOL:
-            raise ChannelError(
-                f"marginal at vertex {self.vertex} sums to {self.lambda0 + self.lambda1}, not 1"
-            )
+    def __new__(cls, vertex: int, lambda0: float, lambda1: float):
+        if not abs(lambda0 + lambda1 - 1.0) <= _PROB_SUM_TOL:
+            raise ChannelError(f"marginal at vertex {vertex} sums to {lambda0 + lambda1}, not 1")
+        return super().__new__(cls, vertex, lambda0, lambda1)
 
     @property
     def distribution(self) -> tuple[float, float]:

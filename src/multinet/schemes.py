@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import blocks
 from .graphstate import Graph, MultinetError, build_graph, color_graph
@@ -68,42 +67,38 @@ def _check_capacity(capacity) -> None:
         raise SchemeError(f"storage capacity must be an integer >= 1, got {capacity!r}")
 
 
-@dataclass(frozen=True)
-class StorageModel:
+class StorageModel(NamedTuple("StorageModel", [("mode", str), ("capacity", int)])):
     """Memory constraint: per-node capacity, or a global freely assignable pool."""
 
-    mode: str
-    capacity: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in STORAGE_MODES:
-            raise SchemeError(f"storage mode must be one of {STORAGE_MODES}, got {self.mode!r}")
-        _check_capacity(self.capacity)
+    def __new__(cls, mode: str, capacity: int):
+        if mode not in STORAGE_MODES:
+            raise SchemeError(f"storage mode must be one of {STORAGE_MODES}, got {mode!r}")
+        _check_capacity(capacity)
+        return super().__new__(cls, mode, capacity)
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(NamedTuple("Architecture", [("family", str), ("dims", tuple[int, ...]), ("block_size", int)])):
     """A cluster-state construction from one block family."""
 
-    family: str
-    dims: tuple[int, ...]
-    block_size: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in blocks.FAMILIES:
-            raise SchemeError(f"unknown architecture family {self.family!r}")
-        if len(self.dims) not in (2, 3):
-            raise SchemeError(f"architecture dims must be 2D or 3D, got {self.dims}")
-        if self.block_size < 1:
-            raise SchemeError(f"block size must be >= 1, got {self.block_size}")
+    def __new__(cls, family: str, dims: tuple[int, ...], block_size: int = 1):
+        if family not in blocks.FAMILIES:
+            raise SchemeError(f"unknown architecture family {family!r}")
+        if len(dims) not in (2, 3):
+            raise SchemeError(f"architecture dims must be 2D or 3D, got {dims}")
+        if block_size < 1:
+            raise SchemeError(f"block size must be >= 1, got {block_size}")
+        return super().__new__(cls, family, dims, block_size)
 
     @property
     def dimensionality(self) -> int:
         return len(self.dims)
 
 
-@dataclass
-class SchemeResult:
+class SchemeResult(NamedTuple):
     """Outcome of one scenario evaluation."""
 
     scheme: str

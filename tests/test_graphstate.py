@@ -82,6 +82,27 @@ class TestGenerators:
         assert g.edge_count() == 3 * 64
         assert all(g.degree(v) == 6 for v in g.vertices())
 
+    @pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_lattice_matches_coordinate_construction(self, rank, periodic):
+        # every extent 1-5: neighbors differ by +-1 (mod d when periodic)
+        # along one axis, with no self-loop and no repeated edge
+        for dims in itertools.product(range(1, 6), repeat=rank):
+            sites = sorted(itertools.product(*(range(d) for d in dims)))
+            number = {s: i for i, s in enumerate(sites)}
+            edges = set()
+            for s, axis, step in itertools.product(sites, range(rank), (1, -1)):
+                t = list(s)
+                t[axis] += step
+                if periodic:
+                    t[axis] %= dims[axis]
+                if 0 <= t[axis] < dims[axis] and tuple(t) != s:
+                    edges.add(frozenset((number[s], number[tuple(t)])))
+            kind = {2: "lattice2d", 3: "lattice3d"}[rank]
+            g = build_graph(kind, periodic=periodic, **dict(zip("whd", dims)))
+            assert g == Graph(range(len(sites)), [tuple(e) for e in edges]), dims
+            assert list(g.coords.items()) == list(enumerate(sites)), dims
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(GraphError):
             build_graph("lattice2d", w=0, h=3)

@@ -79,6 +79,17 @@ def test_non_finite_probability_rejected(entry, value):
         entry(value)
 
 
+@pytest.mark.parametrize("lambda1", [1.5, -0.5, math.nan], ids=repr)
+def test_malformed_class_raises_on_every_use(lambda1):
+    # the constants' cache keeps no exception, so a second use raises again
+    bad = MarginalClass(lambda1, 0, 1)
+    for _ in range(2):
+        with pytest.raises(DistributionError):
+            bad.entropy
+        with pytest.raises(DistributionError):
+            multipartite_bound_classes([bad], 100, 1)
+
+
 class TestBennett:
     def test_degenerate_distribution(self):
         assert bennett_success((1.0, 0.0), 100, 0.495) == pytest.approx(
@@ -210,6 +221,11 @@ class TestMultipartite:
             multipartite_bound_classes(classes, 400, 1, delta_split=split)
         with pytest.raises(InfeasibleTargetError):
             multipartite_bound(g, coloring, margs, 400, 1, delta_split=split)
+
+    def test_classes_grouped_once(self, monkeypatch):
+        # the per-vertex slacks read each color's entropy off the split bound
+        g, coloring, margs = self.star()
+        assert groupings(monkeypatch, lambda: multipartite_bound(g, coloring, margs, 400, 1))[0] == 1
 
     def test_improper_coloring_rejected(self):
         g, _, margs = self.star()
@@ -703,6 +719,22 @@ def evaluations(monkeypatch, fn):
     return calls, result
 
 
+def groupings(monkeypatch, fn):
+    """The number of times ``fn()`` groups classes (``_group_classes`` calls), and its result."""
+    calls = 0
+    group = hashing._group_classes
+
+    def counted(classes):
+        nonlocal calls
+        calls += 1
+        return group(classes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hashing, "_group_classes", counted)
+        result = fn()
+    return calls, result
+
+
 def fig11m_search():
     """The scenario's search for fig11m's 64x64 shifted-grid b=2 point at q = 0.98
     (n = 800, answer m = 198 at threshold 0.9)."""
@@ -779,16 +811,8 @@ class TestPrunedSplitScan:
 
     def test_threshold_search_groups_its_classes_once(self, monkeypatch):
         # one split bound serves the eleven steps and the run at the answer
-        calls = 0
-        group = hashing._group_classes
-
-        def counted(classes):
-            nonlocal calls
-            calls += 1
-            return group(classes)
-
-        monkeypatch.setattr(hashing, "_group_classes", counted)
-        assert (fig11m_search().m, calls) == (198, 1)
+        calls, res = groupings(monkeypatch, fig11m_search)
+        assert (res.m, calls) == (198, 1)
 
     def test_two_colors_prune(self, monkeypatch):
         # fig11m's 64x64 shifted-grid b=2 point at q = 0.98: n = 800, and

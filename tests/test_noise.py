@@ -15,6 +15,7 @@ from multinet.noise import (
     ChannelError,
     EdgeZChannel,
     BitMarginal,
+    FlipSource,
     PauliChannel,
     bit_marginals,
     channel_to_flip_source,
@@ -35,12 +36,25 @@ class TestChannels:
         assert ch.p_x == ch.p_y == ch.p_z == pytest.approx(0.005)
 
     def test_invalid_sum_rejected(self):
-        with pytest.raises(ChannelError):
+        with pytest.raises(ChannelError, match="channel probabilities sum to 2.0, not 1"):
             PauliChannel(0.5, 0.5, 0.5, 0.5)
 
     def test_edge_channel_range(self):
-        with pytest.raises(ChannelError):
+        with pytest.raises(ChannelError, match=r"edge channel parameter must be in \[0,1\], got 1.5"):
             EdgeZChannel(1.5)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PauliChannel(1.5, -0.5, 0.0, 0.0), r"channel probabilities out of \[0,1\]: \(1.5, -0.5"),
+            (lambda: FlipSource({3: 1.5}), r"flip probability 1.5 at vertex 3 out of \[0,1\]"),
+            (lambda: BitMarginal(4, 0.5, 0.25), "marginal at vertex 4 sums to 0.75, not 1"),
+        ],
+        ids=["pauli-range", "flip-source", "marginal"],
+    )
+    def test_checks_name_the_offender(self, build, message):
+        with pytest.raises(ChannelError, match=message):
+            build()
 
 
 class TestFlipSources:

@@ -266,6 +266,21 @@ def test_capacity_must_be_a_positive_integer(entry, capacity):
         entry(capacity)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StorageModel("local", 100), r"storage mode must be one of \('per-node', 'global'\), got 'local'"),
+        (lambda: Architecture("hexagon", (8, 8)), "unknown architecture family 'hexagon'"),
+        (lambda: Architecture("windmill", (8,)), r"architecture dims must be 2D or 3D, got \(8,\)"),
+        (lambda: Architecture("windmill", (8, 8), 0), "block size must be >= 1, got 0"),
+    ],
+    ids=["storage-mode", "family", "dims", "block-size"],
+)
+def test_value_checks_name_the_offender(build, message):
+    with pytest.raises(SchemeError, match=message):
+        build()
+
+
 # Scenario evaluations that go through the bipartite lattice product or the
 # from-Bell branches, as functions of the m= / threshold= keyword.
 BIPARTITE_SEARCHES = {
