@@ -27,7 +27,6 @@ import configparser
 import math
 import os
 import sys
-from importlib import resources
 from typing import Callable, NamedTuple
 
 from .blocks import FAMILIES, BlockError, blocks_count
@@ -48,6 +47,7 @@ from .schemes import (
 
 
 MAX_SWEEP_STEPS = 100_000
+PRESETS = os.path.join(os.path.dirname(__file__), "presets")
 
 
 class ConfigError(MultinetError):
@@ -333,19 +333,21 @@ def rows_to_csv(rows: list[tuple]) -> str:
 
 
 def preset_names() -> list[str]:
-    root = resources.files("multinet.presets")
-    return sorted(p.name[: -len(".cfg")] for p in root.iterdir() if p.name.endswith(".cfg"))
+    return sorted(name[: -len(".cfg")] for name in os.listdir(PRESETS) if name.endswith(".cfg"))
 
 
 def load_config_source(path_or_preset: str) -> tuple[str, str]:
-    """Resolve a filesystem path or packaged preset name to (text, label)."""
-    if os.path.exists(path_or_preset):
-        with open(path_or_preset, "r", encoding="utf-8") as fh:
-            return fh.read(), path_or_preset
-    if path_or_preset in preset_names():
-        text = resources.files("multinet.presets").joinpath(f"{path_or_preset}.cfg").read_text()
-        return text, f"preset:{path_or_preset}"
-    raise ConfigError(f"{path_or_preset!r} is neither a config file nor a known preset")
+    """Resolve a filesystem path or packaged preset name to (text, label), or raise :class:`ConfigError`."""
+    path, label = path_or_preset, path_or_preset
+    if not os.path.exists(path):
+        if path not in preset_names():
+            raise ConfigError(f"{path!r} is neither a config file nor a known preset")
+        path, label = os.path.join(PRESETS, f"{path}.cfg"), f"preset:{path}"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read(), label
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path_or_preset!r}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -462,35 +462,29 @@ def _falls_short(bound: _SplitBound, budget: float, threshold: float) -> bool:
     return True
 
 
-def _peak(bound: _SplitBound, budget: float, cands, best, best_f):
-    """The search of two-color ``cands`` from (best, best_f) in :func:`optimize_delta_split_classes`."""
+def _peak(bound: _SplitBound, budget: float, cands, start: int, best, best_f):
+    """The walk over two-color ``cands`` from ``cands[start]`` in :func:`optimize_delta_split_classes`."""
     end = len(cands)
     seen = {}
 
     def probe(j):
-        """(rank in the search, log F, largest loss) of candidate j."""
-        if j >= end:
-            return (-1, -j), -math.inf, 1.0
+        """(way, log F, largest loss) of candidate j, where the way to the finite candidates is
+        1 while the first color's rows are infinite, -1 while the second's are, and 0 at j."""
         if j not in seen:
             log_f, worst = bound.fold(0, budget * cands[j][0])
-            if log_f == -math.inf:
-                seen[j] = (-1, j), log_f, worst
-            else:
+            way = 1
+            if log_f > -math.inf:
                 log_f, worst = bound.fold(1, budget * cands[j][1], log_f, worst)
-                seen[j] = (0, log_f) if log_f > -math.inf else (-1, -j), log_f, worst
+                way = 0 if log_f > -math.inf else -1
+            seen[j] = way, log_f, worst
         return seen[j]
 
-    fib = [1, 1]
-    while fib[-1] < end + 1:
-        fib.append(fib[-1] + fib[-2])
-    a = -1  # the peak lies in (a, a + fib[k])
-    for k in range(len(fib) - 1, 2, -1):
-        if probe(a + fib[k - 2])[0] < probe(a + fib[k - 1])[0]:
-            a += fib[k - 2]
-    top = max(seen, key=lambda j: seen[j][0], default=0)
+    top = start
+    while way := probe(top)[0]:
+        top += way
+        if not 0 <= top < end or probe(top)[0] == -way:
+            return best, best_f  # F = 0 throughout
     peak_log = probe(top)[1]
-    if peak_log == -math.inf:
-        return best, best_f  # F = 0 throughout
     ends = []
     for step in (1, -1):
         j = top
@@ -526,13 +520,14 @@ def optimize_delta_split_classes(
 
     log F is concave where finite (see the module docstring):
 
-    1. A Fibonacci (golden-section) search on log F nears the peak.  A
-       candidate's terms are summed one color at a time, so where log F is
-       -inf it shows whose rows are infinite.  The first color's rows are
-       finite from some candidate on and the second's up to some candidate,
-       so the search ranks those candidates below the finite ones, rising
-       towards them from either side: it bisects for the finite interval.
-    2. A walk outward from the best candidate so far stops on each side at
+    1. Each list is walked from the incoming best's candidate: the equal
+       split on the grid, the center of the refinement.  A candidate's
+       terms are summed one color at a time, so where log F is -inf it
+       shows whose rows are infinite.  The first color's rows are finite
+       from some candidate on and the second's up to some candidate, so
+       the walk steps one candidate at a time the way they name until log
+       F is finite; if the way turns or the list ends, F is 0 throughout.
+    2. A walk outward from that finite candidate stops on each side at
        a candidate j that settles the rest.  log F at j plus its rounding
        band (:func:`_log_band`) caps the exact log F there; if the cap is
        below the best log F found, concavity keeps every candidate past j
@@ -563,11 +558,12 @@ def _optimum(bound: _SplitBound, m: int, threshold: float | None = None) -> tupl
     best = (1.0 / len(colors),) * len(colors)
     best_f = bound.fidelity([budget * frac for frac in best])
     if len(colors) == 2 and (threshold is None or not (best_f >= threshold or _falls_short(bound, budget, threshold))):
-        best, best_f = _peak(bound, budget, SPLIT_GRID, best, best_f)
+        best, best_f = _peak(bound, budget, SPLIT_GRID, SPLIT_GRID_STEPS // 2 - 1, best, best_f)
         lo = best[0] - 1.0 / SPLIT_GRID_STEPS
         fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
         xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
-        best, best_f = _peak(bound, budget, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], best, best_f)
+        center = SPLIT_REFINE_FACTOR - sum(x <= 0.0 for x in xs)
+        best, best_f = _peak(bound, budget, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], center, best, best_f)
     return best, best_f
 
 

@@ -288,6 +288,22 @@ class TestMain:
         assert "'px' and 'pz'" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["directory", "not-utf-8"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, command, source):
+        # open fails on a directory, decoding on a UTF-16 byte-order mark: each names the path
+        cfg = tmp_path / "unreadable.cfg"
+        if source == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+        out = tmp_path / "unreadable.csv"
+        argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read") and str(cfg) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "arch, named",
         [

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multinet import hashing
+from multinet.cli import load_config_source, parse_config, run_experiment
 from multinet.graphstate import Graph, MultinetError, build_graph, color_graph
 from multinet.hashing import (
     DistributionError,
@@ -691,11 +692,24 @@ SUBNORMAL_OPTIMA = [
     ),
 ]
 
-# F is finite only on grid points 104-118 and 84-87, which hold neither the
-# equal split nor the first two points a Fibonacci search looks at
+# F is finite only on grid points 104-118 and 84-87, away from the equal split
+# (index 99): the walk steps from it, one point at a time, the way its rows name
 NARROW_OPTIMA = [
     ([MarginalClass(0.0006287708947664953, 0, 1), MarginalClass(0.004538660510236856, 1, 1)], 13600, 12900),
     ([MarginalClass(0.009348019427979037, 0, 1), MarginalClass(0.00012879928608706772, 1, 100)], 3361, 3075),
+]
+
+
+# no grid point has a finite F: the first color's rows are infinite up to index
+# 108 and the second's from 109 on, so the walk from the equal split turns
+EMPTY_INTERVAL = ([MarginalClass(1e-06, 0, 1), MarginalClass(0.05, 1, 1)], 200, 133)
+
+# the best grid point is the first (the last, with the colors swapped), and F
+# is 0.0 at the equal split: the walk crosses half the grid to reach it, and
+# the refinement around it drops its point at x = 0
+EDGE_OPTIMA = [
+    ([MarginalClass(0.3, 0, 1), MarginalClass(1e-12, 1, 10**12)], 10**13, 1187091005840),
+    ([MarginalClass(1e-12, 0, 10**12), MarginalClass(0.3, 1, 1)], 10**13, 1187091005840),
 ]
 
 
@@ -750,6 +764,9 @@ class TestPrunedSplitScan:
     @example(SUBNORMAL_OPTIMA[2])
     @example(NARROW_OPTIMA[0])
     @example(NARROW_OPTIMA[1])
+    @example(EMPTY_INTERVAL)
+    @example(EDGE_OPTIMA[0])
+    @example(EDGE_OPTIMA[1])
     def test_two_colors_match_full_scan(self, problem):
         classes, n, m = problem
         found = outcome(lambda: optimize_delta_split_classes(classes, n, m))
@@ -808,6 +825,15 @@ class TestPrunedSplitScan:
         calls, res = evaluations(monkeypatch, fig11m_search)
         assert (res.m, res.n_used) == (198, 800)
         assert calls <= 100
+
+    def test_threshold_presets_evaluation_count(self, monkeypatch):
+        # the bound evaluations over the full grids of fig9m-fig13m, 25 312 when
+        # the bound was set; the count is deterministic, so a rise is a slower search
+        def run_presets():
+            for name in ("fig9m", "fig10m", "fig11m", "fig12m", "fig13m"):
+                run_experiment(parse_config(*load_config_source(name)))
+
+        assert evaluations(monkeypatch, run_presets)[0] <= 25312
 
     def test_threshold_search_groups_its_classes_once(self, monkeypatch):
         # one split bound serves the eleven steps and the run at the answer

@@ -1,4 +1,5 @@
-"""Start-up stays light: importing the CLI loads nothing that only ``dataclasses`` would pull in."""
+"""Start-up stays light: importing the CLI loads neither ``dataclasses`` and what it pulls in
+nor ``importlib.resources`` (with ``pathlib``, ``tempfile`` and ``shutil``)."""
 
 import json
 import os
@@ -7,12 +8,12 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+NOT_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources")
 
 
 def test_cli_import_loads_no_introspection_module():
     # -S skips site-packages start-up hooks, which may import modules of their own
-    script = f"import json, sys, multinet.cli; print(json.dumps([m for m in {INTROSPECTION!r} if m in sys.modules]))"
+    script = f"import json, sys, multinet.cli; print(json.dumps([m for m in {NOT_AT_START_UP!r} if m in sys.modules]))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
