@@ -41,7 +41,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from operator import add, mod, sub
+from operator import add, getitem, mod, sub
 from typing import NamedTuple
 
 from .graphstate import MultinetError
@@ -105,15 +105,10 @@ def _pinwheel_3d(base: Site) -> list[Edge]:
     edges = _cube(base)
     for c in itertools.product((0, 1), repeat=3):
         corner = tuple(base[i] + c[i] for i in range(3))
-        rules = [
-            (c[0] == c[1], 0, 1 if c[1] == 1 else -1),
-            (c[1] == c[2], 1, 1 if c[2] == 1 else -1),
-            (c[2] == c[0], 2, 1 if c[0] == 1 else -1),
-        ]
-        for sprout, axis, sign in rules:
-            if sprout:
+        for axis in range(3):
+            if c[axis] == c[(axis + 1) % 3]:  # the next axis's bit also gives the sign
                 tip = list(corner)
-                tip[axis] += sign
+                tip[axis] += 2 * c[axis] - 1
                 edges.append(_norm_edge(corner, tuple(tip)))
     return edges
 
@@ -222,17 +217,19 @@ def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], l
 
     Returns ``(shapes, placed)``.  Each cell shape is folded onto the torus once: its distinct
     wrapped sites, sorted (fewer than its own on a torus narrower than the block), and its edges
-    as index pairs into them in the cell's order.  ``placed`` lists each block as (shape index, sites).
+    as index pairs into them in the cell's order.  ``placed`` lists each block as (shape index, sites),
+    its sites zipped from per-axis tables of the shape's coordinates under every period shift.
     """
     cell = _check_dims(family, dims, b)
-    shapes = []
+    shapes, tables = [], []
     for sites, pairs in cell.shapes:
         wrapped = [tuple(map(mod, s, dims)) for s in sites]
         index = {s: i for i, s in enumerate(sorted(set(wrapped)))}
         shapes.append((tuple(index), tuple((index[wrapped[i]], index[wrapped[j]]) for i, j in pairs)))
-    shifts = itertools.product(*(range(0, d, p) for d, p in zip(dims, cell.period)))
-    placed = [(k, [tuple(map(mod, map(add, site, shift), dims)) for site in sites])
-              for shift in shifts for k, (sites, _) in enumerate(shapes)]
+        tables.append([[tuple((x + t) % d for x in axis) for t in range(0, d, p)]
+                       for axis, d, p in zip(zip(*index), dims, cell.period)])
+    shifts = itertools.product(*(range(d // p) for d, p in zip(dims, cell.period)))
+    placed = [(k, list(zip(*map(getitem, table, shift)))) for shift in shifts for k, table in enumerate(tables)]
     return shapes, placed
 
 
@@ -250,15 +247,8 @@ def degree_color_classes(family: str, dim: int, b: int = 1) -> tuple[tuple[int, 
     proper two-coloring because every block is a subgraph of the bipartite
     lattice.  Cached, as every sweep point of a scenario asks again.
     """
-    edges = block_edges(family, dim, b)
-    degree: dict[Site, int] = {}
-    for a, c in edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[c] = degree.get(c, 0) + 1
-    counts: dict[tuple[int, int], int] = {}
-    for site, d in degree.items():
-        key = (d, sum(site) % 2)
-        counts[key] = counts.get(key, 0) + 1
+    degree = Counter(site for edge in block_edges(family, dim, b) for site in edge)
+    counts = Counter((d, sum(site) % 2) for site, d in degree.items())
     return tuple((d, color, n) for (d, color), n in sorted(counts.items()))
 
 

@@ -480,9 +480,11 @@ def _peak(bound: _SplitBound, budget: float, cands, start: int, best, best_f):
         return seen[j]
 
     top = start
+    if (way := probe(top)[0]) and probe(end - 1 if way > 0 else 0)[0] == way:
+        return best, best_f  # infinite rows even at that color's largest slack
     while way := probe(top)[0]:
         top += way
-        if not 0 <= top < end or probe(top)[0] == -way:
+        if probe(top)[0] == -way:
             return best, best_f  # F = 0 throughout
     peak_log = probe(top)[1]
     ends = []
@@ -524,9 +526,9 @@ def optimize_delta_split_classes(
        split on the grid, the center of the refinement.  A candidate's
        terms are summed one color at a time, so where log F is -inf it
        shows whose rows are infinite.  The first color's rows are finite
-       from some candidate on and the second's up to some candidate, so
-       the walk steps one candidate at a time the way they name until log
-       F is finite; if the way turns or the list ends, F is 0 throughout.
+       from some candidate on and the second's up to some candidate, so F
+       is 0 throughout if the far end of the side they name names it too,
+       or if the way turns as the walk steps that way until log F is finite.
     2. A walk outward from that finite candidate stops on each side at
        a candidate j that settles the rest.  log F at j plus its rounding
        band (:func:`_log_band`) caps the exact log F there; if the cap is

@@ -405,56 +405,64 @@ def validate_cover(
     (:func:`~multinet.graphstate.merge_vertices`), so merging every site
     leaves an edge between two sites exactly when an odd number of placed
     edges join them, and none inside a site.  The verdict therefore needs
-    only the parity of each site pair, over sites numbered by small ints (the
-    target's first).  Blocks may share a graph, as in :func:`family_cover`: it
-    is read once per call, safe because graphs are never mutated in place.
+    only the parity of each site pair, kept on int codes of site numbers:
+    a target site's is its vertex id, so the wanted codes are the target's
+    edges, and an off-target site's lies above every target id.  Blocks may
+    share a graph, as in :func:`family_cover`: it is read once per call, safe
+    because graphs are never mutated in place.  Raises :class:`SchemeError`
+    if the target or a vertex of it has no coordinates, two target vertices
+    share one, or a block vertex has no placement.
     """
     if target.coords is None:
         raise SchemeError("target graph carries no coordinates")
-    coords = target.coords
-    number: dict[tuple, int] = {}
-    for v in target.vertices():
-        number.setdefault(coords[v], len(number))
-    on_target = len(number)
-    wanted = {(p, q) if p < q else (q, p) for p, q in
-              ((number[coords[a]], number[coords[b]]) for a, b in target.iter_edges())}
+    coords, vertices = target.coords, target.vertices()
+    number = dict(zip(map(coords.get, vertices), vertices))
+    if None in number:
+        raise SchemeError(f"target vertex {number[None]} has no coordinates")
+    if len(number) < len(vertices):
+        v = next(v for v in vertices if number[coords[v]] != v)
+        raise SchemeError(f"target vertices {v} and {number[coords[v]]} share the coordinate {coords[v]}")
+    top = vertices[-1] if vertices else -1
+    # (p << shift) + q is one-to-one while all numbers lie in a window of 2**shift: target ids
+    # span under half of it, and fewer than 2**31 off-target sites fit in memory
+    shift = max(32, (top - vertices[0]).bit_length() + 1) if vertices else 32
+    wanted = {(a << shift) + b for a, b in target.iter_edges()}
     read: dict[int, tuple] = {}  # by id: (graph, its vertices, its edges as vertex positions)
     placed: list[int] = []  # the site of each qubit id
-    odd: set[tuple[int, int]] = set()
+    odd: set[int] = set()
     for block_idx, (block, placement) in enumerate(cover):
         if id(block) not in read:  # the entry holds the graph, so its id is not reused
             at = {v: i for i, v in enumerate(block.vertices())}
             read[id(block)] = (block, list(at), [(at[a], at[b]) for a, b in block.iter_edges()])
-        _, vertices, pairs = read[id(block)]
+        _, order, pairs = read[id(block)]
         try:
-            sites = [number.setdefault(placement[v], len(number)) for v in vertices]
+            sites = list(map(number.get, map(placement.__getitem__, order)))
+            if None in sites:  # a site off the target
+                sites = [number.setdefault(placement[v], top + 1 + len(number) - len(vertices)) for v in order]
         except KeyError:
-            v = next(v for v in vertices if v not in placement)
+            v = next(v for v in order if v not in placement)
             raise SchemeError(f"block {block_idx} vertex {v} has no placement") from None
         placed += sites
         for i, j in pairs:  # parity is order-free, so the edges need no sorting
             p, q = sites[i], sites[j]
             if p != q:
-                pair = (q, p) if q < p else (p, q)
-                if pair in odd:
-                    odd.remove(pair)
+                code = (p << shift) + q if p < q else (q << shift) + p
+                if code in odd:
+                    odd.remove(code)
                 else:
-                    odd.add(pair)
-    ids: list[list[int]] = [[] for _ in number]
+                    odd.add(code)
+    ids: dict[int, list[int]] = {k: [] for k in number.values()}
     for qubit, site in enumerate(placed):
         ids[site].append(qubit)
-    site_of = list(number)
-    trace = [(site_of[k], ids[k][0], other) for k in sorted(range(len(ids)), key=site_of.__getitem__)
-             for other in ids[k][1:]]
-    return odd == wanted and len(number) == on_target and all(ids), trace
+    trace = [(site, ids[k][0], other) for site, k in sorted(number.items()) for other in ids[k][1:]]
+    return odd == wanted and len(number) == len(vertices) and all(ids.values()), trace
 
 
 def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[Graph, dict[int, tuple]]]:
     """Materialize a family's cover as (graph, placement) pairs for validation.
 
     The blocks of one cell shape (:func:`blocks.lift`) share one graph, safe because graphs are
-    never mutated in place; each has its own placement.  Trace ids follow each block's vertex
-    order, so they may renumber against sorted sites while the merge count stays the same.
+    never mutated in place; each has its own placement.
     """
     shapes, placed = blocks.lift(family, dims, b)
     graphs = [Graph(range(len(sites)), pairs) for sites, pairs in shapes]

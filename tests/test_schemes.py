@@ -447,6 +447,33 @@ class TestCoverValidation:
             validate_cover(cover, target_lattice((8, 8)))
         with pytest.raises(SchemeError, match="no coordinates"):
             validate_cover(family_cover("windmill", (8, 8), 1), Graph(range(4), [(0, 1)]))
+        # targets 0 and 1 share (0, 0), so one edge (0, 0)-(1, 0) would stand in for (0, 2) and (1, 2)
+        edge = [(Graph(range(2), [(0, 1)]), {0: (0, 0), 1: (1, 0)})]
+        shared = Graph(range(3), [(0, 2), (1, 2)], coords={0: (0, 0), 1: (0, 0), 2: (1, 0)})
+        with pytest.raises(SchemeError, match=r"target vertices 0 and 1 share the coordinate \(0, 0\)"):
+            validate_cover(edge, shared)
+        missing = Graph(range(3), [(0, 2), (1, 2)], coords={0: (0, 0), 1: (0, 1)})
+        with pytest.raises(SchemeError, match="target vertex 2 has no coordinates"):
+            validate_cover(edge, missing)
+
+    @pytest.mark.parametrize("case", ["exact", "shifted", "off-lattice"])
+    def test_relabelled_target_matches_plain(self, case):
+        # sites are numbered by target id; with ids 2v + 5 the second off-lattice
+        # site would share number 65 with a target site if numbered from len(number)
+        dims = (8, 8)
+        plain = target_lattice(dims)
+        label = {v: 2 * v + 5 for v in plain.vertices()}
+        target = Graph(label.values(), [(label[a], label[b]) for a, b in plain.edges()],
+                       coords={label[v]: c for v, c in plain.coords.items()})
+        cover = family_cover("windmill", dims, 1)
+        if case == "shifted":
+            block, placement = cover[3]
+            cover[3] = (block, {v: ((c[0] + 1) % 8, c[1]) for v, c in placement.items()})
+        elif case == "off-lattice":
+            cover.append((Graph(range(3), [(0, 1), (1, 2)]), {0: (8, 0), 1: (8, 1), 2: (0, 0)}))
+        result = validate_cover(cover, target)
+        assert result == validate_cover(cover, plain) == replay_cover(cover, plain)
+        assert result[0] == (case == "exact")
 
     def test_unsorted_adjacency_matches_merge_replay(self):
         # a block listed with its ids backwards, one vertex split in two and
