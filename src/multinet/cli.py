@@ -1,12 +1,12 @@
 """Experiment runner: load a sweep configuration, evaluate it, emit CSV.
 
-Configs are flat ``key = value`` text files with bracketed section headers
-(see the packaged presets for worked examples).  Two tables state the whole
-config contract: ``KEYS`` gives each key's field, parser and domain, and
-``SCENARIOS`` gives each scenario's sweeps, channels, needed and read keys,
-scheme ids, lattices with the keys they read, and runner.  A key the
-scenario does not read must be absent or hold its default, and a swept
-value must lie in its key's domain.
+Command lines are :data:`USAGE`'s.  Configs are flat ``key = value`` text
+with bracketed section headers, read by :func:`_read_sections` (the packaged
+presets are worked examples).  Two tables state the whole config contract:
+``KEYS`` gives each key's field, parser and domain, and ``SCENARIOS`` gives
+each scenario's sweeps, channels, needed and read keys, scheme ids, lattices
+with the keys they read, and runner.  A key the scenario does not read must
+be absent or hold its default, and a swept value must lie in its key's domain.
 Every run writes one row per (sweep point, scheme) with the fixed column set
 
     sweep_param,sweep_value,scheme,F,m,n_used,infeasible
@@ -16,14 +16,12 @@ significant digits.  Sweep points are evaluated one after another, in sweep
 order, and output is byte-identical across runs.
 
 A sweep range has at most ``MAX_SWEEP_STEPS`` points, checked before any is
-built.  Exit codes: 0 success, 2 configuration error, 3 every sweep point was
-infeasible (the CSV is still written).
+built.  Exit codes: 0 success (``-h``/``--help`` too), 2 configuration or
+usage error, 3 every sweep point was infeasible (the CSV is still written).
 """
 
 from __future__ import annotations
 
-import argparse
-import configparser
 import math
 import os
 import sys
@@ -209,17 +207,42 @@ _SPEC = {key: (section, *spec) for section, keys in KEYS.items() for key, spec i
 _SWEEP_RANGE = ("sweep_min", "sweep_max", "sweep_steps")
 
 
+def _read_sections(text: str, name: str) -> dict[str, dict[str, str]]:
+    """``text``'s sections as {section: {key: value}}, in the grammar of the README's "Config
+    format": configparser's, without interpolation and with no special ``[DEFAULT]``."""
+    def fail(problem: str) -> ConfigError:
+        return ConfigError(f"cannot parse {name}: line {number}: {problem}")
+
+    sections, items, key = {}, None, None
+    for number, line in enumerate(text.split("\n"), 1):
+        body = line.strip()
+        if not body or body[0] in "#;":
+            continue
+        if key is not None and line[0].isspace():
+            items[key] += "\n" + body
+        elif body[0] == "[" and body[-1] == "]":
+            if body[1:-1] in sections:
+                raise fail(f"section {body} repeated")
+            items, key = sections.setdefault(body[1:-1], {}), None
+        elif items is None:
+            raise fail(f"{body!r} comes before any [section]")
+        else:
+            head, sep, _ = body.replace(":", "=", 1).partition("=")  # head ends at the first = or :
+            key = head.rstrip().lower()
+            if not sep or not key:
+                raise fail(f"expected 'key = value', got {body!r}")
+            if key in items:
+                raise fail(f"key '{key}' repeated")
+            items[key] = body[len(head) + 1:].strip()
+    return sections
+
+
 def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=name)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {name}: {exc}") from exc
     given = {}
-    for section in parser.sections():
+    for section, items in _read_sections(text, name).items():
         if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items.items():
             if key not in KEYS[section]:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
             try:
@@ -350,33 +373,38 @@ def load_config_source(path_or_preset: str) -> tuple[str, str]:
         raise ConfigError(f"cannot read {path_or_preset!r}: {exc}") from exc
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="multinet",
-        description="Parameter sweeps over hashing-based multipartite repeater schemes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run an experiment config or preset, write CSV")
-    run_p.add_argument("config", help="path to a config file, or a preset name")
-    run_p.add_argument("--out", required=True, help="output CSV path")
-    val_p = sub.add_parser("validate", help="parse and validate a config without running it")
-    val_p.add_argument("config", help="path to a config file, or a preset name")
-    sub.add_parser("list-presets", help="list packaged figure presets")
-    args = parser.parse_args(argv)
+USAGE = """usage: multinet run CONFIG --out CSV   run a config file or packaged preset, write CSV
+       multinet validate CONFIG        parse and validate a config without running it
+       multinet list-presets           list the packaged figure presets\n"""
 
-    if args.command == "list-presets":
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    words = [w for arg in argv for w in (arg.split("=", 1) if arg.startswith("--out=") else [arg])]
+    command, *args = words or [""]
+    out = None
+    if command == "run" and "--out" in args[:-1]:
+        out = args.pop(args.index("--out") + 1)
+        args.remove("--out")
+    positional = {"run": 1 if out is not None else None, "validate": 1, "list-presets": 0}
+    helped = "-h" in argv or "--help" in argv
+    if helped or len(args) != positional.get(command) or any(arg.startswith("-") for arg in args):
+        print(USAGE, end="", file=sys.stdout if helped else sys.stderr)
+        return 0 if helped else 2
+
+    if command == "list-presets":
         for name in preset_names():
             print(name)
         return 0
 
     try:
-        text, label = load_config_source(args.config)
+        text, label = load_config_source(args[0])
         cfg = parse_config(text, name=label)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
+    if command == "validate":
         print(f"{label}: OK ({cfg.scenario}, sweep over {cfg.sweep_param}, "
               f"{len(cfg.sweep_values)} points)")
         return 0
@@ -388,13 +416,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     csv_text = rows_to_csv(rows)
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"cannot write {out}: {exc}", file=sys.stderr)
         return 2
     if rows and all(row[6] == 1 for row in rows):
-        print(f"warning: every sweep point infeasible; CSV written to {args.out}", file=sys.stderr)
+        print(f"warning: every sweep point infeasible; CSV written to {out}", file=sys.stderr)
         return 3
     return 0
 

@@ -50,8 +50,8 @@ know whether the optimizer's F is >= t, and is settled before the split
 search where it can be: it passes when the equal split, the optimizer's
 first candidate, clears t (the optimizer's F is the largest F it
 computes), and fails on the certificate below.  Any other step runs the
-whole optimization, and the search runs it once more, at its result.  The
-certificate that no two-color candidate's computed F reaches t:
+whole optimization; the search reruns it only at an answer the equal split
+settled.  The certificate that no two-color candidate's computed F reaches t:
 
 - Slacks.  With budget B, every two-color candidate has slacks at most
   (B, B/2) or (B/2, B) as floats: B*x rounds to at most B when x <= 1 and to
@@ -602,9 +602,11 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
 def max_output_copies_classes(classes: Sequence[MarginalClass], n: int, threshold: float) -> tuple[int, float]:
     """Largest m in [1, n] whose optimized bound is >= ``threshold``, and that bound; (0, 0.0) if none.
 
-    One :func:`largest_m` over settled steps (:func:`_optimum`), on one
-    :class:`_SplitBound`, then the full optimization at the m found.
+    One :func:`largest_m` over settled steps (:func:`_optimum`), on one :class:`_SplitBound`; the
+    answer's step gives F unless the equal split settled it, when m is optimized again.
     """
     bound = _SplitBound(classes, n)
-    m = largest_m(lambda m: _optimum(bound, m, threshold)[1], n, threshold)[0]
-    return (m, _optimum(bound, m)[1]) if m else (0, 0.0)
+    steps = {}  # m -> the step's (split, F)
+    m = largest_m(lambda m: steps.setdefault(m, _optimum(bound, m, threshold))[1], n, threshold)[0]
+    split, f = steps.get(m, ((), 0.0))
+    return (m, f) if split != (0.5, 0.5) else (m, _optimum(bound, m)[1])

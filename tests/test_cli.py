@@ -1,6 +1,7 @@
 """Config parsing, CSV output, presets, exit codes."""
 
 import configparser
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -146,6 +147,91 @@ class TestParsing:
     def test_unparseable_syntax_reports_source(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config("experiment]\nscenario=ghz\n", name="broken.cfg")
+
+
+def oracle_sections(text):
+    """``text``'s sections as configparser reads them, the grammar ``_read_sections`` keeps."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+class TestReader:
+    @pytest.mark.parametrize("text, expected", [
+        ("# a comment\n; another\n[noise]\n  # indented comment\nq = 0.98\n",
+         {"noise": {"q": "0.98"}}),
+        ("[noise]\nq: 0.98\np :1.0\n", {"noise": {"q": "0.98", "p": "1.0"}}),
+        ("[Noise]\nQ = 0.98\nChannel = LDN\n", {"Noise": {"q": "0.98", "channel": "LDN"}}),
+        ("[architecture]\nschemes = A,\n    C\n\tB\nfamilies = windmill\n",
+         {"architecture": {"schemes": "A,\nC\nB", "families": "windmill"}}),
+        ("[x]\nurl = a=b:c\nkey: v=w\n", {"x": {"url": "a=b:c", "key": "v=w"}}),
+        ("[x]\nsweep min = 200          ; or not\n", {"x": {"sweep min": "200          ; or not"}}),
+        ("\n  \n[x]\n[y]\nk =\n", {"x": {}, "y": {"k": ""}}),
+    ])
+    def test_matches_configparser(self, text, expected):
+        assert cli._read_sections(text, "case.cfg") == oracle_sections(text) == expected
+
+    @pytest.mark.parametrize("text, line", [
+        ("[noise]\nq = 0.9\n[noise]\np = 1.0\n", 3),  # a repeated section
+        ("[noise]\nq = 0.9\n\n# note\nQ: 0.8\n", 5),  # a repeated key, in any case
+        ("# header\nscenario = ghz\n[experiment]\n", 2),  # a key before any section
+        ("[experiment]\nscenario = ghz\nsweep capacity\n", 3),  # no delimiter
+        ("[experiment]\n = ghz\n", 2),  # no key
+    ])
+    def test_malformed_lines_name_their_number(self, tmp_path, capsys, text, line):
+        with pytest.raises(ConfigError, match=f"^cannot parse case.cfg: line {line}: "):
+            cli._read_sections(text, "case.cfg")
+        with pytest.raises(configparser.Error):
+            oracle_sections(text)
+        for command in ("validate", "run"):
+            code, err = exit_and_err(tmp_path, capsys, command, text)
+            assert code == 2 and f"cannot parse {tmp_path / 'case.cfg'}: line {line}: " in err
+
+    def test_default_section_is_unknown(self):
+        # configparser took an empty [DEFAULT] as no section at all
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            parse_config("[DEFAULT]\n" + MINIMAL)
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("form", [
+        ["run", "fig3", "--out", "{out}"],
+        ["run", "--out", "{out}", "fig3"],
+        ["run", "fig3", "--out={out}"],
+        ["run", "--out={out}", "fig3"],
+    ])
+    def test_accepted_run_forms(self, tmp_path, capsys, form):
+        out = tmp_path / "fig3.csv"
+        assert main([arg.format(out=out) for arg in form]) == 0
+        assert out.read_bytes() == (GOLDEN / "fig3.csv").read_bytes()
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["simulate", "fig3"],
+        ["run", "fig3"],
+        ["run", "fig3", "--out"],
+        ["run", "--out", "{out}"],
+        ["run", "fig3", "fig4", "--out", "{out}"],
+        ["run", "fig3", "--out", "{out}", "--out", "{out}"],
+        ["run", "fig3", "--verbose", "--out", "{out}"],
+        ["validate"],
+        ["validate", "fig3", "fig4"],
+        ["validate", "fig3", "--out", "{out}"],
+        ["validate", "fig3", "--out={out}"],
+        ["list-presets", "fig3"],
+    ])
+    def test_rejected_forms_print_the_usage(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main([arg.format(out=out) for arg in argv]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr == cli.USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["run", "--help"], ["validate", "fig3", "-h"]])
+    def test_help_prints_the_usage(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (cli.USAGE, "")
 
 
 class TestRows:
@@ -648,3 +734,12 @@ class TestCliProperties:
             ran = main(["run", cfg, "--out", out])
         assert checked in (0, 2) and ran in (0, 2, 3)
         assert not (checked == 0 and ran == 2), "validate accepted a config that run rejects"
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_presets())
+    def test_reader_agrees_with_configparser(self, parser):
+        # the configs as configparser writes them, the form perfbench/run.py writes
+        buffer = io.StringIO()
+        parser.write(buffer)
+        text = buffer.getvalue()
+        assert cli._read_sections(text, "case.cfg") == oracle_sections(text)

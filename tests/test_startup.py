@@ -1,5 +1,6 @@
-"""Start-up stays light: importing the CLI loads neither ``dataclasses`` and what it pulls in
-nor ``importlib.resources`` (with ``pathlib``, ``tempfile`` and ``shutil``)."""
+"""Start-up stays light: importing the CLI loads neither ``dataclasses`` and what it pulls in,
+nor ``importlib.resources`` (with ``pathlib``, ``tempfile`` and ``shutil``), nor ``argparse``,
+``configparser`` and ``gettext``."""
 
 import json
 import os
@@ -8,7 +9,9 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-NOT_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources")
+NOT_AT_START_UP = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources", "argparse", "configparser", "gettext",
+)
 
 
 def test_cli_import_loads_no_introspection_module():
