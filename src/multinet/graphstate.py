@@ -2,8 +2,8 @@
 
 This module provides:
 
-- ``Graph``: an undirected simple graph over integer vertex ids, with an
-  optional proper coloring and optional coordinate labels.
+- ``Graph``: an undirected simple graph over integer vertex ids, with
+  optional coordinate labels.
 - ``build_graph``: generators for the standard graphs used throughout
   (GHZ stars, lines, 2D/3D lattices).
 - ``local_complement``, ``merge_vertices``, ``connect_project``: the
@@ -12,7 +12,7 @@ This module provides:
   downstream pipeline only consumes statistics that are invariant under
   local Z corrections.
 - ``color_graph``: the deterministic two-coloring of a bipartite graph, by
-  BFS.
+  BFS, as a plain vertex -> color dict.
 
 All operations return new graphs and leave their inputs unchanged; the CLI
 evaluates sweep points one after another, not in parallel.
@@ -49,19 +49,16 @@ class Graph:
         Vertex ids.
     edges : iterable of (int, int)
         Undirected edges; self-loops are rejected.
-    coloring : mapping vertex -> color id, optional
-        Must be proper (no edge inside a color class).
     coords : mapping vertex -> tuple, optional
         Coordinate labels attached by the lattice generators.
     """
 
-    __slots__ = ("_adj", "coloring", "coords")
+    __slots__ = ("_adj", "coords")
 
     def __init__(
         self,
         vertices: Iterable[int] = (),
         edges: Iterable[tuple[int, int]] = (),
-        coloring: Mapping[int, int] | None = None,
         coords: Mapping[int, tuple] | None = None,
     ):
         adj: dict[int, set[int]] = {int(v): set() for v in vertices}
@@ -74,22 +71,7 @@ class Graph:
             adj[a].add(b)
             adj[b].add(a)
         self._adj = adj
-        self.coloring = dict(coloring) if coloring is not None else None
         self.coords = dict(coords) if coords is not None else None
-        self._check_invariants()
-
-    def _check_invariants(self) -> None:
-        if self.coloring is not None:
-            for v in self._adj:
-                if v not in self.coloring:
-                    raise GraphError(f"coloring missing vertex {v}")
-            for a, nbrs in self._adj.items():
-                for b in nbrs:
-                    if self.coloring[a] == self.coloring[b]:
-                        raise GraphError(
-                            f"improper coloring: edge ({a},{b}) joins color "
-                            f"{self.coloring[a]} with itself"
-                        )
 
     # -- read access -------------------------------------------------------
 
@@ -133,14 +115,13 @@ class Graph:
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        g.coloring = dict(self.coloring) if self.coloring is not None else None
         g.coords = dict(self.coords) if self.coords is not None else None
         return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj and self.coloring == other.coloring
+        return self._adj == other._adj
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count()} edges)"
@@ -212,12 +193,10 @@ def build_graph(kind: str, **params) -> Graph:
 def local_complement(g: Graph, v: int) -> Graph:
     """Complement the edges inside the neighborhood of ``v``.
 
-    Involutive at fixed ``v``.  The coloring is dropped because new edges may
-    join vertices of equal color; coordinates are preserved.
+    Involutive at fixed ``v``; coordinates are preserved.
     """
     g._require(v)
     out = g.copy()
-    out.coloring = None
     nbrs = sorted(g._adj[v])
     for i, a in enumerate(nbrs):
         for b in nbrs[i + 1:]:
@@ -242,7 +221,6 @@ def merge_vertices(g: Graph, a: int, b: int) -> Graph:
     if a == b:
         raise GraphError("cannot merge a vertex with itself")
     out = g.copy()
-    out.coloring = None
     new_nbrs = (out._adj[a] ^ out._adj[b]) - {a, b}
     for u in out._adj[a] | out._adj[b]:
         out._adj[u].discard(a)
@@ -271,7 +249,6 @@ def connect_project(g: Graph, a: int, b: int) -> Graph:
     if g.has_edge(a, b):
         raise GraphError(f"connect requires non-adjacent vertices, {a}-{b} is an edge")
     out = g.copy()
-    out.coloring = None
     na = out._adj[a] - {b}
     nb = out._adj[b] - {a}
     for i in sorted(na | nb):

@@ -22,9 +22,12 @@ marginal and a color give equal factors.  The vertex-level API therefore
 checks and groups its input in one place, :func:`vertex_classes`, and reads
 each vertex's slack and success off its :class:`MarginalClass`.
 
-The class-level bound is evaluated by one engine.  Each
-:class:`MarginalClass` computes its S, a and V once, on first use, which is
-also when its distribution is validated.  For one (classes, n),
+The class-level bound is evaluated by one engine.  The S, a and V of a
+distribution are computed once, on first use, which is also when the
+distribution is validated, and kept in one bounded cache keyed by the
+distribution (:func:`_spread_and_variance`): it serves the classes,
+:func:`bipartite_bound` and :func:`bennett_loss` alike, so a search over
+a pair bound does not recompute them at every step.  For one (classes, n),
 :class:`_SplitBound` does the color grouping and the per-class constants
 once, and per m only the target check and Delta; the bound at a given split
 then costs only the Bennett arithmetic, through the same kernel as
@@ -124,10 +127,13 @@ def entropy(probs: Sequence[float]) -> float:
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
 
 
-def _spread_and_variance(probs: Sequence[float]) -> tuple[float, float, float]:
+@functools.lru_cache(maxsize=1024)
+def _spread_and_variance(probs: tuple[float, ...]) -> tuple[float, float, float]:
     """Entropy S, spread a = max |-log2 p - S| and variance V of -log2 p.
 
     Zero-probability outcomes are excluded so the logarithms stay finite.
+    Cached by the distribution; a miss validates it, and as the cache keeps
+    no exception, a malformed distribution raises on every call.
     """
     s = entropy(probs)
     nonzero = [p for p in probs if p > 0.0]
@@ -148,8 +154,7 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float) -> float:
         raise InfeasibleTargetError(f"need at least one input copy, got n={n}")
     if delta <= 0.0:
         raise InfeasibleTargetError(f"slack must be positive, got delta={delta}")
-    s, a, v = _spread_and_variance(probs)
-    return _loss(s, a, v, n, delta)
+    return _loss(*_spread_and_variance(tuple(probs)), n, delta)
 
 
 def _loss(s: float, a: float, v: float, n: int, delta: float) -> float:
@@ -200,7 +205,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     requested yield.
     """
     _check_target(n, m)
-    s, a, v = _spread_and_variance(probs)
+    s, a, v = _spread_and_variance(tuple(probs))
     delta = 0.5 * (1.0 - s - m / n)
     if delta <= 0.0:
         raise InfeasibleTargetError(
@@ -220,19 +225,14 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
 # -- multipartite machinery ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
-def _class_constants(lambda1: float) -> tuple[float, float, float]:
-    """(S, a, V) of the marginal (1 - lambda1, lambda1), as :func:`bennett_loss` computes them."""
-    return _spread_and_variance((1.0 - lambda1, lambda1))
-
-
 class MarginalClass(NamedTuple):
     """A group of vertices sharing one binary marginal and one color.
 
-    The entropy and the Bennett constants are computed on first use and
-    kept, in a bounded cache keyed on lambda1.  Validation happens then
-    too, and a malformed class raises :class:`DistributionError` wherever
-    it is used, as the cache keeps no exception.
+    The entropy and the Bennett constants come from the one cache of
+    :func:`_spread_and_variance`, which also serves :func:`bipartite_bound`
+    and :func:`bennett_loss`.  Validation happens on first use, and a
+    malformed class raises :class:`DistributionError` wherever it is used,
+    as the cache keeps no exception.
     """
 
     lambda1: float
@@ -245,12 +245,7 @@ class MarginalClass(NamedTuple):
 
     @property
     def entropy(self) -> float:
-        return _class_constants(self.lambda1)[0]
-
-    @property
-    def _constants(self) -> tuple[float, float, float]:
-        """(S, a, V) as :func:`bennett_loss` computes them."""
-        return _class_constants(self.lambda1)
+        return _spread_and_variance(self.distribution)[0]
 
 
 def _group_classes(classes: Iterable[MarginalClass]):
@@ -287,7 +282,7 @@ class _SplitBound:
         self.n = n
         self.entropy = sum(self.s_color[c] for c in self.active)
         self.rows = [
-            [(cls.count, 0.5 * (self.s_color[color] - cls.entropy), cls._constants)
+            [(cls.count, 0.5 * (self.s_color[color] - cls.entropy), _spread_and_variance(cls.distribution))
              for cls in by_color[color] if cls.entropy != 0.0]
             for color in self.colors
         ]
@@ -423,7 +418,8 @@ def multipartite_bound(
             by_class[cls.lambda1, cls.color] = (0.0, 1.0)
             continue
         d_k = delta_color[cls.color] + 0.5 * (bound.s_color[cls.color] - cls.entropy)
-        by_class[cls.lambda1, cls.color] = (d_k, max(0.0, 1.0 - _loss(*cls._constants, n, d_k)))
+        loss = _loss(*_spread_and_variance(cls.distribution), n, d_k)
+        by_class[cls.lambda1, cls.color] = (d_k, max(0.0, 1.0 - loss))
     return HashingRun(
         n=n,
         m=m,

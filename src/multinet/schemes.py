@@ -16,7 +16,6 @@ Conventions shared by all scenarios:
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -112,28 +111,14 @@ class SchemeResult(NamedTuple):
         return cls(scheme=scheme, fidelity=0.0, m=0, n_used=n_used, infeasible=True)
 
 
-def _evaluate(
-    label: str,
-    n: int,
-    bound: Callable[[int], float],
-    m: int | None = None,
-    threshold: float | None = None,
-    search: Callable[[int, float], tuple[int, float]] | None = None,
-) -> SchemeResult:
-    """One scenario point from ``n`` input copies.
+def _evaluate(label: str, n: int, bound: Callable[[int], float], m: int) -> SchemeResult:
+    """The scenario point ``bound(m)`` from ``n`` input copies.
 
-    With ``m`` given, the bound ``bound(m)``; otherwise the largest m whose
-    bound clears ``threshold`` and the bound there, as ``search(n,
-    threshold)`` finds them (the multipartite scenarios optimize the slack
-    split, see :func:`max_output_copies_classes`), by default
-    :func:`largest_m` over ``bound``.  No room for ``max(1, m)`` copies, or
-    a fixed target the entropies cannot meet, is an infeasible result.
+    No room for ``max(1, m)`` copies, or a target the entropies cannot
+    meet, is an infeasible result.
     """
-    if n < 1 or (m is not None and n < m):
+    if n < 1 or n < m:
         return SchemeResult.infeasible_point(label, n_used=n)
-    if m is None:
-        best, fid = (search or functools.partial(largest_m, bound))(n, threshold)
-        return SchemeResult(label, fid, best, n)
     try:
         return SchemeResult(label, bound(m), m, n)
     except InfeasibleTargetError:
@@ -292,11 +277,42 @@ def _cluster_classes(family: str, dim: int, b: int, q: float, count_blocks: int)
     return classes
 
 
-def _bipartite_lattice_fidelity(q_pair_dist, n: int, m: int, edge_count: int) -> float:
-    loss = 1.0 - bipartite_bound(q_pair_dist, n, m).fidelity
-    if loss >= 1.0:
-        return 0.0
-    return math.exp(edge_count * math.log1p(-loss))
+def _lattice_point(
+    label: str,
+    n: int,
+    m: int | None,
+    threshold: float | None,
+    classes: list[MarginalClass] | None = None,
+    pair: tuple[float, ...] | None = None,
+    edges: int = 0,
+) -> SchemeResult:
+    """One lattice point from ``n`` input copies of each ensemble.
+
+    The bound is the class bound of ``classes`` or, without them, the
+    product over ``edges`` edges of the pair bound of the distribution
+    ``pair``.  Exactly one of ``m`` (fixed output count, at the equal slack
+    split) or ``threshold`` (the largest m whose bound clears it, the slack
+    split optimized, see :func:`max_output_copies_classes`) must be given.
+    With ``n < 1`` the point is infeasible and neither ensemble is read.
+    """
+    if (m is None) == (threshold is None):
+        raise SchemeError("give exactly one of m= or threshold=")
+
+    def bound(m: int) -> float:
+        if classes is not None:
+            return multipartite_bound_classes(classes, n, m)[0]
+        loss = 1.0 - bipartite_bound(pair, n, m).fidelity
+        return 0.0 if loss >= 1.0 else math.exp(edges * math.log1p(-loss))
+
+    if m is not None:
+        return _evaluate(label, n, bound, m)
+    if n < 1:
+        return SchemeResult.infeasible_point(label, n_used=n)
+    if classes is None:
+        best, fid = largest_m(bound, n, threshold)
+    else:
+        best, fid = max_output_copies_classes(classes, n, threshold)
+    return SchemeResult(label, fid, best, n)
 
 
 def cluster_architecture_run(
@@ -317,8 +333,6 @@ def cluster_architecture_run(
     Exactly one of ``m`` (fixed output count) or ``threshold`` (return the
     largest m keeping the bound above it) must be given.
     """
-    if (m is None) == (threshold is None):
-        raise SchemeError("give exactly one of m= or threshold=")
     b = arch.block_size
     family = arch.family
     label = family if family == "bipartite" else f"{family}-b{b}"
@@ -330,16 +344,13 @@ def cluster_architecture_run(
         try:
             n = allocate_global_storage(arch, storage.capacity)
         except SchemeError:
-            return SchemeResult.infeasible_point(label)
+            return _lattice_point(label, 0, m, threshold)
 
     if family == "bipartite":
         dist = pair_pattern_distribution([PauliChannel.depolarizing(q)], [PauliChannel.depolarizing(q)])
-        return _evaluate(label, n, lambda m: _bipartite_lattice_fidelity(dist, n, m, count), m, threshold)
+        return _lattice_point(label, n, m, threshold, pair=dist, edges=count)
     classes = _cluster_classes(family, arch.dimensionality, b, q, count)
-    return _evaluate(
-        label, n, lambda m: multipartite_bound_classes(classes, n, m)[0], m, threshold,
-        search=functools.partial(max_output_copies_classes, classes),
-    )
+    return _lattice_point(label, n, m, threshold, classes=classes)
 
 
 def from_bell_run(
@@ -355,11 +366,11 @@ def from_bell_run(
     of strength q.  The multipartite branch connects them into the cluster
     immediately (one stored qubit per site per copy) and inherits the
     correlated two-site Z channel on every lattice edge; the bipartite branch
-    purifies each pair ensemble first (2*dim stored qubits per site) and
-    connects noiselessly at the end.
+    purifies each pair ensemble first (the bipartite architecture's
+    :func:`storage_per_node`, 2*dim stored qubits per site) and connects
+    noiselessly at the end.  Exactly one of ``m`` or ``threshold`` must be
+    given, as in :func:`cluster_architecture_run`.
     """
-    if (m is None) == (threshold is None):
-        raise SchemeError("give exactly one of m= or threshold=")
     _check_capacity(capacity)
     dim = len(dims)
     edge_count = blocks.blocks_count("bipartite", dims)
@@ -371,19 +382,10 @@ def from_bell_run(
         MarginalClass(lambda1=lam1, color=0, count=half),
         MarginalClass(lambda1=lam1, color=1, count=sites - half),
     ]
-    multi = _evaluate(
-        "multipartite", capacity,
-        lambda m: multipartite_bound_classes(classes, capacity, m)[0], m, threshold,
-        search=functools.partial(max_output_copies_classes, classes),
-    )
-
-    n_bip = capacity // (2 * dim)
+    multi = _lattice_point("multipartite", capacity, m, threshold, classes=classes)
+    n_bip = capacity // storage_per_node(Architecture("bipartite", dims))
     dist = pair_pattern_distribution([], [PauliChannel.depolarizing(q)])
-    bip = _evaluate(
-        "bipartite", n_bip,
-        lambda m: _bipartite_lattice_fidelity(dist, n_bip, m, edge_count), m, threshold,
-    )
-    return multi, bip
+    return multi, _lattice_point("bipartite", n_bip, m, threshold, pair=dist, edges=edge_count)
 
 
 # -- cover validation -------------------------------------------------------------

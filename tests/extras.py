@@ -25,8 +25,6 @@ def to_text(g):
     ids = {v: i for i, v in enumerate(g.vertices())}
     lines = [f"graph {g.vertex_count}"]
     lines += [f"e {ids[a]} {ids[b]}" for a, b in g.edges()]
-    if g.coloring is not None:
-        lines += [f"c {ids[v]} {g.coloring[v]}" for v in g.vertices()]
     return "\n".join(lines) + "\n"
 
 
@@ -34,7 +32,6 @@ def from_text(text):
     """Parse the exchange format produced by :func:`to_text`."""
     n = None
     edges = []
-    coloring = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -46,8 +43,6 @@ def from_text(text):
             n = int(parts[1])
         elif parts[0] == "e" and len(parts) == 3:
             edges.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "c" and len(parts) == 3:
-            coloring[int(parts[1])] = int(parts[2])
         else:
             raise GraphError(f"line {lineno}: cannot parse {raw!r}")
     if n is None:
@@ -55,7 +50,7 @@ def from_text(text):
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n):
             raise GraphError(f"edge ({a},{b}) out of range for {n} vertices")
-    return Graph(range(n), edges, coloring=coloring or None)
+    return Graph(range(n), edges)
 
 
 def compose_depolarizing(q1, q2):

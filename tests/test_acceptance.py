@@ -22,6 +22,7 @@ from multinet.graphstate import (
 )
 from multinet.hashing import (
     InfeasibleTargetError,
+    _spread_and_variance,
     bennett_success,
     entropy,
     multipartite_bound,
@@ -315,8 +316,9 @@ def test_criterion_13_bound_sanity():
 
 
 def test_criterion_14_deterministic_csv(tmp_path):
-    # the first run of fig10 fills the storage cache, the second reads it
+    # the first runs fill the storage and constants caches, the second runs read them
     site_costs.cache_clear()
+    _spread_and_variance.cache_clear()
     for preset in ("fig3", "fig10", "fig13"):
         outputs = []
         for run in (1, 2):

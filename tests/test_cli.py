@@ -22,6 +22,7 @@ from multinet.cli import (
     rows_to_csv,
     run_experiment,
 )
+from multinet.hashing import _spread_and_variance
 
 MINIMAL = """
 [experiment]
@@ -472,8 +473,9 @@ class TestMain:
         assert main(["run", "fig3", "--out", str(tmp_path)]) == 2
 
     def test_determinism_across_parallelism(self, tmp_path):
-        # the first run of fig10 fills the storage cache, the second reads it
+        # the first runs fill the storage and constants caches, the second runs read them
         site_costs.cache_clear()
+        _spread_and_variance.cache_clear()
         for preset in ("fig3", "fig10"):
             outputs = []
             for run in (1, 2):

@@ -50,10 +50,6 @@ class TestInvariants:
         with pytest.raises(GraphError, match=r"edge \(3,2\) references unknown vertex 3"):
             Graph([0, 1], [("3", 2)])
 
-    def test_rejects_improper_coloring(self):
-        with pytest.raises(GraphError):
-            Graph([0, 1], [(0, 1)], coloring={0: 0, 1: 0})
-
     def test_adjacency_is_symmetric(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
         for a, b in g.edges():
@@ -242,7 +238,6 @@ class TestColoring:
 class TestSerialization:
     def test_round_trip(self):
         g = build_graph("ghz-star", s=4)
-        g.coloring = color_graph(g)
         back = from_text(to_text(g))
         assert back == g
 

@@ -27,7 +27,7 @@ from multinet.hashing import (
     optimize_delta_split_classes,
 )
 from multinet.noise import BitMarginal
-from multinet.schemes import Architecture, StorageModel, cluster_architecture_run
+from multinet.schemes import Architecture, StorageModel, cluster_architecture_run, from_bell_run
 
 from extras import max_output_copies, optimize_delta_split
 
@@ -80,15 +80,31 @@ def test_non_finite_probability_rejected(entry, value):
         entry(value)
 
 
-@pytest.mark.parametrize("lambda1", [1.5, -0.5, math.nan], ids=repr)
-def test_malformed_class_raises_on_every_use(lambda1):
-    # the constants' cache keeps no exception, so a second use raises again
+@pytest.mark.parametrize(
+    "lambda1, probs",
+    [(1.5, (0.25, 0.25, 0.25, 0.5)), (-0.5, (-0.25, 0.75, 0.25, 0.25)), (math.nan, (math.nan, 0.5, 0.25, 0.25))],
+    ids=["1.5", "-0.5", "nan"],
+)
+def test_malformed_class_raises_on_every_use(lambda1, probs):
+    # the constants' cache keeps no exception, so a second use raises again,
+    # for a class and for a pair distribution (a sum past 1, a negative entry, NaN)
     bad = MarginalClass(lambda1, 0, 1)
     for _ in range(2):
         with pytest.raises(DistributionError):
             bad.entropy
         with pytest.raises(DistributionError):
             multipartite_bound_classes([bad], 100, 1)
+        with pytest.raises(DistributionError):
+            bennett_loss(probs, 100, 0.1)
+        with pytest.raises(DistributionError):
+            bipartite_bound(probs, 100, 1)
+
+
+def test_list_and_tuple_share_one_cache_entry():
+    hashing._spread_and_variance.cache_clear()
+    probs = [0.91, 0.04, 0.03, 0.02]
+    assert bennett_loss(probs, 100, 0.1) == bennett_loss(tuple(probs), 100, 0.1)
+    assert hashing._spread_and_variance.cache_info().misses == 1
 
 
 class TestBennett:
@@ -749,6 +765,24 @@ def groupings(monkeypatch, fn):
     return calls, result
 
 
+def constants_runs(monkeypatch, fn):
+    """The distributions whose (S, a, V) ``fn()`` computes, once per computation, and its result.
+
+    Every computation of the constants starts with ``entropy``.
+    """
+    runs = []
+    compute = hashing.entropy
+
+    def counted(probs):
+        runs.append(tuple(probs))
+        return compute(probs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hashing, "entropy", counted)
+        result = fn()
+    return runs, result
+
+
 def fig11m_search():
     """The scenario's search for fig11m's 64x64 shifted-grid b=2 point at q = 0.98
     (n = 800, answer m = 198 at threshold 0.9)."""
@@ -839,6 +873,14 @@ class TestPrunedSplitScan:
         # one split bound serves the eleven steps and the run at the answer
         calls, res = groupings(monkeypatch, fig11m_search)
         assert (res.m, calls) == (198, 1)
+
+    def test_threshold_point_computes_each_distribution_once(self, monkeypatch):
+        # fig13m's point at q = 0.98: the class bound's search and the pair
+        # bound's bisection (ten steps and more) read one cache of (S, a, V)
+        hashing._spread_and_variance.cache_clear()
+        runs, (multi, bip) = constants_runs(monkeypatch, lambda: from_bell_run((64, 64), 0.98, 800, threshold=0.9))
+        assert multi.m > 0 and bip.m > 0
+        assert len(runs) == len(set(runs)) == 2
 
     def test_two_colors_prune(self, monkeypatch):
         # fig11m's 64x64 shifted-grid b=2 point at q = 0.98: n = 800, and

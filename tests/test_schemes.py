@@ -244,6 +244,17 @@ class TestFromBell:
         with pytest.raises(BlockError):
             from_bell_run(dims, 0.99, 100, m=1)
 
+    @pytest.mark.parametrize("target", [{}, {"m": 10, "threshold": 0.5}], ids=["neither", "both"])
+    def test_requires_exactly_one_target(self, target):
+        with pytest.raises(SchemeError, match="^give exactly one of m= or threshold=$"):
+            from_bell_run((64, 64), 0.99, 800, **target)
+
+    def test_3d_bipartite_storage(self):
+        # the bipartite cell holds 6 qubits per site in 3D, 4 in 2D
+        multi, bip = from_bell_run((8, 8, 8), 0.99, 600, m=1)
+        assert (multi.n_used, bip.n_used) == (600, 100)
+        assert from_bell_run((8, 8), 0.99, 600, m=1)[1].n_used == 150
+
     def test_max_copies_monotone_in_q(self):
         ms = [from_bell_run((64, 64), q, 800, threshold=0.9)[0].m for q in (0.97, 0.98, 0.99, 1.0)]
         assert ms == sorted(ms)
