@@ -4,9 +4,9 @@ Command lines are :data:`USAGE`'s.  Configs are flat ``key = value`` text
 with bracketed section headers, read by :func:`_read_sections` (the packaged
 presets are worked examples).  Two tables state the whole config contract:
 ``KEYS`` gives each key's field, parser and domain, and ``SCENARIOS`` gives
-each scenario's sweeps, channels, needed and read keys, scheme ids, lattices
-with the keys they read, and runner.  A key the scenario does not read must
-be absent or hold its default, and a swept value must lie in its key's domain.
+each scenario's sweeps, needed and read keys, scheme ids, lattices with the
+keys they read, and runner.  A key the scenario does not read must be absent
+or hold its default, and a swept value must lie in its key's domain.
 Every run writes one row per (sweep point, scheme) with the fixed column set
 
     sweep_param,sweep_value,scheme,F,m,n_used,infeasible
@@ -123,7 +123,6 @@ def _cluster_lattices(cfg: ExperimentConfig) -> list[Architecture]:
 
 class Scenario(NamedTuple):
     sweeps: dict[str, str]  # sweep name -> the key whose value each sweep point sets
-    channels: tuple[str, ...]
     needs: tuple[str, ...]  # keys that must be set, unless swept
     reads: tuple[str, ...]  # further keys read; every other key must be absent or hold its default
     run: Callable[[ExperimentConfig], list[SchemeResult]]  # one sweep point's results
@@ -134,7 +133,7 @@ class Scenario(NamedTuple):
 
 SCENARIOS = {
     "ghz": Scenario(
-        sweeps={"capacity": "capacity", "q": "q"}, channels=("ldn", "z", "biased"),
+        sweeps={"capacity": "capacity", "q": "q"},
         needs=("schemes", "capacity"), reads=("m", "channel", "q", "p", "px", "pz"),
         run=lambda cfg: [
             ghz_scheme_fidelity(s, cfg.capacity, cfg.q, cfg.p, m=cfg.m, channel=cfg.channel,
@@ -143,15 +142,14 @@ SCENARIOS = {
         schemes=tuple(GHZ_PER_COPY),
     ),
     "triangular": Scenario(
-        sweeps={"levels": "levels", "capacity": "capacity", "q": "q"}, channels=("ldn",),
-        needs=("schemes", "capacity"), reads=("channel", "q", "p", "levels"),
+        sweeps={"levels": "levels", "capacity": "capacity", "q": "q"},
+        needs=("schemes", "capacity"), reads=("q", "p", "levels"),
         run=lambda cfg: [triangular_repeater(cfg.levels, cfg.capacity, cfg.q, cfg.p, s) for s in cfg.schemes],
         schemes=tuple(TRIANGULAR_PER_COPY),
     ),
     "cluster": Scenario(
-        sweeps={"q": "q", "capacity": "capacity", "block_size": "block_sizes"}, channels=("ldn",),
-        needs=("families", "dims", "capacity"),
-        reads=("target", "m", "threshold", "channel", "q", "block_sizes", "mode"),
+        sweeps={"q": "q", "capacity": "capacity", "block_size": "block_sizes"},
+        needs=("families", "dims", "capacity"), reads=("target", "m", "threshold", "q", "block_sizes", "mode"),
         run=lambda cfg: [
             cluster_architecture_run(a, StorageModel(cfg.storage_mode, cfg.capacity), cfg.q, **_target(cfg))
             for a in _cluster_lattices(cfg)
@@ -159,8 +157,8 @@ SCENARIOS = {
         lattices=_cluster_lattices, lattice_keys=("families", "dims", "block_sizes"),
     ),
     "from-bell": Scenario(
-        sweeps={"q": "q", "capacity": "capacity"}, channels=("ldn", "edge"),
-        needs=("dims", "capacity"), reads=("target", "m", "threshold", "channel", "q"),
+        sweeps={"q": "q", "capacity": "capacity"},
+        needs=("dims", "capacity"), reads=("target", "m", "threshold", "q"),
         run=lambda cfg: list(from_bell_run(cfg.dims, cfg.q, cfg.capacity, **_target(cfg))),
         lattices=lambda cfg: [Architecture("bipartite", cfg.dims)], lattice_keys=("dims",),
     ),
@@ -185,7 +183,7 @@ KEYS = {
         "threshold": ("threshold", _number, Range(0, 1, open=True)),
     },
     "noise": {
-        "channel": ("channel", str, "channels"),
+        "channel": ("channel", str, ("ldn", "z", "biased")),
         "q": ("q", _number, Range(0, 1)),
         "p": ("p", _number, Range(0, 1)),
         "px": ("px", _number, None),  # px, pz >= 0 with px + pz <= 1: checked together

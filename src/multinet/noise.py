@@ -164,13 +164,17 @@ def uniform_depolarizing_marginal(q: float, degree: int) -> tuple[float, float]:
     The vertex's bit is hit by its own channel and one channel per neighbor,
     each contributing factor q to the XOR product: lambda1 = (1 - q^(d+1))/2.
     """
-    p1 = _clamp((1.0 - q ** (degree + 1)) / 2.0)
+    if not 0.0 <= q <= 1.0:
+        raise ChannelError(f"depolarizing parameter must be in [0,1], got {q}")
+    p1 = (1.0 - q ** (degree + 1)) / 2.0
     return (1.0 - p1, p1)
 
 
 def uniform_edge_channel_marginal(q: float, degree: int) -> tuple[float, float]:
     """Closed-form marginal of a degree-d vertex with the edge channel on every edge."""
-    p1 = _clamp((1.0 - (1.0 - 4.0 * (1.0 - q) / 3.0) ** degree) / 2.0)
+    if not 0.0 <= q <= 1.0:
+        raise ChannelError(f"edge channel parameter must be in [0,1], got {q}")
+    p1 = (1.0 - (1.0 - 4.0 * (1.0 - q) / 3.0) ** degree) / 2.0
     return (1.0 - p1, p1)
 
 

@@ -12,6 +12,11 @@ Conventions shared by all scenarios:
   resource states (p = 1) schemes B and C coincide.
 - Infeasible sweep points are reported as results with fidelity 0 and the
   ``infeasible`` flag set, never silently dropped.
+- Every scenario point runs in one order: the scenario's own inputs
+  (scheme, levels, capacity, lattice), then its ensemble, which checks the
+  noise parameters, then the copy count n that storage allows, then
+  :func:`_point`, which checks the target before it reads n.  So no storage
+  outcome, room or none, hides a bad input.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .hashing import (
     vertex_classes,
 )
 from .noise import (
+    ChannelError,
     PauliChannel,
     bit_marginals,
     channel_to_flip_source,
@@ -61,9 +67,9 @@ class SchemeError(MultinetError):
     """Unknown scheme / family or inconsistent scenario parameters."""
 
 
-def _check_capacity(capacity) -> None:
-    if not (hasattr(capacity, "__index__") and capacity >= 1):  # an integer type, not a float
-        raise SchemeError(f"storage capacity must be an integer >= 1, got {capacity!r}")
+def _check_count(name: str, value) -> None:
+    if not (hasattr(value, "__index__") and value >= 1):  # an integer type, not a float
+        raise SchemeError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class StorageModel(NamedTuple("StorageModel", [("mode", str), ("capacity", int)])):
@@ -74,7 +80,7 @@ class StorageModel(NamedTuple("StorageModel", [("mode", str), ("capacity", int)]
     def __new__(cls, mode: str, capacity: int):
         if mode not in STORAGE_MODES:
             raise SchemeError(f"storage mode must be one of {STORAGE_MODES}, got {mode!r}")
-        _check_capacity(capacity)
+        _check_count("storage capacity", capacity)
         return super().__new__(cls, mode, capacity)
 
 
@@ -111,18 +117,38 @@ class SchemeResult(NamedTuple):
         return cls(scheme=scheme, fidelity=0.0, m=0, n_used=n_used, infeasible=True)
 
 
-def _evaluate(label: str, n: int, bound: Callable[[int], float], m: int) -> SchemeResult:
-    """The scenario point ``bound(m)`` from ``n`` input copies.
+def _point(
+    label: str,
+    n: int,
+    bound: Callable[[int], float] | list[MarginalClass],
+    m: int | None = None,
+    threshold: float | None = None,
+) -> SchemeResult:
+    """The point from ``n`` input copies: the bound at ``m``, or the largest m
+    whose bound clears ``threshold`` and the bound there (give exactly one).
 
-    No room for ``max(1, m)`` copies, or a target the entropies cannot
-    meet, is an infeasible result.
+    ``bound`` is a function of m that does not increase with it, or classes
+    standing for their class bound: at the equal slack split for a fixed m, at
+    the optimized split in the search (:func:`max_output_copies_classes`).
+    The target is checked before ``n`` is read.  No room for m copies (for one,
+    in the search) or a target the entropies cannot meet is an infeasible result.
     """
-    if n < 1 or n < m:
+    if (m is None) == (threshold is None):
+        raise SchemeError("give exactly one of m= or threshold=")
+    if threshold is not None:  # the search checks it before it reads n
+        if isinstance(bound, list):
+            best, fid = max_output_copies_classes(bound, n, threshold)
+        else:
+            best, fid = largest_m(bound, n, threshold)
+        return SchemeResult(label, fid, best, n) if n >= 1 else SchemeResult.infeasible_point(label, n_used=n)
+    _check_count("m", m)
+    if n < m:
         return SchemeResult.infeasible_point(label, n_used=n)
     try:
-        return SchemeResult(label, bound(m), m, n)
+        fid = multipartite_bound_classes(bound, n, m)[0] if isinstance(bound, list) else bound(m)
     except InfeasibleTargetError:
         return SchemeResult.infeasible_point(label, n_used=n)
+    return SchemeResult(label, fid, m, n)
 
 
 # -- storage accounting --------------------------------------------------------
@@ -152,26 +178,23 @@ def allocate_global_storage(arch: Architecture, total_capacity: int) -> int:
 
 def _ghz_channels(channel: str, q: float, p: float, q_params: dict | None):
     """Per-qubit channel lists for the star (index 0 = center) and for one
-    Bell pair (index 0 = kept half, 1 = traveling half)."""
+    Bell pair (index 0 = kept half, 1 = traveling half); the lists are shared,
+    so they are never mutated."""
+    if not (0.0 <= q <= 1.0 and 0.0 <= p <= 1.0):  # p = 1 adds no channel, so check it here
+        raise ChannelError(f"channel parameter q and resource parameter p must be in [0,1], got q={q}, p={p}")
     params = q_params or {}
     resource = [] if p >= 1.0 else [PauliChannel.depolarizing(p)]
     if channel == "ldn":
-        star = {v: [PauliChannel.depolarizing(q)] + resource for v in range(3)}
-        pair = (
-            [PauliChannel.depolarizing(q)] + resource,
-            [PauliChannel.depolarizing(q)] + resource,
-        )
-    elif channel == "z":
+        noisy = [PauliChannel.depolarizing(q)] + resource
+        return {v: noisy for v in range(3)}, (noisy, noisy)
+    if channel == "z":
         ch = PauliChannel.phase_flip(1.0 - q)
-        star = {0: list(resource), 1: [ch] + resource, 2: [ch] + resource}
-        pair = (list(resource), [ch] + resource)
     elif channel == "biased" and params.keys() >= {"px", "pz"}:
         ch = PauliChannel.biased(p_x=params["px"], p_z=params["pz"])
-        star = {0: list(resource), 1: [ch] + resource, 2: [ch] + resource}
-        pair = (list(resource), [ch] + resource)
     else:
         raise SchemeError(f"unsupported channel {channel!r} for the GHZ scenario (biased needs px and pz)")
-    return star, pair
+    noisy = [ch] + resource
+    return {0: resource, 1: noisy, 2: noisy}, (resource, noisy)
 
 
 def _star_classes(g: Graph, star_channels: dict[int, list[PauliChannel]]) -> list[MarginalClass]:
@@ -199,7 +222,7 @@ def _ghz_bound(scheme: str, n: int, m: int, star, pair, p: float) -> float:
         else:
             fid, _ = multipartite_bound_classes(classes, n, m)
         return fid * output_noise_factor(g, [0, 1, 2], p)
-    dist = pair_pattern_distribution(list(pair[0]), list(pair[1]))
+    dist = pair_pattern_distribution(*pair)
     fid = bipartite_bound(dist, n, m).fidelity ** 2 * output_noise_factor(g, [0, 1, 2], p)
     if scheme == "B":
         fid *= output_noise_factor(g, [1, 2], p)
@@ -228,13 +251,10 @@ def ghz_scheme_fidelity(
     """
     if scheme not in GHZ_PER_COPY:
         raise SchemeError(f"scheme must be one of {tuple(GHZ_PER_COPY)}, got {scheme!r}")
-    _check_capacity(capacity)
+    _check_count("storage capacity", capacity)
+    star, pair = _ghz_channels(channel, q, p, channel_params)
     n = capacity // GHZ_PER_COPY[scheme]
-
-    def bound(m: int) -> float:
-        return _ghz_bound(scheme, n, m, *_ghz_channels(channel, q, p, channel_params), p)
-
-    return _evaluate(scheme, n, bound, m=m)
+    return _point(scheme, n, lambda m: _ghz_bound(scheme, n, m, star, pair, p), m=m)
 
 
 def triangular_repeater(
@@ -256,14 +276,11 @@ def triangular_repeater(
         raise SchemeError(f"levels must be in [0, {MAX_LEVELS}], got {levels}")
     if scheme not in TRIANGULAR_PER_COPY:
         raise SchemeError(f"scheme must be one of {tuple(TRIANGULAR_PER_COPY)}, got {scheme!r}")
-    _check_capacity(capacity)
+    _check_count("storage capacity", capacity)
+    star, pair = _ghz_channels("ldn", q, p, None)
     n = capacity // TRIANGULAR_PER_COPY[scheme]
     exponent = 3**levels if scheme == "A" else 2 ** (levels + 1)
-
-    def bound(m: int) -> float:
-        return _ghz_bound(scheme, n, m, *_ghz_channels("ldn", q, p, None), p) ** exponent
-
-    return _evaluate(scheme, n, bound, m=1)
+    return _point(scheme, n, lambda m: _ghz_bound(scheme, n, m, star, pair, p) ** exponent, m=1)
 
 
 # -- cluster architectures -------------------------------------------------------
@@ -277,42 +294,14 @@ def _cluster_classes(family: str, dim: int, b: int, q: float, count_blocks: int)
     return classes
 
 
-def _lattice_point(
-    label: str,
-    n: int,
-    m: int | None,
-    threshold: float | None,
-    classes: list[MarginalClass] | None = None,
-    pair: tuple[float, ...] | None = None,
-    edges: int = 0,
-) -> SchemeResult:
-    """One lattice point from ``n`` input copies of each ensemble.
-
-    The bound is the class bound of ``classes`` or, without them, the
-    product over ``edges`` edges of the pair bound of the distribution
-    ``pair``.  Exactly one of ``m`` (fixed output count, at the equal slack
-    split) or ``threshold`` (the largest m whose bound clears it, the slack
-    split optimized, see :func:`max_output_copies_classes`) must be given.
-    With ``n < 1`` the point is infeasible and neither ensemble is read.
-    """
-    if (m is None) == (threshold is None):
-        raise SchemeError("give exactly one of m= or threshold=")
+def _edge_product(dist: tuple[float, ...], edges: int, n: int) -> Callable[[int], float]:
+    """The pair bound of ``dist`` at (n, m) over ``edges`` edges, as a function of m."""
 
     def bound(m: int) -> float:
-        if classes is not None:
-            return multipartite_bound_classes(classes, n, m)[0]
-        loss = 1.0 - bipartite_bound(pair, n, m).fidelity
+        loss = 1.0 - bipartite_bound(dist, n, m).fidelity
         return 0.0 if loss >= 1.0 else math.exp(edges * math.log1p(-loss))
 
-    if m is not None:
-        return _evaluate(label, n, bound, m)
-    if n < 1:
-        return SchemeResult.infeasible_point(label, n_used=n)
-    if classes is None:
-        best, fid = largest_m(bound, n, threshold)
-    else:
-        best, fid = max_output_copies_classes(classes, n, threshold)
-    return SchemeResult(label, fid, best, n)
+    return bound
 
 
 def cluster_architecture_run(
@@ -337,6 +326,11 @@ def cluster_architecture_run(
     family = arch.family
     label = family if family == "bipartite" else f"{family}-b{b}"
     count = blocks.blocks_count(family, arch.dims, b)
+    if family == "bipartite":
+        ldn = [PauliChannel.depolarizing(q)]
+        ensemble = pair_pattern_distribution(ldn, ldn)
+    else:
+        ensemble = _cluster_classes(family, arch.dimensionality, b, q, count)
 
     if storage.mode == "per-node":
         n = storage.capacity // storage_per_node(arch)
@@ -344,13 +338,9 @@ def cluster_architecture_run(
         try:
             n = allocate_global_storage(arch, storage.capacity)
         except SchemeError:
-            return _lattice_point(label, 0, m, threshold)
-
-    if family == "bipartite":
-        dist = pair_pattern_distribution([PauliChannel.depolarizing(q)], [PauliChannel.depolarizing(q)])
-        return _lattice_point(label, n, m, threshold, pair=dist, edges=count)
-    classes = _cluster_classes(family, arch.dimensionality, b, q, count)
-    return _lattice_point(label, n, m, threshold, classes=classes)
+            n = 0  # no room for one copy
+    bound = _edge_product(ensemble, count, n) if family == "bipartite" else ensemble
+    return _point(label, n, bound, m, threshold)
 
 
 def from_bell_run(
@@ -371,7 +361,7 @@ def from_bell_run(
     noiselessly at the end.  Exactly one of ``m`` or ``threshold`` must be
     given, as in :func:`cluster_architecture_run`.
     """
-    _check_capacity(capacity)
+    _check_count("storage capacity", capacity)
     dim = len(dims)
     edge_count = blocks.blocks_count("bipartite", dims)
     sites = edge_count // dim
@@ -382,10 +372,12 @@ def from_bell_run(
         MarginalClass(lambda1=lam1, color=0, count=half),
         MarginalClass(lambda1=lam1, color=1, count=sites - half),
     ]
-    multi = _lattice_point("multipartite", capacity, m, threshold, classes=classes)
-    n_bip = capacity // storage_per_node(Architecture("bipartite", dims))
     dist = pair_pattern_distribution([], [PauliChannel.depolarizing(q)])
-    return multi, _lattice_point("bipartite", n_bip, m, threshold, pair=dist, edges=edge_count)
+    n_bip = capacity // storage_per_node(Architecture("bipartite", dims))
+    return (
+        _point("multipartite", capacity, classes, m, threshold),
+        _point("bipartite", n_bip, _edge_product(dist, edge_count, n_bip), m, threshold),
+    )
 
 
 # -- cover validation -------------------------------------------------------------

@@ -66,9 +66,6 @@ sweep_values = 0.99
 target = m
 m = 1
 
-[noise]
-channel = edge
-
 [architecture]
 dims = 8x8
 
@@ -524,9 +521,13 @@ class TestScenarioContract:
             TRIANGULAR.replace("q = 0.99", "q = 0.99\nchannel = biased"),
             CLUSTER + "\n[noise]\nchannel = z\n",
             CLUSTER + "\n[noise]\nchannel = biased\n",
-            FROM_BELL.replace("channel = edge", "channel = z"),
+            FROM_BELL + "\n[noise]\nchannel = z\n",
+            FROM_BELL + "\n[noise]\nchannel = edge\n",
         ],
-        ids=["ghz-edge", "triangular-z", "triangular-biased", "cluster-z", "cluster-biased", "from-bell-z"],
+        ids=[
+            "ghz-edge", "triangular-z", "triangular-biased", "cluster-z", "cluster-biased", "from-bell-z",
+            "from-bell-edge",
+        ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_channel_the_scenario_does_not_model(self, tmp_path, capsys, command, text):

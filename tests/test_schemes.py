@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multinet.blocks import FAMILIES, BlockError
+from multinet.blocks import FAMILIES, BlockError, per_copy_total
 from multinet.graphstate import Graph, MultinetError, build_graph, merge_vertices
 from multinet.schemes import (
     Architecture,
@@ -290,6 +290,80 @@ def test_capacity_must_be_a_positive_integer(entry, capacity):
 def test_value_checks_name_the_offender(build, message):
     with pytest.raises(SchemeError, match=message):
         build()
+
+
+# The fault matrix: every scenario entry point as a function of whether one
+# copy fits and of the inputs under test, with the inputs it takes.  Without
+# room, the scheme stores two or more qubits per copy at capacity 1, or the
+# global pool is below one copy; from-Bell's multipartite branch always has
+# room, so there its bipartite branch has none.
+def _cluster_entry(family, mode):
+    arch = Architecture(family, (8, 8))
+    per_copy = storage_per_node(arch) if mode == "per-node" else per_copy_total(family, (8, 8), 1)
+
+    def run(room, q=0.99, m=1, threshold=None):
+        store = StorageModel(mode, 10 * per_copy if room else per_copy - 1)
+        return [cluster_architecture_run(arch, store, q, m, threshold)]
+
+    return run, {"q", "m", "threshold"}
+
+
+FAULT_ENTRIES = {
+    "ghz": (
+        lambda room, q=0.99, p=1.0, m=1, scheme="B", channel="ldn", params=None: [
+            ghz_scheme_fidelity(scheme, 400 if room else 1, q, p, m, channel=channel, channel_params=params)
+        ],
+        {"q", "p", "m", "scheme", "channel", "params"},
+    ),
+    "triangular": (
+        lambda room, q=0.99, p=1.0, scheme="B": [triangular_repeater(1, 400 if room else 1, q, p, scheme)],
+        {"q", "p", "scheme"},
+    ),
+    **{
+        f"cluster-{mode}-{family}": _cluster_entry(family, mode)
+        for mode in ("per-node", "global")
+        for family in ("windmill", "bipartite")
+    },
+    "from-bell": (
+        lambda room, q=0.99, m=1, threshold=None: list(from_bell_run((8, 8), q, 400 if room else 1, m, threshold)),
+        {"q", "m", "threshold"},
+    ),
+}
+BAD_INPUTS = {
+    "q=1.5": {"q": 1.5},
+    "q=-0.1": {"q": -0.1},
+    "p=1.5": {"p": 1.5},
+    "biased-0.7-0.7": {"channel": "biased", "params": {"px": 0.7, "pz": 0.7}},
+    "m=0": {"m": 0},
+    "m=1.5": {"m": 1.5},
+    "m=None": {"m": None},
+    **{f"threshold={t}": {"m": None, "threshold": t} for t in (0, 1, 1.5)},
+    "scheme=D": {"scheme": "D"},
+    "channel=edge": {"channel": "edge"},
+}
+
+
+@pytest.mark.parametrize("room", [True, False], ids=["room", "no-room"])
+@pytest.mark.parametrize("name", sorted(FAULT_ENTRIES))
+def test_fault_matrix_entries_reach_both_storage_outcomes(name, room):
+    last = FAULT_ENTRIES[name][0](room)[-1]
+    assert (last.infeasible, last.n_used == 0) == (not room, not room)
+
+
+@pytest.mark.parametrize("room", [True, False], ids=["room", "no-room"])
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        pytest.param(name, bad, id=f"{name}-{label}")
+        for name, (_, takes) in sorted(FAULT_ENTRIES.items())
+        for label, bad in BAD_INPUTS.items()
+        if bad.keys() <= takes
+    ],
+)
+def test_fault_matrix_bad_input_raises_whatever_the_storage(name, bad, room):
+    # a typed library error, never a row and never a bare TypeError
+    with pytest.raises(MultinetError):
+        FAULT_ENTRIES[name][0](room, **bad)
 
 
 # Scenario evaluations that go through the bipartite lattice product or the
