@@ -18,9 +18,11 @@ Site coordinates double as vertex identities: a tip of one piece landing on
 a corner site of another piece of the same block is the same (fused) vertex.
 
 Every cover is the lift of a per-family unit cell (:func:`unit_cell`): a
-period p and the blocks anchored in one period box.  Key each edge of the
-cell by (lower endpoint mod p, axis); the cell is *exact* when these keys hit
-every residue and axis exactly once, which :func:`unit_cell` checks.
+period p and the blocks anchored in one period box.  Key each edge
+{a, a + e_axis} of the cell by its ends' residues mod p: every period is at
+least 2, so they differ in the axis entry alone, and the key names
+(a mod p, axis) one-to-one.  The cell is *exact* when these keys hit every
+residue and axis exactly once, which :func:`unit_cell` checks.
 
 Lemma.  On a torus whose extents are (i) multiples of p and (ii) at least 4,
 the translates of an exact cell by every multiple of p place each lattice
@@ -41,7 +43,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from operator import add, getitem, mod, sub
+from operator import add, getitem, mod
 from typing import NamedTuple
 
 from .graphstate import MultinetError
@@ -61,40 +63,26 @@ def _norm_edge(a: Site, b: Site) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-def _plaquette(base: Site) -> list[Edge]:
-    x, y = base
-    c = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
-    return [_norm_edge(c[i], c[(i + 1) % 4]) for i in range(4)]
+def _plaquette() -> list[Edge]:
+    return [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (0, 1))]
 
 
-def _cube(base: Site) -> list[Edge]:
-    x, y, z = base
-    edges = []
-    for dx, dy, dz in itertools.product((0, 1), repeat=3):
-        corner = (x + dx, y + dy, z + dz)
-        for axis, val in enumerate((dx, dy, dz)):
-            if val == 0:
-                other = list(corner)
-                other[axis] += 1
-                edges.append(_norm_edge(corner, tuple(other)))
-    return edges
+def _cube() -> list[Edge]:
+    return [(c, tuple(x + (i == axis) for i, x in enumerate(c)))
+            for c in itertools.product((0, 1), repeat=3) for axis in range(3) if c[axis] == 0]
 
 
-def _pinwheel_2d(base: Site) -> list[Edge]:
-    """Plaquette plus one rotationally placed blade per corner."""
-    x, y = base
-    edges = _plaquette(base)
+def _pinwheel_2d() -> list[Edge]:
+    """Plaquette plus one rotationally placed blade per corner (cx, cy): an x
+    blade where cx == cy (toward +x when cx == 1), else a y blade (toward +y when cy == 1)."""
+    edges = _plaquette()
     for cx, cy in itertools.product((0, 1), repeat=2):
-        corner = (x + cx, y + cy)
-        if cx == cy:
-            step = (1, 0) if cx == 1 else (-1, 0)
-        else:
-            step = (0, 1) if cy == 1 else (0, -1)
-        edges.append(_norm_edge(corner, (corner[0] + step[0], corner[1] + step[1])))
+        step = (2 * cx - 1, 0) if cx == cy else (0, 2 * cy - 1)
+        edges.append(_norm_edge((cx, cy), (cx + step[0], cy + step[1])))
     return edges
 
 
-def _pinwheel_3d(base: Site) -> list[Edge]:
+def _pinwheel_3d() -> list[Edge]:
     """Unit cube plus 12 blades, assigned by the chiral rule below.
 
     Corner (cx, cy, cz) sprouts an x blade when cx == cy (toward +x when
@@ -102,42 +90,39 @@ def _pinwheel_3d(base: Site) -> list[Edge]:
     cz == cx (sign by cx).  Every corner sprouts at least one blade, which
     is what keeps the per-site storage at three qubits or less.
     """
-    edges = _cube(base)
+    edges = _cube()
     for c in itertools.product((0, 1), repeat=3):
-        corner = tuple(base[i] + c[i] for i in range(3))
         for axis in range(3):
             if c[axis] == c[(axis + 1) % 3]:  # the next axis's bit also gives the sign
-                tip = list(corner)
-                tip[axis] += 2 * c[axis] - 1
-                edges.append(_norm_edge(corner, tuple(tip)))
+                edges.append(_norm_edge(c, tuple(x + (2 * x - 1) * (i == axis) for i, x in enumerate(c))))
     return edges
 
 
 def block_edges(family: str, dim: int, b: int) -> list[Edge]:
-    """Canonical block of the family at the origin, in unwrapped coordinates."""
+    """Canonical block of the family at the origin, in unwrapped coordinates:
+    one piece at the origin translated by every piece offset, edges sorted."""
     if b < 1:
         raise BlockError(f"block size must be >= 1, got {b}")
     if dim not in (2, 3):
         raise BlockError(f"dimensionality must be 2 or 3, got {dim}")
     if family == "bipartite":
-        return [_norm_edge((0,) * dim, (1,) + (0,) * (dim - 1))]
+        return [((0,) * dim, (1,) + (0,) * (dim - 1))]
     if family == "windmill":
-        pieces = itertools.product(range(b), repeat=dim)
-        make = _pinwheel_2d if dim == 2 else _pinwheel_3d
-        edges: list[Edge] = []
-        for piece in pieces:
-            edges += make(tuple(2 * p for p in piece))
-        return sorted(set(edges))
-    if family == "shifted-grid":
-        edges = []
-        if dim == 2:
-            for i, j in itertools.product(range(b), repeat=2):
-                edges += _plaquette((i + j, i - j))
-        else:
-            for t in range(b):
-                edges += _cube((t, t, t))
-        return sorted(set(edges))
-    raise BlockError(f"unknown block family {family!r}")
+        piece = _pinwheel_2d() if dim == 2 else _pinwheel_3d()
+        offsets = itertools.product(range(0, 2 * b, 2), repeat=dim)
+    elif family == "shifted-grid":
+        piece = _plaquette() if dim == 2 else _cube()
+        offsets = [(i + j, i - j) for i in range(b) for j in range(b)] if dim == 2 else [(t,) * 3 for t in range(b)]
+    else:
+        raise BlockError(f"unknown block family {family!r}")
+    # adding one offset to both ends keeps an edge normalised; flat tuples sort
+    # faster than pairs of sites and in the same order, as every site has dim entries
+    if dim == 2:
+        flat = {(a0 + x, a1 + y, c0 + x, c1 + y) for x, y in offsets for (a0, a1), (c0, c1) in piece}
+    else:
+        flat = {(a0 + x, a1 + y, a2 + z, c0 + x, c1 + y, c2 + z)
+                for x, y, z in offsets for (a0, a1, a2), (c0, c1, c2) in piece}
+    return [(e[:dim], e[dim:]) for e in sorted(flat)]
 
 
 class UnitCell(NamedTuple):
@@ -161,7 +146,8 @@ def _period(family: str, dim: int, b: int) -> tuple[int, ...]:
 def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     """The family's period and the blocks anchored in one period box.
 
-    Raises :class:`BlockError` unless the cell is exact (module docstring).
+    Raises :class:`BlockError` unless the cell is exact: its edges' residue-pair
+    keys (module docstring) distinct and dim * prod(p) in number.
     """
     canonical = block_edges(family, dim, b)  # checks the family, dimension and size
     period = _period(family, dim, b)
@@ -188,7 +174,7 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     keys = []
     for sites, pairs in cell:
         residues = [tuple(map(mod, s, period)) for s in sites]
-        keys += [(residues[i], tuple(map(sub, sites[j], sites[i]))) for i, j in pairs]
+        keys += [(residues[i], residues[j]) for i, j in pairs]
     if len(set(keys)) != len(keys) or len(keys) != dim * math.prod(period):
         raise BlockError(f"{family} blocks of size {b} do not tile their {period} unit cell exactly")
     return UnitCell(period, cell)

@@ -129,12 +129,14 @@ class Scenario(NamedTuple):
     schemes: tuple[str, ...] = ()
     lattices: Callable[[ExperimentConfig], list[Architecture]] = lambda cfg: []  # validate tiles them
     lattice_keys: tuple[str, ...] = ()  # the keys lattices reads
+    channel_reads: dict[str, tuple[str, ...]] = {}  # further keys read under each channel; shared, never mutated
 
 
 SCENARIOS = {
     "ghz": Scenario(
         sweeps={"capacity": "capacity", "q": "q"},
-        needs=("schemes", "capacity"), reads=("m", "channel", "q", "p", "px", "pz"),
+        needs=("schemes", "capacity"), reads=("m", "channel", "p"),
+        channel_reads={"ldn": ("q",), "z": ("q",), "biased": ("px", "pz")},
         run=lambda cfg: [
             ghz_scheme_fidelity(s, cfg.capacity, cfg.q, cfg.p, m=cfg.m, channel=cfg.channel,
                                 channel_params={"px": cfg.px, "pz": cfg.pz}) for s in cfg.schemes
@@ -293,6 +295,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     sc = SCENARIOS[cfg.scenario]
     swept = sc.sweeps.get(cfg.sweep_param)
     defaults = ExperimentConfig(cfg.scenario, cfg.sweep_param, cfg.sweep_values)
+    read = sc.needs + sc.reads + sc.channel_reads.get(cfg.channel, ())
     for key, (section, field_name, _, domain) in _SPEC.items():
         if field_name is None:
             continue
@@ -300,11 +303,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if key == swept:  # its values are the sweep's, checked at each point below
             if value != getattr(defaults, field_name):
                 raise ConfigError(f"{name}: the sweep over '{cfg.sweep_param}' sets it; remove it")
+            if key not in read:  # every scenario reads what it sweeps, but for the channel's keys
+                raise ConfigError(f"[experiment] sweep over '{cfg.sweep_param}': the {cfg.scenario} "
+                                  f"scenario does not read it with channel = {cfg.channel}")
             continue
         if key in sc.needs and value == getattr(defaults, field_name):
             raise ConfigError(f"{name}: required by the {cfg.scenario} scenario")
-        if key not in sc.needs + sc.reads and value != getattr(defaults, field_name):
-            raise ConfigError(f"{name}: the {cfg.scenario} scenario does not read it; remove it")
+        if key not in read and value != getattr(defaults, field_name):
+            at = f" with channel = {cfg.channel}" if any(key in keys for keys in sc.channel_reads.values()) else ""
+            raise ConfigError(f"{name}: the {cfg.scenario} scenario does not read it{at}; remove it")
         _check(name, value, domain, sc)
     if not (cfg.px >= 0 and cfg.pz >= 0 and cfg.px + cfg.pz <= 1):
         raise ConfigError(f"[noise] keys 'px' and 'pz' must be >= 0 with px + pz <= 1, got {cfg.px}, {cfg.pz}")

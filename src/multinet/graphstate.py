@@ -100,6 +100,10 @@ class Graph:
         """Each edge once as ``(a, b)`` with ``a < b``, in adjacency order (unsorted)."""
         return ((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
 
+    def edge_codes(self, shift: int) -> set[int]:
+        """Each edge ``(a, b)`` with ``a < b`` as the int ``(a << shift) + b``."""
+        return {(a << shift) + b for a, nbrs in self._adj.items() for b in nbrs if a < b}
+
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self.iter_edges())
 

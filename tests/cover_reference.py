@@ -1,9 +1,10 @@
 """Slow, explicit references for the block covers, used by the tests only.
 
 Each function rebuilds from scratch what the package reads off a unit cell:
-the lattice's edge set, a cover lifted by wrapping every edge endpoint, and
-the per-site storage of an explicit cover.  ``cover_blocks`` and
-``edge_graph`` give a cover and a block as plain edge lists and graphs.
+the lattice's edge set, a cover lifted by wrapping every edge endpoint, the
+per-site storage of an explicit cover and the merge trace of a placed cover.
+``cover_blocks`` and ``edge_graph`` give a cover and a block as plain edge
+lists and graphs.
 """
 
 from __future__ import annotations
@@ -86,3 +87,17 @@ def per_site_cost_histogram(family: str, dims: tuple[int, ...], b: int = 1) -> d
     for cost in load.values():
         hist[cost] = hist.get(cost, 0) + 1
     return dict(sorted(hist.items()))
+
+
+def merge_trace(cover) -> list[tuple]:
+    """The merges ``validate_cover`` reports, rebuilt from per-site qubit lists.
+
+    Qubits are numbered block by block in each graph's vertex order; every site,
+    in coordinate order, merges each later qubit into its first one.
+    """
+    ids: dict[tuple, list[int]] = {}
+    qubits = itertools.count()
+    for block, placement in cover:
+        for v in block.vertices():
+            ids.setdefault(placement[v], []).append(next(qubits))
+    return [(site, group[0], other) for site, group in sorted(ids.items()) for other in group[1:]]

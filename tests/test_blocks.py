@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multinet import blocks
 from multinet.blocks import (
     FAMILIES,
     BlockError,
@@ -253,6 +254,18 @@ class TestCovers:
         # the first block is anchored at the origin, edges as in the canonical block
         for family, dim, b in itertools.product(("windmill", "shifted-grid"), (2, 3), range(1, 5)):
             assert cell_groups(unit_cell(family, dim, b))[0] == tuple(block_edges(family, dim, b))
+
+    @pytest.mark.parametrize("change", ["drop", "duplicate", "replace"])
+    @pytest.mark.parametrize("family,dim,b", [("windmill", 2, 2), ("shifted-grid", 2, 3), ("windmill", 3, 1),
+                                               ("shifted-grid", 3, 2)])
+    def test_inexact_cell_is_rejected(self, monkeypatch, change, family, dim, b):
+        # one edge dropped leaves a key unhit, one duplicated hits a key twice, and one
+        # replaced by a copy of another does both while the number of keys stays right
+        edges = block_edges(family, dim, b)
+        changed = {"drop": edges[1:], "duplicate": edges + edges[:1], "replace": edges[:1] + edges[:-1]}[change]
+        monkeypatch.setattr(blocks, "block_edges", lambda *args: changed)
+        with pytest.raises(BlockError, match="do not tile"):
+            unit_cell.__wrapped__(family, dim, b)
 
     @pytest.mark.parametrize("family,dims,b", preset_lattices())
     def test_preset_lattices(self, family, dims, b):

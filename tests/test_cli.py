@@ -364,7 +364,7 @@ class TestMain:
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_biased_channel_out_of_range_is_a_config_error(self, tmp_path, capsys, command, noise):
         cfg = tmp_path / "biased.cfg"
-        cfg.write_text(MINIMAL.replace("channel = ldn", f"channel = biased\n{noise}"))
+        cfg.write_text(MINIMAL.replace("channel = ldn\nq = 0.98", f"channel = biased\n{noise}"))
         out = tmp_path / "biased.csv"
         argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
         assert main(argv) == 2
@@ -559,6 +559,29 @@ class TestScenarioContract:
     def test_setting_the_scenario_ignores(self, tmp_path, capsys, command, text, key):
         code, err = exit_and_err(tmp_path, capsys, command, text)
         assert code == 2 and f"key '{key}'" in err and "does not read" in err
+
+    @pytest.mark.parametrize(
+        "preset, old, new, named",
+        [
+            ("fig3", "p = 1.0", "p = 1.0\npx = 0.3\npz = 0.3", "[noise] key 'px'"),
+            ("fig5", "p = 1.0", "p = 1.0\npz = 0.3", "[noise] key 'pz'"),
+            ("fig6", "p = 1.0", "p = 1.0\nq = 0.5", "[noise] key 'q'"),
+            ("fig6", "p = 1.0", "p = 1.0\nq = 0.98", "[noise] key 'q'"),
+            ("fig6", "sweep = capacity\nsweep_min = 200\nsweep_max = 2000\nsweep_steps = 19",
+             "sweep = q\nsweep_values = 0.5,0.98", "sweep over 'q'"),
+        ],
+        ids=["ldn-px-pz", "z-pz", "biased-q-0.5", "biased-q-0.98", "biased-q-swept"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_setting_a_key_the_ghz_channel_ignores(self, tmp_path, capsys, command, preset, old, new, named):
+        # ldn and z read q, not px or pz; biased reads px and pz, not q
+        text = load_config_source(preset)[0].replace(old, new)
+        if "sweep = q" in text:
+            text = text.replace("mode = per-node", "mode = per-node\ncapacity = 400")
+        assert text.count(new) == 1
+        code, err = exit_and_err(tmp_path, capsys, command, text)
+        assert code == 2 and "config error" in err and named in err
+        assert "does not read it with channel" in err
 
     def test_settings_at_their_default_are_accepted(self):
         parse_config(MINIMAL + "\n[storage]\nmode = per-node\n")

@@ -1,7 +1,9 @@
 """Scenario-level behavior: GHZ schemes, triangular network, clusters, covers."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,19 @@ from multinet.schemes import (
     validate_cover,
 )
 
+from cover_reference import merge_trace
+
 CAPS = list(range(200, 2001, 200))
+
+# every cover the benchmark validates, with its pinned merge count
+PINNED_COVERS = [
+    (tuple(map(int, lattice.split("x"))), family, int(b), merges)
+    for lattice, families in json.loads(
+        (Path(__file__).parent.parent / "perfbench" / "reference" / "covers.json").read_text()
+    ).items()
+    for family, sizes in families.items()
+    for b, merges in sizes.items()
+]
 
 
 def target_lattice(dims):
@@ -523,6 +537,18 @@ class TestCoverValidation:
         ok, trace = validate_cover(cover, target_lattice((64, 64)))
         assert ok
         assert len(trace) == sum(g.vertex_count for g, _ in cover) - 64 * 64
+
+    @pytest.mark.parametrize("dims,family,b,merges", PINNED_COVERS,
+                             ids=[f"{'x'.join(map(str, d))}-{f}-{b}" for d, f, b, _ in PINNED_COVERS])
+    def test_pinned_covers(self, dims, family, b, merges):
+        cover = family_cover(family, dims, b)
+        ok, trace = validate_cover(cover, target_lattice(dims))
+        assert ok and len(trace) == merges
+        assert trace == merge_trace(cover)
+
+    def test_pinned_covers_are_all_there(self):
+        assert len(PINNED_COVERS) == 53
+        assert {f for _, f, _, _ in PINNED_COVERS} == {"windmill", "shifted-grid"}
 
     def test_rejects_missing_placement_and_coordinates(self):
         cover = family_cover("windmill", (8, 8), 1)
