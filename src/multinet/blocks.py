@@ -99,10 +99,10 @@ def _pinwheel_3d() -> list[Edge]:
 
 
 def block_edges(family: str, dim: int, b: int) -> list[Edge]:
-    """Canonical block of the family at the origin, in unwrapped coordinates:
-    one piece at the origin translated by every piece offset, edges sorted."""
-    if b < 1:
-        raise BlockError(f"block size must be >= 1, got {b}")
+    """Canonical block of the family at the origin, in unwrapped coordinates: one piece at the origin
+    translated by every piece offset, edges unsorted (set order, alike in every process: ints hash alike)."""
+    if not (hasattr(b, "__index__") and b >= 1):  # an integer type, not a float
+        raise BlockError(f"block size must be an integer >= 1, got {b!r}")
     if dim not in (2, 3):
         raise BlockError(f"dimensionality must be 2 or 3, got {dim}")
     if family == "bipartite":
@@ -115,14 +115,11 @@ def block_edges(family: str, dim: int, b: int) -> list[Edge]:
         offsets = [(i + j, i - j) for i in range(b) for j in range(b)] if dim == 2 else [(t,) * 3 for t in range(b)]
     else:
         raise BlockError(f"unknown block family {family!r}")
-    # adding one offset to both ends keeps an edge normalised; flat tuples sort
-    # faster than pairs of sites and in the same order, as every site has dim entries
+    # adding one offset to both ends keeps an edge normalised
     if dim == 2:
-        flat = {(a0 + x, a1 + y, c0 + x, c1 + y) for x, y in offsets for (a0, a1), (c0, c1) in piece}
-    else:
-        flat = {(a0 + x, a1 + y, a2 + z, c0 + x, c1 + y, c2 + z)
-                for x, y, z in offsets for (a0, a1, a2), (c0, c1, c2) in piece}
-    return [(e[:dim], e[dim:]) for e in sorted(flat)]
+        return list({((a0 + x, a1 + y), (c0 + x, c1 + y)) for x, y in offsets for (a0, a1), (c0, c1) in piece})
+    return list({((a0 + x, a1 + y, a2 + z), (c0 + x, c1 + y, c2 + z))
+                 for x, y, z in offsets for (a0, a1, a2), (c0, c1, c2) in piece})
 
 
 class UnitCell(NamedTuple):
@@ -185,12 +182,12 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
         raise BlockError(f"unknown block family {family!r} (choose from {FAMILIES})")
     if len(dims) not in (2, 3):
         raise BlockError(f"lattice must be 2D or 3D, got {dims}")
-    if b < 1:
-        raise BlockError(f"block size must be >= 1, got {b}")
+    if not (hasattr(b, "__index__") and b >= 1):
+        raise BlockError(f"block size must be an integer >= 1, got {b!r}")
     period = _period(family, len(dims), b)  # checked before the cell, of ~b^dim edges, is built
-    if any(d < 4 or d % p for d, p in zip(dims, period)):
+    if any(not hasattr(d, "__index__") or d < 4 or d % p for d, p in zip(dims, period)):
         raise BlockError(
-            f"{family} blocks of size {b} need every extent a multiple of the period "
+            f"{family} blocks of size {b} need integer extents, each a multiple of the period "
             f"{period} and >= 4, got {dims}"
         )
     if family == "shifted-grid" and len(dims) == 3 and len(set(dims)) != 1:

@@ -36,24 +36,34 @@ class ColoringError(GraphError):
     """Raised when a graph has no proper two-coloring."""
 
 
+def _integer(value, what: str = "vertex id") -> int:
+    """``value`` as an int (a numeral string is read); GraphError if int() fails or changes its value."""
+    try:
+        if isinstance(value, str) or int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise GraphError(f"{what} must be an integer, got {value!r}")
+
+
 class Graph:
     """Undirected simple graph with stable vertex ids.
 
-    Vertex ids survive deletions (removing a vertex never renumbers the
-    others), so coordinate labels stay valid across :func:`merge_vertices`
-    and :func:`connect_project`.
+    Vertex ids survive deletions (removing a vertex never renumbers the others), so coordinate
+    labels stay valid across :func:`merge_vertices` and :func:`connect_project`.  A new graph or
+    :meth:`copy` has no :meth:`edge_codes` memo, and the rules mutate only a fresh copy.
 
     Parameters
     ----------
     vertices : iterable of int
-        Vertex ids.
+        Vertex ids; one that int() would change in value (1.7, "a") raises GraphError.
     edges : iterable of (int, int)
         Undirected edges; self-loops are rejected.
     coords : mapping vertex -> tuple, optional
         Coordinate labels attached by the lattice generators.
     """
 
-    __slots__ = ("_adj", "coords")
+    __slots__ = ("_adj", "_codes", "coords")
 
     def __init__(
         self,
@@ -61,9 +71,10 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         coords: Mapping[int, tuple] | None = None,
     ):
-        adj: dict[int, set[int]] = {int(v): set() for v in vertices}
+        adj: dict[int, set[int]] = {v if type(v) is int else _integer(v): set() for v in vertices}
         for a, b in edges:
-            a, b = int(a), int(b)
+            if type(a) is not int or type(b) is not int:
+                a, b = _integer(a), _integer(b)
             if a == b:
                 raise GraphError(f"self-edge at vertex {a}")
             if a not in adj or b not in adj:
@@ -71,6 +82,7 @@ class Graph:
             adj[a].add(b)
             adj[b].add(a)
         self._adj = adj
+        self._codes = None
         self.coords = dict(coords) if coords is not None else None
 
     # -- read access -------------------------------------------------------
@@ -100,9 +112,11 @@ class Graph:
         """Each edge once as ``(a, b)`` with ``a < b``, in adjacency order (unsorted)."""
         return ((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
 
-    def edge_codes(self, shift: int) -> set[int]:
-        """Each edge ``(a, b)`` with ``a < b`` as the int ``(a << shift) + b``."""
-        return {(a << shift) + b for a, nbrs in self._adj.items() for b in nbrs if a < b}
+    def edge_codes(self, shift: int) -> frozenset[int]:
+        """Each edge ``(a, b)`` with ``a < b`` as the int ``(a << shift) + b``, frozen and memoised per last shift."""
+        if self._codes is None or self._codes[0] != shift:
+            self._codes = shift, frozenset((a << shift) + b for a, nbrs in self._adj.items() for b in nbrs if a < b)
+        return self._codes[1]
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self.iter_edges())
@@ -119,6 +133,7 @@ class Graph:
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+        g._codes = None
         g.coords = dict(self.coords) if self.coords is not None else None
         return g
 
@@ -172,22 +187,18 @@ def build_graph(kind: str, **params) -> Graph:
     Lattice vertices carry coordinate labels in ``coords``.
     """
     if kind == "ghz-star":
-        s = int(params["s"])
+        s = _integer(params["s"], "star size")
         if s < 1:
             raise GraphError("star size must be >= 1")
         return Graph(range(s), [(0, i) for i in range(1, s)])
     if kind == "line":
-        n = int(params["n"])
+        n = _integer(params["n"], "line length")
         if n < 1:
             raise GraphError("line length must be >= 1")
         return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
-    if kind == "lattice2d":
-        return _lattice((int(params["w"]), int(params["h"])), bool(params.get("periodic", False)))
-    if kind == "lattice3d":
-        return _lattice(
-            (int(params["w"]), int(params["h"]), int(params["d"])),
-            bool(params.get("periodic", False)),
-        )
+    if kind in ("lattice2d", "lattice3d"):
+        dims = tuple(_integer(params[k], "lattice dimension") for k in ("wh" if kind == "lattice2d" else "whd"))
+        return _lattice(dims, bool(params.get("periodic", False)))
     raise GraphError(f"unknown graph generator {kind!r}")
 
 

@@ -96,8 +96,7 @@ class Architecture(NamedTuple("Architecture", [("family", str), ("dims", tuple[i
             raise SchemeError(f"unknown architecture family {family!r}")
         if len(dims) not in (2, 3):
             raise SchemeError(f"architecture dims must be 2D or 3D, got {dims}")
-        if block_size < 1:
-            raise SchemeError(f"block size must be >= 1, got {block_size}")
+        _check_count("block size", block_size)
         return super().__new__(cls, family, dims, block_size)
 
     @property

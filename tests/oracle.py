@@ -227,15 +227,14 @@ def _phase(u: np.ndarray) -> complex:
     return pivot / abs(pivot)
 
 
-_CLIFFORDS_1Q = _single_qubit_cliffords()
+_CLIFFORDS_1Q = np.stack(_single_qubit_cliffords())
 
 
-def _stabilizer_expectation(psi: np.ndarray, x_bit: int, z_mask: int) -> complex:
-    """<psi| X_(x_bit) Z_(z_mask) |psi> up to the convention X Z = +XZ."""
-    idx = np.arange(psi.size)
-    signs = np.where(_parity(idx & z_mask), -1.0, 1.0)
-    flipped = psi[idx ^ (1 << x_bit)]
-    return complex(np.vdot(psi, signs * flipped))
+def _stabilizer_check(size: int, x_bit: int, z_mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index permutation and sign vector of X_(x_bit) Z_(z_mask) on ``size`` amplitudes:
+    <psi| X Z |psi> (up to the convention X Z = +XZ) is sum(conj(psi) * signs * psi[flipped])."""
+    idx = np.arange(size)
+    return idx ^ (1 << x_bit), np.where(_parity(idx & z_mask), -1.0, 1.0)
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
@@ -285,27 +284,29 @@ def _lc_equivalent(psi: np.ndarray, g_target: Graph, order: dict[int, int]) -> b
 
     Depth-first search over per-qubit Clifford choices; a stabilizer
     constraint is tested as soon as all qubits in its support are assigned,
-    which prunes hard on sparse graphs.
+    which prunes hard on sparse graphs.  All 24 choices for a qubit are
+    applied and tested at once, and each constraint's sign vector is built
+    once per search; the passing choices are then tried in Clifford order.
     """
     n = g_target.vertex_count
     if n == 0:
         return psi.size == 1
     qubit_order, ready_at = _search_order(g_target, order)
+    checks = {depth: [_stabilizer_check(psi.size, x_bit, z_mask) for x_bit, z_mask in ready]
+              for depth, ready in ready_at.items()}
 
     def dfs(depth: int, state: np.ndarray) -> bool:
         if depth == n:
             return True
         bit = qubit_order[depth]
-        for c in _CLIFFORDS_1Q:
-            nxt = _apply_1q(state, c, bit)
-            ok = True
-            for x_bit, z_mask in ready_at.get(depth, []):
-                if abs(_stabilizer_expectation(nxt, x_bit, z_mask) - 1.0) > 1e-8:
-                    ok = False
-                    break
-            if ok and dfs(depth + 1, nxt):
-                return True
-        return False
+        # amplitude index = (high bits, this bit, low bits): apply every Clifford to the middle axis
+        tensor = state.reshape(-1, 2, 1 << bit)
+        states = np.einsum("cij,ajb->caib", _CLIFFORDS_1Q, tensor).reshape(len(_CLIFFORDS_1Q), -1)
+        ok = np.ones(len(states), dtype=bool)
+        for flipped, signs in checks[depth]:
+            expectation = np.einsum("ck,ck->c", states.conj(), signs * states[:, flipped])
+            ok &= ~(np.abs(expectation - 1.0) > 1e-8)
+        return any(dfs(depth + 1, nxt) for nxt in states[ok])
 
     return dfs(0, psi)
 

@@ -221,6 +221,22 @@ class TestCovers:
         assert time.perf_counter() - start < 0.1
         assert blocks_count("shifted-grid", (8, 8, 8), 8) == 16  # b equal to the extent still tiles
 
+    @pytest.mark.parametrize("call", [
+        lambda: blocks_count("windmill", (8.0, 8), 1),
+        lambda: lift("windmill", (8, 8), 2.0),
+        lambda: family_cover("windmill", (8.0, 8.0), 1),
+        lambda: blocks_count("windmill", (8, 8), 1.5),
+        lambda: per_copy_total("shifted-grid", (8, 8, 8.0), 2),
+        lambda: block_edges("windmill", 2, 1.0),
+        lambda: unit_cell("shifted-grid", 3, 2.5),
+        lambda: degree_color_classes("windmill", 2, "2"),
+    ], ids=["count-extent", "lift-size", "cover-extents", "count-size", "total-extent", "block-size",
+            "cell-size", "classes-size"])
+    def test_non_integer_sizes_and_extents_rejected(self, call):
+        # 8.0 made blocks_count return 16.0 and lift raise TypeError; b = 1.5 gave a period (3.0, 3.0)
+        with pytest.raises(BlockError, match="integer"):
+            call()
+
     def test_incompatible_dims(self):
         with pytest.raises(BlockError):
             cover_blocks("windmill", (6, 6), 2)

@@ -1,6 +1,7 @@
 """Adjacency-level graph operations."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,26 @@ class TestInvariants:
         with pytest.raises(GraphError, match=r"edge \(3,2\) references unknown vertex 3"):
             Graph([0, 1], [("3", 2)])
 
+    @pytest.mark.parametrize("vertices,edges", [
+        ([1.2, 1.7], []),
+        ([0, 1], [(0, 1.9)]),
+        (["a"], []),
+        ([0, 1], [(0, "1.0")]),
+        ([math.inf], []),
+        ([math.nan], []),
+        ([None], []),
+    ], ids=["float-ids", "float-edge-end", "letter", "decimal-string", "inf", "nan", "none"])
+    def test_rejects_non_integral_vertex_ids(self, vertices, edges):
+        # int() would truncate 1.2 and 1.7 into one vertex and 1.9 into vertex 1
+        with pytest.raises(GraphError, match="vertex id must be an integer, got"):
+            Graph(vertices, edges)
+
+    def test_integral_ids_keep_their_value(self):
+        g = Graph([0.0, 1, "2", True + 2], [(0, 1.0), ("1", 2), (2.0, 3)])
+        assert g.vertices() == [0, 1, 2, 3]
+        assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+        assert all(type(v) is int for v in g.vertices()) and all(type(v) is int for e in g.edges() for v in e)
+
     def test_adjacency_is_symmetric(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
         for a, b in g.edges():
@@ -98,6 +119,23 @@ class TestGenerators:
             g = build_graph(kind, periodic=periodic, **dict(zip("whd", dims)))
             assert g == Graph(range(len(sites)), [tuple(e) for e in edges]), dims
             assert list(g.coords.items()) == list(enumerate(sites)), dims
+
+    @pytest.mark.parametrize("kind,params", [
+        ("lattice2d", {"w": 4.7, "h": 4, "periodic": True}),
+        ("lattice2d", {"w": 4, "h": "x"}),
+        ("lattice3d", {"w": 4, "h": 4, "d": 4.5}),
+        ("ghz-star", {"s": 3.9}),
+        ("line", {"n": 2.5}),
+        ("line", {"n": math.inf}),
+    ], ids=["2d-width", "2d-letter", "3d-depth", "star", "line", "line-inf"])
+    def test_non_integral_size_rejected(self, kind, params):
+        # int() would build a 4x4 torus for w = 4.7 and a 3-star for s = 3.9
+        with pytest.raises(GraphError, match="must be an integer, got"):
+            build_graph(kind, **params)
+
+    def test_integral_float_sizes_build(self):
+        assert build_graph("lattice2d", w=4.0, h=4, periodic=True) == build_graph("lattice2d", w=4, h=4, periodic=True)
+        assert build_graph("ghz-star", s=3.0).vertex_count == 3
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(GraphError):
@@ -233,6 +271,62 @@ class TestColoring:
         expected = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1, 6: 0, 7: 0, 8: 1}
         assert color_graph(g) == expected
         assert color_graph(Graph(reversed(range(9)), [(b, a) for a, b in reversed(edges)])) == expected
+
+
+class TestEdgeCodes:
+    @staticmethod
+    def fresh(g, shift):
+        return {(a << shift) + b for a, b in g.edges()}
+
+    def test_codes_are_frozen_and_kept(self):
+        g = build_graph("lattice2d", w=4, h=4, periodic=True)
+        codes = g.edge_codes(8)
+        assert isinstance(codes, frozenset) and codes == self.fresh(g, 8)
+        assert g.edge_codes(8) is codes
+
+    def test_two_shifts_on_one_graph(self):
+        g = build_graph("lattice3d", w=4, h=4, d=4, periodic=True)
+        for shift in (8, 32, 8, 32):
+            assert g.edge_codes(shift) == self.fresh(g, shift), shift
+        assert g.edge_codes(8) != g.edge_codes(32)
+
+    def test_rules_on_a_memoised_graph_report_their_own_codes(self):
+        g = build_graph("lattice2d", w=4, h=4, periodic=True)
+        before = g.edge_codes(8)
+        copied = g.copy()
+        results = {
+            "copy": copied,
+            "merge": merge_vertices(g, 0, 1),
+            "local-complement": local_complement(g, 0),
+            "connect": connect_project(g, 0, 5),
+        }
+        for name, h in results.items():
+            assert h.edge_codes(8) == self.fresh(h, 8), name
+        assert results["merge"].edge_codes(8) != before and results["connect"].edge_codes(8) != before
+        # the copy's own memo, once built, does not follow its source's later rules either
+        assert merge_vertices(copied, 2, 3).edge_codes(8) == self.fresh(merge_vertices(g, 2, 3), 8)
+        assert g.edge_codes(8) is before == self.fresh(g, 8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(), st.data())
+    def test_any_rule_after_a_memo(self, g, data):
+        shift = data.draw(st.sampled_from((4, 8, 32)))
+        before = g.edge_codes(shift)
+        vertices = g.vertices()
+        rule = data.draw(st.sampled_from(["copy", "merge", "local-complement", "connect"]))
+        if rule == "copy":
+            h = g.copy()
+        elif rule == "local-complement":
+            h = local_complement(g, data.draw(st.sampled_from(vertices)))
+        else:
+            pairs = [(a, b) for a, b in itertools.combinations(vertices, 2)
+                     if rule == "merge" or not g.has_edge(a, b)]
+            if not pairs:
+                return
+            a, b = data.draw(st.sampled_from(pairs))
+            h = (merge_vertices if rule == "merge" else connect_project)(g, a, b)
+        assert h.edge_codes(shift) == self.fresh(h, shift)
+        assert g.edge_codes(shift) == before == self.fresh(g, shift)
 
 
 class TestSerialization:

@@ -3,12 +3,16 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multinet import graphstate
 from multinet.blocks import FAMILIES, BlockError, per_copy_total
 from multinet.graphstate import Graph, MultinetError, build_graph, merge_vertices
 from multinet.schemes import (
@@ -39,6 +43,24 @@ PINNED_COVERS = [
     for family, sizes in families.items()
     for b, merges in sizes.items()
 ]
+
+
+def code_builds(monkeypatch, fn):
+    """The size of every edge-code set ``fn()`` builds, once per build, and its result.
+
+    ``Graph.edge_codes`` is the only caller of ``frozenset`` in ``graphstate``.
+    """
+    builds = []
+
+    def counted(codes):
+        built = frozenset(codes)
+        builds.append(len(built))
+        return built
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphstate, "frozenset", counted, raising=False)
+        result = fn()
+    return builds, result
 
 
 def target_lattice(dims):
@@ -297,9 +319,11 @@ def test_capacity_must_be_a_positive_integer(entry, capacity):
         (lambda: StorageModel("local", 100), r"storage mode must be one of \('per-node', 'global'\), got 'local'"),
         (lambda: Architecture("hexagon", (8, 8)), "unknown architecture family 'hexagon'"),
         (lambda: Architecture("windmill", (8,)), r"architecture dims must be 2D or 3D, got \(8,\)"),
-        (lambda: Architecture("windmill", (8, 8), 0), "block size must be >= 1, got 0"),
+        (lambda: Architecture("windmill", (8, 8), 0), "block size must be an integer >= 1, got 0"),
+        (lambda: Architecture("windmill", (8, 8), 1.5), "block size must be an integer >= 1, got 1.5"),
+        (lambda: Architecture("windmill", (8, 8), 2.0), "block size must be an integer >= 1, got 2.0"),
     ],
-    ids=["storage-mode", "family", "dims", "block-size"],
+    ids=["storage-mode", "family", "dims", "block-size", "float-block-size", "integral-float-block-size"],
 )
 def test_value_checks_name_the_offender(build, message):
     with pytest.raises(SchemeError, match=message):
@@ -545,6 +569,44 @@ class TestCoverValidation:
         ok, trace = validate_cover(cover, target_lattice(dims))
         assert ok and len(trace) == merges
         assert trace == merge_trace(cover)
+
+    def test_target_codes_are_built_once(self, monkeypatch):
+        # a benchmark pass validates every block size against each lattice: one target,
+        # many covers, and the target's wanted codes are built on its first check only
+        dims = (16, 16)
+        target = target_lattice(dims)
+        sizes = [(f, b) for f in ("windmill", "shifted-grid") for b in (1, 2, 4, 8)]
+        builds, verdicts = code_builds(
+            monkeypatch, lambda: [validate_cover(family_cover(f, dims, b), target)[0] for f, b in sizes])
+        assert verdicts == [True] * len(sizes)
+        assert builds == [2 * 16 * 16]
+        # another target builds its own, once
+        other = target_lattice(dims)
+        builds, _ = code_builds(monkeypatch, lambda: [validate_cover(family_cover(f, dims, b), other) for f, b in sizes])
+        assert builds == [2 * 16 * 16]
+
+    def test_cells_and_traces_agree_across_processes(self):
+        # block_edges leaves its edges in set order: the cells' index pairs and the
+        # traces must still come out the same in every interpreter, whatever its hash seed
+        script = (
+            "import hashlib, itertools\n"
+            "from multinet.blocks import unit_cell\n"
+            "from multinet.graphstate import build_graph\n"
+            "from multinet.schemes import family_cover, validate_cover\n"
+            "cells = [unit_cell(f, d, b) for f, d, b in itertools.product(('windmill', 'shifted-grid'), (2, 3), (1, 2, 3, 4))]\n"
+            "targets = {(16, 16): build_graph('lattice2d', w=16, h=16, periodic=True),\n"
+            "           (8, 8, 8): build_graph('lattice3d', w=8, h=8, d=8, periodic=True)}\n"
+            "traces = [validate_cover(family_cover(f, dims, b), t)\n"
+            "          for f in ('windmill', 'shifted-grid') for dims, t in targets.items() for b in (1, 2)]\n"
+            "print(hashlib.sha256(repr((cells, traces)).encode()).hexdigest())\n"
+        )
+        src = str(Path(graphstate.__file__).parent.parent)
+        digests = {
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1", "4242")
+        }
+        assert len(digests) == 1 and len(digests.pop()) == 65
 
     def test_pinned_covers_are_all_there(self):
         assert len(PINNED_COVERS) == 53
