@@ -101,7 +101,7 @@ def _pinwheel_3d() -> list[Edge]:
 def block_edges(family: str, dim: int, b: int) -> list[Edge]:
     """Canonical block of the family at the origin, in unwrapped coordinates: one piece at the origin
     translated by every piece offset, edges unsorted (set order, alike in every process: ints hash alike)."""
-    if not (hasattr(b, "__index__") and b >= 1):  # an integer type, not a float
+    if not (hasattr(b, "__index__") and not isinstance(b, bool) and b >= 1):  # an int, not a float
         raise BlockError(f"block size must be an integer >= 1, got {b!r}")
     if dim not in (2, 3):
         raise BlockError(f"dimensionality must be 2 or 3, got {dim}")
@@ -182,7 +182,7 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
         raise BlockError(f"unknown block family {family!r} (choose from {FAMILIES})")
     if len(dims) not in (2, 3):
         raise BlockError(f"lattice must be 2D or 3D, got {dims}")
-    if not (hasattr(b, "__index__") and b >= 1):
+    if not (hasattr(b, "__index__") and not isinstance(b, bool) and b >= 1):
         raise BlockError(f"block size must be an integer >= 1, got {b!r}")
     period = _period(family, len(dims), b)  # checked before the cell, of ~b^dim edges, is built
     if any(not hasattr(d, "__index__") or d < 4 or d % p for d, p in zip(dims, period)):

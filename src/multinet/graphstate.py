@@ -198,7 +198,10 @@ def build_graph(kind: str, **params) -> Graph:
         return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
     if kind in ("lattice2d", "lattice3d"):
         dims = tuple(_integer(params[k], "lattice dimension") for k in ("wh" if kind == "lattice2d" else "whd"))
-        return _lattice(dims, bool(params.get("periodic", False)))
+        periodic = params.get("periodic", False)
+        if not isinstance(periodic, bool):  # bool("false") is True
+            raise GraphError(f"periodic must be True or False, got {periodic!r}")
+        return _lattice(dims, periodic)
     raise GraphError(f"unknown graph generator {kind!r}")
 
 

@@ -49,38 +49,30 @@ largest m whose bound (any function of m that does not increase with it)
 clears the threshold t.  It serves both the optimized class-level bound
 (:func:`max_output_copies_classes`) and the bipartite lattice product in
 the scenarios.  A step of the search over the optimized bound needs only to
-know whether the optimizer's F is >= t, and is settled before the split
-search where it can be: it passes when the equal split, the optimizer's
-first candidate, clears t (the optimizer's F is the largest F it
-computes), and fails on the certificate below.  Any other step runs the
-whole optimization; the search reruns it only at an answer the equal split
-settled.  The certificate that no two-color candidate's computed F reaches t:
+know whether the optimizer's F is >= t.  It passes when the equal split, the
+optimizer's first candidate, clears t (the optimizer's F is the largest F it
+computes); the search reruns the optimization only at an answer settled so.
+Otherwise it fails after the grid walk if the certificate below holds.
 
-- Slacks.  With budget B, every two-color candidate has slacks at most
-  (B, B/2) or (B/2, B) as floats: B*x rounds to at most B when x <= 1 and to
-  at most B*0.5 when x <= 0.5, as rounding is monotone.  The equal split is
-  (0.5, 0.5); a grid point (c/200, (200-c)/200) has both shares below 1 and
-  one at most 0.5; a refinement point (x, 1 - x) with 0 < x < 1 has
-  1 - x <= 1, and 1 - x is exact and below 0.5 when x > 0.5.
-- Monotonicity.  Write G_c(s) for color c's terms count*log(1 - L) at
-  slack s, as real numbers at the rounded delta = fl(s + gap).  L falls as
-  delta grows and fl(s + gap) never falls as s grows, so G_c never falls as
-  s grows, and every candidate's exact log F is at most
-  U = max(G_0(B) + G_1(B/2), G_0(B/2) + G_1(B)).
-- Rounding.  A computed log F is within :func:`_log_band` of the exact one
-  at the same slacks (no claim once a loss is within 2^-20 of 1).  If a
-  candidate's computed F is >= t, its largest loss w has 1 - w >= t*(1 -
-  2^-40) (each term is at most log1p(-w)), so for t >= 2^-10 its band is at
-  most 2^-20*|log t| + 2^-50, with |log F| <= |log t| + 2^-50.
-- Certificate.  Compute both sums of U as a candidate's log F is computed,
-  each plus its band, which bounds the exact sums.  If both are below
-  log t - 2^-19*|log t| - 2^-40, no candidate's computed F reaches t: it
-  would need an exact log F of at least log t - 2^-20*|log t| - 2^-49, and
-  the few roundings of the test itself are far inside the remaining
-  2^-20*|log t| + 2^-41.  The certificate does not fire, and the search
-  runs in full, when t < 2^-10 (``_CERTIFICATE_FLOOR``), when either sum
-  has a loss within 2^-20 of 1 (an infinite band) or reaching 1 (an
-  infinite sum, whose band is NaN), or when a sum comes near log t.
+Certificate.  Let phi(x) be the exact log F at the slacks (B*x, B*(1 - x))
+of budget B, with the computed constants; phi is concave where finite.  A
+candidate's computed log F is within :func:`_log_band` of phi at its first
+share x (no claim once a loss is within 2^-20 of 1): its slacks are those up
+to a few roundings, and its second share is 1 - x to 2^-48 relative.  Every
+refinement point lies within one grid step of the grid's best g, to 2^-48
+relative in each share, so concavity through g and the neighbour on the
+other side bounds phi there by U = cap + max(0, cap - floor): cap is the
+computed log F at g plus its band, floor the lesser of the neighbours' minus
+theirs.  If a candidate's computed F is >= t, its largest loss w has 1 - w
+>= t*(1 - 2^-40) (each term is at most log1p(-w)), so for t >= 2^-10 its
+band is at most 2^-20*|log t| + 2^-50 and phi there is at least log t -
+2^-20*|log t| - 2^-49.  So U < log t - 2^-19*|log t| - 2^-40 rules out every
+refinement point: the roundings of cap and floor are far inside the bands,
+and those of U inside the remaining 2^-20*|log t| + 2^-41.  The certificate
+declines, and the refinement runs, when t < 2^-10 (``_CERTIFICATE_FLOOR``),
+when g ends the grid, when a band is infinite (a loss within 2^-20 of 1, or
+reaching 1, as when F is 0 on the whole grid: U is then inf or NaN), or when
+U comes near log t.
 """
 
 from __future__ import annotations
@@ -95,7 +87,7 @@ from .noise import BitMarginal
 
 SPLIT_GRID_STEPS = 200
 SPLIT_REFINE_FACTOR = 20
-# the least threshold the certificate that a split search falls short is used for
+# the least threshold the certificate that a step falls short is used for
 _CERTIFICATE_FLOOR = 2.0**-10
 # the two-color split candidates in steps of 1/200, first share ascending; the second
 # share is (200 - c)/200, which 1 - c/200 misses in the last bit at 80 of the points
@@ -150,6 +142,7 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float) -> float:
     (S = 0, so a = V = 0) have no concentration failure mode and contribute
     only the identification term.
     """
+    _check_counts(n)
     if n < 1:
         raise InfeasibleTargetError(f"need at least one input copy, got n={n}")
     if delta <= 0.0:
@@ -197,6 +190,14 @@ def _check_target(n: int, m: int) -> None:
         raise InfeasibleTargetError(f"need 1 <= m <= n, got n={n} m={m}")
 
 
+def _check_counts(n: int, m: int = 1) -> None:
+    """Raise :class:`MultinetError`, which no search reads as falling short, unless n and m are ints."""
+    if type(n) is not int or type(m) is not int:  # a bool is an int, but not of type int
+        for name, value in (("n", n), ("m", m)):
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise MultinetError(f"{name} must be an integer, got {value!r}")
+
+
 def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     """Finite-size bound for hashing an ensemble of Bell-diagonal pairs.
 
@@ -204,6 +205,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     :class:`InfeasibleTargetError` when the entropy already exceeds the
     requested yield.
     """
+    _check_counts(n, m)
     _check_target(n, m)
     s, a, v = _spread_and_variance(tuple(probs))
     delta = 0.5 * (1.0 - s - m / n)
@@ -212,14 +214,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
             f"target m/n={m}/{n} unreachable: entropy {s:.6f} leaves slack {delta:.6f}"
         )
     f = max(0.0, 1.0 - _loss(s, a, v, n, delta))
-    return HashingRun(
-        n=n,
-        m=m,
-        delta_by_color={0: delta},
-        delta_by_vertex={0: delta},
-        fidelity_by_vertex={0: f},
-        fidelity=f,
-    )
+    return HashingRun(n, m, {0: delta}, {0: delta}, {0: f}, f)
 
 
 # -- multipartite machinery ----------------------------------------------------
@@ -337,6 +332,7 @@ def multipartite_bound_classes(
     natural unit here, so lattice-scale products cost one Bennett evaluation
     per class rather than per vertex.
     """
+    _check_counts(n, m)
     _check_target(n, m)  # before the classes are validated, unlike the optimizer
     return _at_split(_SplitBound(classes, n), m, delta_split)
 
@@ -408,6 +404,7 @@ def multipartite_bound(
     inactive color, or of zero entropy, needs no identification: its
     vertices get slack 0 and success 1.
     """
+    _check_counts(n, m)
     classes, key_by_vertex = vertex_classes(g, coloring, marginals)
     _check_target(n, m)
     bound = _SplitBound(classes, n)
@@ -420,14 +417,9 @@ def multipartite_bound(
         d_k = delta_color[cls.color] + 0.5 * (bound.s_color[cls.color] - cls.entropy)
         loss = _loss(*_spread_and_variance(cls.distribution), n, d_k)
         by_class[cls.lambda1, cls.color] = (d_k, max(0.0, 1.0 - loss))
-    return HashingRun(
-        n=n,
-        m=m,
-        delta_by_color=delta_color,
-        delta_by_vertex={v: by_class[key][0] for v, key in key_by_vertex.items()},
-        fidelity_by_vertex={v: by_class[key][1] for v, key in key_by_vertex.items()},
-        fidelity=fidelity,
-    )
+    delta_by_vertex = {v: by_class[key][0] for v, key in key_by_vertex.items()}
+    fidelity_by_vertex = {v: by_class[key][1] for v, key in key_by_vertex.items()}
+    return HashingRun(n, m, delta_color, delta_by_vertex, fidelity_by_vertex, fidelity)
 
 
 def _log_band(log_f: float, worst: float) -> float:
@@ -441,54 +433,55 @@ def _log_band(log_f: float, worst: float) -> float:
     return -log_f * 2.0**-30 / (1.0 - worst) + 2.0**-1000 if worst < 1.0 - 2.0**-20 else math.inf
 
 
-def _falls_short(bound: _SplitBound, budget: float, threshold: float) -> bool:
-    """Whether no two-color candidate's computed F can reach ``threshold`` at ``budget`` (the
-    certificate in the module docstring): F at (B, B/2) and at (B/2, B), widened by the rounding margin."""
-    if not threshold >= _CERTIFICATE_FLOOR:
+def _short_near(seen: _Probes, g: int, threshold: float) -> bool:
+    """Whether the certificate (module docstring) shows, from the grid walk's memo ``seen`` and its
+    best's index ``g``, that no candidate within one grid step of g can reach ``threshold``."""
+    if not threshold >= _CERTIFICATE_FLOOR or g - 1 not in seen or g + 1 not in seen:
         return False
     log_t = math.log(threshold)
-    cut = log_t - 2.0**-19 * abs(log_t) - 2.0**-40
-    full, half = budget, budget * 0.5
-    for s0, s1 in ((full, half), (half, full)):
-        log_f, worst = bound.fold(0, s0)
+    cap = seen[g][1] + _log_band(*seen[g][1:])
+    floor = min(near[1] - _log_band(*near[1:]) for near in (seen[g - 1], seen[g + 1]))
+    return cap + max(0.0, cap - floor) < log_t - 2.0**-19 * abs(log_t) - 2.0**-40  # NaN: no
+
+
+class _Probes(dict):
+    """The walk's memo of two-color ``cands`` at ``budget``: ``probes[j]`` is candidate j's (way, log F, largest
+    loss), evaluated on first use; the way to the finite candidates is 1 while the first color's rows are
+    infinite, -1 while only the second's are, and 0 at j."""
+
+    __slots__ = ("bound", "budget", "cands")
+
+    def __init__(self, bound: _SplitBound, budget: float, cands):
+        self.bound, self.budget, self.cands = bound, budget, cands
+
+    def __missing__(self, j: int) -> tuple[int, float, float]:
+        bound, budget, (x0, x1) = self.bound, self.budget, self.cands[j]
+        log_f, worst = bound.fold(0, budget * x0)
+        way = 1
         if log_f > -math.inf:
-            log_f, worst = bound.fold(1, s1, log_f, worst)
-        if not log_f + _log_band(log_f, worst) < cut:
-            return False
-    return True
+            log_f, worst = bound.fold(1, budget * x1, log_f, worst)
+            way = 0 if log_f > -math.inf else -1
+        self[j] = way, log_f, worst
+        return way, log_f, worst
 
 
-def _peak(bound: _SplitBound, budget: float, cands, start: int, best, best_f):
-    """The walk over two-color ``cands`` from ``cands[start]`` in :func:`optimize_delta_split_classes`."""
-    end = len(cands)
-    seen = {}
-
-    def probe(j):
-        """(way, log F, largest loss) of candidate j, where the way to the finite candidates is
-        1 while the first color's rows are infinite, -1 while the second's are, and 0 at j."""
-        if j not in seen:
-            log_f, worst = bound.fold(0, budget * cands[j][0])
-            way = 1
-            if log_f > -math.inf:
-                log_f, worst = bound.fold(1, budget * cands[j][1], log_f, worst)
-                way = 0 if log_f > -math.inf else -1
-            seen[j] = way, log_f, worst
-        return seen[j]
-
+def _peak(probes: _Probes, start: int, best, best_f):
+    """:func:`optimize_delta_split_classes`' walk from ``start``: the best split, its F and its index."""
+    end = len(probes.cands)
     top = start
-    if (way := probe(top)[0]) and probe(end - 1 if way > 0 else 0)[0] == way:
-        return best, best_f  # infinite rows even at that color's largest slack
-    while way := probe(top)[0]:
+    if (way := probes[top][0]) and probes[end - 1 if way > 0 else 0][0] == way:
+        return best, best_f, start  # infinite rows even at that color's largest slack
+    while way := probes[top][0]:
         top += way
-        if probe(top)[0] == -way:
-            return best, best_f  # F = 0 throughout
-    peak_log = probe(top)[1]
+        if probes[top][0] == -way:
+            return best, best_f, start  # F = 0 throughout
+    peak_log = probes[top][1]
     ends = []
     for step in (1, -1):
         j = top
         while 0 <= j + step < end:
             j += step
-            _, log_f, worst = probe(j)
+            _, log_f, worst = probes[j]
             if log_f == -math.inf:
                 break  # and so is every candidate past j
             peak_log = max(peak_log, log_f)
@@ -497,10 +490,11 @@ def _peak(bound: _SplitBound, budget: float, cands, start: int, best, best_f):
             if f_cap <= best_f or (f_cap <= math.exp(peak_log) if step > 0 else f_cap < math.exp(peak_log)):
                 break
         ends.append(j)
+    at = start
     for j in range(ends[1], ends[0] + 1):
-        if math.exp(seen[j][1]) > best_f:
-            best, best_f = cands[j], math.exp(seen[j][1])
-    return best, best_f
+        if math.exp(probes[j][1]) > best_f:
+            best, best_f, at = probes.cands[j], math.exp(probes[j][1]), j
+    return best, best_f, at
 
 
 def optimize_delta_split_classes(
@@ -518,22 +512,25 @@ def optimize_delta_split_classes(
 
     log F is concave where finite (see the module docstring):
 
-    1. Each list is walked from the incoming best's candidate: the equal
+    1. The equal split, evaluated first through the grid walk's memo
+       (:class:`_Probes`), is not evaluated again by the walk.
+    2. Each list is walked from the incoming best's candidate: the equal
        split on the grid, the center of the refinement.  A candidate's
        terms are summed one color at a time, so where log F is -inf it
        shows whose rows are infinite.  The first color's rows are finite
        from some candidate on and the second's up to some candidate, so F
        is 0 throughout if the far end of the side they name names it too,
        or if the way turns as the walk steps that way until log F is finite.
-    2. A walk outward from that finite candidate stops on each side at
+    3. A walk outward from that finite candidate stops on each side at
        a candidate j that settles the rest.  log F at j plus its rounding
        band (:func:`_log_band`) caps the exact log F there; if the cap is
        below the best log F found, concavity keeps every candidate past j
        below it, and otherwise F <= 1 does.  j settles its side once
        exp(cap) cannot beat the incoming best, or falls below the best F
        found, or, to the right, ties it, as a later tie never wins.
-    3. The strict-improvement rule is replayed over the walked candidates.
+    4. The strict-improvement rule is replayed over the walked candidates.
     """
+    _check_counts(n, m)
     bound = _SplitBound(classes, n)
     split, f = _optimum(bound, m)
     return dict(zip(bound.colors, split)), f
@@ -542,27 +539,29 @@ def optimize_delta_split_classes(
 def _optimum(bound: _SplitBound, m: int, threshold: float | None = None) -> tuple[tuple[float, ...], float]:
     """The optimizer's (split in ``colors`` order, F) at m, or, with ``threshold``, a search step.
 
-    A step is settled before the split search where it can be (module
-    docstring): it returns the equal split and its F when that F clears
-    ``threshold`` or the certificate shows no candidate can; otherwise it
-    returns the optimizer's result.
+    A step is settled early where it can be (module docstring): it returns the equal split and its F
+    if that F clears ``threshold``, the grid's best and its F if the certificate shows that no
+    refinement point can reach ``threshold``, and otherwise the optimizer's result.
     """
     budget = bound.budget(m)
     colors = bound.colors
     if len(colors) > 2:
         raise MultinetError(f"the split search needs at most two active colors, got {len(colors)}")
-    if not colors:
-        return (), 1.0
-    best = (1.0 / len(colors),) * len(colors)
-    best_f = bound.fidelity([budget * frac for frac in best])
-    if len(colors) == 2 and (threshold is None or not (best_f >= threshold or _falls_short(bound, budget, threshold))):
-        best, best_f = _peak(bound, budget, SPLIT_GRID, SPLIT_GRID_STEPS // 2 - 1, best, best_f)
-        lo = best[0] - 1.0 / SPLIT_GRID_STEPS
-        fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
-        xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
-        center = SPLIT_REFINE_FACTOR - sum(x <= 0.0 for x in xs)
-        best, best_f = _peak(bound, budget, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0], center, best, best_f)
-    return best, best_f
+    if len(colors) < 2:
+        return (1.0,) * len(colors), bound.fidelity([budget] * len(colors))
+    mid = SPLIT_GRID_STEPS // 2 - 1  # the equal split, (0.5, 0.5)
+    grid = _Probes(bound, budget, SPLIT_GRID)
+    best, best_f = SPLIT_GRID[mid], math.exp(grid[mid][1])
+    if threshold is not None and best_f >= threshold:
+        return best, best_f
+    best, best_f, g = _peak(grid, mid, best, best_f)
+    if threshold is not None and best_f < threshold and _short_near(grid, g, threshold):
+        return best, best_f
+    lo = best[0] - 1.0 / SPLIT_GRID_STEPS
+    fine = SPLIT_GRID_STEPS * SPLIT_REFINE_FACTOR
+    xs = [lo + i / fine for i in range(2 * SPLIT_REFINE_FACTOR + 1)]
+    center = SPLIT_REFINE_FACTOR - sum(x <= 0.0 for x in xs)
+    return _peak(_Probes(bound, budget, [(x, 1.0 - x) for x in xs if 0.0 < x < 1.0]), center, best, best_f)[:2]
 
 
 def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[int, float]:
@@ -574,6 +573,7 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
     """
     if not 0.0 < threshold < 1.0:
         raise MultinetError(f"threshold must be in (0,1), got {threshold}")
+    _check_counts(n)
 
     def value_or_short(m: int) -> float:
         try:

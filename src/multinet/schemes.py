@@ -70,7 +70,7 @@ class SchemeError(MultinetError):
 
 
 def _check_count(name: str, value) -> None:
-    if not (hasattr(value, "__index__") and value >= 1):  # an integer type, not a float
+    if not (hasattr(value, "__index__") and not isinstance(value, bool) and value >= 1):  # an int, not a float
         raise SchemeError(f"{name} must be an integer >= 1, got {value!r}")
 
 

@@ -230,10 +230,13 @@ class TestCovers:
         lambda: block_edges("windmill", 2, 1.0),
         lambda: unit_cell("shifted-grid", 3, 2.5),
         lambda: degree_color_classes("windmill", 2, "2"),
+        lambda: blocks_count("windmill", (8, 8), True),
+        lambda: block_edges("windmill", 2, True),
     ], ids=["count-extent", "lift-size", "cover-extents", "count-size", "total-extent", "block-size",
-            "cell-size", "classes-size"])
+            "cell-size", "classes-size", "count-bool-size", "bool-block-size"])
     def test_non_integer_sizes_and_extents_rejected(self, call):
-        # 8.0 made blocks_count return 16.0 and lift raise TypeError; b = 1.5 gave a period (3.0, 3.0)
+        # 8.0 made blocks_count return 16.0 and lift raise TypeError; b = 1.5 gave a period (3.0, 3.0);
+        # b = True, an int subclass, made blocks_count return 16
         with pytest.raises(BlockError, match="integer"):
             call()
 

@@ -133,6 +133,12 @@ class TestGenerators:
         with pytest.raises(GraphError, match="must be an integer, got"):
             build_graph(kind, **params)
 
+    @pytest.mark.parametrize("periodic", ["false", 0, 1, None])
+    def test_non_bool_periodic_rejected(self, periodic):
+        # bool("false") is True: the flag built a 4x4 torus (32 edges against 24)
+        with pytest.raises(GraphError, match="periodic must be True or False"):
+            build_graph("lattice2d", w=4, h=4, periodic=periodic)
+
     def test_integral_float_sizes_build(self):
         assert build_graph("lattice2d", w=4.0, h=4, periodic=True) == build_graph("lattice2d", w=4, h=4, periodic=True)
         assert build_graph("ghz-star", s=3.0).vertex_count == 3

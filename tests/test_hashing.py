@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -861,13 +862,14 @@ class TestPrunedSplitScan:
         assert calls <= 100
 
     def test_threshold_presets_evaluation_count(self, monkeypatch):
-        # the bound evaluations over the full grids of fig9m-fig13m, 22 005 when
-        # the bound was set; the count is deterministic, so a rise is a slower search
+        # the bound evaluations over the full grids of fig9m-fig13m, 16 695 when
+        # the bound was set (22 005 before failing steps were settled at the
+        # grid's best); the count is deterministic, so a rise is a slower search
         def run_presets():
             for name in ("fig9m", "fig10m", "fig11m", "fig12m", "fig13m"):
                 run_experiment(parse_config(*load_config_source(name)))
 
-        assert evaluations(monkeypatch, run_presets)[0] <= 22005
+        assert evaluations(monkeypatch, run_presets)[0] <= 16695
 
     def test_threshold_search_groups_its_classes_once(self, monkeypatch):
         # one split bound serves the eleven steps and the run at the answer
@@ -917,7 +919,7 @@ class TestPrunedSplitScan:
 # fig11m's 64x64 shifted-grid b=2 classes at q = 0.98, n = 800: at threshold
 # 0.9 the equal split settles a pass at m = 198; at m = 199 neither it nor
 # the certificate settles the step (F = 0.8995); at m = 250 the certificate
-# does (F = 0.0157)
+# does, after the grid walk (F = 0.0157)
 FIG11M_CLASSES = [
     MarginalClass(0.029404, 0, 2048),
     MarginalClass(0.029404, 1, 2048),
@@ -930,6 +932,13 @@ UNSETTLED = ((FIG11M_CLASSES, 800, 199), 0.9)
 # the equal split falls short of t (F = 0.99176) and the optimum clears it
 # (F = 0.99298 at 0.542); the grid point 0.55 clears it first (F = 0.99294)
 OFF_EQUAL_SPLIT = (([MarginalClass(0.01, 0, 1), MarginalClass(0.03, 1, 1)], 1000, 600), 0.9925)
+# the refinement beats the grid (F = 0.0037856 at the grid's best, 0.0037873
+# refined) and t lies between, so the certificate must decline: the step passes
+BETWEEN_GRID_AND_REFINED = (NARROW_OPTIMA[0], 0.003786)
+# a neighbour of the grid's best (F = 1.0e-158) has a loss above 1, so
+# concavity bounds nothing on its side: the certificate declines, and the
+# refinement runs (and finds F = 2.2e-150)
+INFINITE_NEIGHBOUR = (NARROW_OPTIMA[1], 0.5)
 # the largest m at threshold 0.9, whose step passes at the equal split
 # (F = 0.90285) though the optimum is higher (F = 0.90521)
 ANSWER_AT_EQUAL_SPLIT = (([MarginalClass(0.01, 0, 10), MarginalClass(0.02, 1, 10)], 500, 276), 0.9)
@@ -949,6 +958,31 @@ def step(problem, t=None):
     return hashing._optimum(_SplitBound(classes, n), m, t)
 
 
+def grid_walk(problem):
+    """A step's walk over the grid from the equal split: its memo and the index of its best."""
+    classes, n, m = problem
+    bound = _SplitBound(classes, n)
+    seen = hashing._Probes(bound, bound.budget(m), hashing.SPLIT_GRID)
+    mid = hashing.SPLIT_GRID_STEPS // 2 - 1
+    return seen, hashing._peak(seen, mid, (0.5, 0.5), math.exp(seen[mid][1]))[2]
+
+
+def walks(monkeypatch, fn):
+    """The number of candidate lists ``fn()`` walks (the grid, then the refinement), and its result."""
+    calls = 0
+    peak = hashing._peak
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return peak(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hashing, "_peak", counted)
+        result = fn()
+    return calls, result
+
+
 class TestThresholdSteps:
     @settings(max_examples=300, deadline=None)
     @given(split_problems(colors=(0, 1)), THRESHOLDS)
@@ -956,6 +990,8 @@ class TestThresholdSteps:
     @example(*SETTLED_BY_CERTIFICATE)
     @example(*UNSETTLED)
     @example(*OFF_EQUAL_SPLIT)
+    @example(*BETWEEN_GRID_AND_REFINED)
+    @example(*INFINITE_NEIGHBOUR)
     @example(SUBNORMAL_OPTIMA[1], 0.5)
     @example(NARROW_OPTIMA[0], 0.5)
     def test_step_decides_as_the_full_optimizer(self, problem, extra):
@@ -977,10 +1013,12 @@ class TestThresholdSteps:
     @settings(max_examples=300, deadline=None)
     @given(split_problems(colors=(0, 1)), THRESHOLDS)
     @example(*OFF_EQUAL_SPLIT)
+    @example(*BETWEEN_GRID_AND_REFINED)
     def test_passing_step_off_the_equal_split_is_the_result(self, problem, extra):
-        # a step is settled only before the split search, so one that passes
-        # anywhere but at the equal split ran the whole search: it returns
-        # the optimizer's split and F, not the first candidate to clear t
+        # a step passes early only at the equal split (the certificate
+        # settles only failing steps), so one that passes anywhere else ran
+        # the whole search: it returns the optimizer's split and F, not the
+        # first candidate to clear t
         classes, n, m = problem
         full = outcome(lambda: step(problem))
         if full == "infeasible":
@@ -1007,27 +1045,90 @@ class TestThresholdSteps:
 
     @pytest.mark.parametrize(
         "case, settled_by",
-        [(SETTLED_AT_EQUAL_SPLIT, "equal-split"), (SETTLED_BY_CERTIFICATE, "certificate"), (UNSETTLED, None)],
+        [
+            (SETTLED_AT_EQUAL_SPLIT, "equal-split"),
+            (SETTLED_BY_CERTIFICATE, "certificate"),
+            (UNSETTLED, None),
+            (BETWEEN_GRID_AND_REFINED, None),
+            (INFINITE_NEIGHBOUR, None),
+        ],
     )
     def test_examples_settle_as_named(self, monkeypatch, case, settled_by):
-        # the equal split is one evaluation and the certificate two more (one
-        # if its first half comes near t); an unsettled step also runs the
-        # whole search
+        # the equal split is one evaluation and walks nothing; the certificate
+        # settles a step after the grid walk, before the refinement's; an
+        # unsettled step walks both lists and evaluates exactly what the whole
+        # optimization does, as the grid walk reuses the equal split
         problem, t = case
-        full = TestPrunedSplitScan.bound_evaluations(monkeypatch, *problem)
-        calls, (_, f) = evaluations(monkeypatch, lambda: step(problem, t))
-        if settled_by is None:
-            assert full < calls <= full + 2
+        full, (_, full_f) = evaluations(monkeypatch, lambda: step(problem))
+        lists, (calls, (_, f)) = walks(monkeypatch, lambda: evaluations(monkeypatch, lambda: step(problem, t)))
+        assert (f >= t) == (full_f >= t)
+        if settled_by == "equal-split":
+            assert (lists, calls) == (0, 1) and f >= t
+        elif settled_by == "certificate":
+            assert lists == 1 and calls < full and f < t
         else:
-            assert calls == {"equal-split": 1, "certificate": 3}[settled_by]
-        assert (f >= t) == (settled_by == "equal-split")
+            assert (lists, calls) == (2, full)
 
     def test_certificate_needs_the_floor(self):
-        # below 2^-10 the search runs in full rather than trust the margin
-        bound = _SplitBound(FIG11M_CLASSES, 800)
-        budget = bound.budget(300)
-        assert hashing._falls_short(bound, budget, hashing._CERTIFICATE_FLOOR)
-        assert not hashing._falls_short(bound, budget, math.nextafter(hashing._CERTIFICATE_FLOOR, 0.0))
+        # below 2^-10 the refinement runs rather than trust the margin:
+        # fig11m's grid at m = 300 (F = 3.1e-56) is settled at the floor only
+        seen, g = grid_walk((FIG11M_CLASSES, 800, 300))
+        assert hashing._short_near(seen, g, hashing._CERTIFICATE_FLOOR)
+        assert not hashing._short_near(seen, g, math.nextafter(hashing._CERTIFICATE_FLOOR, 0.0))
+
+    @pytest.mark.parametrize(
+        "problem", [EDGE_OPTIMA[0], EDGE_OPTIMA[1], NARROW_OPTIMA[1]], ids=["first", "last", "infinite"]
+    )
+    def test_certificate_needs_two_finite_neighbours(self, problem):
+        # at either end of the grid, or beside a loss above 1, concavity
+        # bounds nothing on one side of the grid's best, so the certificate
+        # declines even where the other side alone would rule out t = 0.5
+        seen, g = grid_walk(problem)
+        assert math.exp(seen[g][1]) < 0.5
+        assert not hashing._short_near(seen, g, 0.5)
+
+    def test_refinement_stays_within_one_grid_step(self):
+        # the certificate's premise: around every grid point but the ends,
+        # each refinement point lies between its two grid neighbours, and
+        # both shares of every candidate are x and 1 - x, to 2^-48 relative
+        grid = hashing.SPLIT_GRID
+        for x, y in grid:
+            assert abs(Fraction(y) - (1 - Fraction(x))) <= 2.0**-48 * (1 - Fraction(x))
+        for g in range(1, len(grid) - 1):
+            lo = grid[g][0] - 1.0 / hashing.SPLIT_GRID_STEPS
+            for x in (lo + i / 4000 for i in range(41)):
+                left, right = Fraction(grid[g - 1][0]), Fraction(grid[g + 1][0])
+                nearest = min(max(Fraction(x), left), right)
+                assert abs(Fraction(1.0 - x) - (1 - Fraction(x))) <= 2.0**-48 * (1 - Fraction(x))
+                assert abs(Fraction(x) - nearest) <= 2.0**-48 * min(nearest, 1 - nearest)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bipartite_bound((0.97, 0.01, 0.01, 0.01), 800, 2.5),
+            lambda: max_output_copies_classes(FIG11M_CLASSES, 800.5, 0.9),
+            lambda: max_output_copies_classes(FIG11M_CLASSES, True, 0.9),
+            lambda: optimize_delta_split_classes(FIG11M_CLASSES, 800, 10.5),
+            lambda: multipartite_bound_classes(FIG11M_CLASSES, 800, False),
+            lambda: multipartite_bound(*TestMultipartite().star(), 400.0, 1),
+            lambda: bennett_loss((0.9, 0.1), 100.5, 0.1),
+            lambda: largest_m(lambda m: 1.0, 10.5, 0.9),
+        ],
+        ids=["bipartite-m", "search-n", "search-bool-n", "optimizer-m", "classes-bool-m", "vertices-n",
+             "bennett-n", "bisection-n"],
+    )
+    def test_non_integral_counts_rejected(self, monkeypatch, call):
+        # a float m ran as a real number (bipartite_bound gave a run with
+        # m = 2.5, the search an m of 349.0 for n = 800.5) and True counted as
+        # n = 1; the error is not InfeasibleTargetError, which a search reads
+        # as a step falling short, and comes before any split is evaluated
+        def no_evaluation(*args):
+            raise AssertionError("a split was evaluated")
+
+        monkeypatch.setattr(_SplitBound, "fold", no_evaluation)
+        with pytest.raises(MultinetError, match="must be an integer, got") as raised:
+            call()
+        assert not isinstance(raised.value, InfeasibleTargetError)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, math.nan])
     def test_bad_threshold_raises_before_any_evaluation(self, monkeypatch, threshold):

@@ -304,11 +304,12 @@ CAPACITY_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("capacity", [math.nan, math.inf, 400.5, 0], ids=repr)
+@pytest.mark.parametrize("capacity", [math.nan, math.inf, 400.5, 0, True], ids=repr)
 @pytest.mark.parametrize("entry", CAPACITY_ENTRY_POINTS.values(), ids=list(CAPACITY_ENTRY_POINTS))
 def test_capacity_must_be_a_positive_integer(entry, capacity):
     # a float capacity would flow into the copy counts: n_used = nan in an
-    # infeasible row, a multipartite branch at F = 1 with n_used = inf, or m = 33.0
+    # infeasible row, a multipartite branch at F = 1 with n_used = inf, or m = 33.0;
+    # True, an int subclass, was kept as the capacity
     with pytest.raises(SchemeError, match="capacity must be an integer"):
         entry(capacity)
 
@@ -322,8 +323,10 @@ def test_capacity_must_be_a_positive_integer(entry, capacity):
         (lambda: Architecture("windmill", (8, 8), 0), "block size must be an integer >= 1, got 0"),
         (lambda: Architecture("windmill", (8, 8), 1.5), "block size must be an integer >= 1, got 1.5"),
         (lambda: Architecture("windmill", (8, 8), 2.0), "block size must be an integer >= 1, got 2.0"),
+        (lambda: Architecture("windmill", (8, 8), True), "block size must be an integer >= 1, got True"),
     ],
-    ids=["storage-mode", "family", "dims", "block-size", "float-block-size", "integral-float-block-size"],
+    ids=["storage-mode", "family", "dims", "block-size", "float-block-size", "integral-float-block-size",
+         "bool-block-size"],
 )
 def test_value_checks_name_the_offender(build, message):
     with pytest.raises(SchemeError, match=message):
