@@ -53,6 +53,9 @@ Edge = tuple[Site, Site]
 Shape = tuple[tuple[Site, ...], tuple[tuple[int, int], ...]]
 
 FAMILIES = ("bipartite", "windmill", "shifted-grid")
+# the caches are keyed by type too: b = True or 1.0 would otherwise read b = 1's entry, as both
+# equal 1 and hash alike, and skip the size check that a miss runs
+_cached = functools.lru_cache(maxsize=None, typed=True)
 
 
 class BlockError(MultinetError):
@@ -139,7 +142,7 @@ def _period(family: str, dim: int, b: int) -> tuple[int, ...]:
     return (math.lcm(2, b), 2, 2)
 
 
-@functools.cache
+@_cached
 def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     """The family's period and the blocks anchored in one period box.
 
@@ -222,7 +225,7 @@ def blocks_count(family: str, dims: tuple[int, ...], b: int = 1) -> int:
     return math.prod(dims) // math.prod(cell.period) * len(cell.shapes)
 
 
-@functools.cache
+@_cached
 def degree_color_classes(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int, int], ...]:
     """Per-block vertex classes as (degree, color, count).
 
@@ -235,7 +238,7 @@ def degree_color_classes(family: str, dim: int, b: int = 1) -> tuple[tuple[int, 
     return tuple((d, color, n) for (d, color), n in sorted(counts.items()))
 
 
-@functools.cache
+@_cached
 def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]:
     """(qubits stored per copy, sites per unit cell) pairs, ascending in cost.
 

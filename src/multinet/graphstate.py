@@ -37,9 +37,9 @@ class ColoringError(GraphError):
 
 
 def _integer(value, what: str = "vertex id") -> int:
-    """``value`` as an int (a numeral string is read); GraphError if int() fails or changes its value."""
+    """``value`` as an int (a numeral string is read); GraphError for a bool, or if int() fails or changes its value."""
     try:
-        if isinstance(value, str) or int(value) == value:
+        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -44,14 +44,16 @@ wherever it is finite, which is an interval: a color's rows are finite once
 its share is large enough.  The optimizer therefore searches for the
 optimum, and its result is exactly that of evaluating every candidate.
 
-Threshold targets have one search, :func:`largest_m`: a bisection for the
-largest m whose bound (any function of m that does not increase with it)
-clears the threshold t.  It serves both the optimized class-level bound
-(:func:`max_output_copies_classes`) and the bipartite lattice product in
-the scenarios.  A step of the search over the optimized bound needs only to
-know whether the optimizer's F is >= t.  It passes when the equal split, the
-optimizer's first candidate, clears t (the optimizer's F is the largest F it
-computes); the search reruns the optimization only at an answer settled so.
+Threshold targets have one search, :func:`largest_m`, for the largest m
+whose bound (any function of m that does not increase with it) clears the
+threshold t: bisection's bracket and decisions, stepped by a chord on
+log(-log F) with bisection as the safeguard.  It serves both the optimized
+class-level bound (:func:`max_output_copies_classes`) and the bipartite
+lattice product in the scenarios.  A step of the search over the optimized
+bound needs only to know whether the optimizer's F is >= t.  It passes when
+the equal split, the optimizer's first candidate, clears t (the optimizer's
+F is the largest F it computes, and the chord reads the equal split's, a
+lower bound); the search reruns the optimization only at an answer settled so.
 Otherwise it fails after the grid walk if the certificate below holds.
 
 Certificate.  Let phi(x) be the exact log F at the slacks (B*x, B*(1 - x))
@@ -253,8 +255,8 @@ def _group_classes(classes: Iterable[MarginalClass]):
     """
     by_color: dict[int, list[MarginalClass]] = {}
     for c in classes:
-        if c.count < 0:
-            raise DistributionError("class count must be nonnegative")
+        if type(c.count) is not int and (isinstance(c.count, bool) or not hasattr(c.count, "__index__")) or c.count < 0:
+            raise DistributionError(f"class count must be a nonnegative integer, got {c.count!r}")
         if c.count:
             by_color.setdefault(c.color, []).append(c)
     s_color = {col: max(c.entropy for c in cls) for col, cls in by_color.items()}
@@ -567,9 +569,16 @@ def _optimum(bound: _SplitBound, m: int, threshold: float | None = None) -> tupl
 def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[int, float]:
     """Largest m in [1, n] with ``value(m) >= threshold``, and the value there.
 
-    A bisection that assumes ``value`` is nonincreasing in m; an m whose
-    target is infeasible counts as falling short.  (0, 0.0) if even m = 1
-    falls short.
+    Assumes ``value(m) >= threshold`` never turns from false to true as m
+    grows; an infeasible target counts as falling short.  (0, 0.0) if even
+    m = 1 falls short.  Every probe lies in bisection's bracket (lo passes,
+    hi + 1 fails), so no m is probed twice and the answer is bisection's.
+    A probe is m + 1 after a chord probe passed at m, else a chord probe:
+    where the chord on y = log(-log value) between the bracket's ends meets
+    the threshold.  It is the bisection point instead where the chord is
+    undefined (0, 1 or infeasible at an end, or flat) or the bracket has
+    lost less than a bit per two probes, one spare: so at most
+    2*(bit_length(n - 1) + 1) probes.
     """
     if not 0.0 < threshold < 1.0:
         raise MultinetError(f"threshold must be in (0,1), got {threshold}")
@@ -584,14 +593,24 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
     f_lo = value_or_short(1)
     if f_lo < threshold:
         return 0, 0.0
-    lo, hi = 1, n
+    lo, hi, f_up = 1, n, -1.0  # lo passes with f_lo, hi + 1 fails with f_up (-1.0 until probed)
+    credit, confirm = 1, False  # credit: twice the bits the bracket has lost, less the probes, plus one
     while lo < hi:
-        mid = (lo + hi + 1) // 2
+        mid, chord = (lo + hi + 1) // 2, False
+        if credit > 0 and confirm:
+            mid = lo + 1
+        elif credit > 0 and 0.0 < f_up and f_lo < 1.0:
+            y_lo, y_t, y_up = (math.log(-math.log(f)) for f in (f_lo, threshold, f_up))
+            if y_lo <= y_t < y_up:
+                mid, chord = min(max(lo + 1, lo + int((hi + 1 - lo) * (y_t - y_lo) / (y_up - y_lo))), hi), True
+        bits = (hi - lo).bit_length()
         f_mid = value_or_short(mid)
+        confirm = chord and f_mid >= threshold
         if f_mid >= threshold:
             lo, f_lo = mid, f_mid
         else:
-            hi = mid - 1
+            hi, f_up = mid - 1, f_mid
+        credit += 2 * (bits - (hi - lo).bit_length()) - 1
     return lo, f_lo
 
 
@@ -602,7 +621,7 @@ def max_output_copies_classes(classes: Sequence[MarginalClass], n: int, threshol
     answer's step gives F unless the equal split settled it, when m is optimized again.
     """
     bound = _SplitBound(classes, n)
-    steps = {}  # m -> the step's (split, F)
-    m = largest_m(lambda m: steps.setdefault(m, _optimum(bound, m, threshold))[1], n, threshold)[0]
+    steps = {}  # m -> the step's (split, F), evaluated on a miss only
+    m = largest_m(lambda m: (steps.get(m) or steps.setdefault(m, _optimum(bound, m, threshold)))[1], n, threshold)[0]
     split, f = steps.get(m, ((), 0.0))
     return (m, f) if split != (0.5, 0.5) else (m, _optimum(bound, m)[1])

@@ -240,6 +240,19 @@ class TestCovers:
         with pytest.raises(BlockError, match="integer"):
             call()
 
+    @pytest.mark.parametrize("b", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("cached", [unit_cell, site_costs, degree_color_classes], ids=lambda f: f.__name__)
+    def test_size_equal_to_one_rejected_in_either_order(self, cached, b):
+        # True and 1.0 equal 1 and hash alike: once b = 1 was cached, a cache
+        # keyed by value alone returned b = 1's entry for them, though they
+        # raised before
+        cached.cache_clear()
+        with pytest.raises(BlockError, match="integer"):
+            cached("shifted-grid", 2, b)
+        cached("shifted-grid", 2, 1)
+        with pytest.raises(BlockError, match="integer"):
+            cached("shifted-grid", 2, b)
+
     def test_incompatible_dims(self):
         with pytest.raises(BlockError):
             cover_blocks("windmill", (6, 6), 2)

@@ -59,7 +59,8 @@ class TestInvariants:
         ([math.inf], []),
         ([math.nan], []),
         ([None], []),
-    ], ids=["float-ids", "float-edge-end", "letter", "decimal-string", "inf", "nan", "none"])
+        ([0, True], []),
+    ], ids=["float-ids", "float-edge-end", "letter", "decimal-string", "inf", "nan", "none", "bool"])
     def test_rejects_non_integral_vertex_ids(self, vertices, edges):
         # int() would truncate 1.2 and 1.7 into one vertex and 1.9 into vertex 1
         with pytest.raises(GraphError, match="vertex id must be an integer, got"):
@@ -127,9 +128,12 @@ class TestGenerators:
         ("ghz-star", {"s": 3.9}),
         ("line", {"n": 2.5}),
         ("line", {"n": math.inf}),
-    ], ids=["2d-width", "2d-letter", "3d-depth", "star", "line", "line-inf"])
+        ("line", {"n": True}),
+        ("ghz-star", {"s": True}),
+    ], ids=["2d-width", "2d-letter", "3d-depth", "star", "line", "line-inf", "line-bool", "star-bool"])
     def test_non_integral_size_rejected(self, kind, params):
-        # int() would build a 4x4 torus for w = 4.7 and a 3-star for s = 3.9
+        # int() would build a 4x4 torus for w = 4.7 and a 3-star for s = 3.9,
+        # and True, which equals 1, a one-vertex line or star
         with pytest.raises(GraphError, match="must be an integer, got"):
             build_graph(kind, **params)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multinet import hashing
+from multinet import hashing, schemes
 from multinet.cli import load_config_source, parse_config, run_experiment
 from multinet.graphstate import Graph, MultinetError, build_graph, color_graph
 from multinet.hashing import (
@@ -99,6 +99,20 @@ def test_malformed_class_raises_on_every_use(lambda1, probs):
             bennett_loss(probs, 100, 0.1)
         with pytest.raises(DistributionError):
             bipartite_bound(probs, 100, 1)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2", -1], ids=["half", "float", "bool", "string", "negative"])
+def test_class_count_must_be_a_nonnegative_integer(count):
+    # a count of 2.5 counted as two and a half vertices, and True as one
+    # (classes of counts 2.5 and True gave F = 0.99999999998 at n = 800, m = 100)
+    classes = [MarginalClass(0.03, 0, count), MarginalClass(0.03, 1, 1)]
+    for call in (
+        lambda: multipartite_bound_classes(classes, 800, 100),
+        lambda: optimize_delta_split_classes(classes, 800, 100),
+        lambda: max_output_copies_classes(classes, 800, 0.9),
+    ):
+        with pytest.raises(DistributionError, match="must be a nonnegative integer, got"):
+            call()
 
 
 def test_list_and_tuple_share_one_cache_entry():
@@ -471,6 +485,105 @@ class TestThresholdSearchMonotone:
             assert value == "infeasible" or value < threshold, m
 
 
+def plain_bisection(value, n, threshold):
+    """The bisection that :func:`largest_m` was before it stepped by chords: the reference for its answers."""
+
+    def value_or_short(m):
+        try:
+            return value(m)
+        except InfeasibleTargetError:
+            return -1.0
+
+    f_lo = value_or_short(1)
+    if f_lo < threshold:
+        return 0, 0.0
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        f_mid = value_or_short(mid)
+        if f_mid >= threshold:
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid - 1
+    return lo, f_lo
+
+
+# how -log F moves per m along a segment: kept (a plateau; F stays exactly 1
+# from the start), scaled up fast or barely, or sent to infinity (F = 0)
+DECAYS = {
+    "plateau": lambda load, rate: load,
+    "steep": lambda load, rate: load * (1.0 + 100.0 * rate) + 10.0 * rate,
+    "decay": lambda load, rate: load * (1.0 + 0.1 * rate) + 0.01 * rate,
+    "flat": lambda load, rate: load + 1e-9 * rate,
+    "zero": lambda load, rate: math.inf,
+}
+
+
+@st.composite
+def monotone_searches(draw):
+    """(values, threshold): a nonincreasing F at m = 1..n, None past an infeasible tail, or lower bounds
+    of it that keep the decision (drawn in [t, F] where F >= t, in [0, F] below), which can rise with m."""
+    segments = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(DECAYS)), st.integers(min_value=0, max_value=400),
+                  st.floats(min_value=0.0, max_value=1.0)),
+        min_size=1, max_size=6,
+    ), label="segments")
+    load, f = 0.0, []
+    for kind, length, rate in segments:
+        for _ in range(length):
+            load = DECAYS[kind](load, rate)
+            f.append(math.exp(-load))
+    f = f or [1.0]
+    feasible = draw(st.integers(min_value=0, max_value=len(f)) | st.just(len(f)), label="feasible m")
+    inside = [v for v in f if 0.0 < v < 1.0]
+    threshold = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+                     | (st.sampled_from(inside) if inside else st.nothing()), label="threshold")
+    if draw(st.booleans(), label="lower bounds"):
+        rng = draw(st.randoms(use_true_random=True))  # seeded by the draw, cheap per number
+        f = [threshold + (v - threshold) * rng.random() if v >= threshold else v * rng.random() for v in f]
+    return [v if m <= feasible else None for m, v in enumerate(f, 1)], threshold
+
+
+class TestLargestM:
+    @staticmethod
+    def search(values, threshold, search=largest_m):
+        """``search`` over ``values`` (None: infeasible) and the m it probed, in order."""
+        probed = []
+
+        def value(m):
+            probed.append(m)
+            if values[m - 1] is None:
+                raise InfeasibleTargetError(f"m = {m} is infeasible")
+            return values[m - 1]
+
+        return search(value, len(values), threshold), probed
+
+    @settings(max_examples=300, deadline=None)
+    @given(monotone_searches())
+    @example(([0.99, 0.98, 0.904, 0.984, 0.5], 0.9))  # passing values that rise, as equal-split F can
+    @example(([1.0] * 50 + [0.0] * 50, 0.5))
+    @example(([1.0] * 30 + [None] * 70, 0.999))
+    @example(([0.09992497928518063] * 3 + [0.09992497928518061] * 5, 0.09992497928518063))  # y alike at both ends
+    def test_matches_a_linear_scan(self, search):
+        values, threshold = search
+        n = len(values)
+        (m, f), probed = self.search(values, threshold)
+        passing = [k for k, v in enumerate(values, 1) if v is not None and v >= threshold]
+        assert (m, f) == ((passing[-1], values[passing[-1] - 1]) if passing else (0, 0.0))
+        assert (m, f) == self.search(values, threshold, plain_bisection)[0]
+        assert len(probed) == len(set(probed))
+        assert len(probed) <= 2 * (n.bit_length() + 1)  # n.bit_length() is ceil(log2(n + 1))
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.5, 0.9])
+    def test_fewer_steps_than_bisection_on_a_smooth_bound(self, threshold):
+        # -log F growing like exp(m/50): the chord meets the answer in a few
+        # steps where bisection takes log2(n)
+        values = [math.exp(-1e-6 * math.exp(m / 50)) for m in range(1, 1001)]
+        found, probed = self.search(values, threshold)
+        reference, bisected = self.search(values, threshold, plain_bisection)
+        assert found == reference and len(probed) < len(bisected)
+
+
 def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None):
     """The vertex-level bound computed vertex by vertex.
 
@@ -750,6 +863,30 @@ def evaluations(monkeypatch, fn):
     return calls, result
 
 
+def search_steps(monkeypatch, fn):
+    """The number of values every :func:`largest_m` in ``fn()`` reads (one per step), and its result."""
+    calls = 0
+
+    def counted(value, n, threshold):
+        def step(m):
+            nonlocal calls
+            calls += 1
+            return value(m)
+
+        return largest_m(step, n, threshold)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hashing, "largest_m", counted)
+        patch.setattr(schemes, "largest_m", counted)
+        result = fn()
+    return calls, result
+
+
+def run_threshold_presets():
+    for name in ("fig9m", "fig10m", "fig11m", "fig12m", "fig13m"):
+        run_experiment(parse_config(*load_config_source(name)))
+
+
 def groupings(monkeypatch, fn):
     """The number of times ``fn()`` groups classes (``_group_classes`` calls), and its result."""
     calls = 0
@@ -854,31 +991,36 @@ class TestPrunedSplitScan:
         return evaluations(monkeypatch, lambda: optimize_delta_split_classes(classes, n, m))[0]
 
     def test_whole_threshold_search(self, monkeypatch):
-        # eleven steps (one infeasible, eight settled at the equal split, two
-        # unsettled) and one full optimization at the answer take 70;
-        # running the full optimization at every step took 200
+        # four steps (m = 1 and the answer settled at the equal split, the
+        # bisection point m = 401 infeasible, the chord's m = 201 settled by
+        # the certificate and m = 199 unsettled) and one full optimization at
+        # the answer take 17; bisection's eleven steps took 23, and 200 when
+        # each ran the full optimization
         calls, res = evaluations(monkeypatch, fig11m_search)
         assert (res.m, res.n_used) == (198, 800)
-        assert calls <= 100
+        assert calls <= 20
 
     def test_threshold_presets_evaluation_count(self, monkeypatch):
-        # the bound evaluations over the full grids of fig9m-fig13m, 16 695 when
-        # the bound was set (22 005 before failing steps were settled at the
-        # grid's best); the count is deterministic, so a rise is a slower search
-        def run_presets():
-            for name in ("fig9m", "fig10m", "fig11m", "fig12m", "fig13m"):
-                run_experiment(parse_config(*load_config_source(name)))
+        # the bound evaluations over the full grids of fig9m-fig13m, 11 708 when
+        # the bound was set (16 695 when the search bisected, 22 005 before
+        # failing steps were settled at the grid's best); the count is
+        # deterministic, so a rise is a slower search
+        assert evaluations(monkeypatch, run_threshold_presets)[0] <= 11708
 
-        assert evaluations(monkeypatch, run_presets)[0] <= 16695
+    def test_threshold_presets_search_step_count(self, monkeypatch):
+        # the steps of every search, of class and of pair bounds, over the full
+        # grids of fig9m-fig13m: 3 990 when the bound was set, 6 888 when the
+        # search bisected; deterministic too
+        assert search_steps(monkeypatch, run_threshold_presets)[0] <= 3990
 
     def test_threshold_search_groups_its_classes_once(self, monkeypatch):
-        # one split bound serves the eleven steps and the run at the answer
+        # one split bound serves the four steps and the run at the answer
         calls, res = groupings(monkeypatch, fig11m_search)
         assert (res.m, calls) == (198, 1)
 
     def test_threshold_point_computes_each_distribution_once(self, monkeypatch):
         # fig13m's point at q = 0.98: the class bound's search and the pair
-        # bound's bisection (ten steps and more) read one cache of (S, a, V)
+        # bound's read one cache of (S, a, V)
         hashing._spread_and_variance.cache_clear()
         runs, (multi, bip) = constants_runs(monkeypatch, lambda: from_bell_run((64, 64), 0.98, 800, threshold=0.9))
         assert multi.m > 0 and bip.m > 0
@@ -1035,13 +1177,29 @@ class TestThresholdSteps:
     @example(*UNSETTLED)
     @example(*ANSWER_AT_EQUAL_SPLIT)
     def test_search_matches_plain_bisection(self, problem, extra):
-        # settling the steps early changes neither the m found nor its F
+        # neither settling the steps early nor stepping by chords changes the
+        # m found or its F
         classes, n, m = problem
         full = outcome(lambda: optimize_delta_split_classes(classes, n, m))
         f = 0.5 if full == "infeasible" else full[1]
         for t in thresholds_at(f, extra):
             found = max_output_copies_classes(classes, n, t)
-            assert found == largest_m(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, t)
+            assert found == plain_bisection(lambda m: optimize_delta_split_classes(classes, n, m)[1], n, t)
+
+    def test_repeated_probe_runs_one_step(self, monkeypatch):
+        # the search's memo: a value asked for twice runs its step once
+        search = hashing.largest_m
+
+        def twice(value, n, threshold):  # a search that reads each value twice
+            return search(lambda m: (value(m), value(m))[1], n, threshold)
+
+        steps = []
+        optimum = hashing._optimum
+        monkeypatch.setattr(hashing, "largest_m", twice)
+        monkeypatch.setattr(hashing, "_optimum", lambda bound, m, *t: steps.append((m, t)) or optimum(bound, m, *t))
+        assert max_output_copies_classes(FIG11M_CLASSES, 800, 0.9)[0] == 198
+        stepped = [m for m, t in steps if t]
+        assert len(stepped) == len(set(stepped)) == 5
 
     @pytest.mark.parametrize(
         "case, settled_by",
