@@ -46,15 +46,15 @@ from collections import Counter
 from operator import add, getitem, mod
 from typing import NamedTuple
 
-from .graphstate import MultinetError
+from .graphstate import MultinetError, check_dims, check_integer
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
 Shape = tuple[tuple[Site, ...], tuple[tuple[int, int], ...]]
 
 FAMILIES = ("bipartite", "windmill", "shifted-grid")
-# the caches are keyed by type too: b = True or 1.0 would otherwise read b = 1's entry, as both
-# equal 1 and hash alike, and skip the size check that a miss runs
+# the caches are keyed by type too: b = True or 1.0 (or dim = 2.0) would otherwise read b = 1's
+# (dim = 2's) entry, as they compare and hash alike, and skip the checks that a miss runs
 _cached = functools.lru_cache(maxsize=None, typed=True)
 
 
@@ -104,9 +104,8 @@ def _pinwheel_3d() -> list[Edge]:
 def block_edges(family: str, dim: int, b: int) -> list[Edge]:
     """Canonical block of the family at the origin, in unwrapped coordinates: one piece at the origin
     translated by every piece offset, edges unsorted (set order, alike in every process: ints hash alike)."""
-    if not (hasattr(b, "__index__") and not isinstance(b, bool) and b >= 1):  # an int, not a float
-        raise BlockError(f"block size must be an integer >= 1, got {b!r}")
-    if dim not in (2, 3):
+    b = check_integer(b, "block size", BlockError, 1)
+    if check_integer(dim, "dimensionality", BlockError) not in (2, 3):
         raise BlockError(f"dimensionality must be 2 or 3, got {dim}")
     if family == "bipartite":
         return [((0,) * dim, (1,) + (0,) * (dim - 1))]
@@ -183,16 +182,12 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
 def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
     if family not in FAMILIES:
         raise BlockError(f"unknown block family {family!r} (choose from {FAMILIES})")
-    if len(dims) not in (2, 3):
-        raise BlockError(f"lattice must be 2D or 3D, got {dims}")
-    if not (hasattr(b, "__index__") and not isinstance(b, bool) and b >= 1):
-        raise BlockError(f"block size must be an integer >= 1, got {b!r}")
+    dims = check_dims(dims, "lattice", BlockError)
+    b = check_integer(b, "block size", BlockError, 1)
     period = _period(family, len(dims), b)  # checked before the cell, of ~b^dim edges, is built
-    if any(not hasattr(d, "__index__") or d < 4 or d % p for d, p in zip(dims, period)):
-        raise BlockError(
-            f"{family} blocks of size {b} need integer extents, each a multiple of the period "
-            f"{period} and >= 4, got {dims}"
-        )
+    if any(d < 4 or d % p for d, p in zip(dims, period)):
+        raise BlockError(f"{family} blocks of size {b} need extents, each a multiple of the period {period} "
+                         f"and >= 4, got {dims}")
     if family == "shifted-grid" and len(dims) == 3 and len(set(dims)) != 1:
         raise BlockError("3D shifted-grid tiling is defined for cubic lattices")
     return unit_cell(family, len(dims), b)
@@ -253,5 +248,6 @@ def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]
 
 def per_copy_total(family: str, dims: tuple[int, ...], b: int = 1) -> int:
     """Total stored qubits per copy across the whole lattice: every cell's loads (:func:`site_costs`)."""
-    cells = math.prod(dims) // math.prod(_check_dims(family, dims, b).period)
+    cell = _check_dims(family, dims, b)
+    cells = math.prod(dims) // math.prod(cell.period)
     return cells * sum(cost * sites for cost, sites in site_costs(family, len(dims), b))

@@ -13,6 +13,9 @@ This module provides:
   local Z corrections.
 - ``color_graph``: the deterministic two-coloring of a bipartite graph, by
   BFS, as a plain vertex -> color dict.
+- ``check_integer``, ``check_real``, ``check_dims``: the library's one input
+  contract, a checker per parameter kind, each raising the caller's
+  :class:`MultinetError` subclass.
 
 All operations return new graphs and leave their inputs unchanged; the CLI
 evaluates sweep points one after another, not in parallel.
@@ -36,14 +39,37 @@ class ColoringError(GraphError):
     """Raised when a graph has no proper two-coloring."""
 
 
-def _integer(value, what: str = "vertex id") -> int:
-    """``value`` as an int (a numeral string is read); GraphError for a bool, or if int() fails or changes its value."""
-    try:
-        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise GraphError(f"{what} must be an integer, got {value!r}")
+def check_integer(value, name: str, error: type[MultinetError], least: int | None = None) -> int:
+    """``value`` as an int (an int or an object with ``__index__``, never a bool, float or str) that is
+    ``>= least``; otherwise raises ``error``, naming the parameter ``name``."""
+    n = value if type(value) is int else (
+        value.__index__() if hasattr(value, "__index__") and not isinstance(value, bool) else None)
+    if n is not None and (least is None or n >= least):
+        return n
+    raise error(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+
+
+def check_real(
+    value, name: str, error: type[MultinetError], low: float = 0.0, high: float = 1.0, closed: bool = True
+) -> float:
+    """``value`` as a float (a number with ``__float__``, never a bool or str) in [low, high], or in (low, high)
+    unless ``closed``; NaN lies in neither.  Otherwise raises ``error``, naming the parameter ``name``."""
+    x = value if type(value) is float else (
+        float(value) if hasattr(value, "__float__") and not isinstance(value, bool) else float("nan"))
+    if low <= x <= high if closed else low < x < high:
+        return x
+    ends = "[]" if closed else "()"
+    raise error(f"{name} must be in {ends[0]}{low:g},{high:g}{ends[1]}, got {value!r}")
+
+
+def check_dims(dims, name: str, error: type[MultinetError]) -> tuple[int, ...]:
+    """``dims`` as a tuple of 2 or 3 lattice extents, each an integer >= 1 (:func:`check_integer`)."""
+    if not isinstance(dims, (tuple, list)) or len(dims) not in (2, 3):
+        raise error(f"{name} dims must be 2D or 3D, got {dims!r}")
+    for d in dims:
+        if type(d) is not int or d < 1:
+            return tuple(check_integer(d, f"{name} extent", error, 1) for d in dims)
+    return tuple(dims)
 
 
 class Graph:
@@ -56,7 +82,7 @@ class Graph:
     Parameters
     ----------
     vertices : iterable of int
-        Vertex ids; one that int() would change in value (1.7, "a") raises GraphError.
+        Vertex ids, each an integer (:func:`check_integer`); 1.7, 2.0 or "2" raises GraphError.
     edges : iterable of (int, int)
         Undirected edges; self-loops are rejected.
     coords : mapping vertex -> tuple, optional
@@ -71,10 +97,11 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         coords: Mapping[int, tuple] | None = None,
     ):
-        adj: dict[int, set[int]] = {v if type(v) is int else _integer(v): set() for v in vertices}
+        adj: dict[int, set[int]] = {v if type(v) is int else check_integer(v, "vertex id", GraphError): set()
+                                    for v in vertices}
         for a, b in edges:
             if type(a) is not int or type(b) is not int:
-                a, b = _integer(a), _integer(b)
+                a, b = check_integer(a, "vertex id", GraphError), check_integer(b, "vertex id", GraphError)
             if a == b:
                 raise GraphError(f"self-edge at vertex {a}")
             if a not in adj or b not in adj:
@@ -125,6 +152,8 @@ class Graph:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def _require(self, v: int) -> None:
+        if type(v) is not int:  # 2.0 and True would find vertices 2 and 1
+            check_integer(v, "vertex id", GraphError)
         if v not in self._adj:
             raise GraphError(f"vertex {v} not in graph")
 
@@ -156,9 +185,6 @@ def _lattice(dims: tuple[int, ...], periodic: bool) -> Graph:
     it sits at the axis's end; a periodic axis with d > 2 also joins its two
     ends (with d = 2 that edge exists already, and d = 1 has none).
     """
-    for d in dims:
-        if d < 1:
-            raise GraphError(f"lattice dimension must be >= 1, got {d}")
     sites = list(itertools.product(*(range(d) for d in dims)))
     edges = []
     stride = 1
@@ -187,17 +213,14 @@ def build_graph(kind: str, **params) -> Graph:
     Lattice vertices carry coordinate labels in ``coords``.
     """
     if kind == "ghz-star":
-        s = _integer(params["s"], "star size")
-        if s < 1:
-            raise GraphError("star size must be >= 1")
+        s = check_integer(params["s"], "star size", GraphError, 1)
         return Graph(range(s), [(0, i) for i in range(1, s)])
     if kind == "line":
-        n = _integer(params["n"], "line length")
-        if n < 1:
-            raise GraphError("line length must be >= 1")
+        n = check_integer(params["n"], "line length", GraphError, 1)
         return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
     if kind in ("lattice2d", "lattice3d"):
-        dims = tuple(_integer(params[k], "lattice dimension") for k in ("wh" if kind == "lattice2d" else "whd"))
+        keys = "wh" if kind == "lattice2d" else "whd"
+        dims = tuple(check_integer(params[k], "lattice dimension", GraphError, 1) for k in keys)
         periodic = params.get("periodic", False)
         if not isinstance(periodic, bool):  # bool("false") is True
             raise GraphError(f"periodic must be True or False, got {periodic!r}")

@@ -84,7 +84,7 @@ import functools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .graphstate import Graph, MultinetError
+from .graphstate import Graph, MultinetError, check_integer, check_real
 from .noise import BitMarginal
 
 SPLIT_GRID_STEPS = 200
@@ -144,11 +144,9 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float) -> float:
     (S = 0, so a = V = 0) have no concentration failure mode and contribute
     only the identification term.
     """
-    _check_counts(n)
-    if n < 1:
+    if check_integer(n, "n", MultinetError) < 1:
         raise InfeasibleTargetError(f"need at least one input copy, got n={n}")
-    if delta <= 0.0:
-        raise InfeasibleTargetError(f"slack must be positive, got delta={delta}")
+    delta = check_real(delta, "slack delta", InfeasibleTargetError, 0.0, math.inf, closed=False)
     return _loss(*_spread_and_variance(tuple(probs)), n, delta)
 
 
@@ -188,16 +186,13 @@ class HashingRun(NamedTuple):
 
 
 def _check_target(n: int, m: int) -> None:
+    """Raise :class:`InfeasibleTargetError` unless 1 <= m <= n, after plain :class:`MultinetError`,
+    which no search reads as falling short, unless n and m are integers."""
+    if type(n) is not int or type(m) is not int:  # a bool is an int, but not of type int
+        check_integer(n, "n", MultinetError)
+        check_integer(m, "m", MultinetError)
     if not 1 <= m <= n:
         raise InfeasibleTargetError(f"need 1 <= m <= n, got n={n} m={m}")
-
-
-def _check_counts(n: int, m: int = 1) -> None:
-    """Raise :class:`MultinetError`, which no search reads as falling short, unless n and m are ints."""
-    if type(n) is not int or type(m) is not int:  # a bool is an int, but not of type int
-        for name, value in (("n", n), ("m", m)):
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise MultinetError(f"{name} must be an integer, got {value!r}")
 
 
 def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
@@ -207,7 +202,6 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     :class:`InfeasibleTargetError` when the entropy already exceeds the
     requested yield.
     """
-    _check_counts(n, m)
     _check_target(n, m)
     s, a, v = _spread_and_variance(tuple(probs))
     delta = 0.5 * (1.0 - s - m / n)
@@ -255,8 +249,8 @@ def _group_classes(classes: Iterable[MarginalClass]):
     """
     by_color: dict[int, list[MarginalClass]] = {}
     for c in classes:
-        if type(c.count) is not int and (isinstance(c.count, bool) or not hasattr(c.count, "__index__")) or c.count < 0:
-            raise DistributionError(f"class count must be a nonnegative integer, got {c.count!r}")
+        if type(c.count) is not int or c.count < 0:
+            check_integer(c.count, "class count", DistributionError, 0)
         if c.count:
             by_color.setdefault(c.color, []).append(c)
     s_color = {col: max(c.entropy for c in cls) for col, cls in by_color.items()}
@@ -334,7 +328,6 @@ def multipartite_bound_classes(
     natural unit here, so lattice-scale products cost one Bennett evaluation
     per class rather than per vertex.
     """
-    _check_counts(n, m)
     _check_target(n, m)  # before the classes are validated, unlike the optimizer
     return _at_split(_SplitBound(classes, n), m, delta_split)
 
@@ -406,7 +399,6 @@ def multipartite_bound(
     inactive color, or of zero entropy, needs no identification: its
     vertices get slack 0 and success 1.
     """
-    _check_counts(n, m)
     classes, key_by_vertex = vertex_classes(g, coloring, marginals)
     _check_target(n, m)
     bound = _SplitBound(classes, n)
@@ -532,7 +524,6 @@ def optimize_delta_split_classes(
        found, or, to the right, ties it, as a later tie never wins.
     4. The strict-improvement rule is replayed over the walked candidates.
     """
-    _check_counts(n, m)
     bound = _SplitBound(classes, n)
     split, f = _optimum(bound, m)
     return dict(zip(bound.colors, split)), f
@@ -571,7 +562,7 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
 
     Assumes ``value(m) >= threshold`` never turns from false to true as m
     grows; an infeasible target counts as falling short.  (0, 0.0) if even
-    m = 1 falls short.  Every probe lies in bisection's bracket (lo passes,
+    m = 1 falls short, or unprobed if n < 1.  Every probe lies in bisection's bracket (lo passes,
     hi + 1 fails), so no m is probed twice and the answer is bisection's.
     A probe is m + 1 after a chord probe passed at m, else a chord probe:
     where the chord on y = log(-log value) between the bracket's ends meets
@@ -580,9 +571,9 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
     lost less than a bit per two probes, one spare: so at most
     2*(bit_length(n - 1) + 1) probes.
     """
-    if not 0.0 < threshold < 1.0:
-        raise MultinetError(f"threshold must be in (0,1), got {threshold}")
-    _check_counts(n)
+    threshold = check_real(threshold, "threshold", MultinetError, closed=False)
+    if check_integer(n, "n", MultinetError) < 1:
+        return 0, 0.0
 
     def value_or_short(m: int) -> float:
         try:

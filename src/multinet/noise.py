@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphstate import Graph, MultinetError
+from .graphstate import Graph, MultinetError, check_integer, check_real
 
 _PROB_SUM_TOL = 1e-12
 _DRIFT_TOL = 1e-9
@@ -35,9 +35,8 @@ class PauliChannel(NamedTuple("PauliChannel", [("p_i", float), ("p_x", float), (
     __slots__ = ()
 
     def __new__(cls, p_i: float, p_x: float, p_y: float, p_z: float):
-        probs = (p_i, p_x, p_y, p_z)
-        if any(p < -_PROB_SUM_TOL or p > 1 + _PROB_SUM_TOL for p in probs):
-            raise ChannelError(f"channel probabilities out of [0,1]: {probs}")
+        probs = [check_real(p, "channel probability", ChannelError, -_PROB_SUM_TOL, 1 + _PROB_SUM_TOL)
+                 for p in (p_i, p_x, p_y, p_z)]
         if abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
             raise ChannelError(f"channel probabilities sum to {sum(probs)}, not 1")
         return super().__new__(cls, *probs)
@@ -45,19 +44,20 @@ class PauliChannel(NamedTuple("PauliChannel", [("p_i", float), ("p_x", float), (
     @classmethod
     def depolarizing(cls, q: float) -> "PauliChannel":
         """Local depolarizing noise with strength parameter q (q=1 noiseless)."""
-        if not 0.0 <= q <= 1.0:
-            raise ChannelError(f"depolarizing parameter must be in [0,1], got {q}")
+        q = check_real(q, "depolarizing parameter", ChannelError)
         e = (1.0 - q) / 4.0
         return cls(q + e, e, e, e)
 
     @classmethod
     def phase_flip(cls, p_z: float) -> "PauliChannel":
         """Pure Z noise applying a phase flip with probability p_z."""
+        p_z = check_real(p_z, "phase flip probability", ChannelError)
         return cls(1.0 - p_z, 0.0, 0.0, p_z)
 
     @classmethod
     def biased(cls, p_x: float, p_z: float) -> "PauliChannel":
         """Asymmetric channel with independent X and Z weights and no Y."""
+        p_x, p_z = check_real(p_x, "X weight", ChannelError), check_real(p_z, "Z weight", ChannelError)
         return cls(1.0 - p_x - p_z, p_x, 0.0, p_z)
 
 
@@ -67,9 +67,7 @@ class EdgeZChannel(NamedTuple("EdgeZChannel", [("q", float)])):
     __slots__ = ()
 
     def __new__(cls, q: float):
-        if not 0.0 <= q <= 1.0:
-            raise ChannelError(f"edge channel parameter must be in [0,1], got {q}")
-        return super().__new__(cls, q)
+        return super().__new__(cls, check_real(q, "edge channel parameter", ChannelError))
 
 
 class FlipSource(NamedTuple("FlipSource", [("flip_prob", dict[int, float])])):
@@ -79,8 +77,7 @@ class FlipSource(NamedTuple("FlipSource", [("flip_prob", dict[int, float])])):
 
     def __new__(cls, flip_prob: dict[int, float]):
         for v, p in flip_prob.items():
-            if not 0.0 <= p <= 1.0:
-                raise ChannelError(f"flip probability {p} at vertex {v} out of [0,1]")
+            check_real(p, f"flip probability at vertex {v}", ChannelError)
         return super().__new__(cls, flip_prob)
 
 
@@ -90,6 +87,8 @@ class BitMarginal(NamedTuple("BitMarginal", [("vertex", int), ("lambda0", float)
     __slots__ = ()
 
     def __new__(cls, vertex: int, lambda0: float, lambda1: float):
+        vertex = check_integer(vertex, "vertex id", ChannelError)
+        lambda0, lambda1 = check_real(lambda0, "lambda0", ChannelError), check_real(lambda1, "lambda1", ChannelError)
         if not abs(lambda0 + lambda1 - 1.0) <= _PROB_SUM_TOL:
             raise ChannelError(f"marginal at vertex {vertex} sums to {lambda0 + lambda1}, not 1")
         return super().__new__(cls, vertex, lambda0, lambda1)
@@ -119,7 +118,7 @@ def edge_channel_to_flip_source(edge: tuple[int, int], q: float) -> FlipSource:
     so marginally with probability 2(1-q)/3.  The Z_a Z_b correlation is
     dropped (see the module note).
     """
-    a, b = edge
+    a, b = (check_integer(v, "vertex id", ChannelError) for v in edge)
     if a == b:
         raise ChannelError("edge channel needs two distinct vertices")
     p = 2.0 * (1.0 - EdgeZChannel(q).q) / 3.0
@@ -164,17 +163,15 @@ def uniform_depolarizing_marginal(q: float, degree: int) -> tuple[float, float]:
     The vertex's bit is hit by its own channel and one channel per neighbor,
     each contributing factor q to the XOR product: lambda1 = (1 - q^(d+1))/2.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ChannelError(f"depolarizing parameter must be in [0,1], got {q}")
-    p1 = (1.0 - q ** (degree + 1)) / 2.0
+    q = check_real(q, "depolarizing parameter", ChannelError)
+    p1 = (1.0 - q ** (check_integer(degree, "degree", ChannelError, 0) + 1)) / 2.0
     return (1.0 - p1, p1)
 
 
 def uniform_edge_channel_marginal(q: float, degree: int) -> tuple[float, float]:
     """Closed-form marginal of a degree-d vertex with the edge channel on every edge."""
-    if not 0.0 <= q <= 1.0:
-        raise ChannelError(f"edge channel parameter must be in [0,1], got {q}")
-    p1 = (1.0 - (1.0 - 4.0 * (1.0 - q) / 3.0) ** degree) / 2.0
+    q = check_real(q, "edge channel parameter", ChannelError)
+    p1 = (1.0 - (1.0 - 4.0 * (1.0 - q) / 3.0) ** check_integer(degree, "degree", ChannelError, 0)) / 2.0
     return (1.0 - p1, p1)
 
 
@@ -217,8 +214,7 @@ def output_noise_factor(g: Graph, qubits: list[int], p: float) -> float:
     prod (1+3p)/4 over the listed qubits.  The argument needs every listed
     qubit to have at least one neighbor; isolated vertices are rejected.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ChannelError(f"output noise parameter must be in [0,1], got {p}")
+    p = check_real(p, "output noise parameter", ChannelError)
     for v in qubits:
         if g.degree(v) == 0:
             raise ChannelError(

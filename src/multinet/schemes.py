@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import blocks
-from .graphstate import Graph, MultinetError, build_graph, color_graph
+from .graphstate import Graph, MultinetError, build_graph, check_dims, check_integer, check_real, color_graph
 from .hashing import (
     InfeasibleTargetError,
     MarginalClass,
@@ -69,11 +69,6 @@ class SchemeError(MultinetError):
     """Unknown scheme / family or inconsistent scenario parameters."""
 
 
-def _check_count(name: str, value) -> None:
-    if not (hasattr(value, "__index__") and not isinstance(value, bool) and value >= 1):  # an int, not a float
-        raise SchemeError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 class StorageModel(NamedTuple("StorageModel", [("mode", str), ("capacity", int)])):
     """Memory constraint: per-node capacity, or a global freely assignable pool."""
 
@@ -82,8 +77,7 @@ class StorageModel(NamedTuple("StorageModel", [("mode", str), ("capacity", int)]
     def __new__(cls, mode: str, capacity: int):
         if mode not in STORAGE_MODES:
             raise SchemeError(f"storage mode must be one of {STORAGE_MODES}, got {mode!r}")
-        _check_count("storage capacity", capacity)
-        return super().__new__(cls, mode, capacity)
+        return super().__new__(cls, mode, check_integer(capacity, "storage capacity", SchemeError, 1))
 
 
 class Architecture(NamedTuple("Architecture", [("family", str), ("dims", tuple[int, ...]), ("block_size", int)])):
@@ -94,10 +88,8 @@ class Architecture(NamedTuple("Architecture", [("family", str), ("dims", tuple[i
     def __new__(cls, family: str, dims: tuple[int, ...], block_size: int = 1):
         if family not in blocks.FAMILIES:
             raise SchemeError(f"unknown architecture family {family!r}")
-        if len(dims) not in (2, 3):
-            raise SchemeError(f"architecture dims must be 2D or 3D, got {dims}")
-        _check_count("block size", block_size)
-        return super().__new__(cls, family, dims, block_size)
+        dims = check_dims(dims, "architecture", SchemeError)
+        return super().__new__(cls, family, dims, check_integer(block_size, "block size", SchemeError, 1))
 
     @property
     def dimensionality(self) -> int:
@@ -142,8 +134,7 @@ def _point(
         else:
             best, fid = largest_m(bound, n, threshold)
         return SchemeResult(label, fid, best, n) if n >= 1 else SchemeResult.infeasible_point(label, n_used=n)
-    _check_count("m", m)
-    if n < m:
+    if n < check_integer(m, "m", SchemeError, 1):
         return SchemeResult.infeasible_point(label, n_used=n)
     try:
         fid = multipartite_bound_classes(bound, n, m)[0] if isinstance(bound, list) else bound(m)
@@ -167,7 +158,7 @@ def allocate_global_storage(arch: Architecture, total_capacity: int) -> int:
     is total capacity divided by the summed per-copy cost of the lattice.
     """
     per_copy = blocks.per_copy_total(arch.family, arch.dims, arch.block_size)
-    if total_capacity < per_copy:
+    if check_integer(total_capacity, "total capacity", SchemeError) < per_copy:
         raise SchemeError(
             f"total capacity {total_capacity} is below the {per_copy} qubits one copy needs"
         )
@@ -181,8 +172,8 @@ def _ghz_channels(channel: str, q: float, p: float, q_params: dict | None):
     """Per-qubit channel lists for the star (index 0 = center) and for one
     Bell pair (index 0 = kept half, 1 = traveling half); the lists are shared,
     so they are never mutated."""
-    if not (0.0 <= q <= 1.0 and 0.0 <= p <= 1.0):  # p = 1 adds no channel, so check it here
-        raise ChannelError(f"channel parameter q and resource parameter p must be in [0,1], got q={q}, p={p}")
+    # p = 1 adds no channel, so check it here
+    q, p = check_real(q, "channel parameter q", ChannelError), check_real(p, "resource parameter p", ChannelError)
     params = q_params or {}
     resource = [] if p >= 1.0 else [PauliChannel.depolarizing(p)]
     if channel == "ldn":
@@ -252,7 +243,7 @@ def ghz_scheme_fidelity(
     """
     if scheme not in GHZ_PER_COPY:
         raise SchemeError(f"scheme must be one of {tuple(GHZ_PER_COPY)}, got {scheme!r}")
-    _check_count("storage capacity", capacity)
+    capacity = check_integer(capacity, "storage capacity", SchemeError, 1)
     star, pair = _ghz_channels(channel, q, p, channel_params)
     n = capacity // GHZ_PER_COPY[scheme]
     return _point(scheme, n, lambda m: _ghz_bound(scheme, n, m, star, pair, p), m=m)
@@ -273,11 +264,11 @@ def triangular_repeater(
     of the distance: 3^k for the multipartite scheme, 2^(k+1) for the
     pair-based ones.
     """
-    if not 0 <= levels <= MAX_LEVELS:
+    if check_integer(levels, "levels", SchemeError, 0) > MAX_LEVELS:
         raise SchemeError(f"levels must be in [0, {MAX_LEVELS}], got {levels}")
     if scheme not in TRIANGULAR_PER_COPY:
         raise SchemeError(f"scheme must be one of {tuple(TRIANGULAR_PER_COPY)}, got {scheme!r}")
-    _check_count("storage capacity", capacity)
+    capacity = check_integer(capacity, "storage capacity", SchemeError, 1)
     star, pair = _ghz_channels("ldn", q, p, None)
     n = capacity // TRIANGULAR_PER_COPY[scheme]
     exponent = 3**levels if scheme == "A" else 2 ** (levels + 1)
@@ -362,9 +353,9 @@ def from_bell_run(
     noiselessly at the end.  Exactly one of ``m`` or ``threshold`` must be
     given, as in :func:`cluster_architecture_run`.
     """
-    _check_count("storage capacity", capacity)
-    dim = len(dims)
+    capacity = check_integer(capacity, "storage capacity", SchemeError, 1)
     edge_count = blocks.blocks_count("bipartite", dims)
+    dim = len(dims)
     sites = edge_count // dim
 
     _, lam1 = uniform_edge_channel_marginal(q, 2 * dim)
@@ -407,11 +398,11 @@ def validate_cover(
     first one placed on its site, sorted by site coordinate, then qubit.
     Blocks may share a graph, as in :func:`family_cover`: it is read once per
     call, safe because graphs are never mutated in place.  Raises :class:`SchemeError`
-    if the target or a vertex of it has no coordinates, two target vertices
+    if the target is not a :class:`Graph`, if it or a vertex of it has no coordinates, two target vertices
     share one, or a block vertex has no placement.
     """
-    if target.coords is None:
-        raise SchemeError("target graph carries no coordinates")
+    if not isinstance(target, Graph) or target.coords is None:
+        raise SchemeError(f"target {target!r} is not a Graph or carries no coordinates")
     coords, vertices = target.coords, target.vertices()
     number = dict(zip(map(coords.get, vertices), vertices))
     if None in number:

@@ -232,26 +232,32 @@ class TestCovers:
         lambda: degree_color_classes("windmill", 2, "2"),
         lambda: blocks_count("windmill", (8, 8), True),
         lambda: block_edges("windmill", 2, True),
+        lambda: block_edges("windmill", 2.0, 1),
+        lambda: unit_cell("windmill", True, 1),
+        lambda: site_costs("windmill", "2", 1),
+        lambda: degree_color_classes("windmill", 2.0, 1),
     ], ids=["count-extent", "lift-size", "cover-extents", "count-size", "total-extent", "block-size",
-            "cell-size", "classes-size", "count-bool-size", "bool-block-size"])
+            "cell-size", "classes-size", "count-bool-size", "bool-block-size", "block-dim", "cell-bool-dim",
+            "costs-string-dim", "classes-dim"])
     def test_non_integer_sizes_and_extents_rejected(self, call):
         # 8.0 made blocks_count return 16.0 and lift raise TypeError; b = 1.5 gave a period (3.0, 3.0);
-        # b = True, an int subclass, made blocks_count return 16
+        # b = True, an int subclass, made blocks_count return 16; dim = 2.0 passed `dim in (2, 3)` and
+        # raised TypeError
         with pytest.raises(BlockError, match="integer"):
             call()
 
-    @pytest.mark.parametrize("b", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("dim, b", [(2, True), (2, 1.0), (2.0, 1)], ids=["bool", "float", "float-dim"])
     @pytest.mark.parametrize("cached", [unit_cell, site_costs, degree_color_classes], ids=lambda f: f.__name__)
-    def test_size_equal_to_one_rejected_in_either_order(self, cached, b):
-        # True and 1.0 equal 1 and hash alike: once b = 1 was cached, a cache
-        # keyed by value alone returned b = 1's entry for them, though they
-        # raised before
+    def test_size_equal_to_one_rejected_in_either_order(self, cached, dim, b):
+        # True and 1.0 equal 1 and hash alike, as 2.0 and 2 do: once (2, 1) was
+        # cached, a cache keyed by value alone returned its entry for them,
+        # though they raised before (dim = 2.0 with a TypeError, not a BlockError)
         cached.cache_clear()
         with pytest.raises(BlockError, match="integer"):
-            cached("shifted-grid", 2, b)
+            cached("shifted-grid", dim, b)
         cached("shifted-grid", 2, 1)
         with pytest.raises(BlockError, match="integer"):
-            cached("shifted-grid", 2, b)
+            cached("shifted-grid", dim, b)
 
     def test_incompatible_dims(self):
         with pytest.raises(BlockError):

@@ -1,0 +1,203 @@
+"""The library's input contract, walked from one table.
+
+Every parameter of a checked kind has one checker in ``graphstate``
+(``check_integer``, ``check_real``, ``check_dims``).  The table names each
+public entry point's parameters of those kinds: ``__all__``, the module
+functions the CLI and the benchmark call, and the storage, search, loss and
+marginal helpers.  Each is called with every malformed value below in that
+one parameter.  The call must return only where the kind admits the value,
+and otherwise raise a ``MultinetError``: never a ``TypeError`` or an
+``AttributeError``, and never a row or a record built from the bad value.
+A value the kind admits may still raise a ``MultinetError`` for a reason
+of its own, such as an extent below the period or an infeasible target.
+"""
+
+import math
+
+import pytest
+
+import multinet
+from multinet import (
+    Architecture,
+    BitMarginal,
+    EdgeZChannel,
+    FlipSource,
+    Graph,
+    MultinetError,
+    PauliChannel,
+    StorageModel,
+    allocate_global_storage,
+    bennett_success,
+    bipartite_bound,
+    bit_marginals,
+    build_graph,
+    channel_to_flip_source,
+    cluster_architecture_run,
+    color_graph,
+    connect_project,
+    edge_channel_to_flip_source,
+    from_bell_run,
+    ghz_scheme_fidelity,
+    local_complement,
+    merge_vertices,
+    multipartite_bound,
+    output_noise_factor,
+    triangular_repeater,
+    validate_cover,
+)
+from multinet.blocks import blocks_count, degree_color_classes, per_copy_total, site_costs, unit_cell
+from multinet.hashing import bennett_loss, largest_m
+from multinet.noise import uniform_depolarizing_marginal, uniform_edge_channel_marginal
+from multinet.schemes import family_cover
+
+VALUES = [True, 2.0, 2.5, "2", None, math.nan, math.inf, -1, 0]
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# which of VALUES each kind admits
+ADMITS = {
+    "integer": _integer,  # vertex ids, and n and m, whose range is the target's to check
+    "count": lambda v: _integer(v) and v >= 1,
+    "count0": lambda v: _integer(v) and v >= 0,
+    "probability": lambda v: _real(v) and 0 <= v <= 1,
+    "threshold": lambda v: _real(v) and 0 < v < 1,
+    "slack": lambda v: _real(v) and 0 < v < math.inf,
+    "dims": lambda v: False,  # a tuple of 2 or 3 extents; none of VALUES is one
+    "extent": lambda v: _integer(v) and v >= 1,  # put in place of the first extent
+    "graph": lambda v: False,
+}
+
+STAR = build_graph("ghz-star", s=3)
+LINE = build_graph("line", n=4)
+PAIR = (0.97, 0.01, 0.01, 0.01)
+MARGINALS = [BitMarginal(v, 0.99, 0.01) for v in range(3)]
+COLORING = color_graph(STAR)
+WINDMILL = Architecture("windmill", (8, 8))
+PER_NODE = StorageModel("per-node", 40)
+COVER = family_cover("windmill", (8, 8))
+LDN = PauliChannel.depolarizing(0.9)
+
+
+# (entry point, parameter, kind, the call with the value in that parameter)
+TABLE = [
+    ("Graph", "vertices", "integer", lambda v: Graph([v])),
+    ("Graph", "edges", "integer", lambda v: Graph([-1, 0, 1], [(1, v)])),
+    ("build_graph", "s", "count", lambda v: build_graph("ghz-star", s=v)),
+    ("build_graph", "n", "count", lambda v: build_graph("line", n=v)),
+    ("build_graph", "w", "count", lambda v: build_graph("lattice2d", w=v, h=3)),
+    ("build_graph", "d", "count", lambda v: build_graph("lattice3d", w=2, h=2, d=v, periodic=True)),
+    ("local_complement", "v", "integer", lambda v: local_complement(LINE, v)),
+    ("merge_vertices", "a", "integer", lambda v: merge_vertices(LINE, v, 3)),
+    ("merge_vertices", "b", "integer", lambda v: merge_vertices(LINE, 3, v)),
+    ("connect_project", "a", "integer", lambda v: connect_project(LINE, v, 3)),
+    ("connect_project", "b", "integer", lambda v: connect_project(LINE, 3, v)),
+    ("PauliChannel", "p_i", "probability", lambda v: PauliChannel(v, 0.0, 0.0, 1.0)),
+    ("PauliChannel", "p_z", "probability", lambda v: PauliChannel(1.0, 0.0, 0.0, v)),
+    ("PauliChannel.depolarizing", "q", "probability", PauliChannel.depolarizing),
+    ("PauliChannel.phase_flip", "p_z", "probability", PauliChannel.phase_flip),
+    ("PauliChannel.biased", "p_x", "probability", lambda v: PauliChannel.biased(v, 0.01)),
+    ("PauliChannel.biased", "p_z", "probability", lambda v: PauliChannel.biased(0.01, v)),
+    ("EdgeZChannel", "q", "probability", EdgeZChannel),
+    ("FlipSource", "flip_prob", "probability", lambda v: FlipSource({0: v})),
+    ("BitMarginal", "vertex", "integer", lambda v: BitMarginal(v, 0.5, 0.5)),
+    ("BitMarginal", "lambda0", "probability", lambda v: BitMarginal(0, v, 1.0)),
+    ("BitMarginal", "lambda1", "probability", lambda v: BitMarginal(0, 1.0, v)),
+    ("bit_marginals", "sources", "integer", lambda v: bit_marginals(STAR, [FlipSource({v: 0.1})])),
+    ("channel_to_flip_source", "v", "integer", lambda v: channel_to_flip_source(STAR, v, LDN)),
+    ("edge_channel_to_flip_source", "edge", "integer", lambda v: edge_channel_to_flip_source((3, v), 0.9)),
+    ("edge_channel_to_flip_source", "q", "probability", lambda v: edge_channel_to_flip_source((0, 1), v)),
+    ("output_noise_factor", "qubits", "integer", lambda v: output_noise_factor(STAR, [v], 0.9)),
+    ("output_noise_factor", "p", "probability", lambda v: output_noise_factor(STAR, [0, 1], v)),
+    ("uniform_depolarizing_marginal", "q", "probability", lambda v: uniform_depolarizing_marginal(v, 4)),
+    ("uniform_depolarizing_marginal", "degree", "count0", lambda v: uniform_depolarizing_marginal(0.9, v)),
+    ("uniform_edge_channel_marginal", "q", "probability", lambda v: uniform_edge_channel_marginal(v, 4)),
+    ("uniform_edge_channel_marginal", "degree", "count0", lambda v: uniform_edge_channel_marginal(0.9, v)),
+    ("bennett_loss", "n", "integer", lambda v: bennett_loss((0.9, 0.1), v, 0.1)),
+    ("bennett_loss", "delta", "slack", lambda v: bennett_loss((0.9, 0.1), 100, v)),
+    ("bennett_success", "n", "integer", lambda v: bennett_success((0.9, 0.1), v, 0.1)),
+    ("bennett_success", "delta", "slack", lambda v: bennett_success((0.9, 0.1), 100, v)),
+    ("bipartite_bound", "n", "integer", lambda v: bipartite_bound(PAIR, v, 1)),
+    ("bipartite_bound", "m", "integer", lambda v: bipartite_bound(PAIR, 100, v)),
+    ("multipartite_bound", "n", "integer", lambda v: multipartite_bound(STAR, COLORING, MARGINALS, v, 1)),
+    ("multipartite_bound", "m", "integer", lambda v: multipartite_bound(STAR, COLORING, MARGINALS, 100, v)),
+    ("largest_m", "n", "integer", lambda v: largest_m(lambda m: 0.95, v, 0.9)),
+    ("largest_m", "threshold", "threshold", lambda v: largest_m(lambda m: 0.95, 10, v)),
+    ("StorageModel", "capacity", "count", lambda v: StorageModel("global", v)),
+    ("Architecture", "dims", "dims", lambda v: Architecture("windmill", v)),
+    ("Architecture", "dims", "extent", lambda v: Architecture("windmill", (v, 8))),
+    ("Architecture", "block_size", "count", lambda v: Architecture("windmill", (8, 8), v)),
+    ("allocate_global_storage", "total_capacity", "integer", lambda v: allocate_global_storage(WINDMILL, v)),
+    ("cluster_architecture_run", "q", "probability", lambda v: cluster_architecture_run(WINDMILL, PER_NODE, v, 1)),
+    ("cluster_architecture_run", "m", "count", lambda v: cluster_architecture_run(WINDMILL, PER_NODE, 0.9, v)),
+    ("cluster_architecture_run", "threshold", "threshold",
+     lambda v: cluster_architecture_run(WINDMILL, PER_NODE, 0.9, threshold=v)),
+    ("from_bell_run", "dims", "dims", lambda v: from_bell_run(v, 0.9, 40, 1)),
+    ("from_bell_run", "dims", "extent", lambda v: from_bell_run((v, 8), 0.9, 40, 1)),
+    ("from_bell_run", "q", "probability", lambda v: from_bell_run((8, 8), v, 40, 1)),
+    ("from_bell_run", "capacity", "count", lambda v: from_bell_run((8, 8), 0.9, v, 1)),
+    ("from_bell_run", "m", "count", lambda v: from_bell_run((8, 8), 0.9, 40, v)),
+    ("from_bell_run", "threshold", "threshold", lambda v: from_bell_run((8, 8), 0.9, 40, threshold=v)),
+    ("ghz_scheme_fidelity", "capacity", "count", lambda v: ghz_scheme_fidelity("A", v, 0.9, channel="ldn")),
+    ("ghz_scheme_fidelity", "q", "probability", lambda v: ghz_scheme_fidelity("A", 40, v, channel="ldn")),
+    ("ghz_scheme_fidelity", "p", "probability", lambda v: ghz_scheme_fidelity("B", 40, 0.9, v, channel="ldn")),
+    ("ghz_scheme_fidelity", "m", "count", lambda v: ghz_scheme_fidelity("C", 40, 0.9, m=v, channel="ldn")),
+    ("ghz_scheme_fidelity", "channel_params", "probability",
+     lambda v: ghz_scheme_fidelity("A", 40, 0.9, channel="biased", channel_params={"px": v, "pz": 0.01})),
+    ("triangular_repeater", "levels", "count0", lambda v: triangular_repeater(v, 40, 0.9)),
+    ("triangular_repeater", "capacity", "count", lambda v: triangular_repeater(1, v, 0.9)),
+    ("triangular_repeater", "q", "probability", lambda v: triangular_repeater(1, 40, v)),
+    ("triangular_repeater", "p", "probability", lambda v: triangular_repeater(1, 40, 0.9, v)),
+    ("validate_cover", "target", "graph", lambda v: validate_cover(COVER, v)),
+    ("family_cover", "dims", "dims", lambda v: family_cover("windmill", v)),
+    ("family_cover", "dims", "extent", lambda v: family_cover("windmill", (v, 8))),
+    ("family_cover", "b", "count", lambda v: family_cover("windmill", (8, 8), v)),
+    ("blocks_count", "dims", "dims", lambda v: blocks_count("windmill", v)),
+    ("blocks_count", "dims", "extent", lambda v: blocks_count("windmill", (v, 8))),
+    ("blocks_count", "b", "count", lambda v: blocks_count("windmill", (8, 8), v)),
+    ("per_copy_total", "dims", "dims", lambda v: per_copy_total("windmill", v)),
+    ("per_copy_total", "dims", "extent", lambda v: per_copy_total("windmill", (v, 8))),
+    ("per_copy_total", "b", "count", lambda v: per_copy_total("windmill", (8, 8), v)),
+    *(
+        (f.__name__, param, kind, call)
+        for f in (unit_cell, site_costs, degree_color_classes)
+        for param, kind, call in (
+            ("dim", "integer", lambda v, f=f: f("windmill", v, 1)),
+            ("b", "count", lambda v, f=f: f("windmill", 2, v)),
+        )
+    ),
+]
+
+# public names with no parameter of a checked kind: graph rules on the graph alone, distributions, records
+UNCHECKED = {"color_graph", "entropy", "storage_per_node", "HashingRun", "SchemeResult"}
+# entry points beyond __all__: what the CLI and the benchmark call, and the helpers they rest on
+BEYOND_ALL = {
+    "family_cover", "blocks_count", "unit_cell", "site_costs", "degree_color_classes", "per_copy_total",
+    "largest_m", "bennett_loss", "uniform_depolarizing_marginal", "uniform_edge_channel_marginal",
+}
+
+
+def test_table_names_every_entry_point():
+    entries = {entry.split(".")[0] for entry, *_ in TABLE}
+    public = {name for name in multinet.__all__ if not name.endswith("Error")}
+    assert entries == public - UNCHECKED | BEYOND_ALL
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize(
+    "entry, parameter, kind, call",
+    TABLE,
+    ids=[f"{entry}-{parameter}-{kind}" for entry, parameter, kind, _ in TABLE],
+)
+def test_malformed_value_raises_a_library_error(entry, parameter, kind, call, value):
+    try:
+        call(value)
+    except MultinetError:
+        return
+    assert ADMITS[kind](value), f"{entry} accepted {parameter} = {value!r}, which no {kind} is"

@@ -111,7 +111,7 @@ def test_class_count_must_be_a_nonnegative_integer(count):
         lambda: optimize_delta_split_classes(classes, 800, 100),
         lambda: max_output_copies_classes(classes, 800, 0.9),
     ):
-        with pytest.raises(DistributionError, match="must be a nonnegative integer, got"):
+        with pytest.raises(DistributionError, match="class count must be an integer >= 0, got"):
             call()
 
 
@@ -582,6 +582,14 @@ class TestLargestM:
         found, probed = self.search(values, threshold)
         reference, bisected = self.search(values, threshold, plain_bisection)
         assert found == reference and len(probed) < len(bisected)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_no_copies_is_settled_without_a_probe(self, n):
+        # no m in [1, n]: the search probed m = 1 anyway and returned (1, 1.0) at n = 0
+        def value(m):
+            raise AssertionError(f"value probed at m = {m}")
+
+        assert largest_m(value, n, 0.5) == (0, 0.0)
 
 
 def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None):

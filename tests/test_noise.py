@@ -46,8 +46,8 @@ class TestChannels:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: PauliChannel(1.5, -0.5, 0.0, 0.0), r"channel probabilities out of \[0,1\]: \(1.5, -0.5"),
-            (lambda: FlipSource({3: 1.5}), r"flip probability 1.5 at vertex 3 out of \[0,1\]"),
+            (lambda: PauliChannel(1.5, -0.5, 0.0, 0.0), r"channel probability must be in \[-1e-12,1\], got 1.5"),
+            (lambda: FlipSource({3: 1.5}), r"flip probability at vertex 3 must be in \[0,1\], got 1.5"),
             (lambda: BitMarginal(4, 0.5, 0.25), "marginal at vertex 4 sums to 0.75, not 1"),
             (lambda: uniform_depolarizing_marginal(1.5, 4), r"depolarizing parameter must be in \[0,1\], got 1.5"),
             (lambda: uniform_depolarizing_marginal(-0.1, 3), r"depolarizing parameter must be in \[0,1\], got -0.1"),
