@@ -21,8 +21,10 @@ Every cover is the lift of a per-family unit cell (:func:`unit_cell`): a
 period p and the blocks anchored in one period box.  Key each edge
 {a, a + e_axis} of the cell by its ends' residues mod p: every period is at
 least 2, so they differ in the axis entry alone, and the key names
-(a mod p, axis) one-to-one.  The cell is *exact* when these keys hit every
-residue and axis exactly once, which :func:`unit_cell` checks.
+(a mod p, axis) one-to-one.  It is kept as the integer r_a * prod(p) + r_c,
+r being a residue's row-major code in [0, prod(p)), one-to-one on residues
+(mixed radix p) and so on pairs.  The cell is *exact* when these keys hit
+every residue and axis exactly once, which :func:`unit_cell` checks.
 
 Lemma.  On a torus whose extents are (i) multiples of p and (ii) at least 4,
 the translates of an exact cell by every multiple of p place each lattice
@@ -50,7 +52,6 @@ from .graphstate import MultinetError, check_dims, check_integer
 
 Site = tuple[int, ...]
 Edge = tuple[Site, Site]
-Shape = tuple[tuple[Site, ...], tuple[tuple[int, int], ...]]
 
 FAMILIES = ("bipartite", "windmill", "shifted-grid")
 # the caches are keyed by type too: b = True or 1.0 (or dim = 2.0) would otherwise read b = 1's
@@ -124,9 +125,16 @@ def block_edges(family: str, dim: int, b: int) -> list[Edge]:
                  for x, y, z in offsets for (a0, a1, a2), (c0, c1, c2) in piece})
 
 
+class Shape(NamedTuple):
+    """A block's distinct sites and its edges as index pairs into them (a simple graph on the sites)."""
+
+    sites: tuple[Site, ...]
+    pairs: tuple[tuple[int, int], ...]
+    vertex_count = property(lambda self: len(self.sites), doc="The number of sites, one qubit each.")
+
+
 class UnitCell(NamedTuple):
-    """A family's cover of one period box, in unwrapped coordinates: each block
-    as its shape, its sorted distinct sites and its edges as index pairs into them."""
+    """A family's cover of one period box, in unwrapped coordinates: each block as a :class:`Shape`."""
 
     period: tuple[int, ...]
     shapes: tuple[Shape, ...]
@@ -152,12 +160,12 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     period = _period(family, dim, b)
     origin = (0,) * dim
     if family == "bipartite":
-        shapes = [((origin, tuple(int(i == axis) for i in range(dim))), ((0, 1),)) for axis in range(dim)]
+        shapes = [Shape((origin, tuple(int(i == axis) for i in range(dim))), ((0, 1),)) for axis in range(dim)]
         anchors = itertools.product(*map(range, period))
     else:
-        sites = sorted({s for e in canonical for s in e})
-        index = {s: i for i, s in enumerate(sites)}
-        shapes = [(tuple(sites), tuple((index[a], index[c]) for a, c in canonical))]
+        index = {s: i for i, s in enumerate(sorted({s for e in canonical for s in e}))}
+        ends = map(index.__getitem__, itertools.chain.from_iterable(canonical))
+        shapes = [Shape(tuple(index), tuple(zip(ends, ends)))]
         if family == "windmill":
             anchors = [origin]
         elif dim == 2:
@@ -166,15 +174,18 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
             anchors = [origin] + [(b, 1, 1)] * (b % 2)
     # a translate keeps the sites' order, so every block reuses its shape's index pairs
     cell = tuple(
-        (tuple(tuple(map(add, s, anchor)) for s in sites) if any(anchor) else sites, pairs)
+        Shape(tuple(tuple(map(add, s, anchor)) for s in shape.sites), shape.pairs) if any(anchor) else shape
         for anchor in anchors
-        for sites, pairs in shapes
+        for shape in shapes
     )
+    p0, p1, p2 = (*period, 1)[:3]
+    size = p0 * p1 * p2
     keys = []
-    for sites, pairs in cell:
-        residues = [tuple(map(mod, s, period)) for s in sites]
-        keys += [(residues[i], residues[j]) for i, j in pairs]
-    if len(set(keys)) != len(keys) or len(keys) != dim * math.prod(period):
+    for sites, pairs in cell:  # row-major residue codes, by a comprehension per dimension
+        codes = ([x % p0 * p1 + y % p1 for x, y in sites] if dim == 2 else
+                 [(x % p0 * p1 + y % p1) * p2 + z % p2 for x, y, z in sites])
+        keys += [codes[i] * size + codes[j] for i, j in pairs]
+    if len(set(keys)) != len(keys) or len(keys) != dim * size:
         raise BlockError(f"{family} blocks of size {b} do not tile their {period} unit cell exactly")
     return UnitCell(period, cell)
 
@@ -196,17 +207,20 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
 def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], list[tuple[int, list[Site]]]]:
     """The cell's translates by every multiple of its period, exact by the module's lemma.
 
-    Returns ``(shapes, placed)``.  Each cell shape is folded onto the torus once: its distinct
-    wrapped sites, sorted (fewer than its own on a torus narrower than the block), and its edges
-    as index pairs into them in the cell's order.  ``placed`` lists each block as (shape index, sites),
-    its sites zipped from per-axis tables of the shape's coordinates under every period shift.
+    Returns ``(shapes, placed)``.  Each cell shape is folded onto the torus once into a :class:`Shape`:
+    its distinct wrapped sites, sorted (fewer than its own on a torus narrower than the block), and its
+    edges as index pairs into them in the cell's order.  ``placed`` lists each block as (shape index,
+    sites), its sites in the shape's order, zipped from per-axis tables of the shape's coordinates
+    under every period shift.  No :class:`~multinet.graphstate.Graph` is built.
     """
     cell = _check_dims(family, dims, b)
+    d0, d1, d2 = (*dims, 1)[:3]
     shapes, tables = [], []
-    for sites, pairs in cell.shapes:
-        wrapped = [tuple(map(mod, s, dims)) for s in sites]
+    for sites, pairs in cell.shapes:  # wrapped by a comprehension per dimension
+        wrapped = ([(x % d0, y % d1) for x, y in sites] if len(dims) == 2 else
+                   [(x % d0, y % d1, z % d2) for x, y, z in sites])
         index = {s: i for i, s in enumerate(sorted(set(wrapped)))}
-        shapes.append((tuple(index), tuple((index[wrapped[i]], index[wrapped[j]]) for i, j in pairs)))
+        shapes.append(Shape(tuple(index), tuple((index[wrapped[i]], index[wrapped[j]]) for i, j in pairs)))
         tables.append([[tuple((x + t) % d for x in axis) for t in range(0, d, p)]
                        for axis, d, p in zip(zip(*index), dims, cell.period)])
     shifts = itertools.product(*(range(d // p) for d, p in zip(dims, cell.period)))

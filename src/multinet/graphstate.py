@@ -13,9 +13,9 @@ This module provides:
   local Z corrections.
 - ``color_graph``: the deterministic two-coloring of a bipartite graph, by
   BFS, as a plain vertex -> color dict.
-- ``check_integer``, ``check_real``, ``check_dims``: the library's one input
-  contract, a checker per parameter kind, each raising the caller's
-  :class:`MultinetError` subclass.
+- ``check_integer``, ``check_real``, ``check_dims``, ``check_instance``: the
+  library's one input contract, a checker per parameter kind, each raising
+  the caller's :class:`MultinetError` subclass.
 
 All operations return new graphs and leave their inputs unchanged; the CLI
 evaluates sweep points one after another, not in parallel.
@@ -24,7 +24,7 @@ evaluates sweep points one after another, not in parallel.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class MultinetError(ValueError):
@@ -53,9 +53,12 @@ def check_real(
     value, name: str, error: type[MultinetError], low: float = 0.0, high: float = 1.0, closed: bool = True
 ) -> float:
     """``value`` as a float (a number with ``__float__``, never a bool or str) in [low, high], or in (low, high)
-    unless ``closed``; NaN lies in neither.  Otherwise raises ``error``, naming the parameter ``name``."""
-    x = value if type(value) is float else (
-        float(value) if hasattr(value, "__float__") and not isinstance(value, bool) else float("nan"))
+    unless ``closed``; NaN and ints beyond a float lie in neither.  Otherwise raises ``error`` naming ``name``."""
+    try:
+        x = value if type(value) is float else (
+            float(value) if hasattr(value, "__float__") and not isinstance(value, bool) else float("nan"))
+    except OverflowError:
+        x = float("nan")
     if low <= x <= high if closed else low < x < high:
         return x
     ends = "[]" if closed else "()"
@@ -70,6 +73,13 @@ def check_dims(dims, name: str, error: type[MultinetError]) -> tuple[int, ...]:
         if type(d) is not int or d < 1:
             return tuple(check_integer(d, f"{name} extent", error, 1) for d in dims)
     return tuple(dims)
+
+
+def check_instance(value, kind: type, name: str, error: type[MultinetError]):
+    """``value`` if it is a ``kind``; otherwise raises ``error``, naming the parameter ``name``."""
+    if isinstance(value, kind):
+        return value
+    raise error(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 class Graph:
@@ -135,10 +145,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return a in self._adj and b in self._adj[a]
 
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Each edge once as ``(a, b)`` with ``a < b``, in adjacency order (unsorted)."""
-        return ((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
-
     def edge_codes(self, shift: int) -> frozenset[int]:
         """Each edge ``(a, b)`` with ``a < b`` as the int ``(a << shift) + b``, frozen and memoised per last shift."""
         if self._codes is None or self._codes[0] != shift:
@@ -146,7 +152,7 @@ class Graph:
         return self._codes[1]
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.iter_edges())
+        return sorted((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
@@ -213,14 +219,14 @@ def build_graph(kind: str, **params) -> Graph:
     Lattice vertices carry coordinate labels in ``coords``.
     """
     if kind == "ghz-star":
-        s = check_integer(params["s"], "star size", GraphError, 1)
+        s = check_integer(params.get("s"), "star size", GraphError, 1)
         return Graph(range(s), [(0, i) for i in range(1, s)])
     if kind == "line":
-        n = check_integer(params["n"], "line length", GraphError, 1)
+        n = check_integer(params.get("n"), "line length", GraphError, 1)
         return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
     if kind in ("lattice2d", "lattice3d"):
         keys = "wh" if kind == "lattice2d" else "whd"
-        dims = tuple(check_integer(params[k], "lattice dimension", GraphError, 1) for k in keys)
+        dims = tuple(check_integer(params.get(k), "lattice dimension", GraphError, 1) for k in keys)
         periodic = params.get("periodic", False)
         if not isinstance(periodic, bool):  # bool("false") is True
             raise GraphError(f"periodic must be True or False, got {periodic!r}")
@@ -236,17 +242,11 @@ def local_complement(g: Graph, v: int) -> Graph:
 
     Involutive at fixed ``v``; coordinates are preserved.
     """
-    g._require(v)
+    check_instance(g, Graph, "graph", GraphError)._require(v)
     out = g.copy()
-    nbrs = sorted(g._adj[v])
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b in out._adj[a]:
-                out._adj[a].discard(b)
-                out._adj[b].discard(a)
-            else:
-                out._adj[a].add(b)
-                out._adj[b].add(a)
+    for a, b in itertools.combinations(sorted(g._adj[v]), 2):
+        out._adj[a] ^= {b}
+        out._adj[b] ^= {a}
     return out
 
 
@@ -257,15 +257,14 @@ def merge_vertices(g: Graph, a: int, b: int) -> Graph:
     old neighborhoods with ``a`` and ``b`` themselves removed.  Vertex ``b``
     is deleted; all other ids are unchanged.
     """
-    g._require(a)
+    check_instance(g, Graph, "graph", GraphError)._require(a)
     g._require(b)
     if a == b:
         raise GraphError("cannot merge a vertex with itself")
     out = g.copy()
     new_nbrs = (out._adj[a] ^ out._adj[b]) - {a, b}
     for u in out._adj[a] | out._adj[b]:
-        out._adj[u].discard(a)
-        out._adj[u].discard(b)
+        out._adj[u] -= {a, b}
     del out._adj[b]
     if out.coords is not None:
         out.coords.pop(b, None)
@@ -283,7 +282,7 @@ def connect_project(g: Graph, a: int, b: int) -> Graph:
     leaves of two stars this produces the graph of the combined star on the
     remaining vertices.
     """
-    g._require(a)
+    check_instance(g, Graph, "graph", GraphError)._require(a)
     g._require(b)
     if a == b:
         raise GraphError("connect needs two distinct vertices")
@@ -292,18 +291,10 @@ def connect_project(g: Graph, a: int, b: int) -> Graph:
     out = g.copy()
     na = out._adj[a] - {b}
     nb = out._adj[b] - {a}
-    for i in sorted(na | nb):
-        for j in sorted(na | nb):
-            if j <= i:
-                continue
-            toggle = ((i in na) and (j in nb)) != ((i in nb) and (j in na))
-            if toggle:
-                if j in out._adj[i]:
-                    out._adj[i].discard(j)
-                    out._adj[j].discard(i)
-                else:
-                    out._adj[i].add(j)
-                    out._adj[j].add(i)
+    for i, j in itertools.combinations(sorted(na | nb), 2):
+        if ((i in na) and (j in nb)) != ((i in nb) and (j in na)):
+            out._adj[i] ^= {j}
+            out._adj[j] ^= {i}
     for v in (a, b):
         for u in out._adj[v]:
             out._adj[u].discard(v)
@@ -324,7 +315,7 @@ def color_graph(g: Graph) -> dict[int, int]:
     color 0).  A graph with an odd cycle raises :class:`ColoringError`:
     hashing purifies two-colorable graph states only.
     """
-    if g.vertex_count == 0:
+    if check_instance(g, Graph, "graph", GraphError).vertex_count == 0:
         raise GraphError("cannot color an empty graph")
     coloring: dict[int, int] = {}
     for start in g.vertices():

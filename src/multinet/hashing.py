@@ -84,7 +84,7 @@ import functools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .graphstate import Graph, MultinetError, check_integer, check_real
+from .graphstate import Graph, MultinetError, check_instance, check_integer, check_real
 from .noise import BitMarginal
 
 SPLIT_GRID_STEPS = 200
@@ -106,10 +106,9 @@ class DistributionError(MultinetError):
     """Malformed outcome distribution."""
 
 
-def _validated(probs: Sequence[float]) -> list[float]:
-    probs = [float(p) for p in probs]
-    if not all(-1e-12 <= p <= 1 + 1e-12 for p in probs):  # NaN fails too
-        raise DistributionError(f"probabilities out of [0,1]: {probs}")
+def _validated(probs: tuple) -> list[float]:
+    """``probs``, numbers (:func:`check_real`) within 1e-12 of [0, 1] and of summing to 1, clamped into [0, 1]."""
+    probs = [check_real(p, "probability", DistributionError, -1e-12, 1 + 1e-12) for p in probs]
     if abs(sum(probs) - 1.0) > 1e-12:
         raise DistributionError(f"probabilities sum to {sum(probs)}, not 1")
     return [min(1.0, max(0.0, p)) for p in probs]
@@ -117,8 +116,17 @@ def _validated(probs: Sequence[float]) -> list[float]:
 
 def entropy(probs: Sequence[float]) -> float:
     """Shannon entropy in bits, with 0*log(0) taken as 0."""
-    probs = _validated(probs)
-    return -sum(p * math.log2(p) for p in probs if p > 0.0)
+    return _statistics(probs)[0]
+
+
+def _statistics(probs: Sequence[float]) -> tuple[float, float, float]:
+    """:func:`_spread_and_variance` of ``probs``.  A non-sequence, or a bool entry, which would read its
+    number's cache entry, raises :class:`DistributionError`."""
+    try:
+        key = tuple(probs)
+        return _spread_and_variance(key) if bool not in map(type, key) else _validated(key)
+    except TypeError:  # not a sequence, or an unhashable entry
+        raise DistributionError(f"probabilities must be a sequence of numbers, got {probs!r}") from None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -129,7 +137,7 @@ def _spread_and_variance(probs: tuple[float, ...]) -> tuple[float, float, float]
     Cached by the distribution; a miss validates it, and as the cache keeps
     no exception, a malformed distribution raises on every call.
     """
-    s = entropy(probs)
+    s = -sum(p * math.log2(p) for p in _validated(probs) if p > 0.0)
     nonzero = [p for p in probs if p > 0.0]
     a = max(abs(-math.log2(p) - s) for p in nonzero)
     v = sum(p * math.log2(p) ** 2 for p in nonzero) - s * s
@@ -147,7 +155,7 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float) -> float:
     if check_integer(n, "n", MultinetError) < 1:
         raise InfeasibleTargetError(f"need at least one input copy, got n={n}")
     delta = check_real(delta, "slack delta", InfeasibleTargetError, 0.0, math.inf, closed=False)
-    return _loss(*_spread_and_variance(tuple(probs)), n, delta)
+    return _loss(*_statistics(probs), n, delta)
 
 
 def _loss(s: float, a: float, v: float, n: int, delta: float) -> float:
@@ -203,7 +211,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     requested yield.
     """
     _check_target(n, m)
-    s, a, v = _spread_and_variance(tuple(probs))
+    s, a, v = _statistics(probs)
     delta = 0.5 * (1.0 - s - m / n)
     if delta <= 0.0:
         raise InfeasibleTargetError(
@@ -363,7 +371,7 @@ def vertex_classes(
     of ``g`` properly, and :class:`DistributionError` unless ``marginals``
     holds exactly one marginal per vertex of ``g``.
     """
-    uncolored = [v for v in g.vertices() if v not in coloring]
+    uncolored = [v for v in check_instance(g, Graph, "graph", MultinetError).vertices() if v not in coloring]
     if uncolored:
         raise InfeasibleTargetError(f"coloring misses vertices {uncolored}")
     for a, b in g.edges():

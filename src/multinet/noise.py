@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphstate import Graph, MultinetError, check_integer, check_real
+from .graphstate import Graph, MultinetError, check_instance, check_integer, check_real
 
 _PROB_SUM_TOL = 1e-12
 _DRIFT_TOL = 1e-9
@@ -104,7 +104,7 @@ def channel_to_flip_source(g: Graph, v: int, ch: PauliChannel) -> FlipSource:
     The vertex's own bit flips with probability p_z + p_y, each neighbor's
     bit with probability p_x + p_y.
     """
-    g._require(v)
+    check_instance(g, Graph, "graph", ChannelError)._require(v)
     probs = {v: ch.p_z + ch.p_y}
     for u in g.neighbors(v):
         probs[u] = ch.p_x + ch.p_y
@@ -147,6 +147,7 @@ def flip_probability(sources: list[FlipSource], vertex: int) -> float:
 
 def bit_marginals(g: Graph, sources: list[FlipSource]) -> list[BitMarginal]:
     """Per-vertex flip marginals of independent sources, for all vertices of g."""
+    check_instance(g, Graph, "graph", ChannelError)
     for s in sources:
         for v in s.flip_prob:
             g._require(v)
@@ -215,6 +216,7 @@ def output_noise_factor(g: Graph, qubits: list[int], p: float) -> float:
     qubit to have at least one neighbor; isolated vertices are rejected.
     """
     p = check_real(p, "output noise parameter", ChannelError)
+    check_instance(g, Graph, "graph", ChannelError)
     for v in qubits:
         if g.degree(v) == 0:
             raise ChannelError(

@@ -27,7 +27,8 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import blocks
-from .graphstate import Graph, MultinetError, build_graph, check_dims, check_integer, check_real, color_graph
+from .graphstate import (Graph, MultinetError, build_graph, check_dims, check_instance, check_integer, check_real,
+                         color_graph)
 from .hashing import (
     InfeasibleTargetError,
     MarginalClass,
@@ -148,7 +149,8 @@ def _point(
 
 def storage_per_node(arch: Architecture) -> int:
     """The bottleneck: the most qubits any site must hold per copy."""
-    return blocks.site_costs(arch.family, arch.dimensionality, arch.block_size)[-1][0]
+    family, dims, b = check_instance(arch, Architecture, "architecture", SchemeError)
+    return blocks.site_costs(family, len(dims), b)[-1][0]
 
 
 def allocate_global_storage(arch: Architecture, total_capacity: int) -> int:
@@ -157,7 +159,7 @@ def allocate_global_storage(arch: Architecture, total_capacity: int) -> int:
     Every node gets exactly what its class needs per copy, so the copy count
     is total capacity divided by the summed per-copy cost of the lattice.
     """
-    per_copy = blocks.per_copy_total(arch.family, arch.dims, arch.block_size)
+    per_copy = blocks.per_copy_total(*check_instance(arch, Architecture, "architecture", SchemeError))
     if check_integer(total_capacity, "total capacity", SchemeError) < per_copy:
         raise SchemeError(
             f"total capacity {total_capacity} is below the {per_copy} qubits one copy needs"
@@ -314,8 +316,7 @@ def cluster_architecture_run(
     Exactly one of ``m`` (fixed output count) or ``threshold`` (return the
     largest m keeping the bound above it) must be given.
     """
-    b = arch.block_size
-    family = arch.family
+    family, _, b = check_instance(arch, Architecture, "architecture", SchemeError)
     label = family if family == "bipartite" else f"{family}-b{b}"
     count = blocks.blocks_count(family, arch.dims, b)
     if family == "bipartite":
@@ -324,7 +325,7 @@ def cluster_architecture_run(
     else:
         ensemble = _cluster_classes(family, arch.dimensionality, b, q, count)
 
-    if storage.mode == "per-node":
+    if check_instance(storage, StorageModel, "storage", SchemeError).mode == "per-node":
         n = storage.capacity // storage_per_node(arch)
     else:
         try:
@@ -375,17 +376,14 @@ def from_bell_run(
 # -- cover validation -------------------------------------------------------------
 
 
-def validate_cover(
-    cover: list[tuple[Graph, dict[int, tuple]]],
-    target: Graph,
-) -> tuple[bool, list[tuple]]:
+def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph) -> tuple[bool, list[tuple]]:
     """Merge placed blocks and check the result against the target lattice.
 
-    ``cover`` holds (block graph, placement) pairs, the placement mapping
-    block vertex ids to target coordinates (as found in ``target.coords``).
-    Wherever two or more placed qubits coincide they are merged pairwise in
-    ascending block order; the trace of performed merges, qubits numbered
-    block by block in each graph's vertex order, is returned with the verdict.
+    ``cover`` holds (shape, sites) pairs as :func:`family_cover` gives them: a :class:`blocks.Shape`, its
+    edges distinct index pairs into its sites, and the target coordinates (as in ``target.coords``) of those
+    sites in the shape's order.  Wherever two or more placed qubits coincide they are merged pairwise in
+    ascending block order; the trace of performed merges, qubits numbered block by block in each shape's
+    site order, is returned with the verdict.
 
     A merge adds one vertex's adjacency row to the survivor's over GF(2)
     (:func:`~multinet.graphstate.merge_vertices`), so merging every site
@@ -395,11 +393,9 @@ def validate_cover(
     a target site's is its vertex id, so the wanted codes are the target's
     edges, and an off-target site's lies above every target id.  The codes
     are counted only if one repeats.  The trace pairs each qubit with the
-    first one placed on its site, sorted by site coordinate, then qubit.
-    Blocks may share a graph, as in :func:`family_cover`: it is read once per
-    call, safe because graphs are never mutated in place.  Raises :class:`SchemeError`
-    if the target is not a :class:`Graph`, if it or a vertex of it has no coordinates, two target vertices
-    share one, or a block vertex has no placement.
+    first one placed on its site, sorted by site coordinate, then qubit.  No graph is built for the blocks.
+    Raises :class:`SchemeError` if the target is not a :class:`Graph`, if it or a vertex of it has no
+    coordinates, two target vertices share one, or a block's site list differs in length from its shape's.
     """
     if not isinstance(target, Graph) or target.coords is None:
         raise SchemeError(f"target {target!r} is not a Graph or carries no coordinates")
@@ -414,24 +410,17 @@ def validate_cover(
     # (p << shift) + q is one-to-one while all numbers lie in a window of 2**shift: target ids
     # span under half of it, and fewer than 2**31 off-target sites fit in memory
     shift = max(32, (top - vertices[0]).bit_length() + 1) if vertices else 32
-    read: dict[int, tuple] = {}  # by id: (graph, its vertices, its edges as vertex positions)
     placed: list[int] = []  # the site of each qubit id
     codes: list[int] = []  # one per placed edge between two sites
-    for block_idx, (block, placement) in enumerate(cover):
-        if id(block) not in read:  # the entry holds the graph, so its id is not reused
-            at = {v: i for i, v in enumerate(block.vertices())}
-            read[id(block)] = (block, list(at), [(at[a], at[b]) for a, b in block.iter_edges()])
-        _, order, pairs = read[id(block)]
-        try:
-            sites = [number.get(placement[v]) for v in order]
-            if None in sites:  # a site off the target
-                sites = [number.setdefault(placement[v], top + 1 + len(number) - len(vertices)) for v in order]
-        except KeyError:
-            v = next(v for v in order if v not in placement)
-            raise SchemeError(f"block {block_idx} vertex {v} has no placement") from None
-        placed += sites
-        for i, j in pairs:  # a plain loop: under 3.11 it beats a comprehension per block
-            p, q = sites[i], sites[j]
+    for block_idx, (shape, sites) in enumerate(cover):
+        if len(sites) != len(shape.sites):
+            raise SchemeError(f"block {block_idx} places {len(sites)} sites, its shape has {len(shape.sites)}")
+        at = list(map(number.get, sites))
+        if None in at:  # a site off the target
+            at = [number.setdefault(site, top + 1 + len(number) - len(vertices)) for site in sites]
+        placed += at
+        for i, j in shape.pairs:  # a plain loop: under 3.11 it beats a comprehension per block
+            p, q = at[i], at[j]
             if p != q:
                 codes.append((p << shift) + q if p < q else (q << shift) + p)
     odd = set(codes)
@@ -445,12 +434,8 @@ def validate_cover(
     return odd == target.edge_codes(shift) and len(first) == len(number) == len(vertices), trace
 
 
-def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[Graph, dict[int, tuple]]]:
-    """Materialize a family's cover as (graph, placement) pairs for validation.
-
-    The blocks of one cell shape (:func:`blocks.lift`) share one graph, safe because graphs are
-    never mutated in place; each has its own placement.
-    """
+def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[blocks.Shape, list[tuple]]]:
+    """A family's cover as :func:`validate_cover` reads it: each block of :func:`blocks.lift` as (shape, sites),
+    the blocks of one cell shape sharing its :class:`blocks.Shape`, each with a site list of its own."""
     shapes, placed = blocks.lift(family, dims, b)
-    graphs = [Graph(range(len(sites)), pairs) for sites, pairs in shapes]
-    return [(graphs[k], dict(enumerate(sites))) for k, sites in placed]
+    return [(shapes[k], sites) for k, sites in placed]

@@ -92,12 +92,12 @@ def per_site_cost_histogram(family: str, dims: tuple[int, ...], b: int = 1) -> d
 def merge_trace(cover) -> list[tuple]:
     """The merges ``validate_cover`` reports, rebuilt from per-site qubit lists.
 
-    Qubits are numbered block by block in each graph's vertex order; every site,
+    Qubits are numbered block by block in each shape's site order; every site,
     in coordinate order, merges each later qubit into its first one.
     """
     ids: dict[tuple, list[int]] = {}
     qubits = itertools.count()
-    for block, placement in cover:
-        for v in block.vertices():
-            ids.setdefault(placement[v], []).append(next(qubits))
+    for _, sites in cover:
+        for site in sites:
+            ids.setdefault(site, []).append(next(qubits))
     return [(site, group[0], other) for site, group in sorted(ids.items()) for other in group[1:]]

@@ -12,6 +12,7 @@ from multinet import blocks
 from multinet.blocks import (
     FAMILIES,
     BlockError,
+    Shape,
     block_edges,
     blocks_count,
     degree_color_classes,
@@ -192,11 +193,12 @@ class TestCovers:
         # same groups in the same order, each edge in the same order and orientation
         assert groups == endpoint_lift(family, dims, b)
         assert all(a < c for group in groups for a, c in group)
-        # each placed block: its group's distinct sites, one vertex each, and its edges
-        for group, (g, placement) in zip(groups, family_cover(family, dims, b), strict=True):
-            assert sorted(placement) == g.vertices()
-            assert sorted(placement.values()) == sorted({s for e in group for s in e})
-            assert sorted(norm_edge(placement[a], placement[c]) for a, c in g.edges()) == sorted(group)
+        # each placed block: its group's distinct sites, one per shape site, and its edges
+        for group, (shape, sites) in zip(groups, family_cover(family, dims, b), strict=True):
+            assert len(sites) == shape.vertex_count == len(shape.sites)
+            assert sorted(sites) == sorted({s for e in group for s in e})
+            assert all(a != c for a, c in shape.pairs) and len({frozenset(p) for p in shape.pairs}) == len(group)
+            assert sorted(norm_edge(sites[a], sites[c]) for a, c in shape.pairs) == sorted(group)
 
     @settings(max_examples=40, deadline=None)
     @given(admissible_lattices())
@@ -204,13 +206,14 @@ class TestCovers:
     @example(("shifted-grid", (8, 8), 1))
     @example(("shifted-grid", (6, 6, 6), 3))
     @example(("windmill", (4, 4), 2))
-    def test_one_graph_per_cell_shape(self, case):
+    def test_one_shape_per_cell_shape(self, case):
         family, dims, b = case
         cover = family_cover(family, dims, b)
         assert len(cover) == blocks_count(family, dims, b)
-        assert len({id(g) for g, _ in cover}) == len(unit_cell(family, len(dims), b).shapes)
-        # every block has a placement of its own
-        assert len({id(placement) for _, placement in cover}) == len(cover)
+        assert len({id(shape) for shape, _ in cover}) == len(unit_cell(family, len(dims), b).shapes)
+        assert all(isinstance(shape, Shape) for shape, _ in cover)
+        # every block has a site list of its own
+        assert len({id(sites) for _, sites in cover}) == len(cover)
 
     def test_oversized_block_rejected_before_its_cell(self):
         # the cells would have ~b^dim edges (10^12 at b = 10^6); the period check comes first

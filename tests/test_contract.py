@@ -1,7 +1,8 @@
 """The library's input contract, walked from one table.
 
 Every parameter of a checked kind has one checker in ``graphstate``
-(``check_integer``, ``check_real``, ``check_dims``).  The table names each
+(``check_integer``, ``check_real``, ``check_dims``, ``check_instance``) or,
+for a distribution, in ``hashing``.  The table names each
 public entry point's parameters of those kinds: ``__all__``, the module
 functions the CLI and the benchmark call, and the storage, search, loss and
 marginal helpers.  Each is called with every malformed value below in that
@@ -10,6 +11,8 @@ and otherwise raise a ``MultinetError``: never a ``TypeError`` or an
 ``AttributeError``, and never a row or a record built from the bad value.
 A value the kind admits may still raise a ``MultinetError`` for a reason
 of its own, such as an extent below the period or an infeasible target.
+Some kinds have malformed values of their own beyond those below, such as
+a distribution of numeral strings; every row of the kind must reject them.
 """
 
 import math
@@ -23,6 +26,7 @@ from multinet import (
     EdgeZChannel,
     FlipSource,
     Graph,
+    GraphError,
     MultinetError,
     PauliChannel,
     StorageModel,
@@ -36,12 +40,14 @@ from multinet import (
     color_graph,
     connect_project,
     edge_channel_to_flip_source,
+    entropy,
     from_bell_run,
     ghz_scheme_fidelity,
     local_complement,
     merge_vertices,
     multipartite_bound,
     output_noise_factor,
+    storage_per_node,
     triangular_repeater,
     validate_cover,
 )
@@ -71,7 +77,10 @@ ADMITS = {
     "slack": lambda v: _real(v) and 0 < v < math.inf,
     "dims": lambda v: False,  # a tuple of 2 or 3 extents; none of VALUES is one
     "extent": lambda v: _integer(v) and v >= 1,  # put in place of the first extent
-    "graph": lambda v: False,
+    "graph": lambda v: False,  # a Graph; none of VALUES is one
+    "distribution": lambda v: False,  # a sequence of probabilities
+    "architecture": lambda v: False,  # an Architecture
+    "storage": lambda v: False,  # a StorageModel
 }
 
 STAR = build_graph("ghz-star", s=3)
@@ -89,13 +98,17 @@ LDN = PauliChannel.depolarizing(0.9)
 TABLE = [
     ("Graph", "vertices", "integer", lambda v: Graph([v])),
     ("Graph", "edges", "integer", lambda v: Graph([-1, 0, 1], [(1, v)])),
+    ("color_graph", "g", "graph", color_graph),
     ("build_graph", "s", "count", lambda v: build_graph("ghz-star", s=v)),
     ("build_graph", "n", "count", lambda v: build_graph("line", n=v)),
     ("build_graph", "w", "count", lambda v: build_graph("lattice2d", w=v, h=3)),
     ("build_graph", "d", "count", lambda v: build_graph("lattice3d", w=2, h=2, d=v, periodic=True)),
+    ("local_complement", "g", "graph", lambda v: local_complement(v, 0)),
     ("local_complement", "v", "integer", lambda v: local_complement(LINE, v)),
+    ("merge_vertices", "g", "graph", lambda v: merge_vertices(v, 0, 1)),
     ("merge_vertices", "a", "integer", lambda v: merge_vertices(LINE, v, 3)),
     ("merge_vertices", "b", "integer", lambda v: merge_vertices(LINE, 3, v)),
+    ("connect_project", "g", "graph", lambda v: connect_project(v, 0, 2)),
     ("connect_project", "a", "integer", lambda v: connect_project(LINE, v, 3)),
     ("connect_project", "b", "integer", lambda v: connect_project(LINE, 3, v)),
     ("PauliChannel", "p_i", "probability", lambda v: PauliChannel(v, 0.0, 0.0, 1.0)),
@@ -109,22 +122,30 @@ TABLE = [
     ("BitMarginal", "vertex", "integer", lambda v: BitMarginal(v, 0.5, 0.5)),
     ("BitMarginal", "lambda0", "probability", lambda v: BitMarginal(0, v, 1.0)),
     ("BitMarginal", "lambda1", "probability", lambda v: BitMarginal(0, 1.0, v)),
+    ("bit_marginals", "g", "graph", lambda v: bit_marginals(v, [])),
     ("bit_marginals", "sources", "integer", lambda v: bit_marginals(STAR, [FlipSource({v: 0.1})])),
+    ("channel_to_flip_source", "g", "graph", lambda v: channel_to_flip_source(v, 0, LDN)),
     ("channel_to_flip_source", "v", "integer", lambda v: channel_to_flip_source(STAR, v, LDN)),
     ("edge_channel_to_flip_source", "edge", "integer", lambda v: edge_channel_to_flip_source((3, v), 0.9)),
     ("edge_channel_to_flip_source", "q", "probability", lambda v: edge_channel_to_flip_source((0, 1), v)),
+    ("output_noise_factor", "g", "graph", lambda v: output_noise_factor(v, [0], 0.9)),
     ("output_noise_factor", "qubits", "integer", lambda v: output_noise_factor(STAR, [v], 0.9)),
     ("output_noise_factor", "p", "probability", lambda v: output_noise_factor(STAR, [0, 1], v)),
     ("uniform_depolarizing_marginal", "q", "probability", lambda v: uniform_depolarizing_marginal(v, 4)),
     ("uniform_depolarizing_marginal", "degree", "count0", lambda v: uniform_depolarizing_marginal(0.9, v)),
     ("uniform_edge_channel_marginal", "q", "probability", lambda v: uniform_edge_channel_marginal(v, 4)),
     ("uniform_edge_channel_marginal", "degree", "count0", lambda v: uniform_edge_channel_marginal(0.9, v)),
+    ("entropy", "probs", "distribution", entropy),
+    ("bennett_loss", "probs", "distribution", lambda v: bennett_loss(v, 100, 0.1)),
     ("bennett_loss", "n", "integer", lambda v: bennett_loss((0.9, 0.1), v, 0.1)),
     ("bennett_loss", "delta", "slack", lambda v: bennett_loss((0.9, 0.1), 100, v)),
+    ("bennett_success", "probs", "distribution", lambda v: bennett_success(v, 100, 0.1)),
     ("bennett_success", "n", "integer", lambda v: bennett_success((0.9, 0.1), v, 0.1)),
     ("bennett_success", "delta", "slack", lambda v: bennett_success((0.9, 0.1), 100, v)),
+    ("bipartite_bound", "probs", "distribution", lambda v: bipartite_bound(v, 100, 1)),
     ("bipartite_bound", "n", "integer", lambda v: bipartite_bound(PAIR, v, 1)),
     ("bipartite_bound", "m", "integer", lambda v: bipartite_bound(PAIR, 100, v)),
+    ("multipartite_bound", "g", "graph", lambda v: multipartite_bound(v, COLORING, MARGINALS, 100, 1)),
     ("multipartite_bound", "n", "integer", lambda v: multipartite_bound(STAR, COLORING, MARGINALS, v, 1)),
     ("multipartite_bound", "m", "integer", lambda v: multipartite_bound(STAR, COLORING, MARGINALS, 100, v)),
     ("largest_m", "n", "integer", lambda v: largest_m(lambda m: 0.95, v, 0.9)),
@@ -133,7 +154,11 @@ TABLE = [
     ("Architecture", "dims", "dims", lambda v: Architecture("windmill", v)),
     ("Architecture", "dims", "extent", lambda v: Architecture("windmill", (v, 8))),
     ("Architecture", "block_size", "count", lambda v: Architecture("windmill", (8, 8), v)),
+    ("storage_per_node", "arch", "architecture", storage_per_node),
+    ("allocate_global_storage", "arch", "architecture", lambda v: allocate_global_storage(v, 1000)),
     ("allocate_global_storage", "total_capacity", "integer", lambda v: allocate_global_storage(WINDMILL, v)),
+    ("cluster_architecture_run", "arch", "architecture", lambda v: cluster_architecture_run(v, PER_NODE, 0.9, 1)),
+    ("cluster_architecture_run", "storage", "storage", lambda v: cluster_architecture_run(WINDMILL, v, 0.9, 1)),
     ("cluster_architecture_run", "q", "probability", lambda v: cluster_architecture_run(WINDMILL, PER_NODE, v, 1)),
     ("cluster_architecture_run", "m", "count", lambda v: cluster_architecture_run(WINDMILL, PER_NODE, 0.9, v)),
     ("cluster_architecture_run", "threshold", "threshold",
@@ -174,8 +199,8 @@ TABLE = [
     ),
 ]
 
-# public names with no parameter of a checked kind: graph rules on the graph alone, distributions, records
-UNCHECKED = {"color_graph", "entropy", "storage_per_node", "HashingRun", "SchemeResult"}
+# public names with no parameter of a checked kind: records
+UNCHECKED = {"HashingRun", "SchemeResult"}
 # entry points beyond __all__: what the CLI and the benchmark call, and the helpers they rest on
 BEYOND_ALL = {
     "family_cover", "blocks_count", "unit_cell", "site_costs", "degree_color_classes", "per_copy_total",
@@ -201,3 +226,53 @@ def test_malformed_value_raises_a_library_error(entry, parameter, kind, call, va
     except MultinetError:
         return
     assert ADMITS[kind](value), f"{entry} accepted {parameter} = {value!r}, which no {kind} is"
+
+
+# each kind's own malformed values, beyond VALUES, as (label, value); every row of the kind must raise
+HUGE = 10**400  # an int too large for a float
+KIND_VALUES = {
+    "probability": [("huge", HUGE), ("-huge", -HUGE)],
+    "threshold": [("huge", HUGE), ("-huge", -HUGE)],
+    "slack": [("huge", HUGE), ("-huge", -HUGE)],
+    "distribution": [
+        ("not-a-sequence", None), ("letters", ["a"]), ("numerals", ["0.5", "0.5"]), ("bools", [True, False]),
+        ("bool", (True,)), ("mixed-bool", [0.5, 0.5, False]), ("nested", [[0.5], [0.5]]), ("none-entry", [0.5, None, 0.5]),
+        ("huge-entry", [HUGE, 0.5]), ("nan-entry", [math.nan, 1.0]), ("short-sum", (0.7, 0.2)), ("empty", ()),
+    ],
+    "graph": [("edge-list", [(0, 1), (1, 2)]), ("adjacency", {0: {1}, 1: {0}})],
+    "architecture": [("tuple", ("windmill", (8, 8), 1)), ("storage", PER_NODE)],
+    "storage": [("tuple", ("per-node", 40)), ("architecture", WINDMILL)],
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(call, value) for _, _, kind, call in TABLE for _, value in KIND_VALUES.get(kind, [])],
+    ids=[f"{entry}-{parameter}-{kind}-{label}"
+         for entry, parameter, kind, _ in TABLE for label, _ in KIND_VALUES.get(kind, [])],
+)
+def test_malformed_value_of_the_kind_raises_a_library_error(call, value):
+    with pytest.raises(MultinetError):
+        call(value)
+
+
+def test_every_new_kind_has_rows():
+    kinds = {kind for _, _, kind, _ in TABLE}
+    assert kinds >= set(KIND_VALUES)
+
+
+@pytest.mark.parametrize("probs", [(0.5 + 1e-13, 0.5 - 1e-13), (-1e-13, 1.0 + 1e-13), (1.0 - 1e-13, 0.0)], ids=repr)
+def test_distribution_drift_is_tolerated_and_clamped(probs):
+    # floating-point drift within 1e-12 of [0, 1] and of summing to 1 is no malformed distribution
+    assert 0.0 <= entropy(probs) <= 1.0
+    assert entropy(list(probs)) == entropy(probs)
+    assert 0.0 < bennett_loss(probs, 100, 0.1) < 1.0
+
+
+# (generator, the parameters given): a generator's parameter left out is malformed as well
+@pytest.mark.parametrize("kind, params", [
+    ("ghz-star", {}), ("line", {}), ("lattice2d", {"w": 3}), ("lattice3d", {"w": 2, "h": 2}),
+], ids=["ghz-star-s", "line-n", "lattice2d-h", "lattice3d-d"])
+def test_missing_generator_parameter_raises_a_graph_error(kind, params):
+    with pytest.raises(GraphError, match="must be an integer"):
+        build_graph(kind, **params)

@@ -914,17 +914,17 @@ def groupings(monkeypatch, fn):
 def constants_runs(monkeypatch, fn):
     """The distributions whose (S, a, V) ``fn()`` computes, once per computation, and its result.
 
-    Every computation of the constants starts with ``entropy``.
+    Every computation of the constants starts with ``_validated``.
     """
     runs = []
-    compute = hashing.entropy
+    compute = hashing._validated
 
     def counted(probs):
         runs.append(tuple(probs))
         return compute(probs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(hashing, "entropy", counted)
+        patch.setattr(hashing, "_validated", counted)
         result = fn()
     return runs, result
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multinet import graphstate
-from multinet.blocks import FAMILIES, BlockError, per_copy_total
+from multinet.blocks import FAMILIES, BlockError, Shape, per_copy_total
 from multinet.graphstate import Graph, MultinetError, build_graph, merge_vertices
 from multinet.schemes import (
     Architecture,
@@ -432,16 +433,18 @@ def test_threshold_search_returns_last_passing_m(scenario, threshold):
 
 
 def replay_cover(cover, target):
-    """Reference verdict: merge a union graph of every placed qubit, site by site."""
-    edges, position = [], {}
-    for block, placement in cover:
-        ids = {v: len(position) + i for i, v in enumerate(block.vertices())}
-        position.update((ids[v], placement[v]) for v in block.vertices())
-        edges += [(ids[a], ids[b]) for a, b in block.edges()]
+    """Reference verdict: merge a union graph of every placed qubit, site by site.
+
+    Qubit ids run block by block in each shape's site order; a shape's pairs,
+    in any order and orientation, are its edges."""
+    edges, position = [], []
+    for shape, sites in cover:
+        edges += [(len(position) + i, len(position) + j) for i, j in shape.pairs]
+        position += sites
     g = Graph(range(len(position)), edges)
     trace = []
-    for coord in sorted(set(position.values())):
-        group = sorted(v for v, c in position.items() if c == coord)
+    for coord in sorted(set(position)):
+        group = [v for v, c in enumerate(position) if c == coord]
         for other in group[1:]:
             g = merge_vertices(g, group[0], other)
             trace.append((coord, group[0], other))
@@ -451,12 +454,17 @@ def replay_cover(cover, target):
     return achieved == wanted and sites == set(target.coords.values()), trace
 
 
+def line_shape(n, pairs):
+    """A shape of ``n`` sites in a row with the given index pairs as its edges."""
+    return Shape(tuple((0, v) for v in range(n)), tuple(pairs))
+
+
 @st.composite
 def random_covers(draw):
     """Random blocks on a small torus, over an exact cover (one block maybe
-    shifted) half of the time.  Extra blocks are random, placed twice (their
-    edges cancel), confined to one site (in-site edges only) or a lone
-    qubit placed off the lattice."""
+    shifted) half of the time.  Extra blocks are random, with their pairs in
+    random order and orientation, placed twice (their edges cancel), confined
+    to one site (in-site edges only) or a lone qubit placed off the lattice."""
     cover = []
     if draw(st.booleans()):
         dims = draw(st.sampled_from([(4, 4), (4, 8), (8, 4)]))
@@ -464,8 +472,8 @@ def random_covers(draw):
         if draw(st.booleans()):
             k = draw(st.integers(0, len(cover) - 1))
             shift = draw(st.integers(1, dims[0] - 1))
-            block, placement = cover[k]
-            cover[k] = (block, {v: ((c[0] + shift) % dims[0], c[1]) for v, c in placement.items()})
+            shape, placed = cover[k]
+            cover[k] = (shape, [((c[0] + shift) % dims[0], c[1]) for c in placed])
     else:
         dims = (draw(st.integers(2, 4)), draw(st.integers(2, 4)))
     target = target_lattice(dims)
@@ -473,16 +481,18 @@ def random_covers(draw):
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["twice", "one-site", "random", "off-lattice"]))
         if kind == "off-lattice":
-            cover.append((Graph([0]), {0: dims}))
+            cover.append((line_shape(1, ()), [dims]))
             continue
         n = draw(st.integers(2, 5))
         pairs = list(itertools.combinations(range(n), 2))
         edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
         if kind == "one-site":
-            placement = dict.fromkeys(range(n), draw(st.sampled_from(sites)))
+            placed = [draw(st.sampled_from(sites))] * n
         else:
-            placement = {v: draw(st.sampled_from(sites)) for v in range(n)}
-        cover += [(Graph(range(n), edges), placement)] * (2 if kind == "twice" else 1)
+            placed = [draw(st.sampled_from(sites)) for _ in range(n)]
+        cover += [(line_shape(n, edges), placed)] * (2 if kind == "twice" else 1)
     return cover, target
 
 class TestCoverValidation:
@@ -500,36 +510,35 @@ class TestCoverValidation:
 
     def test_misplaced_block_detected(self):
         cover = family_cover("windmill", (8, 8), 1)
-        g0, placement = cover[0]
-        shifted = {v: ((c[0] + 1) % 8, c[1]) for v, c in placement.items()}
-        cover[0] = (g0, shifted)
+        shape, sites = cover[0]
+        cover[0] = (shape, [((c[0] + 1) % 8, c[1]) for c in sites])
         ok, _ = validate_cover(cover, target_lattice((8, 8)))
         assert not ok
 
-    def test_shared_graph_placed_and_misplaced(self):
-        # every windmill block shares one graph: block 0 placed right, block 1 shifted
+    def test_shared_shape_placed_and_misplaced(self):
+        # every windmill block shares one shape: block 0 placed right, block 1 shifted
         dims = (8, 8)
         cover = family_cover("windmill", dims, 1)
-        block, placement = cover[1]
-        assert block is cover[0][0]
-        cover[1] = (block, {v: (c[0], (c[1] + 1) % 8) for v, c in placement.items()})
+        shape, sites = cover[1]
+        assert shape is cover[0][0]
+        cover[1] = (shape, [(c[0], (c[1] + 1) % 8) for c in sites])
         target = target_lattice(dims)
         ok, trace = validate_cover(cover, target)
         assert not ok
         assert (ok, trace) == replay_cover(cover, target)
-        # a placement missing a vertex only in the second use of the shared graph
+        # a site list one short only in the second use of the shared shape
         cover = family_cover("windmill", dims, 1)
-        cover[1] = (block, {v: c for v, c in cover[1][1].items() if v != 0})
-        with pytest.raises(SchemeError, match="block 1 vertex 0 has no placement"):
+        n = shape.vertex_count
+        cover[1] = (shape, cover[1][1][1:])
+        with pytest.raises(SchemeError, match=f"block 1 places {n - 1} sites, its shape has {n}"):
             validate_cover(cover, target)
 
     def test_changing_one_placement_changes_only_that_block(self):
         dims = (8, 8)
         cover, fresh = family_cover("shifted-grid", dims, 1), family_cover("shifted-grid", dims, 1)
-        placement = cover[5][1]
-        for v, c in placement.items():
-            placement[v] = ((c[0] + 1) % 8, c[1])
-        assert placement != fresh[5][1]
+        sites = cover[5][1]
+        sites[:] = [((c[0] + 1) % 8, c[1]) for c in sites]
+        assert sites != fresh[5][1]
         assert [p for _, p in cover[:5] + cover[6:]] == [p for _, p in fresh[:5] + fresh[6:]]
         assert all(g == h for (g, _), (h, _) in zip(cover, fresh, strict=True))
         target = target_lattice(dims)
@@ -537,11 +546,12 @@ class TestCoverValidation:
         assert not ok
         assert (ok, trace) == replay_cover(cover, target)
 
-    def test_cover_of_fresh_graphs_matches_shared(self):
-        # a lazily built cover of one copy per block: each graph is read once
+    def test_cover_of_fresh_shapes_matches_shared(self):
+        # a lazily built cover of one copy per block, shape and sites alike
         dims = (4, 4, 4)
         cover, target = family_cover("shifted-grid", dims, 2), target_lattice(dims)
-        result = validate_cover(((g.copy(), p) for g, p in cover), target)
+        copies = ((Shape(tuple(list(shape.sites)), tuple(list(shape.pairs))), list(sites)) for shape, sites in cover)
+        result = validate_cover(copies, target)
         assert result == validate_cover(cover, target) == replay_cover(cover, target)
         assert result[0]
 
@@ -563,7 +573,7 @@ class TestCoverValidation:
         cover = family_cover(family, (64, 64), b)
         ok, trace = validate_cover(cover, target_lattice((64, 64)))
         assert ok
-        assert len(trace) == sum(g.vertex_count for g, _ in cover) - 64 * 64
+        assert len(trace) == sum(shape.vertex_count for shape, _ in cover) - 64 * 64
 
     @pytest.mark.parametrize("dims,family,b,merges", PINNED_COVERS,
                              ids=[f"{'x'.join(map(str, d))}-{f}-{b}" for d, f, b, _ in PINNED_COVERS])
@@ -572,6 +582,28 @@ class TestCoverValidation:
         ok, trace = validate_cover(cover, target_lattice(dims))
         assert ok and len(trace) == merges
         assert trace == merge_trace(cover)
+
+    def test_no_graph_is_built_on_the_cover_path(self, monkeypatch):
+        # family_cover and validate_cover over the 53 pinned covers build no Graph, new or copied
+        targets = {dims: target_lattice(dims) for dims, *_ in PINNED_COVERS}
+        built = []
+        init, copy = Graph.__init__, Graph.copy
+
+        def counted_init(self, *args, **kwargs):
+            built.append("init")
+            init(self, *args, **kwargs)
+
+        def counted_copy(self):
+            built.append("copy")
+            return copy(self)
+
+        monkeypatch.setattr(Graph, "__init__", counted_init)
+        monkeypatch.setattr(Graph, "copy", counted_copy)
+        verdicts = [validate_cover(family_cover(f, dims, b), targets[dims])[0] for dims, f, b, _ in PINNED_COVERS]
+        assert verdicts == [True] * len(PINNED_COVERS) == [True] * 53
+        assert built == []
+        merge_vertices(target_lattice((4, 4)), 0, 1)  # the counters see both ways a Graph is built
+        assert built == ["init", "copy"]
 
     def test_target_codes_are_built_once(self, monkeypatch):
         # a benchmark pass validates every block size against each lattice: one target,
@@ -615,16 +647,18 @@ class TestCoverValidation:
         assert len(PINNED_COVERS) == 53
         assert {f for _, f, _, _ in PINNED_COVERS} == {"windmill", "shifted-grid"}
 
-    def test_rejects_missing_placement_and_coordinates(self):
+    def test_rejects_mismatched_sites_and_coordinates(self):
         cover = family_cover("windmill", (8, 8), 1)
-        block, placement = cover[3]
-        cover[3] = (block, {v: c for v, c in placement.items() if v != 2})
-        with pytest.raises(SchemeError, match="block 3 vertex 2 has no placement"):
-            validate_cover(cover, target_lattice((8, 8)))
+        shape, sites = cover[3]
+        n = shape.vertex_count
+        for wrong in (sites[:2] + sites[3:], sites + sites[:1], []):
+            cover[3] = (shape, wrong)
+            with pytest.raises(SchemeError, match=f"block 3 places {len(wrong)} sites, its shape has {n}"):
+                validate_cover(cover, target_lattice((8, 8)))
         with pytest.raises(SchemeError, match="no coordinates"):
             validate_cover(family_cover("windmill", (8, 8), 1), Graph(range(4), [(0, 1)]))
         # targets 0 and 1 share (0, 0), so one edge (0, 0)-(1, 0) would stand in for (0, 2) and (1, 2)
-        edge = [(Graph(range(2), [(0, 1)]), {0: (0, 0), 1: (1, 0)})]
+        edge = [(line_shape(2, [(0, 1)]), [(0, 0), (1, 0)])]
         shared = Graph(range(3), [(0, 2), (1, 2)], coords={0: (0, 0), 1: (0, 0), 2: (1, 0)})
         with pytest.raises(SchemeError, match=r"target vertices 0 and 1 share the coordinate \(0, 0\)"):
             validate_cover(edge, shared)
@@ -643,30 +677,35 @@ class TestCoverValidation:
                        coords={label[v]: c for v, c in plain.coords.items()})
         cover = family_cover("windmill", dims, 1)
         if case == "shifted":
-            block, placement = cover[3]
-            cover[3] = (block, {v: ((c[0] + 1) % 8, c[1]) for v, c in placement.items()})
+            shape, sites = cover[3]
+            cover[3] = (shape, [((c[0] + 1) % 8, c[1]) for c in sites])
         elif case == "off-lattice":
-            cover.append((Graph(range(3), [(0, 1), (1, 2)]), {0: (8, 0), 1: (8, 1), 2: (0, 0)}))
+            cover.append((line_shape(3, [(0, 1), (1, 2)]), [(8, 0), (8, 1), (0, 0)]))
         result = validate_cover(cover, target)
         assert result == validate_cover(cover, plain) == replay_cover(cover, plain)
         assert result[0] == (case == "exact")
 
-    def test_unsorted_adjacency_matches_merge_replay(self):
-        # a block listed with its ids backwards, one vertex split in two and
-        # merged back onto the copy: its edges come out of adjacency unsorted
+    def test_pairs_in_any_order_and_orientation_match_merge_replay(self):
+        # one block given with its sites shuffled, its pairs in reverse order and every
+        # other pair turned around: the verdict stands, and its qubits take the new order
         dims = (8, 8)
+        target = target_lattice(dims)
         cover = family_cover("windmill", dims, 1)
-        block, placement = cover[0]
-        v = next(u for u in block.vertices() if block.degree(u) > 1)
-        n, nbrs = block.vertex_count, sorted(block.neighbors(v))
-        edges = [e for e in block.edges() if v not in e] + [(v, nbrs[0])] + [(n, u) for u in nbrs[1:]]
-        merged = merge_vertices(Graph(reversed(range(n + 1)), edges), n, v)
-        assert list(merged.iter_edges()) != merged.edges()
-        assert sorted(merged.iter_edges()) == merged.edges()
-        cover[0] = (merged, {**placement, n: placement[v]})
-        ok, trace = validate_cover(cover, target_lattice(dims))
+        shape, sites = cover[0]
+        n = shape.vertex_count
+        to = list(range(n))
+        random.Random(7).shuffle(to)  # site i moves to position to[i]
+        moved = [None] * n
+        for i, site in enumerate(sites):
+            moved[to[i]] = site
+        pairs = tuple((to[i], to[j]) if k % 2 else (to[j], to[i]) for k, (i, j) in enumerate(reversed(shape.pairs)))
+        assert {a < c for a, c in pairs} == {True, False}
+        assert sorted(map(sorted, pairs)) != sorted(map(sorted, shape.pairs))
+        cover[0] = (Shape(tuple(moved), pairs), moved)
+        ok, trace = validate_cover(cover, target)
         assert ok
-        assert (ok, trace) == replay_cover(cover, target_lattice(dims))
+        assert (ok, trace) == replay_cover(cover, target)
+        assert trace != validate_cover(family_cover("windmill", dims, 1), target)[1]
 
     @settings(max_examples=200, deadline=None)
     @given(random_covers())
