@@ -24,7 +24,7 @@ evaluates sweep points one after another, not in parallel.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class MultinetError(ValueError):
@@ -145,6 +145,10 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return a in self._adj and b in self._adj[a]
 
+    def iter_edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as ``(a, b)`` with ``a < b``, in adjacency order (unsorted)."""
+        return ((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
+
     def edge_codes(self, shift: int) -> frozenset[int]:
         """Each edge ``(a, b)`` with ``a < b`` as the int ``(a << shift) + b``, frozen and memoised per last shift."""
         if self._codes is None or self._codes[0] != shift:
@@ -152,7 +156,7 @@ class Graph:
         return self._codes[1]
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted((a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b)
+        return sorted(self.iter_edges())
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
@@ -244,9 +248,15 @@ def local_complement(g: Graph, v: int) -> Graph:
     """
     check_instance(g, Graph, "graph", GraphError)._require(v)
     out = g.copy()
-    for a, b in itertools.combinations(sorted(g._adj[v]), 2):
-        out._adj[a] ^= {b}
-        out._adj[b] ^= {a}
+    nbrs = sorted(g._adj[v])
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            if b in out._adj[a]:
+                out._adj[a].discard(b)
+                out._adj[b].discard(a)
+            else:
+                out._adj[a].add(b)
+                out._adj[b].add(a)
     return out
 
 
@@ -264,7 +274,8 @@ def merge_vertices(g: Graph, a: int, b: int) -> Graph:
     out = g.copy()
     new_nbrs = (out._adj[a] ^ out._adj[b]) - {a, b}
     for u in out._adj[a] | out._adj[b]:
-        out._adj[u] -= {a, b}
+        out._adj[u].discard(a)
+        out._adj[u].discard(b)
     del out._adj[b]
     if out.coords is not None:
         out.coords.pop(b, None)
@@ -291,10 +302,18 @@ def connect_project(g: Graph, a: int, b: int) -> Graph:
     out = g.copy()
     na = out._adj[a] - {b}
     nb = out._adj[b] - {a}
-    for i, j in itertools.combinations(sorted(na | nb), 2):
-        if ((i in na) and (j in nb)) != ((i in nb) and (j in na)):
-            out._adj[i] ^= {j}
-            out._adj[j] ^= {i}
+    for i in sorted(na | nb):
+        for j in sorted(na | nb):
+            if j <= i:
+                continue
+            toggle = ((i in na) and (j in nb)) != ((i in nb) and (j in na))
+            if toggle:
+                if j in out._adj[i]:
+                    out._adj[i].discard(j)
+                    out._adj[j].discard(i)
+                else:
+                    out._adj[i].add(j)
+                    out._adj[j].add(i)
     for v in (a, b):
         for u in out._adj[v]:
             out._adj[u].discard(v)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -393,9 +394,11 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
     a target site's is its vertex id, so the wanted codes are the target's
     edges, and an off-target site's lies above every target id.  The codes
     are counted only if one repeats.  The trace pairs each qubit with the
-    first one placed on its site, sorted by site coordinate, then qubit.  No graph is built for the blocks.
-    Raises :class:`SchemeError` if the target is not a :class:`Graph`, if it or a vertex of it has no
-    coordinates, two target vertices share one, or a block's site list differs in length from its shape's.
+    first one placed on its site, sorted by site coordinate, then qubit.  No graph is built for the blocks;
+    each distinct shape is checked once.  Raises :class:`SchemeError` if the target is not a :class:`Graph`,
+    if it or a vertex of it has no coordinates, two target vertices share one, a block's shape is not a
+    :class:`blocks.Shape` whose pairs are a simple graph on its sites, or its site list differs in length
+    from its shape's.
     """
     if not isinstance(target, Graph) or target.coords is None:
         raise SchemeError(f"target {target!r} is not a Graph or carries no coordinates")
@@ -412,7 +415,11 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
     shift = max(32, (top - vertices[0]).bit_length() + 1) if vertices else 32
     placed: list[int] = []  # the site of each qubit id
     codes: list[int] = []  # one per placed edge between two sites
+    checked: set[int] = set()  # ids of the shapes checked; the cover holds them, so no id is reused
     for block_idx, (shape, sites) in enumerate(cover):
+        if id(shape) not in checked:
+            _check_shape(shape, block_idx)
+            checked.add(id(shape))
         if len(sites) != len(shape.sites):
             raise SchemeError(f"block {block_idx} places {len(sites)} sites, its shape has {len(shape.sites)}")
         at = list(map(number.get, sites))
@@ -432,6 +439,24 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
     trace = [(where[placed[f]], f, q) for q, f in enumerate(firsts) if f != q]
     trace.sort(key=itemgetter(0))  # stable, so each site's qubits stay ascending
     return odd == target.edge_codes(shift) and len(first) == len(number) == len(vertices), trace
+
+
+def _check_shape(shape: blocks.Shape, block_idx: int) -> None:
+    """Raise :class:`SchemeError` unless ``shape`` is a :class:`blocks.Shape` whose pairs are a simple graph on
+    its sites: each a tuple of two int indices into them, never one site twice, no two pairs on the same two
+    sites.  Checked by passes over the whole tuple, as a shape may hold hundreds of pairs."""
+    n = len(check_instance(shape, blocks.Shape, f"block {block_idx} shape", SchemeError).sites)
+    pairs = shape.pairs
+    try:  # a pair and its reverse are two tuples unless it joins a site to itself, and a pair given
+        # twice, either way round, adds none, so a simple graph gives twice as many tuples as pairs
+        ends = list(chain.from_iterable(pairs))
+        simple = (set(map(len, pairs)) <= {2} and set(map(type, ends)) <= {int}
+                  and (not ends or 0 <= min(ends) and max(ends) < n)
+                  and len(set(pairs).union(map(itemgetter(1, 0), pairs))) == 2 * len(pairs))
+    except TypeError:  # pairs or a pair not a sequence, or a pair not hashable
+        simple = False
+    if not simple:
+        raise SchemeError(f"block {block_idx} pairs are not a simple graph on its {n} sites")
 
 
 def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[blocks.Shape, list[tuple]]]:

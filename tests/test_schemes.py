@@ -655,6 +655,23 @@ class TestCoverValidation:
             cover[3] = (shape, wrong)
             with pytest.raises(SchemeError, match=f"block 3 places {len(wrong)} sites, its shape has {n}"):
                 validate_cover(cover, target_lattice((8, 8)))
+        cover[3] = (shape, sites)
+        assert validate_cover(cover, target_lattice((8, 8)))[0]
+        # a shape is read as a simple graph on its sites: a pair out of range, a self-pair or one
+        # pair given twice is refused, never read from the end, dropped, or cancelled by parity;
+        # the extra block's sites (0, 0) and (0, 2) are no lattice edge, so read as a simple graph
+        # (the duplicate merged) it makes the cover wrong, and by parity alone it would vanish
+        for pairs in ([(0, 3)], [(-1, 0)], [(0, 1), (1, 1)], [(0, 2), (2, 0)], [(0, 1), (2, 1), (1, 2)],
+                      [(0, True)], [(0, 1.0)], [(0, 1, 2)], [(0,)], [[0, 1]], [0]):
+            extra = (line_shape(3, pairs), [(0, 0), (0, 1), (0, 2)])
+            with pytest.raises(SchemeError, match=rf"block {len(cover)} pairs are not a simple graph on its 3 sites"):
+                validate_cover(cover + [extra], target_lattice((8, 8)))
+        assert not validate_cover(cover + [(line_shape(3, [(2, 0)]), [(0, 0), (0, 1), (0, 2)])],
+                                  target_lattice((8, 8)))[0]
+        with pytest.raises(SchemeError, match="block 0 pairs are not a simple graph on its 2 sites"):
+            validate_cover([(Shape(((0, 0), (0, 1)), None), [(0, 0), (0, 1)])], target_lattice((8, 8)))
+        with pytest.raises(SchemeError, match="block 0 shape must be a Shape"):
+            validate_cover([(Graph(range(2), [(0, 1)]), [(0, 0), (0, 1)])], target_lattice((8, 8)))
         with pytest.raises(SchemeError, match="no coordinates"):
             validate_cover(family_cover("windmill", (8, 8), 1), Graph(range(4), [(0, 1)]))
         # targets 0 and 1 share (0, 0), so one edge (0, 0)-(1, 0) would stand in for (0, 2) and (1, 2)
