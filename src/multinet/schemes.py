@@ -444,7 +444,7 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
 def _check_shape(shape: blocks.Shape, block_idx: int) -> None:
     """Raise :class:`SchemeError` unless ``shape`` is a :class:`blocks.Shape` whose pairs are a simple graph on
     its sites: each a tuple of two int indices into them, never one site twice, no two pairs on the same two
-    sites.  Checked by passes over the whole tuple, as a shape may hold hundreds of pairs."""
+    sites.  Checked by passes over the whole tuple, as one shape may hold thousands of pairs."""
     n = len(check_instance(shape, blocks.Shape, f"block {block_idx} shape", SchemeError).sites)
     pairs = shape.pairs
     try:  # a pair and its reverse are two tuples unless it joins a site to itself, and a pair given
