@@ -35,8 +35,9 @@ one-to-one (any extent >= 3 would do; every period is even), so no two
 placements share an edge, no block repeats one and none is a self-loop.
 
 So one check on the cell proves the cover of every admissible torus, and
-extents breaking (i) or (ii) raise :class:`BlockError`.  Storage is read off
-the cell as well (:func:`site_costs`).
+extents breaking (i) or (ii) raise :class:`BlockError`.  As it keys only
+index pairs (i, j) with i < j, it also certifies each cell shape a simple
+graph.  Storage is read off the cell as well (:func:`site_costs`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from operator import add, getitem, mod
+from operator import add, getitem, mod, mul
 from typing import NamedTuple
 
 from .graphstate import MultinetError, check_dims, check_integer
@@ -57,14 +58,12 @@ FAMILIES = ("bipartite", "windmill", "shifted-grid")
 # the caches are keyed by type too: b = True or 1.0 (or dim = 2.0) would otherwise read b = 1's
 # (dim = 2's) entry, as they compare and hash alike, and skip the checks that a miss runs
 _cached = functools.lru_cache(maxsize=None, typed=True)
+# id -> shape of each shape unit_cell certified; holding the shapes keeps their ids from being reused
+CERTIFIED: dict[int, Shape] = {}
 
 
 class BlockError(MultinetError):
     """Unknown family or lattice dimensions the family cannot tile."""
-
-
-def _norm_edge(a: Site, b: Site) -> Edge:
-    return (a, b) if a <= b else (b, a)
 
 
 def _plaquette() -> list[Edge]:
@@ -82,7 +81,7 @@ def _pinwheel_2d() -> list[Edge]:
     edges = _plaquette()
     for cx, cy in itertools.product((0, 1), repeat=2):
         step = (2 * cx - 1, 0) if cx == cy else (0, 2 * cy - 1)
-        edges.append(_norm_edge((cx, cy), (cx + step[0], cy + step[1])))
+        edges.append(((cx, cy), (cx + step[0], cy + step[1])))
     return edges
 
 
@@ -98,18 +97,14 @@ def _pinwheel_3d() -> list[Edge]:
     for c in itertools.product((0, 1), repeat=3):
         for axis in range(3):
             if c[axis] == c[(axis + 1) % 3]:  # the next axis's bit also gives the sign
-                edges.append(_norm_edge(c, tuple(x + (2 * x - 1) * (i == axis) for i, x in enumerate(c))))
+                edges.append((c, tuple(x + (2 * x - 1) * (i == axis) for i, x in enumerate(c))))
     return edges
 
 
-def block_edges(family: str, dim: int, b: int) -> list[Edge]:
-    """Canonical block of the family at the origin, in unwrapped coordinates: one piece at the origin
-    translated by every piece offset, edges unsorted (set order, alike in every process: ints hash alike)."""
-    b = check_integer(b, "block size", BlockError, 1)
-    if check_integer(dim, "dimensionality", BlockError) not in (2, 3):
-        raise BlockError(f"dimensionality must be 2 or 3, got {dim}")
-    if family == "bipartite":
-        return [((0,) * dim, (1,) + (0,) * (dim - 1))]
+def _block(family: str, dim: int, b: int) -> list[tuple[int, int]]:
+    """The family's canonical block at the origin as edges (a, c), a < c, of integer site codes: one piece
+    translated by every piece offset, in set order (alike in every process: ints hash alike).  A code is
+    row-major over the box [-b, 3b)^dim, which holds the block, so it is >= 0 and codes order as sites do."""
     if family == "windmill":
         piece = _pinwheel_2d() if dim == 2 else _pinwheel_3d()
         offsets = itertools.product(range(0, 2 * b, 2), repeat=dim)
@@ -118,11 +113,17 @@ def block_edges(family: str, dim: int, b: int) -> list[Edge]:
         offsets = [(i + j, i - j) for i in range(b) for j in range(b)] if dim == 2 else [(t,) * 3 for t in range(b)]
     else:
         raise BlockError(f"unknown block family {family!r}")
-    # adding one offset to both ends keeps an edge normalised
-    if dim == 2:
-        return list({((a0 + x, a1 + y), (c0 + x, c1 + y)) for x, y in offsets for (a0, a1), (c0, c1) in piece})
-    return list({((a0 + x, a1 + y, a2 + z), (c0 + x, c1 + y, c2 + z))
-                 for x, y, z in offsets for (a0, a1, a2), (c0, c1, c2) in piece})
+    scale = [(4 * b) ** k for k in range(dim - 1, -1, -1)]  # codes are linear in sites, up to the box's corner
+    piece = [sorted(sum(map(mul, site, scale)) + b * sum(scale) for site in edge) for edge in piece]
+    offsets = [sum(map(mul, offset, scale)) for offset in offsets]
+    return list({(a + o, c + o) for o in offsets for a, c in piece})  # one offset on both ends keeps a < c
+
+
+def block_edges(family: str, dim: int, b: int) -> list[Edge]:
+    """Canonical block of the family at the origin, in unwrapped coordinates: the first shape of
+    :func:`unit_cell`, decoded from :func:`_block`, as coordinate pairs in its pair order."""
+    sites, pairs = unit_cell(family, dim, b).shapes[0]
+    return [(sites[i], sites[j]) for i, j in pairs]
 
 
 class Shape(NamedTuple):
@@ -153,19 +154,26 @@ def _period(family: str, dim: int, b: int) -> tuple[int, ...]:
 def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     """The family's period and the blocks anchored in one period box.
 
-    Raises :class:`BlockError` unless the cell is exact: its edges' residue-pair
-    keys (module docstring) distinct and dim * prod(p) in number.
+    The canonical block's site codes (:func:`_block`) are sorted and indexed as ints, each decoded once.
+    Raises :class:`BlockError` unless the cell is exact: the residue-pair keys (module docstring) of its
+    pairs (i, j) with i < j distinct and dim * prod(p) in number, one per pair.  Its shapes go in CERTIFIED.
     """
-    canonical = block_edges(family, dim, b)  # checks the family, dimension and size
+    b = check_integer(b, "block size", BlockError, 1)
+    if check_integer(dim, "dimensionality", BlockError) not in (2, 3):
+        raise BlockError(f"dimensionality must be 2 or 3, got {dim}")
     period = _period(family, dim, b)
     origin = (0,) * dim
     if family == "bipartite":
         shapes = [Shape((origin, tuple(int(i == axis) for i in range(dim))), ((0, 1),)) for axis in range(dim)]
         anchors = itertools.product(*map(range, period))
     else:
-        index = {s: i for i, s in enumerate(sorted({s for e in canonical for s in e}))}
-        ends = map(index.__getitem__, itertools.chain.from_iterable(canonical))
-        shapes = [Shape(tuple(index), tuple(zip(ends, ends)))]
+        edges, w = _block(family, dim, b), 4 * b  # checks the family
+        codes = sorted(set(itertools.chain.from_iterable(edges)))
+        index = {s: i for i, s in enumerate(codes)}
+        ends = map(index.__getitem__, itertools.chain.from_iterable(edges))
+        sites = ([(s // w - b, s % w - b) for s in codes] if dim == 2 else
+                 [(s // w // w - b, s // w % w - b, s % w - b) for s in codes])
+        shapes = [Shape(tuple(sites), tuple(zip(ends, ends)))]
         if family == "windmill":
             anchors = [origin]
         elif dim == 2:
@@ -180,13 +188,15 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     )
     p0, p1, p2 = (*period, 1)[:3]
     size = p0 * p1 * p2
-    keys = []
+    keys, count = [], 0
     for sites, pairs in cell:  # row-major residue codes, by a comprehension per dimension
         codes = ([x % p0 * p1 + y % p1 for x, y in sites] if dim == 2 else
                  [(x % p0 * p1 + y % p1) * p2 + z % p2 for x, y, z in sites])
-        keys += [codes[i] * size + codes[j] for i, j in pairs]
-    if len(set(keys)) != len(keys) or len(keys) != dim * size:
+        keys += [codes[i] * size + codes[j] for i, j in pairs if i < j]
+        count += len(pairs)
+    if len(set(keys)) != count or count != dim * size:
         raise BlockError(f"{family} blocks of size {b} do not tile their {period} unit cell exactly")
+    CERTIFIED.update((id(shape), shape) for shape in cell)
     return UnitCell(period, cell)
 
 
@@ -207,20 +217,22 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
 def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], list[tuple[int, list[Site]]]]:
     """The cell's translates by every multiple of its period, exact by the module's lemma.
 
-    Returns ``(shapes, placed)``.  Each cell shape is folded onto the torus once into a :class:`Shape`:
-    its distinct wrapped sites, sorted (fewer than its own on a torus narrower than the block), and its
-    edges as index pairs into them in the cell's order.  ``placed`` lists each block as (shape index,
-    sites), its sites in the shape's order, zipped from per-axis tables of the shape's coordinates
-    under every period shift.  No :class:`~multinet.graphstate.Graph` is built.
+    Returns ``(shapes, placed)``.  Each shape is the cell's :class:`Shape` itself, unless the torus is narrower
+    than the block and folds it: then a new one merges its coinciding wrapped sites in first-occurrence order.
+    ``placed`` lists each block as (shape index, sites), its sites in the shape's order, zipped from per-axis
+    tables of the shape's wrapped coordinates under every period shift.  No ``Graph`` is built.
     """
     cell = _check_dims(family, dims, b)
     d0, d1, d2 = (*dims, 1)[:3]
     shapes, tables = [], []
-    for sites, pairs in cell.shapes:  # wrapped by a comprehension per dimension
-        wrapped = ([(x % d0, y % d1) for x, y in sites] if len(dims) == 2 else
-                   [(x % d0, y % d1, z % d2) for x, y, z in sites])
-        index = {s: i for i, s in enumerate(sorted(set(wrapped)))}
-        shapes.append(Shape(tuple(index), tuple((index[wrapped[i]], index[wrapped[j]]) for i, j in pairs)))
+    for shape in cell.shapes:  # wrapped by a comprehension per dimension
+        wrapped = ([(x % d0, y % d1) for x, y in shape.sites] if len(dims) == 2 else
+                   [(x % d0, y % d1, z % d2) for x, y, z in shape.sites])
+        index = dict.fromkeys(wrapped)
+        if len(index) < len(wrapped):  # folded
+            index = {s: i for i, s in enumerate(index)}
+            shape = Shape(tuple(index), tuple((index[wrapped[i]], index[wrapped[j]]) for i, j in shape.pairs))
+        shapes.append(shape)
         tables.append([[tuple((x + t) % d for x in axis) for t in range(0, d, p)]
                        for axis, d, p in zip(zip(*index), dims, cell.period)])
     shifts = itertools.product(*(range(d // p) for d, p in zip(dims, cell.period)))

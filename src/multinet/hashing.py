@@ -259,6 +259,8 @@ def _group_classes(classes: Iterable[MarginalClass]):
     for c in classes:
         if type(c.count) is not int or c.count < 0:
             check_integer(c.count, "class count", DistributionError, 0)
+        if type(c.lambda1) is not float:  # a bool would read its number's cache entry, a str raise TypeError
+            check_real(c.lambda1, "class lambda1", DistributionError)
         if c.count:
             by_color.setdefault(c.color, []).append(c)
     s_color = {col: max(c.entropy for c in cls) for col, cls in by_color.items()}
@@ -369,21 +371,25 @@ def vertex_classes(
     (lambda1, color) key, in the order of ``marginals``.  Raises
     :class:`InfeasibleTargetError` unless ``coloring`` colors every vertex
     of ``g`` properly, and :class:`DistributionError` unless ``marginals``
-    holds exactly one marginal per vertex of ``g``.
+    holds exactly one marginal per vertex of ``g`` (or ``coloring`` is no mapping).
     """
-    uncolored = [v for v in check_instance(g, Graph, "graph", MultinetError).vertices() if v not in coloring]
-    if uncolored:
-        raise InfeasibleTargetError(f"coloring misses vertices {uncolored}")
-    for a, b in g.edges():
-        if coloring[a] == coloring[b]:
-            raise InfeasibleTargetError(f"improper coloring: edge ({a},{b}) inside one color")
     key_by_vertex: dict[int, tuple[float, int]] = {}
-    for marg in marginals:
-        if not g.has_vertex(marg.vertex):
-            raise DistributionError(f"marginal given for vertex {marg.vertex}, which is not in the graph")
-        if marg.vertex in key_by_vertex:
-            raise DistributionError(f"more than one marginal given for vertex {marg.vertex}")
-        key_by_vertex[marg.vertex] = (marg.lambda1, coloring[marg.vertex])
+    try:
+        uncolored = [v for v in check_instance(g, Graph, "graph", MultinetError).vertices() if v not in coloring]
+        if uncolored:
+            raise InfeasibleTargetError(f"coloring misses vertices {uncolored}")
+        for a, b in g.edges():
+            if coloring[a] == coloring[b]:
+                raise InfeasibleTargetError(f"improper coloring: edge ({a},{b}) inside one color")
+        for marg in marginals:
+            if not g.has_vertex(marg.vertex):
+                raise DistributionError(f"marginal given for vertex {marg.vertex}, which is not in the graph")
+            if marg.vertex in key_by_vertex:
+                raise DistributionError(f"more than one marginal given for vertex {marg.vertex}")
+            key_by_vertex[marg.vertex] = (marg.lambda1, coloring[marg.vertex])
+    except (TypeError, AttributeError):  # a coloring no container, marginals no sequence of BitMarginal
+        raise DistributionError(f"coloring {coloring!r} must map vertices to colors, marginals {marginals!r} "
+                                "be a sequence of BitMarginal") from None
     missing = [v for v in g.vertices() if v not in key_by_vertex]
     if missing:
         raise DistributionError(f"marginals missing for vertices {missing}")

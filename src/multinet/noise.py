@@ -186,21 +186,17 @@ def pair_pattern_distribution(
     a-b correlation, which the bipartite hashing bound needs.
     """
     probs = [1.0, 0.0, 0.0, 0.0]
-
-    def fold(outcomes):
-        nonlocal probs
-        new = [0.0, 0.0, 0.0, 0.0]
-        for p, mask in outcomes:
-            if p:
-                for mu in range(4):
-                    new[mu ^ mask] += p * probs[mu]
-        probs = new
-
-    for ch in channels_a:
-        # X_a flips mu_b, Z_a flips mu_a, Y_a flips both
-        fold([(ch.p_i, 0b00), (ch.p_x, 0b01), (ch.p_y, 0b11), (ch.p_z, 0b10)])
-    for ch in channels_b:
-        fold([(ch.p_i, 0b00), (ch.p_x, 0b10), (ch.p_y, 0b11), (ch.p_z, 0b01)])
+    try:  # X_a flips mu_b, Z_a flips mu_a, Y_a flips both; X_b and Z_b the other way round
+        for channels, x, z in ((channels_a, 0b01, 0b10), (channels_b, 0b10, 0b01)):
+            for ch in channels:
+                new = [0.0, 0.0, 0.0, 0.0]
+                for p, mask in ((ch.p_i, 0b00), (ch.p_x, x), (ch.p_y, 0b11), (ch.p_z, z)):
+                    if p:
+                        for mu in range(4):
+                            new[mu ^ mask] += p * probs[mu]
+                probs = new
+    except (TypeError, AttributeError):  # no sequence, or an entry no PauliChannel
+        raise ChannelError(f"channels must be sequences of PauliChannel, got {channels_a!r}, {channels_b!r}") from None
     total = sum(probs)
     if not abs(total - 1.0) <= _DRIFT_TOL:
         raise ChannelError(f"pattern probabilities sum to {total}, not 1")

@@ -384,7 +384,7 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
     edges distinct index pairs into its sites, and the target coordinates (as in ``target.coords``) of those
     sites in the shape's order.  Wherever two or more placed qubits coincide they are merged pairwise in
     ascending block order; the trace of performed merges, qubits numbered block by block in each shape's
-    site order, is returned with the verdict.
+    site order (a cell shape's own, as :func:`blocks.lift` keeps it), is returned with the verdict.
 
     A merge adds one vertex's adjacency row to the survivor's over GF(2)
     (:func:`~multinet.graphstate.merge_vertices`), so merging every site
@@ -395,10 +395,11 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
     edges, and an off-target site's lies above every target id.  The codes
     are counted only if one repeats.  The trace pairs each qubit with the
     first one placed on its site, sorted by site coordinate, then qubit.  No graph is built for the blocks;
-    each distinct shape is checked once.  Raises :class:`SchemeError` if the target is not a :class:`Graph`,
-    if it or a vertex of it has no coordinates, two target vertices share one, a block's shape is not a
-    :class:`blocks.Shape` whose pairs are a simple graph on its sites, or its site list differs in length
-    from its shape's.
+    each distinct shape is checked once, unless it is one that :func:`blocks.unit_cell` certified (found by
+    identity in ``blocks.CERTIFIED``).  Raises :class:`SchemeError` if the target is not a :class:`Graph`,
+    if it or a vertex of it has no coordinates, two target vertices share one, a block is no (shape, sites)
+    pair, its shape is not a :class:`blocks.Shape` whose pairs are a simple graph on its sites, or its site
+    list differs in length from its shape's.
     """
     if not isinstance(target, Graph) or target.coords is None:
         raise SchemeError(f"target {target!r} is not a Graph or carries no coordinates")
@@ -416,20 +417,27 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
     placed: list[int] = []  # the site of each qubit id
     codes: list[int] = []  # one per placed edge between two sites
     checked: set[int] = set()  # ids of the shapes checked; the cover holds them, so no id is reused
-    for block_idx, (shape, sites) in enumerate(cover):
-        if id(shape) not in checked:
-            _check_shape(shape, block_idx)
-            checked.add(id(shape))
-        if len(sites) != len(shape.sites):
-            raise SchemeError(f"block {block_idx} places {len(sites)} sites, its shape has {len(shape.sites)}")
-        at = list(map(number.get, sites))
-        if None in at:  # a site off the target
-            at = [number.setdefault(site, top + 1 + len(number) - len(vertices)) for site in sites]
-        placed += at
-        for i, j in shape.pairs:  # a plain loop: under 3.11 it beats a comprehension per block
-            p, q = at[i], at[j]
-            if p != q:
-                codes.append((p << shift) + q if p < q else (q << shift) + p)
+    block_idx = 0
+    try:
+        for block_idx, (shape, sites) in enumerate(cover):
+            if id(shape) not in checked and id(shape) not in blocks.CERTIFIED:
+                _check_shape(shape, block_idx)
+                checked.add(id(shape))
+            if len(sites) != len(shape.sites):
+                raise SchemeError(f"block {block_idx} places {len(sites)} sites, its shape has {len(shape.sites)}")
+            at = list(map(number.get, sites))
+            if None in at:  # a site off the target
+                at = [number.setdefault(site, top + 1 + len(number) - len(vertices)) for site in sites]
+            placed += at
+            for i, j in shape.pairs:  # a plain loop: under 3.11 it beats a comprehension per block
+                p, q = at[i], at[j]
+                if p != q:
+                    codes.append((p << shift) + q if p < q else (q << shift) + p)
+    except SchemeError:
+        raise
+    except (TypeError, ValueError) as exc:  # no sequence of blocks, a block no pair, sites no sequence of sites
+        raise SchemeError(f"cover block {block_idx} is not a (shape, sites) pair of a Shape and its sites: {exc}"
+                          ) from None
     odd = set(codes)
     if len(odd) < len(codes):  # some pair placed twice: keep those placed an odd number of times
         odd = {code for code, count in Counter(codes).items() if count % 2}
@@ -461,6 +469,6 @@ def _check_shape(shape: blocks.Shape, block_idx: int) -> None:
 
 def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[blocks.Shape, list[tuple]]]:
     """A family's cover as :func:`validate_cover` reads it: each block of :func:`blocks.lift` as (shape, sites),
-    the blocks of one cell shape sharing its :class:`blocks.Shape`, each with a site list of its own."""
+    the blocks of one cell shape sharing the cell's own :class:`blocks.Shape` (or its fold), each with its sites."""
     shapes, placed = blocks.lift(family, dims, b)
     return [(shapes[k], sites) for k, sites in placed]

@@ -292,21 +292,32 @@ class TestCovers:
         for b, period, anchors in [(3, (6, 2, 2), 2), (4, (4, 2, 2), 1)]:
             cell = unit_cell("shifted-grid", 3, b)
             assert cell.period == period and len(cell.shapes) == anchors
-        # the first block is anchored at the origin, edges as in the canonical block
+        # the first block is anchored at the origin, edges as in the canonical block: its site codes,
+        # row-major over the box [-b, 3b)^dim, decoded digit by digit, each edge's lower end first
         for family, dim, b in itertools.product(("windmill", "shifted-grid"), (2, 3), range(1, 5)):
-            assert cell_groups(unit_cell(family, dim, b))[0] == tuple(block_edges(family, dim, b))
+            w = 4 * b
+            site = lambda code: tuple(code // w**k % w - b for k in reversed(range(dim)))
+            edges = tuple((site(a), site(c)) for a, c in blocks._block(family, dim, b))
+            assert all(a < c for a, c in edges)
+            assert cell_groups(unit_cell(family, dim, b))[0] == edges == tuple(block_edges(family, dim, b))
 
-    @pytest.mark.parametrize("change", ["drop", "duplicate", "replace"])
+    @pytest.mark.parametrize("change", ["drop", "duplicate", "replace", "reversed", "self"])
     @pytest.mark.parametrize("family,dim,b", [("windmill", 2, 2), ("shifted-grid", 2, 3), ("windmill", 3, 1),
                                                ("shifted-grid", 3, 2)])
     def test_inexact_cell_is_rejected(self, monkeypatch, change, family, dim, b):
         # one edge dropped leaves a key unhit, one duplicated hits a key twice, and one
-        # replaced by a copy of another does both while the number of keys stays right
-        edges = block_edges(family, dim, b)
-        changed = {"drop": edges[1:], "duplicate": edges + edges[:1], "replace": edges[:1] + edges[:-1]}[change]
-        monkeypatch.setattr(blocks, "block_edges", lambda *args: changed)
+        # replaced by a copy of another does both while the number of keys stays right;
+        # one turned around, or one from a site to itself, is keyed by no pair (i, j) with
+        # i < j, so it leaves a key unhit though the number of edges stays right
+        edges = blocks._block(family, dim, b)
+        (a, c), rest = edges[0], edges[1:]
+        changed = {"drop": rest, "duplicate": edges + edges[:1], "replace": edges[:1] + edges[:-1],
+                   "reversed": [(c, a)] + rest, "self": [(a, a)] + rest}[change]
+        monkeypatch.setattr(blocks, "_block", lambda *args: changed)
         with pytest.raises(BlockError, match="do not tile"):
             unit_cell.__wrapped__(family, dim, b)
+        monkeypatch.setattr(blocks, "_block", lambda *args: edges)
+        assert unit_cell.__wrapped__(family, dim, b) == unit_cell(family, dim, b)
 
     @pytest.mark.parametrize("family,dims,b", preset_lattices())
     def test_preset_lattices(self, family, dims, b):

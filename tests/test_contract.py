@@ -52,8 +52,8 @@ from multinet import (
     validate_cover,
 )
 from multinet.blocks import blocks_count, degree_color_classes, per_copy_total, site_costs, unit_cell
-from multinet.hashing import bennett_loss, largest_m
-from multinet.noise import uniform_depolarizing_marginal, uniform_edge_channel_marginal
+from multinet.hashing import MarginalClass, bennett_loss, largest_m, multipartite_bound_classes
+from multinet.noise import pair_pattern_distribution, uniform_depolarizing_marginal, uniform_edge_channel_marginal
 from multinet.schemes import family_cover
 
 VALUES = [True, 2.0, 2.5, "2", None, math.nan, math.inf, -1, 0]
@@ -81,6 +81,10 @@ ADMITS = {
     "distribution": lambda v: False,  # a sequence of probabilities
     "architecture": lambda v: False,  # an Architecture
     "storage": lambda v: False,  # a StorageModel
+    "coloring": lambda v: False,  # a vertex -> color mapping
+    "marginals": lambda v: False,  # a sequence of BitMarginal
+    "channels": lambda v: False,  # a sequence of PauliChannel
+    "cover": lambda v: False,  # a sequence of (Shape, sites) blocks
 }
 
 STAR = build_graph("ghz-star", s=3)
@@ -91,6 +95,7 @@ COLORING = color_graph(STAR)
 WINDMILL = Architecture("windmill", (8, 8))
 PER_NODE = StorageModel("per-node", 40)
 COVER = family_cover("windmill", (8, 8))
+TARGET = build_graph("lattice2d", w=8, h=8, periodic=True)
 LDN = PauliChannel.depolarizing(0.9)
 
 
@@ -146,6 +151,12 @@ TABLE = [
     ("bipartite_bound", "n", "integer", lambda v: bipartite_bound(PAIR, v, 1)),
     ("bipartite_bound", "m", "integer", lambda v: bipartite_bound(PAIR, 100, v)),
     ("multipartite_bound", "g", "graph", lambda v: multipartite_bound(v, COLORING, MARGINALS, 100, 1)),
+    ("multipartite_bound", "coloring", "coloring", lambda v: multipartite_bound(STAR, v, MARGINALS, 100, 1)),
+    ("multipartite_bound", "marginals", "marginals", lambda v: multipartite_bound(STAR, COLORING, v, 100, 1)),
+    ("multipartite_bound_classes", "classes", "probability",
+     lambda v: multipartite_bound_classes([MarginalClass(v, 0, 1)], 100, 1)),
+    ("pair_pattern_distribution", "channels_a", "channels", lambda v: pair_pattern_distribution(v, [])),
+    ("pair_pattern_distribution", "channels_b", "channels", lambda v: pair_pattern_distribution([LDN], v)),
     ("multipartite_bound", "n", "integer", lambda v: multipartite_bound(STAR, COLORING, MARGINALS, v, 1)),
     ("multipartite_bound", "m", "integer", lambda v: multipartite_bound(STAR, COLORING, MARGINALS, 100, v)),
     ("largest_m", "n", "integer", lambda v: largest_m(lambda m: 0.95, v, 0.9)),
@@ -180,6 +191,7 @@ TABLE = [
     ("triangular_repeater", "q", "probability", lambda v: triangular_repeater(1, 40, v)),
     ("triangular_repeater", "p", "probability", lambda v: triangular_repeater(1, 40, 0.9, v)),
     ("validate_cover", "target", "graph", lambda v: validate_cover(COVER, v)),
+    ("validate_cover", "cover", "cover", lambda v: validate_cover(v, TARGET)),
     ("family_cover", "dims", "dims", lambda v: family_cover("windmill", v)),
     ("family_cover", "dims", "extent", lambda v: family_cover("windmill", (v, 8))),
     ("family_cover", "b", "count", lambda v: family_cover("windmill", (8, 8), v)),
@@ -205,6 +217,7 @@ UNCHECKED = {"HashingRun", "SchemeResult"}
 BEYOND_ALL = {
     "family_cover", "blocks_count", "unit_cell", "site_costs", "degree_color_classes", "per_copy_total",
     "largest_m", "bennett_loss", "uniform_depolarizing_marginal", "uniform_edge_channel_marginal",
+    "multipartite_bound_classes", "pair_pattern_distribution",
 }
 
 
@@ -242,6 +255,14 @@ KIND_VALUES = {
     "graph": [("edge-list", [(0, 1), (1, 2)]), ("adjacency", {0: {1}, 1: {0}})],
     "architecture": [("tuple", ("windmill", (8, 8), 1)), ("storage", PER_NODE)],
     "storage": [("tuple", ("per-node", 40)), ("architecture", WINDMILL)],
+    "coloring": [("string", "012"), ("list", [0, 1, 1])],
+    "marginals": [("ints", [1]), ("tuples", [tuple(m) for m in MARGINALS])],
+    "channels": [("ints", [1]), ("probabilities", [0.9])],
+    "cover": [
+        ("block-not-a-pair", [[5]]), ("block-an-int", [5]), ("sites-none", [(COVER[0][0], None)]),
+        ("unhashable-sites", [(COVER[0][0], [[0, 0]] * COVER[0][0].vertex_count)]),
+        ("later-block-not-a-pair", COVER[:3] + [(COVER[0][0],)]),
+    ],
 }
 
 

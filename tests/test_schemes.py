@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multinet import graphstate
-from multinet.blocks import FAMILIES, BlockError, Shape, per_copy_total
+from multinet import blocks, graphstate, schemes
+from multinet.blocks import FAMILIES, BlockError, Shape, per_copy_total, unit_cell
 from multinet.graphstate import Graph, MultinetError, build_graph, merge_vertices
 from multinet.schemes import (
     Architecture,
@@ -605,6 +605,41 @@ class TestCoverValidation:
         merge_vertices(target_lattice((4, 4)), 0, 1)  # the counters see both ways a Graph is built
         assert built == ["init", "copy"]
 
+    def test_cell_shapes_are_placed_as_they_are(self, monkeypatch):
+        # a cover's blocks share their unit cell's certified shapes, unchecked; only a shape the torus
+        # folds (a block wider than the torus, its coinciding sites merged) is new, and checked once
+        checked = []
+        check = schemes._check_shape
+        monkeypatch.setattr(schemes, "_check_shape", lambda shape, i: checked.append(shape) or check(shape, i))
+        folded = []
+        for dims, family, b, _ in PINNED_COVERS:
+            cover, cell = family_cover(family, dims, b), unit_cell(family, len(dims), b).shapes
+            folds = [len({tuple(map(int.__mod__, s, dims)) for s in shape.sites}) < len(shape.sites) for shape in cell]
+            new = list({id(shape): shape for shape, _ in cover if not any(shape is s for s in cell)}.values())
+            assert len(new) == sum(folds)
+            assert all(shape.vertex_count < s.vertex_count for shape, s in zip(new, itertools.compress(cell, folds)))
+            assert all(id(s) in blocks.CERTIFIED for s in cell)
+            assert validate_cover(cover, target_lattice(dims))[0]
+            folded += new
+        assert len(folded) == 7
+        assert [id(shape) for shape in checked] == [id(shape) for shape in folded]
+
+    def test_shape_check_is_skipped_by_identity_only(self, monkeypatch):
+        # a copy equal to a certified shape is not that shape: it is checked, and a malformed one raises
+        checked = []
+        check = schemes._check_shape
+        monkeypatch.setattr(schemes, "_check_shape", lambda shape, i: checked.append(shape) or check(shape, i))
+        dims = (8, 8)
+        cover, target = family_cover("windmill", dims, 1), target_lattice(dims)
+        shape = cover[0][0]
+        copy = Shape(*shape)
+        assert copy == shape and copy is not shape and id(shape) in blocks.CERTIFIED
+        assert validate_cover([(copy, sites) for _, sites in cover], target) == validate_cover(cover, target)
+        assert checked == [copy] and checked[0] is copy
+        for pairs in (shape.pairs + ((0, 0),), shape.pairs[:1] + shape.pairs, (shape.pairs[0][::-1],) + shape.pairs):
+            with pytest.raises(SchemeError, match="block 0 pairs are not a simple graph"):
+                validate_cover([(Shape(shape.sites, pairs), sites) for _, sites in cover], target)
+
     def test_target_codes_are_built_once(self, monkeypatch):
         # a benchmark pass validates every block size against each lattice: one target,
         # many covers, and the target's wanted codes are built on its first check only
@@ -621,7 +656,7 @@ class TestCoverValidation:
         assert builds == [2 * 16 * 16]
 
     def test_cells_and_traces_agree_across_processes(self):
-        # block_edges leaves its edges in set order: the cells' index pairs and the
+        # blocks._block leaves its edges in set order: the cells' index pairs and the
         # traces must still come out the same in every interpreter, whatever its hash seed
         script = (
             "import hashlib, itertools\n"
@@ -653,7 +688,7 @@ class TestCoverValidation:
         n = shape.vertex_count
         for wrong in (sites[:2] + sites[3:], sites + sites[:1], []):
             cover[3] = (shape, wrong)
-            with pytest.raises(SchemeError, match=f"block 3 places {len(wrong)} sites, its shape has {n}"):
+            with pytest.raises(SchemeError, match=f"^block 3 places {len(wrong)} sites, its shape has {n}$"):
                 validate_cover(cover, target_lattice((8, 8)))
         cover[3] = (shape, sites)
         assert validate_cover(cover, target_lattice((8, 8)))[0]
@@ -664,7 +699,7 @@ class TestCoverValidation:
         for pairs in ([(0, 3)], [(-1, 0)], [(0, 1), (1, 1)], [(0, 2), (2, 0)], [(0, 1), (2, 1), (1, 2)],
                       [(0, True)], [(0, 1.0)], [(0, 1, 2)], [(0,)], [[0, 1]], [0]):
             extra = (line_shape(3, pairs), [(0, 0), (0, 1), (0, 2)])
-            with pytest.raises(SchemeError, match=rf"block {len(cover)} pairs are not a simple graph on its 3 sites"):
+            with pytest.raises(SchemeError, match=rf"^block {len(cover)} pairs are not a simple graph on its 3 sites$"):
                 validate_cover(cover + [extra], target_lattice((8, 8)))
         assert not validate_cover(cover + [(line_shape(3, [(2, 0)]), [(0, 0), (0, 1), (0, 2)])],
                                   target_lattice((8, 8)))[0]
