@@ -256,13 +256,16 @@ def _group_classes(classes: Iterable[MarginalClass]):
     certainty.
     """
     by_color: dict[int, list[MarginalClass]] = {}
-    for c in classes:
-        if type(c.count) is not int or c.count < 0:
-            check_integer(c.count, "class count", DistributionError, 0)
-        if type(c.lambda1) is not float:  # a bool would read its number's cache entry, a str raise TypeError
-            check_real(c.lambda1, "class lambda1", DistributionError)
-        if c.count:
-            by_color.setdefault(c.color, []).append(c)
+    try:
+        for c in classes:
+            if type(c.count) is not int or c.count < 0:
+                check_integer(c.count, "class count", DistributionError, 0)
+            if type(c.lambda1) is not float:  # a bool would read its number's cache entry, a str raise TypeError
+                check_real(c.lambda1, "class lambda1", DistributionError)
+            if c.count:
+                by_color.setdefault(c.color, []).append(c)
+    except (TypeError, AttributeError):  # no sequence, an entry no MarginalClass, or a color not hashable
+        raise DistributionError(f"classes must be a sequence of MarginalClass, got {classes!r}") from None
     s_color = {col: max(c.entropy for c in cls) for col, cls in by_color.items()}
     active = {col for col, s in s_color.items() if s > 0.0}
     return by_color, s_color, active
@@ -350,15 +353,17 @@ def _at_split(bound: _SplitBound, m: int, delta_split: dict[int, float] | None) 
         return 1.0, {}
     if delta_split is None:
         delta_split = {c: 1.0 / len(active) for c in active}
-    if set(delta_split) != active:
-        raise InfeasibleTargetError(
-            f"split given for colors {sorted(delta_split)}, active colors are {sorted(active)}"
-        )
-    if not abs(sum(delta_split.values()) - 1.0) <= 1e-9:  # NaN fails too
-        raise InfeasibleTargetError("split fractions must sum to 1")
-    delta_color = {c: budget * delta_split[c] for c in active}
-    if not all(d > 0.0 for d in delta_color.values()):
-        raise InfeasibleTargetError("every active color needs a positive slack share")
+    try:
+        if set(delta_split) != active:
+            raise InfeasibleTargetError(
+                f"split given for colors {sorted(delta_split)}, active colors are {sorted(active)}")
+        if not abs(sum(delta_split.values()) - 1.0) <= 1e-9:  # NaN fails too
+            raise InfeasibleTargetError("split fractions must sum to 1")
+        delta_color = {c: budget * delta_split[c] for c in active}
+        if not all(d > 0.0 for d in delta_color.values()):
+            raise InfeasibleTargetError("every active color needs a positive slack share")
+    except (TypeError, AttributeError):  # no mapping, or fractions no numbers
+        raise InfeasibleTargetError(f"split must map each active color to a fraction, got {delta_split!r}") from None
     return bound.fidelity([delta_color[c] for c in bound.colors]), delta_color
 
 

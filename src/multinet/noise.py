@@ -148,9 +148,12 @@ def flip_probability(sources: list[FlipSource], vertex: int) -> float:
 def bit_marginals(g: Graph, sources: list[FlipSource]) -> list[BitMarginal]:
     """Per-vertex flip marginals of independent sources, for all vertices of g."""
     check_instance(g, Graph, "graph", ChannelError)
-    for s in sources:
-        for v in s.flip_prob:
-            g._require(v)
+    try:
+        for s in sources:
+            for v in check_instance(s, FlipSource, "noise source", ChannelError).flip_prob:
+                g._require(v)
+    except TypeError:  # no sequence
+        raise ChannelError(f"sources must be a sequence of FlipSource, got {sources!r}") from None
     out = []
     for v in g.vertices():
         p1 = flip_probability(sources, v)
@@ -213,9 +216,10 @@ def output_noise_factor(g: Graph, qubits: list[int], p: float) -> float:
     """
     p = check_real(p, "output noise parameter", ChannelError)
     check_instance(g, Graph, "graph", ChannelError)
-    for v in qubits:
-        if g.degree(v) == 0:
-            raise ChannelError(
-                f"output vertex {v} is isolated; the pattern-orthogonality bound does not apply"
-            )
-    return ((1.0 + 3.0 * p) / 4.0) ** len(qubits)
+    try:
+        for v in qubits:
+            if g.degree(v) == 0:
+                raise ChannelError(f"output vertex {v} is isolated; the pattern-orthogonality bound does not apply")
+        return ((1.0 + 3.0 * p) / 4.0) ** len(qubits)
+    except TypeError:  # no sequence
+        raise ChannelError(f"qubits must be a sequence of vertex ids, got {qubits!r}") from None

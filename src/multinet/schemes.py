@@ -12,15 +12,20 @@ Conventions shared by all scenarios:
   resource states (p = 1) schemes B and C coincide.
 - Infeasible sweep points are reported as results with fidelity 0 and the
   ``infeasible`` flag set, never silently dropped.
-- Every scenario point runs in one order: the scenario's own inputs
-  (scheme, levels, capacity, lattice), then its ensemble, which checks the
-  noise parameters, then the copy count n that storage allows, then
+- Every scenario point checks its own inputs and noise parameters, builds
+  its ensemble and reads the copy count n that storage allows before
   :func:`_point`, which checks the target before it reads n.  So no storage
   outcome, room or none, hides a bad input.
+- What a sweep does not vary is computed once per process, in two caches of
+  at most 64 entries keyed by checked values only (``typed=True``, so 1.0
+  and True never share an entry): a GHZ scheme kind's ensemble per (kind,
+  channel, q, p, px, pz) (:func:`_ghz_ensemble`), and the block and copy
+  counts per (architecture, storage) (:func:`_copies`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from itertools import chain
@@ -75,6 +80,7 @@ class StorageModel(NamedTuple("StorageModel", [("mode", str), ("capacity", int)]
     """Memory constraint: per-node capacity, or a global freely assignable pool."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks its fields too: they key a cache
 
     def __new__(cls, mode: str, capacity: int):
         if mode not in STORAGE_MODES:
@@ -86,6 +92,7 @@ class Architecture(NamedTuple("Architecture", [("family", str), ("dims", tuple[i
     """A cluster-state construction from one block family."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks its fields too: they key a cache
 
     def __new__(cls, family: str, dims: tuple[int, ...], block_size: int = 1):
         if family not in blocks.FAMILIES:
@@ -168,59 +175,63 @@ def allocate_global_storage(arch: Architecture, total_capacity: int) -> int:
     return total_capacity // per_copy
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _copies(arch: Architecture, storage: StorageModel) -> tuple[int, int]:
+    """The blocks of ``arch``'s lattice and the copy count n that ``storage`` allows it, 0 without room for one."""
+    per_copy = storage_per_node(arch) if storage.mode == "per-node" else blocks.per_copy_total(*arch)
+    return blocks.blocks_count(*arch), storage.capacity // per_copy
+
+
 # -- GHZ schemes ----------------------------------------------------------------
 
 
-def _ghz_channels(channel: str, q: float, p: float, q_params: dict | None):
-    """Per-qubit channel lists for the star (index 0 = center) and for one
-    Bell pair (index 0 = kept half, 1 = traveling half); the lists are shared,
-    so they are never mutated."""
-    # p = 1 adds no channel, so check it here
+def _ghz_noise(channel: str, q, p, params: dict | None) -> tuple[str, float, float, float, float]:
+    """(channel, q, p, px, pz) checked, as :func:`_ghz_ensemble` reads them; px and pz only for ``biased``."""
     q, p = check_real(q, "channel parameter q", ChannelError), check_real(p, "resource parameter p", ChannelError)
-    params = q_params or {}
-    resource = [] if p >= 1.0 else [PauliChannel.depolarizing(p)]
+    if channel in ("ldn", "z"):
+        return channel, q, p, 0.0, 0.0
+    if channel != "biased" or not isinstance(params, dict) or not params.keys() >= {"px", "pz"}:
+        raise SchemeError(f"unsupported channel {channel!r} for the GHZ scenario (biased needs px and pz)")
+    px, pz = check_real(params["px"], "X weight", ChannelError), check_real(params["pz"], "Z weight", ChannelError)
+    return channel, q, p, px, pz
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _ghz_ensemble(pairs: bool, channel: str, q: float, p: float, px: float, pz: float) -> tuple:
+    """A GHZ scheme kind's ensemble and output-noise factors: the star's classes and the factor on its 3 qubits
+    (A, A-opt), or with ``pairs`` a Bell pair's pattern distribution, that factor and the merge layer's (B, C)."""
+    resource = [] if p >= 1.0 else [PauliChannel.depolarizing(p)]  # p = 1 adds no channel
     if channel == "ldn":
         noisy = [PauliChannel.depolarizing(q)] + resource
-        return {v: noisy for v in range(3)}, (noisy, noisy)
-    if channel == "z":
-        ch = PauliChannel.phase_flip(1.0 - q)
-    elif channel == "biased" and params.keys() >= {"px", "pz"}:
-        ch = PauliChannel.biased(p_x=params["px"], p_z=params["pz"])
     else:
-        raise SchemeError(f"unsupported channel {channel!r} for the GHZ scenario (biased needs px and pz)")
-    noisy = [ch] + resource
-    return {0: resource, 1: noisy, 2: noisy}, (resource, noisy)
+        noisy = [PauliChannel.phase_flip(1.0 - q) if channel == "z" else PauliChannel.biased(px, pz)] + resource
+    kept = noisy if channel == "ldn" else resource  # at the star's center and the Bell pair's kept half
+    g = build_graph("ghz-star", s=3)
+    factor = output_noise_factor(g, [0, 1, 2], p)
+    if pairs:
+        return pair_pattern_distribution(kept, noisy), factor, output_noise_factor(g, [1, 2], p)
+    sources = [channel_to_flip_source(g, v, ch) for v, chans in enumerate((kept, noisy, noisy)) for ch in chans]
+    return tuple(vertex_classes(g, color_graph(g), bit_marginals(g, sources))[0]), factor
 
 
-def _star_classes(g: Graph, star_channels: dict[int, list[PauliChannel]]) -> list[MarginalClass]:
-    """Flip marginals of the 3-star ``g`` under independent per-qubit channels."""
-    sources = [
-        channel_to_flip_source(g, v, ch)
-        for v, chans in star_channels.items()
-        for ch in chans
-    ]
-    return vertex_classes(g, color_graph(g), bit_marginals(g, sources))[0]
-
-
-def _ghz_bound(scheme: str, n: int, m: int, star, pair, p: float) -> float:
-    """3-GHZ bound of one scheme at (n, m), output noise included.
+def _ghz_bound(scheme: str, ensemble: tuple, n: int, m: int) -> float:
+    """3-GHZ bound of one scheme at (n, m) on its :func:`_ghz_ensemble`, output noise included.
 
     Schemes A and A-opt hash the star states directly, A-opt at the
     optimized slack split; B and C hash two Bell ensembles and merge them,
     B with one more noise layer on the two merge-touched qubits.
     """
-    g = build_graph("ghz-star", s=3)
     if scheme.startswith("A"):
-        classes = _star_classes(g, star)
+        classes, noise = ensemble
         if scheme == "A-opt":
             _, fid = optimize_delta_split_classes(classes, n, m)
         else:
             fid, _ = multipartite_bound_classes(classes, n, m)
-        return fid * output_noise_factor(g, [0, 1, 2], p)
-    dist = pair_pattern_distribution(*pair)
-    fid = bipartite_bound(dist, n, m).fidelity ** 2 * output_noise_factor(g, [0, 1, 2], p)
+        return fid * noise
+    dist, noise, merge_noise = ensemble
+    fid = bipartite_bound(dist, n, m).fidelity ** 2 * noise
     if scheme == "B":
-        fid *= output_noise_factor(g, [1, 2], p)
+        fid *= merge_noise
     return fid
 
 
@@ -247,9 +258,9 @@ def ghz_scheme_fidelity(
     if scheme not in GHZ_PER_COPY:
         raise SchemeError(f"scheme must be one of {tuple(GHZ_PER_COPY)}, got {scheme!r}")
     capacity = check_integer(capacity, "storage capacity", SchemeError, 1)
-    star, pair = _ghz_channels(channel, q, p, channel_params)
+    ensemble = _ghz_ensemble(not scheme.startswith("A"), *_ghz_noise(channel, q, p, channel_params))
     n = capacity // GHZ_PER_COPY[scheme]
-    return _point(scheme, n, lambda m: _ghz_bound(scheme, n, m, star, pair, p), m=m)
+    return _point(scheme, n, lambda m: _ghz_bound(scheme, ensemble, n, m), m=m)
 
 
 def triangular_repeater(
@@ -272,10 +283,10 @@ def triangular_repeater(
     if scheme not in TRIANGULAR_PER_COPY:
         raise SchemeError(f"scheme must be one of {tuple(TRIANGULAR_PER_COPY)}, got {scheme!r}")
     capacity = check_integer(capacity, "storage capacity", SchemeError, 1)
-    star, pair = _ghz_channels("ldn", q, p, None)
+    ensemble = _ghz_ensemble(scheme != "A", *_ghz_noise("ldn", q, p, None))
     n = capacity // TRIANGULAR_PER_COPY[scheme]
     exponent = 3**levels if scheme == "A" else 2 ** (levels + 1)
-    return _point(scheme, n, lambda m: _ghz_bound(scheme, n, m, star, pair, p) ** exponent, m=1)
+    return _point(scheme, n, lambda m: _ghz_bound(scheme, ensemble, n, m) ** exponent, m=1)
 
 
 # -- cluster architectures -------------------------------------------------------
@@ -319,21 +330,12 @@ def cluster_architecture_run(
     """
     family, _, b = check_instance(arch, Architecture, "architecture", SchemeError)
     label = family if family == "bipartite" else f"{family}-b{b}"
-    count = blocks.blocks_count(family, arch.dims, b)
+    count, n = _copies(arch, check_instance(storage, StorageModel, "storage", SchemeError))
     if family == "bipartite":
         ldn = [PauliChannel.depolarizing(q)]
-        ensemble = pair_pattern_distribution(ldn, ldn)
+        bound = _edge_product(pair_pattern_distribution(ldn, ldn), count, n)
     else:
-        ensemble = _cluster_classes(family, arch.dimensionality, b, q, count)
-
-    if check_instance(storage, StorageModel, "storage", SchemeError).mode == "per-node":
-        n = storage.capacity // storage_per_node(arch)
-    else:
-        try:
-            n = allocate_global_storage(arch, storage.capacity)
-        except SchemeError:
-            n = 0  # no room for one copy
-    bound = _edge_product(ensemble, count, n) if family == "bipartite" else ensemble
+        bound = _cluster_classes(family, arch.dimensionality, b, q, count)
     return _point(label, n, bound, m, threshold)
 
 
@@ -355,8 +357,8 @@ def from_bell_run(
     noiselessly at the end.  Exactly one of ``m`` or ``threshold`` must be
     given, as in :func:`cluster_architecture_run`.
     """
-    capacity = check_integer(capacity, "storage capacity", SchemeError, 1)
-    edge_count = blocks.blocks_count("bipartite", dims)
+    storage = StorageModel("per-node", capacity)  # checks the capacity before the lattice
+    edge_count, n_bip = _copies(Architecture("bipartite", check_dims(dims, "lattice", blocks.BlockError)), storage)
     dim = len(dims)
     sites = edge_count // dim
 
@@ -367,9 +369,8 @@ def from_bell_run(
         MarginalClass(lambda1=lam1, color=1, count=sites - half),
     ]
     dist = pair_pattern_distribution([], [PauliChannel.depolarizing(q)])
-    n_bip = capacity // storage_per_node(Architecture("bipartite", dims))
     return (
-        _point("multipartite", capacity, classes, m, threshold),
+        _point("multipartite", storage.capacity, classes, m, threshold),
         _point("bipartite", n_bip, _edge_product(dist, edge_count, n_bip), m, threshold),
     )
 

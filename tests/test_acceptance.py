@@ -22,7 +22,6 @@ from multinet.graphstate import (
 )
 from multinet.hashing import (
     InfeasibleTargetError,
-    _spread_and_variance,
     bennett_success,
     entropy,
     multipartite_bound,
@@ -315,11 +314,9 @@ def test_criterion_13_bound_sanity():
     report(13, "bounds clamped, monotone in n and delta, asymptotic yield boundary exact")
 
 
-def test_criterion_14_deterministic_csv(tmp_path):
-    # the first runs fill the storage and constants caches, the second runs read them
-    site_costs.cache_clear()
-    _spread_and_variance.cache_clear()
-    for preset in ("fig3", "fig10", "fig13"):
+def test_criterion_14_deterministic_csv(tmp_path, clear_caches):
+    # the first runs fill every cache, the second runs read them
+    for preset in ("fig3", "fig8", "fig10", "fig13"):
         outputs = []
         for run in (1, 2):
             out = tmp_path / f"{preset}-{run}.csv"

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multinet import cli
-from multinet.blocks import site_costs
 from multinet.cli import (
     MAX_SWEEP_STEPS,
     ConfigError,
@@ -22,7 +21,6 @@ from multinet.cli import (
     rows_to_csv,
     run_experiment,
 )
-from multinet.hashing import _spread_and_variance
 
 MINIMAL = """
 [experiment]
@@ -469,11 +467,9 @@ class TestMain:
     def test_unwritable_output_path(self, tmp_path):
         assert main(["run", "fig3", "--out", str(tmp_path)]) == 2
 
-    def test_determinism_across_parallelism(self, tmp_path):
-        # the first runs fill the storage and constants caches, the second runs read them
-        site_costs.cache_clear()
-        _spread_and_variance.cache_clear()
-        for preset in ("fig3", "fig10"):
+    def test_determinism_across_parallelism(self, tmp_path, clear_caches):
+        # the first runs fill every cache, the second runs read them
+        for preset in ("fig3", "fig8", "fig10"):
             outputs = []
             for run in (1, 2):
                 out = tmp_path / f"{preset}-{run}.csv"

@@ -52,7 +52,14 @@ from multinet import (
     validate_cover,
 )
 from multinet.blocks import blocks_count, degree_color_classes, per_copy_total, site_costs, unit_cell
-from multinet.hashing import MarginalClass, bennett_loss, largest_m, multipartite_bound_classes
+from multinet.hashing import (
+    MarginalClass,
+    bennett_loss,
+    largest_m,
+    max_output_copies_classes,
+    multipartite_bound_classes,
+    optimize_delta_split_classes,
+)
 from multinet.noise import pair_pattern_distribution, uniform_depolarizing_marginal, uniform_edge_channel_marginal
 from multinet.schemes import family_cover
 
@@ -85,6 +92,10 @@ ADMITS = {
     "marginals": lambda v: False,  # a sequence of BitMarginal
     "channels": lambda v: False,  # a sequence of PauliChannel
     "cover": lambda v: False,  # a sequence of (Shape, sites) blocks
+    "classes": lambda v: False,  # a sequence of MarginalClass
+    "split": lambda v: v is None,  # a mapping of each active color to its fraction of the slack; None splits equally
+    "sources": lambda v: False,  # a sequence of FlipSource
+    "qubits": lambda v: False,  # a sequence of vertex ids
 }
 
 STAR = build_graph("ghz-star", s=3)
@@ -97,6 +108,7 @@ PER_NODE = StorageModel("per-node", 40)
 COVER = family_cover("windmill", (8, 8))
 TARGET = build_graph("lattice2d", w=8, h=8, periodic=True)
 LDN = PauliChannel.depolarizing(0.9)
+CLASSES = [MarginalClass(0.01, 0, 1), MarginalClass(0.01, 1, 2)]
 
 
 # (entry point, parameter, kind, the call with the value in that parameter)
@@ -129,12 +141,14 @@ TABLE = [
     ("BitMarginal", "lambda1", "probability", lambda v: BitMarginal(0, 1.0, v)),
     ("bit_marginals", "g", "graph", lambda v: bit_marginals(v, [])),
     ("bit_marginals", "sources", "integer", lambda v: bit_marginals(STAR, [FlipSource({v: 0.1})])),
+    ("bit_marginals", "sources", "sources", lambda v: bit_marginals(STAR, v)),
     ("channel_to_flip_source", "g", "graph", lambda v: channel_to_flip_source(v, 0, LDN)),
     ("channel_to_flip_source", "v", "integer", lambda v: channel_to_flip_source(STAR, v, LDN)),
     ("edge_channel_to_flip_source", "edge", "integer", lambda v: edge_channel_to_flip_source((3, v), 0.9)),
     ("edge_channel_to_flip_source", "q", "probability", lambda v: edge_channel_to_flip_source((0, 1), v)),
     ("output_noise_factor", "g", "graph", lambda v: output_noise_factor(v, [0], 0.9)),
     ("output_noise_factor", "qubits", "integer", lambda v: output_noise_factor(STAR, [v], 0.9)),
+    ("output_noise_factor", "qubits", "qubits", lambda v: output_noise_factor(STAR, v, 0.9)),
     ("output_noise_factor", "p", "probability", lambda v: output_noise_factor(STAR, [0, 1], v)),
     ("uniform_depolarizing_marginal", "q", "probability", lambda v: uniform_depolarizing_marginal(v, 4)),
     ("uniform_depolarizing_marginal", "degree", "count0", lambda v: uniform_depolarizing_marginal(0.9, v)),
@@ -155,6 +169,13 @@ TABLE = [
     ("multipartite_bound", "marginals", "marginals", lambda v: multipartite_bound(STAR, COLORING, v, 100, 1)),
     ("multipartite_bound_classes", "classes", "probability",
      lambda v: multipartite_bound_classes([MarginalClass(v, 0, 1)], 100, 1)),
+    ("multipartite_bound_classes", "classes", "classes", lambda v: multipartite_bound_classes(v, 100, 1)),
+    ("multipartite_bound_classes", "delta_split", "split",
+     lambda v: multipartite_bound_classes(CLASSES, 100, 1, delta_split=v)),
+    ("multipartite_bound", "delta_split", "split",
+     lambda v: multipartite_bound(STAR, COLORING, MARGINALS, 100, 1, delta_split=v)),
+    ("optimize_delta_split_classes", "classes", "classes", lambda v: optimize_delta_split_classes(v, 100, 1)),
+    ("max_output_copies_classes", "classes", "classes", lambda v: max_output_copies_classes(v, 100, 0.9)),
     ("pair_pattern_distribution", "channels_a", "channels", lambda v: pair_pattern_distribution(v, [])),
     ("pair_pattern_distribution", "channels_b", "channels", lambda v: pair_pattern_distribution([LDN], v)),
     ("multipartite_bound", "n", "integer", lambda v: multipartite_bound(STAR, COLORING, MARGINALS, v, 1)),
@@ -217,7 +238,8 @@ UNCHECKED = {"HashingRun", "SchemeResult"}
 BEYOND_ALL = {
     "family_cover", "blocks_count", "unit_cell", "site_costs", "degree_color_classes", "per_copy_total",
     "largest_m", "bennett_loss", "uniform_depolarizing_marginal", "uniform_edge_channel_marginal",
-    "multipartite_bound_classes", "pair_pattern_distribution",
+    "multipartite_bound_classes", "pair_pattern_distribution", "optimize_delta_split_classes",
+    "max_output_copies_classes",
 }
 
 
@@ -239,6 +261,35 @@ def test_malformed_value_raises_a_library_error(entry, parameter, kind, call, va
     except MultinetError:
         return
     assert ADMITS[kind](value), f"{entry} accepted {parameter} = {value!r}, which no {kind} is"
+
+
+def _outcome(call, value):
+    """``repr`` of what ``call(value)`` returns, or the type and message of the library error it raises."""
+    try:
+        return repr(call(value))
+    except MultinetError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# the scenario entry points whose sweep points read a cache (schemes._ghz_ensemble, schemes._copies)
+CACHED_ROWS = [row for row in TABLE if row[0] in
+               ("ghz_scheme_fidelity", "triangular_repeater", "cluster_architecture_run", "from_bell_run")]
+
+
+@pytest.mark.parametrize("value, neighbour", [(True, 1.0), (1, 1.0), (-0.0, 0.0)], ids=["True", "1", "-0.0"])
+@pytest.mark.parametrize(
+    "entry, parameter, kind, call",
+    CACHED_ROWS,
+    ids=[f"{entry}-{parameter}-{kind}" for entry, parameter, kind, _ in CACHED_ROWS],
+)
+def test_a_value_reads_no_cache_entry_of_its_neighbour(entry, parameter, kind, call, value, neighbour, clear_caches):
+    # the two compare and hash alike; each must give what it gives on cold caches, called right before
+    # the other (caches cold) or right after it (caches warm from the other)
+    before = [_outcome(call, value), _outcome(call, neighbour)]
+    clear_caches()
+    after = [_outcome(call, neighbour), _outcome(call, value)]
+    assert before == after[::-1]
+    assert isinstance(before[0], tuple) or ADMITS[kind](value), f"{entry} accepted {parameter} = {value!r}"
 
 
 # each kind's own malformed values, beyond VALUES, as (label, value); every row of the kind must raise
@@ -263,6 +314,16 @@ KIND_VALUES = {
         ("unhashable-sites", [(COVER[0][0], [[0, 0]] * COVER[0][0].vertex_count)]),
         ("later-block-not-a-pair", COVER[:3] + [(COVER[0][0],)]),
     ],
+    "classes": [
+        ("ints", [1]), ("tuples", [tuple(c) for c in CLASSES]), ("list-color", [MarginalClass(0.01, [0], 1)]),
+        ("later-entry-none", CLASSES + [None]),
+    ],
+    "split": [
+        ("fractions-list", [0.5, 0.5]), ("colors-list", [0, 1]), ("numerals", {0: "0.5", 1: "0.5"}),
+        ("none-fraction", {0: None, 1: 1.0}), ("complex-fraction", {0: 0.5 + 0j, 1: 0.5}),
+    ],
+    "sources": [("ints", [1]), ("dicts", [{0: 0.1}]), ("channels", [LDN])],
+    "qubits": [("floats", [0.0, 1.0]), ("bools", [True]), ("nested", [[0]]), ("numerals", ["0"])],
 }
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from multinet import blocks, graphstate, schemes
 from multinet.blocks import FAMILIES, BlockError, Shape, per_copy_total, unit_cell
+from multinet.cli import load_config_source, parse_config, run_experiment
 from multinet.graphstate import Graph, MultinetError, build_graph, merge_vertices
 from multinet.schemes import (
     Architecture,
@@ -325,13 +326,28 @@ def test_capacity_must_be_a_positive_integer(entry, capacity):
         (lambda: Architecture("windmill", (8, 8), 1.5), "block size must be an integer >= 1, got 1.5"),
         (lambda: Architecture("windmill", (8, 8), 2.0), "block size must be an integer >= 1, got 2.0"),
         (lambda: Architecture("windmill", (8, 8), True), "block size must be an integer >= 1, got True"),
+        # _replace builds through _make, which checks too, so an unchecked instance cannot key a cache
+        (lambda: Architecture("windmill", (8, 8))._replace(block_size=True),
+         "block size must be an integer >= 1, got True"),
+        (lambda: StorageModel("global", 40)._replace(capacity=40.0), "storage capacity must be an integer >= 1"),
     ],
     ids=["storage-mode", "family", "dims", "block-size", "float-block-size", "integral-float-block-size",
-         "bool-block-size"],
+         "bool-block-size", "replaced-block-size", "replaced-capacity"],
 )
 def test_value_checks_name_the_offender(build, message):
     with pytest.raises(SchemeError, match=message):
         build()
+
+
+@pytest.mark.parametrize("preset, cache, rows, misses", [
+    ("fig3", "_ghz_ensemble", 19 * 2, 2),  # 19 capacities of schemes A and C: one ensemble per scheme kind
+    ("fig8", "_ghz_ensemble", 9 * 2, 2),  # 9 levels of schemes A and C: one per scheme
+    ("fig11", "_copies", 51 * 4, 4),  # 51 values of q on four architectures: one copy count per architecture
+])
+def test_sweep_invariants_are_computed_once(preset, cache, rows, misses, clear_caches):
+    assert len(run_experiment(parse_config(*load_config_source(preset)))) == rows
+    info = getattr(schemes, cache).cache_info()
+    assert (info.misses, info.hits) == (misses, rows - misses)
 
 
 # The fault matrix: every scenario entry point as a function of whether one
@@ -376,6 +392,8 @@ BAD_INPUTS = {
     "q=-0.1": {"q": -0.1},
     "p=1.5": {"p": 1.5},
     "biased-0.7-0.7": {"channel": "biased", "params": {"px": 0.7, "pz": 0.7}},
+    "biased-params-list": {"channel": "biased", "params": [0.01, 0.01]},
+    "biased-px-list": {"channel": "biased", "params": {"px": [0.01], "pz": 0.01}},
     "m=0": {"m": 0},
     "m=1.5": {"m": 1.5},
     "m=None": {"m": None},
