@@ -22,16 +22,13 @@ marginal and a color give equal factors.  The vertex-level API therefore
 checks and groups its input in one place, :func:`vertex_classes`, and reads
 each vertex's slack and success off its :class:`MarginalClass`.
 
-The class-level bound is evaluated by one engine.  The S, a and V of a
-distribution are computed once, on first use, which is also when the
-distribution is validated, and kept in one bounded cache keyed by the
-distribution (:func:`_spread_and_variance`): it serves the classes,
-:func:`bipartite_bound` and :func:`bennett_loss` alike, so a search over
-a pair bound does not recompute them at every step.  For one (classes, n),
-:class:`_SplitBound` does the color grouping and the per-class constants
-once, and per m only the target check and Delta; the bound at a given split
-then costs only the Bennett arithmetic, through the same kernel as
-:func:`bennett_loss`, summed in log space one color at a time.
+The class-level bound is evaluated by one engine.  A distribution's S, a and
+V are computed (and it is validated) on first use, in one bounded cache
+(:func:`_spread_and_variance`) that classes and pairs share.  For one
+(classes, n), :class:`_SplitBound` reads them once per class and keeps one
+row (count, gap, a, V, k) per class, k = -n*V/a^2; per m it does only the
+target check and Delta, and a split costs one :func:`_loss` (the kernel of
+:func:`bennett_loss`) and one log1p per row, summed one color at a time.
 
 The slack-split optimizer rests on a lemma: for any c = n*V/a^2, each loss
 L = 2*exp(-c*h(u)) + 2^(-n*delta), u = a*delta/V, is convex in delta wherever
@@ -155,22 +152,26 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float) -> float:
     if check_integer(n, "n", MultinetError) < 1:
         raise InfeasibleTargetError(f"need at least one input copy, got n={n}")
     delta = check_real(delta, "slack delta", InfeasibleTargetError, 0.0, math.inf, closed=False)
-    return _loss(*_statistics(probs), n, delta)
+    s, a, v = _statistics(probs)
+    return _loss(a, v, _constant(s, a, v, n), n, delta)
 
 
-def _loss(s: float, a: float, v: float, n: int, delta: float) -> float:
-    """The failure weight of :func:`bennett_loss` from a distribution's S, a, V.
+def _constant(s: float, a: float, v: float, n: int) -> float | None:
+    """The Bennett constant k = -n*(V/a^2) of a distribution's S, a, V at n; None where S, a or V is 0."""
+    return None if s == 0.0 or a == 0.0 or v == 0.0 else -n * (v / (a * a))
+
+
+def _loss(a: float, v: float, k: float | None, n: int, delta: float) -> float:
+    """The failure weight of :func:`bennett_loss` from a distribution's a, V and :func:`_constant` k.
 
     ``n >= 1`` and ``delta > 0`` are the caller's to check.
     """
-    if s == 0.0 or a == 0.0 or v == 0.0:
+    if k is None:
         concentration = 0.0
     else:
         u = a * delta / v
-        h = (1.0 + u) * math.log1p(u)
-        concentration = 2.0 * math.exp(-n * (v / (a * a)) * h)
-    identification = 2.0 ** (-n * delta)
-    return concentration + identification
+        concentration = 2.0 * math.exp(k * ((1.0 + u) * math.log1p(u)))
+    return concentration + 2.0 ** (-n * delta)
 
 
 def bennett_success(probs: Sequence[float], n: int, delta: float) -> float:
@@ -217,7 +218,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
         raise InfeasibleTargetError(
             f"target m/n={m}/{n} unreachable: entropy {s:.6f} leaves slack {delta:.6f}"
         )
-    f = max(0.0, 1.0 - _loss(s, a, v, n, delta))
+    f = max(0.0, 1.0 - _loss(a, v, _constant(s, a, v, n), n, delta))
     return HashingRun(n, m, {0: delta}, {0: delta}, {0: f}, f)
 
 
@@ -227,11 +228,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
 class MarginalClass(NamedTuple):
     """A group of vertices sharing one binary marginal and one color.
 
-    The entropy and the Bennett constants come from the one cache of
-    :func:`_spread_and_variance`, which also serves :func:`bipartite_bound`
-    and :func:`bennett_loss`.  Validation happens on first use, and a
-    malformed class raises :class:`DistributionError` wherever it is used,
-    as the cache keeps no exception.
+    A malformed class raises :class:`DistributionError` wherever it is used.
     """
 
     lambda1: float
@@ -240,54 +237,45 @@ class MarginalClass(NamedTuple):
 
     @property
     def distribution(self) -> tuple[float, float]:
-        return (1.0 - self.lambda1, self.lambda1)
+        lam = check_real(self.lambda1, "class lambda1", DistributionError)
+        return (1.0 - lam, lam)
 
     @property
     def entropy(self) -> float:
         return _spread_and_variance(self.distribution)[0]
 
 
-def _group_classes(classes: Iterable[MarginalClass]):
-    """Split into active colors (positive entropy) and the rest.
-
-    A color whose every marginal is exactly deterministic needs no
-    subprotocol at all: its strings are known without any measurement, it
-    consumes none of the copy budget, and its vertices succeed with
-    certainty.
-    """
-    by_color: dict[int, list[MarginalClass]] = {}
-    try:
-        for c in classes:
-            if type(c.count) is not int or c.count < 0:
-                check_integer(c.count, "class count", DistributionError, 0)
-            if type(c.lambda1) is not float:  # a bool would read its number's cache entry, a str raise TypeError
-                check_real(c.lambda1, "class lambda1", DistributionError)
-            if c.count:
-                by_color.setdefault(c.color, []).append(c)
-    except (TypeError, AttributeError):  # no sequence, an entry no MarginalClass, or a color not hashable
-        raise DistributionError(f"classes must be a sequence of MarginalClass, got {classes!r}") from None
-    s_color = {col: max(c.entropy for c in cls) for col, cls in by_color.items()}
-    active = {col for col, s in s_color.items() if s > 0.0}
-    return by_color, s_color, active
-
-
 class _SplitBound:
     """The class-level bound for one (classes, n), as a function of m and the split.
 
-    Construction groups the classes (validating them).  It keeps each
-    color's largest entropy S_c (``s_color``) and, per color in sorted
-    order, one row (count, (S_c - S_k)/2, (S, a, V)) per class of
-    positive entropy, so that evaluating a split repeats none of that work.
+    One pass checks each class and reads its (S, a, V) once.  Kept: each color's largest entropy S_c
+    (``s_color``); the active colors, S_c > 0, sorted (``colors``); per active color, one row (count,
+    gap, a, V, k) per class of positive entropy, gap = (S_c - S_k)/2 and k = :func:`_constant` at n.
+    A color of deterministic marginals only is known unmeasured: it uses no budget and always succeeds.
     """
 
     def __init__(self, classes: Iterable[MarginalClass], n: int):
-        by_color, self.s_color, self.active = _group_classes(classes)
-        self.colors = sorted(self.active)
+        stats: dict[int, list] = {}  # color -> (count, S, a, V) per class
+        try:
+            for c in classes:
+                count, lam, color = c.count, c.lambda1, c.color
+                if type(count) is not int or count < 0:
+                    count = check_integer(count, "class count", DistributionError, 0)
+                if type(lam) is not float:  # a bool would read its number's cache entry, a str raise TypeError
+                    lam = check_real(lam, "class lambda1", DistributionError)
+                if type(color) is not int:  # True or 1.0 would join color 1, and 0 and "a" not sort
+                    color = check_integer(color, "class color", DistributionError)
+                if count:
+                    stats.setdefault(color, []).append((count, *_spread_and_variance((1.0 - lam, lam))))
+        except (TypeError, AttributeError):  # no sequence, or an entry no MarginalClass
+            raise DistributionError(f"classes must be a sequence of MarginalClass, got {classes!r}") from None
         self.n = n
-        self.entropy = sum(self.s_color[c] for c in self.active)
+        self.s_color = {color: max(row[1] for row in rows) for color, rows in stats.items()}
+        self.colors = sorted(color for color, s in self.s_color.items() if s > 0.0)
+        self.entropy = sum(self.s_color[color] for color in self.colors)
         self.rows = [
-            [(cls.count, 0.5 * (self.s_color[color] - cls.entropy), _spread_and_variance(cls.distribution))
-             for cls in by_color[color] if cls.entropy != 0.0]
+            [(count, 0.5 * (self.s_color[color] - s), a, v, _constant(s, a, v, n))
+             for count, s, a, v in stats[color] if s != 0.0]
             for color in self.colors
         ]
 
@@ -299,7 +287,7 @@ class _SplitBound:
         """
         _check_target(self.n, m)
         budget = 0.5 * (1.0 - self.entropy - m / self.n)
-        if self.active and budget <= 0.0:
+        if self.colors and budget <= 0.0:
             raise InfeasibleTargetError(
                 f"target m/n={m}/{self.n} unreachable: color entropies sum to {self.entropy:.6f}"
             )
@@ -309,8 +297,8 @@ class _SplitBound:
         """``log_f`` plus color i's terms count*log1p(-loss) at ``slack``, -inf once a loss
         reaches 1, and the largest of ``worst`` and those losses."""
         n = self.n
-        for count, gap, (s, a, v) in self.rows[i]:
-            loss = _loss(s, a, v, n, slack + gap)
+        for count, gap, a, v, k in self.rows[i]:
+            loss = _loss(a, v, k, n, slack + gap)
             if loss >= 1.0:
                 return -math.inf, loss
             log_f += count * math.log1p(-loss)
@@ -348,23 +336,23 @@ def multipartite_bound_classes(
 def _at_split(bound: _SplitBound, m: int, delta_split: dict[int, float] | None) -> tuple[float, dict[int, float]]:
     """:func:`multipartite_bound_classes` on the classes of ``bound``."""
     budget = bound.budget(m)
-    active = bound.active
-    if not active:
+    colors = bound.colors
+    if not colors:
         return 1.0, {}
-    if delta_split is None:
-        delta_split = {c: 1.0 / len(active) for c in active}
+    if delta_split is None:  # the share is positive, as a positive budget is no subnormal
+        share = budget * (1.0 / len(colors))
+        return bound.fidelity([share] * len(colors)), dict.fromkeys(colors, share)
     try:
-        if set(delta_split) != active:
-            raise InfeasibleTargetError(
-                f"split given for colors {sorted(delta_split)}, active colors are {sorted(active)}")
+        if set(delta_split) != set(colors):
+            raise InfeasibleTargetError(f"split given for colors {sorted(delta_split)}, active colors are {colors}")
         if not abs(sum(delta_split.values()) - 1.0) <= 1e-9:  # NaN fails too
             raise InfeasibleTargetError("split fractions must sum to 1")
-        delta_color = {c: budget * delta_split[c] for c in active}
+        delta_color = {c: budget * delta_split[c] for c in colors}
         if not all(d > 0.0 for d in delta_color.values()):
             raise InfeasibleTargetError("every active color needs a positive slack share")
     except (TypeError, AttributeError):  # no mapping, or fractions no numbers
         raise InfeasibleTargetError(f"split must map each active color to a fraction, got {delta_split!r}") from None
-    return bound.fidelity([delta_color[c] for c in bound.colors]), delta_color
+    return bound.fidelity(list(delta_color.values())), delta_color
 
 
 def vertex_classes(
@@ -428,8 +416,7 @@ def multipartite_bound(
             by_class[cls.lambda1, cls.color] = (0.0, 1.0)
             continue
         d_k = delta_color[cls.color] + 0.5 * (bound.s_color[cls.color] - cls.entropy)
-        loss = _loss(*_spread_and_variance(cls.distribution), n, d_k)
-        by_class[cls.lambda1, cls.color] = (d_k, max(0.0, 1.0 - loss))
+        by_class[cls.lambda1, cls.color] = (d_k, bennett_success(cls.distribution, n, d_k))
     delta_by_vertex = {v: by_class[key][0] for v, key in key_by_vertex.items()}
     fidelity_by_vertex = {v: by_class[key][1] for v, key in key_by_vertex.items()}
     return HashingRun(n, m, delta_color, delta_by_vertex, fidelity_by_vertex, fidelity)

@@ -162,17 +162,17 @@ def storage_per_node(arch: Architecture) -> int:
 
 
 def allocate_global_storage(arch: Architecture, total_capacity: int) -> int:
-    """Best common copy count when storage may be distributed freely.
+    """Best common copy count when storage may be distributed freely, read off :func:`_copies`.
 
     Every node gets exactly what its class needs per copy, so the copy count
     is total capacity divided by the summed per-copy cost of the lattice.
     """
-    per_copy = blocks.per_copy_total(*check_instance(arch, Architecture, "architecture", SchemeError))
-    if check_integer(total_capacity, "total capacity", SchemeError) < per_copy:
-        raise SchemeError(
-            f"total capacity {total_capacity} is below the {per_copy} qubits one copy needs"
-        )
-    return total_capacity // per_copy
+    arch = check_instance(arch, Architecture, "architecture", SchemeError)
+    capacity = check_integer(total_capacity, "total capacity", SchemeError)
+    if capacity < 1 or not (n := _copies(arch, StorageModel("global", capacity))[1]):
+        per_copy = blocks.per_copy_total(*arch)
+        raise SchemeError(f"total capacity {capacity} is below the {per_copy} qubits one copy needs")
+    return n
 
 
 @functools.lru_cache(maxsize=64, typed=True)

@@ -170,6 +170,10 @@ TABLE = [
     ("multipartite_bound_classes", "classes", "probability",
      lambda v: multipartite_bound_classes([MarginalClass(v, 0, 1)], 100, 1)),
     ("multipartite_bound_classes", "classes", "classes", lambda v: multipartite_bound_classes(v, 100, 1)),
+    ("multipartite_bound_classes", "color", "integer",
+     lambda v: multipartite_bound_classes([MarginalClass(0.01, v, 1)], 100, 1)),
+    ("MarginalClass.distribution", "lambda1", "probability", lambda v: MarginalClass(v, 0, 1).distribution),
+    ("MarginalClass.entropy", "lambda1", "probability", lambda v: MarginalClass(v, 0, 1).entropy),
     ("multipartite_bound_classes", "delta_split", "split",
      lambda v: multipartite_bound_classes(CLASSES, 100, 1, delta_split=v)),
     ("multipartite_bound", "delta_split", "split",
@@ -239,7 +243,7 @@ BEYOND_ALL = {
     "family_cover", "blocks_count", "unit_cell", "site_costs", "degree_color_classes", "per_copy_total",
     "largest_m", "bennett_loss", "uniform_depolarizing_marginal", "uniform_edge_channel_marginal",
     "multipartite_bound_classes", "pair_pattern_distribution", "optimize_delta_split_classes",
-    "max_output_copies_classes",
+    "max_output_copies_classes", "MarginalClass",
 }
 
 
@@ -295,7 +299,7 @@ def test_a_value_reads_no_cache_entry_of_its_neighbour(entry, parameter, kind, c
 # each kind's own malformed values, beyond VALUES, as (label, value); every row of the kind must raise
 HUGE = 10**400  # an int too large for a float
 KIND_VALUES = {
-    "probability": [("huge", HUGE), ("-huge", -HUGE)],
+    "probability": [("huge", HUGE), ("-huge", -HUGE), ("list", [1])],
     "threshold": [("huge", HUGE), ("-huge", -HUGE)],
     "slack": [("huge", HUGE), ("-huge", -HUGE)],
     "distribution": [
@@ -316,7 +320,8 @@ KIND_VALUES = {
     ],
     "classes": [
         ("ints", [1]), ("tuples", [tuple(c) for c in CLASSES]), ("list-color", [MarginalClass(0.01, [0], 1)]),
-        ("later-entry-none", CLASSES + [None]),
+        ("later-entry-none", CLASSES + [None]), ("bool-color", [MarginalClass(0.02, True, 10)]),
+        ("float-color", [MarginalClass(0.02, 1.0, 10)]), ("mixed-colors", [CLASSES[0], MarginalClass(0.02, "a", 1)]),
     ],
     "split": [
         ("fractions-list", [0.5, 0.5]), ("colors-list", [0, 1]), ("numerals", {0: "0.5", 1: "0.5"}),

@@ -115,6 +115,28 @@ def test_class_count_must_be_a_nonnegative_integer(count):
             call()
 
 
+@pytest.mark.parametrize("color", [True, 1.0, 1.5, "a", None, [0]], ids=repr)
+def test_class_color_must_be_an_integer(color):
+    # True and 1.0 joined color 1, and colors 0 and "a" ended in a TypeError from sorting them
+    classes = [MarginalClass(0.03, 0, 1), MarginalClass(0.02, color, 10)]
+    for call in (
+        lambda: multipartite_bound_classes(classes, 800, 100),
+        lambda: optimize_delta_split_classes(classes, 800, 100),
+        lambda: max_output_copies_classes(classes, 800, 0.9),
+    ):
+        with pytest.raises(DistributionError, match="class color must be an integer, got"):
+            call()
+
+
+@pytest.mark.parametrize("lambda1", ["2", None, [1], True], ids=repr)
+def test_class_lambda1_must_be_a_number(lambda1):
+    # "2", None and [1] raised a TypeError from 1.0 - lambda1, and True read the cache entry of 1
+    bad = MarginalClass(lambda1, 0, 1)
+    for read in (lambda: bad.distribution, lambda: bad.entropy):
+        with pytest.raises(DistributionError, match="class lambda1 must be in"):
+            read()
+
+
 def test_list_and_tuple_share_one_cache_entry():
     hashing._spread_and_variance.cache_clear()
     probs = [0.91, 0.04, 0.03, 0.02]
@@ -413,6 +435,11 @@ LAMBDAS = st.one_of(
 )
 
 
+# the marginals at the edges of a row: subnormal (a huge spread, V near the subnormals), uniform (a = V = 0),
+# deterministic (no row) either way
+ROW_EDGE_LAMBDAS = [5e-324, 1e-315, 2.0**-1022, 0.5, 0.0, 1.0]
+
+
 # mildly noisy marginals, for which the search's result usually lies inside (0, n)
 SEARCH_LAMBDAS = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.04))
 
@@ -448,6 +475,53 @@ class TestEngineMatchesDefinition:
         reference = outcome(lambda: reference_class_bound(classes, n, m, split))
         engine = outcome(lambda: multipartite_bound_classes(classes, n, m, delta_split=split)[0])
         assert engine == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        class_sets(colors=(0, 1), lambdas=LAMBDAS | st.sampled_from(ROW_EDGE_LAMBDAS)),
+        st.integers(min_value=1, max_value=10**9),
+        st.floats(min_value=1e-12, max_value=1.0),
+    )
+    @example([MarginalClass(1e-315, 0, 3), MarginalClass(0.02, 0, 2)], 100, 0.1)
+    @example([MarginalClass(5e-324, 0, 1), MarginalClass(0.5, 1, 4), MarginalClass(0.0, 1, 2)], 800, 0.05)
+    @example([MarginalClass(1.0, 0, 5), MarginalClass(0.5, 0, 1), MarginalClass(0.01, 1, 7)], 10**6, 1e-6)
+    def test_fold_losses_equal_bennett_loss(self, classes, n, slack):
+        # each row's loss at a color slack is bennett_loss at that slack plus the class's gap, bit for bit,
+        # and fold sums count*log1p(-loss) over them in class order, stopping at a loss of 1
+        bound = _SplitBound(classes, n)
+        for i, color in enumerate(bound.colors):
+            group = [c for c in classes if c.color == color and c.count]
+            s_color = max(c.entropy for c in group)
+            log_f, worst = 0.0, 0.0
+            for c in group:
+                if c.entropy == 0.0:
+                    continue
+                loss = bennett_loss(c.distribution, n, slack + 0.5 * (s_color - c.entropy))
+                if loss >= 1.0:
+                    log_f, worst = -math.inf, loss
+                    break
+                log_f += c.count * math.log1p(-loss)
+                worst = max(worst, loss)
+            assert repr(bound.fold(i, slack)) == repr((log_f, worst))
+
+    def test_split_bound_looks_up_each_class_once(self, monkeypatch):
+        # one (S, a, V) lookup per counted class, repeated lambdas and zero-entropy classes included, and
+        # none more at the equal split; zero-count classes are checked but never looked up
+        classes = [MarginalClass(0.02, 0, 3), MarginalClass(0.02, 1, 2), MarginalClass(0.0, 1, 4),
+                   MarginalClass(0.01, 0, 1), MarginalClass(0.04, 1, 0), MarginalClass(0.03, 1, 5)]
+        calls = []
+        lookup = hashing._spread_and_variance
+
+        def counted(probs):
+            calls.append(probs)
+            return lookup(probs)
+
+        monkeypatch.setattr(hashing, "_spread_and_variance", counted)
+        _SplitBound(classes, 800)
+        assert len(calls) == 5
+        calls.clear()
+        multipartite_bound_classes(classes, 800, 100)
+        assert len(calls) == 5
 
     @settings(max_examples=60, deadline=None)
     @given(class_sets(colors=(0, 1)), st.integers(min_value=1, max_value=5000), st.data())
@@ -896,17 +970,17 @@ def run_threshold_presets():
 
 
 def groupings(monkeypatch, fn):
-    """The number of times ``fn()`` groups classes (``_group_classes`` calls), and its result."""
+    """The number of times ``fn()`` groups classes (``_SplitBound`` constructions), and its result."""
     calls = 0
-    group = hashing._group_classes
+    build = _SplitBound.__init__
 
-    def counted(classes):
+    def counted(self, classes, n):
         nonlocal calls
         calls += 1
-        return group(classes)
+        build(self, classes, n)
 
     with monkeypatch.context() as patch:
-        patch.setattr(hashing, "_group_classes", counted)
+        patch.setattr(_SplitBound, "__init__", counted)
         result = fn()
     return calls, result
 

@@ -195,6 +195,20 @@ class TestStorageAccounting:
         with pytest.raises(SchemeError):
             allocate_global_storage(arch, need - 1)
 
+    def test_global_allocation_reads_the_scenarios_copy_count(self, monkeypatch, clear_caches):
+        # one storage accounting: the public allocation and a global-storage scenario share one division,
+        # so the lattice's per-copy total is read once for both, and no room still names what one copy needs
+        calls = []
+        total = blocks.per_copy_total
+        monkeypatch.setattr(blocks, "per_copy_total", lambda *arch: calls.append(arch) or total(*arch))
+        arch, capacity = Architecture("shifted-grid", (64, 64), 2), 1200 * 64 * 64
+        n = allocate_global_storage(arch, capacity)
+        assert cluster_architecture_run(arch, StorageModel("global", capacity), 0.99, m=1).n_used == n
+        assert len(calls) == 1
+        for short in (total(*arch) - 1, 0, -5):
+            with pytest.raises(SchemeError, match=f"^total capacity {short} is below the {total(*arch)} qubits"):
+                allocate_global_storage(arch, short)
+
     def test_global_beats_per_node_for_fused_blocks(self):
         # boundary concentration: freely placed storage supports more copies
         sites = 64 * 64
