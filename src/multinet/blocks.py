@@ -55,11 +55,25 @@ Site = tuple[int, ...]
 Edge = tuple[Site, Site]
 
 FAMILIES = ("bipartite", "windmill", "shifted-grid")
-# the caches are keyed by type too: b = True or 1.0 (or dim = 2.0) would otherwise read b = 1's
-# (dim = 2's) entry, as they compare and hash alike, and skip the checks that a miss runs
-_cached = functools.lru_cache(maxsize=None, typed=True)
 # id -> shape of each shape unit_cell certified; holding the shapes keeps their ids from being reused
 CERTIFIED: dict[int, Shape] = {}
+
+
+def _cached(fn):
+    """``fn``, asked again at every sweep point, behind a cache keyed by type too, as b = True or 1.0 (dim = 2.0)
+    would read b = 1's (dim = 2's) entry and skip a miss's checks; ``fn`` checks what the cache cannot hash."""
+    cached = functools.lru_cache(maxsize=None, typed=True)(fn)
+
+    @functools.wraps(fn)
+    def call(family, dim, b=1):
+        try:
+            return cached(family, dim, b)
+        except TypeError:
+            pass
+        return fn(family, dim, b)
+
+    call.cache_clear = cached.cache_clear
+    return call
 
 
 class BlockError(MultinetError):
@@ -250,9 +264,8 @@ def blocks_count(family: str, dims: tuple[int, ...], b: int = 1) -> int:
 def degree_color_classes(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int, int], ...]:
     """Per-block vertex classes as (degree, color, count).
 
-    The color is the site parity inside the canonical block, which is a
-    proper two-coloring because every block is a subgraph of the bipartite
-    lattice.  Cached, as every sweep point of a scenario asks again.
+    The color is the site parity inside the canonical block, which is a proper
+    two-coloring because every block is a subgraph of the bipartite lattice.
     """
     degree = Counter(site for edge in block_edges(family, dim, b) for site in edge)
     counts = Counter((d, sum(site) % 2) for site, d in degree.items())
@@ -263,10 +276,8 @@ def degree_color_classes(family: str, dim: int, b: int = 1) -> tuple[tuple[int, 
 def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]:
     """(qubits stored per copy, sites per unit cell) pairs, ascending in cost.
 
-    A residue class's load is the number of (block, site) pairs of the cell
-    that land in it: what each of its sites stores on the infinite lattice.
-    Cached, as every sweep point of a scenario asks again.
-    """
+    A residue class's load is the number of (block, site) pairs of the cell that
+    land in it: what each of its sites stores on the infinite lattice."""
     cell = unit_cell(family, dim, b)
     load = Counter(tuple(map(mod, s, cell.period)) for sites, _ in cell.shapes for s in sites)
     return tuple(sorted(Counter(load.values()).items()))

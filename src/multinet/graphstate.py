@@ -161,11 +161,12 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
-    def _require(self, v: int) -> None:
+    def _require(self, v: int) -> int:
         if type(v) is not int:  # 2.0 and True would find vertices 2 and 1
-            check_integer(v, "vertex id", GraphError)
+            v = check_integer(v, "vertex id", GraphError)
         if v not in self._adj:
             raise GraphError(f"vertex {v} not in graph")
+        return v
 
     # -- value semantics ----------------------------------------------------
 
@@ -267,8 +268,7 @@ def merge_vertices(g: Graph, a: int, b: int) -> Graph:
     old neighborhoods with ``a`` and ``b`` themselves removed.  Vertex ``b``
     is deleted; all other ids are unchanged.
     """
-    check_instance(g, Graph, "graph", GraphError)._require(a)
-    g._require(b)
+    a, b = check_instance(g, Graph, "graph", GraphError)._require(a), g._require(b)
     if a == b:
         raise GraphError("cannot merge a vertex with itself")
     out = g.copy()

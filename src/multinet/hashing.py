@@ -42,9 +42,7 @@ its share is large enough.  The optimizer therefore searches for the
 optimum, and its result is exactly that of evaluating every candidate.
 
 Threshold targets have one search, :func:`largest_m`, for the largest m
-whose bound (any function of m that does not increase with it) clears the
-threshold t: bisection's bracket and decisions, stepped by a chord on
-log(-log F) with bisection as the safeguard.  It serves both the optimized
+whose bound clears the threshold t.  It serves both the optimized
 class-level bound (:func:`max_output_copies_classes`) and the bipartite
 lattice product in the scenarios.  A step of the search over the optimized
 bound needs only to know whether the optimizer's F is >= t.  It passes when
@@ -149,7 +147,7 @@ def bennett_loss(probs: Sequence[float], n: int, delta: float) -> float:
     (S = 0, so a = V = 0) have no concentration failure mode and contribute
     only the identification term.
     """
-    if check_integer(n, "n", MultinetError) < 1:
+    if (n := check_integer(n, "n", MultinetError)) < 1:
         raise InfeasibleTargetError(f"need at least one input copy, got n={n}")
     delta = check_real(delta, "slack delta", InfeasibleTargetError, 0.0, math.inf, closed=False)
     s, a, v = _statistics(probs)
@@ -194,14 +192,14 @@ class HashingRun(NamedTuple):
     fidelity: float
 
 
-def _check_target(n: int, m: int) -> None:
-    """Raise :class:`InfeasibleTargetError` unless 1 <= m <= n, after plain :class:`MultinetError`,
-    which no search reads as falling short, unless n and m are integers."""
+def _check_target(n: int, m: int) -> tuple[int, int]:
+    """(n, m) as ints; raises :class:`InfeasibleTargetError` unless 1 <= m <= n, after plain :class:`MultinetError`,
+    which no search reads as falling short, unless they are integers."""
     if type(n) is not int or type(m) is not int:  # a bool is an int, but not of type int
-        check_integer(n, "n", MultinetError)
-        check_integer(m, "m", MultinetError)
+        n, m = check_integer(n, "n", MultinetError), check_integer(m, "m", MultinetError)
     if not 1 <= m <= n:
         raise InfeasibleTargetError(f"need 1 <= m <= n, got n={n} m={m}")
+    return n, m
 
 
 def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
@@ -211,7 +209,7 @@ def bipartite_bound(probs: Sequence[float], n: int, m: int) -> HashingRun:
     :class:`InfeasibleTargetError` when the entropy already exceeds the
     requested yield.
     """
-    _check_target(n, m)
+    n, m = _check_target(n, m)
     s, a, v = _statistics(probs)
     delta = 0.5 * (1.0 - s - m / n)
     if delta <= 0.0:
@@ -329,7 +327,7 @@ def multipartite_bound_classes(
     natural unit here, so lattice-scale products cost one Bennett evaluation
     per class rather than per vertex.
     """
-    _check_target(n, m)  # before the classes are validated, unlike the optimizer
+    n, m = _check_target(n, m)  # before the classes are validated, unlike the optimizer
     return _at_split(_SplitBound(classes, n), m, delta_split)
 
 
@@ -407,7 +405,7 @@ def multipartite_bound(
     vertices get slack 0 and success 1.
     """
     classes, key_by_vertex = vertex_classes(g, coloring, marginals)
-    _check_target(n, m)
+    n, m = _check_target(n, m)
     bound = _SplitBound(classes, n)
     fidelity, delta_color = _at_split(bound, m, delta_split)
     by_class: dict[tuple[float, int], tuple[float, float]] = {}
@@ -578,7 +576,7 @@ def largest_m(value: Callable[[int], float], n: int, threshold: float) -> tuple[
     2*(bit_length(n - 1) + 1) probes.
     """
     threshold = check_real(threshold, "threshold", MultinetError, closed=False)
-    if check_integer(n, "n", MultinetError) < 1:
+    if (n := check_integer(n, "n", MultinetError)) < 1:
         return 0, 0.0
 
     def value_or_short(m: int) -> float:

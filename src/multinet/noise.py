@@ -76,9 +76,8 @@ class FlipSource(NamedTuple("FlipSource", [("flip_prob", dict[int, float])])):
     __slots__ = ()
 
     def __new__(cls, flip_prob: dict[int, float]):
-        for v, p in flip_prob.items():
-            check_real(p, f"flip probability at vertex {v}", ChannelError)
-        return super().__new__(cls, flip_prob)
+        return super().__new__(cls, {v: check_real(p, f"flip probability at vertex {v}", ChannelError)
+                                     for v, p in flip_prob.items()})
 
 
 class BitMarginal(NamedTuple("BitMarginal", [("vertex", int), ("lambda0", float), ("lambda1", float)])):
@@ -104,7 +103,7 @@ def channel_to_flip_source(g: Graph, v: int, ch: PauliChannel) -> FlipSource:
     The vertex's own bit flips with probability p_z + p_y, each neighbor's
     bit with probability p_x + p_y.
     """
-    check_instance(g, Graph, "graph", ChannelError)._require(v)
+    v = check_instance(g, Graph, "graph", ChannelError)._require(v)
     probs = {v: ch.p_z + ch.p_y}
     for u in g.neighbors(v):
         probs[u] = ch.p_x + ch.p_y

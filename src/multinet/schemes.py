@@ -143,7 +143,7 @@ def _point(
         else:
             best, fid = largest_m(bound, n, threshold)
         return SchemeResult(label, fid, best, n) if n >= 1 else SchemeResult.infeasible_point(label, n_used=n)
-    if n < check_integer(m, "m", SchemeError, 1):
+    if n < (m := check_integer(m, "m", SchemeError, 1)):
         return SchemeResult.infeasible_point(label, n_used=n)
     try:
         fid = multipartite_bound_classes(bound, n, m)[0] if isinstance(bound, list) else bound(m)
@@ -383,24 +383,21 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
 
     ``cover`` holds (shape, sites) pairs as :func:`family_cover` gives them: a :class:`blocks.Shape`, its
     edges distinct index pairs into its sites, and the target coordinates (as in ``target.coords``) of those
-    sites in the shape's order.  Wherever two or more placed qubits coincide they are merged pairwise in
-    ascending block order; the trace of performed merges, qubits numbered block by block in each shape's
-    site order (a cell shape's own, as :func:`blocks.lift` keeps it), is returned with the verdict.
+    sites in the shape's order.  Returned with the verdict is the trace of merges: qubits numbered block by
+    block in each shape's site order (a cell shape's own, as :func:`blocks.lift` keeps it), each merged into
+    the first one placed on its site, sorted by site coordinate, then qubit.
 
-    A merge adds one vertex's adjacency row to the survivor's over GF(2)
-    (:func:`~multinet.graphstate.merge_vertices`), so merging every site
-    leaves an edge between two sites exactly when an odd number of placed
-    edges join them, and none inside a site.  The verdict therefore needs
-    only the parity of each site pair, kept on int codes of site numbers:
-    a target site's is its vertex id, so the wanted codes are the target's
-    edges, and an off-target site's lies above every target id.  The codes
-    are counted only if one repeats.  The trace pairs each qubit with the
-    first one placed on its site, sorted by site coordinate, then qubit.  No graph is built for the blocks;
-    each distinct shape is checked once, unless it is one that :func:`blocks.unit_cell` certified (found by
-    identity in ``blocks.CERTIFIED``).  Raises :class:`SchemeError` if the target is not a :class:`Graph`,
-    if it or a vertex of it has no coordinates, two target vertices share one, a block is no (shape, sites)
-    pair, its shape is not a :class:`blocks.Shape` whose pairs are a simple graph on its sites, or its site
-    list differs in length from its shape's.
+    A merge adds one vertex's adjacency row to the survivor's over GF(2) (:func:`~multinet.graphstate.merge_vertices`),
+    so merging every site leaves an edge between two sites exactly when an odd number of placed edges join them,
+    and none inside a site.  So the verdict needs only each site pair's parity, kept on codes (p << shift) + q of
+    site numbers p < q, counted only if one repeats.  A target site's number is its vertex id, so the wanted codes
+    are the target's edges; an off-target site's lies above every id.  Target ids span under 2**shift, so codes are
+    one-to-one on target pairs, and small ints; one with an off-target end may equal another, but that site fails
+    the verdict anyway, and the trace reads no code.  No graph is built for the blocks; each distinct shape is
+    checked once, unless :func:`blocks.unit_cell` certified it (found by identity in ``blocks.CERTIFIED``).
+    Raises :class:`SchemeError` unless the target is a :class:`Graph` with distinct coordinates on every vertex,
+    and each block a (shape, sites) pair of a :class:`blocks.Shape`, its pairs a simple graph on its sites, and
+    as many sites.
     """
     if not isinstance(target, Graph) or target.coords is None:
         raise SchemeError(f"target {target!r} is not a Graph or carries no coordinates")
@@ -412,11 +409,10 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
         v = next(v for v in vertices if number[coords[v]] != v)
         raise SchemeError(f"target vertices {v} and {number[coords[v]]} share the coordinate {coords[v]}")
     top = vertices[-1] if vertices else -1
-    # (p << shift) + q is one-to-one while all numbers lie in a window of 2**shift: target ids
-    # span under half of it, and fewer than 2**31 off-target sites fit in memory
-    shift = max(32, (top - vertices[0]).bit_length() + 1) if vertices else 32
+    shift = max(1, (top - vertices[0]).bit_length()) if vertices else 1
     placed: list[int] = []  # the site of each qubit id
     codes: list[int] = []  # one per placed edge between two sites
+    append = codes.append
     checked: set[int] = set()  # ids of the shapes checked; the cover holds them, so no id is reused
     block_idx = 0
     try:
@@ -433,7 +429,7 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
             for i, j in shape.pairs:  # a plain loop: under 3.11 it beats a comprehension per block
                 p, q = at[i], at[j]
                 if p != q:
-                    codes.append((p << shift) + q if p < q else (q << shift) + p)
+                    append((p << shift) + q if p < q else (q << shift) + p)
     except SchemeError:
         raise
     except (TypeError, ValueError) as exc:  # no sequence of blocks, a block no pair, sites no sequence of sites
@@ -444,7 +440,7 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
         odd = {code for code, count in Counter(codes).items() if count % 2}
     first: dict[int, int] = {}  # the first qubit placed on each site
     firsts = list(map(first.setdefault, placed, range(len(placed))))
-    where = dict(zip(number.values(), number))  # site number -> coordinate
+    where = coords if len(number) == len(vertices) else dict(zip(number.values(), number))  # number -> site
     trace = [(where[placed[f]], f, q) for q, f in enumerate(firsts) if f != q]
     trace.sort(key=itemgetter(0))  # stable, so each site's qubits stay ascending
     return odd == target.edge_codes(shift) and len(first) == len(number) == len(vertices), trace

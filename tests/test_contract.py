@@ -16,7 +16,10 @@ a distribution of numeral strings; every row of the kind must reject them.
 """
 
 import math
+import pickle
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import multinet
@@ -51,7 +54,7 @@ from multinet import (
     triangular_repeater,
     validate_cover,
 )
-from multinet.blocks import blocks_count, degree_color_classes, per_copy_total, site_costs, unit_cell
+from multinet.blocks import BlockError, blocks_count, degree_color_classes, per_copy_total, site_costs, unit_cell
 from multinet.hashing import (
     MarginalClass,
     bennett_loss,
@@ -341,6 +344,50 @@ KIND_VALUES = {
 def test_malformed_value_of_the_kind_raises_a_library_error(call, value):
     with pytest.raises(MultinetError):
         call(value)
+
+
+# each numeric kind's admitted values of other types, as (label, the plain number it stands for, value)
+OTHER_TYPES = {
+    **{kind: [("numpy-int", 2, np.int64(2))] for kind in ("integer", "count", "count0")},
+    **{kind: [("fraction", 0.25, Fraction(1, 4)), ("numpy-float", 0.25, np.float64(0.25))]
+       for kind in ("probability", "threshold", "slack")},
+}
+
+
+@pytest.mark.parametrize(
+    "call, plain, value",
+    [(call, plain, value) for _, _, kind, call in TABLE for _, plain, value in OTHER_TYPES.get(kind, [])],
+    ids=[f"{entry}-{parameter}-{kind}-{label}"
+         for entry, parameter, kind, _ in TABLE for label, _, _ in OTHER_TYPES.get(kind, [])],
+)
+def test_admitted_value_of_another_type_reads_as_its_number(call, plain, value):
+    # each entry keeps and uses what its checker returns: the outcome is the plain number's, and no result
+    # holds the other type (largest_m raised AttributeError on a numpy n, bennett_loss returned a numpy
+    # float, FlipSource kept a Fraction)
+    outcome = _outcome(call, value)
+    assert outcome == _outcome(call, plain)
+    if not isinstance(outcome, tuple):
+        kept = pickle.dumps(call(value))
+        assert b"numpy" not in kept and b"fractions" not in kept
+
+
+# the block helpers behind a cache, and the entries that reach them: a value the cache cannot hash
+# (a list or set dim or b) raised TypeError from the cache before any check ran
+CACHED_BLOCK_ROWS = [row for row in TABLE if row[0] in
+                     ("unit_cell", "site_costs", "degree_color_classes", "family_cover", "per_copy_total")
+                     and row[2] in ("integer", "count", "extent")]
+
+
+@pytest.mark.parametrize("value", [[2], {2}, {2: 2}], ids=["list", "set", "dict"])
+@pytest.mark.parametrize(
+    "entry, parameter, kind, call",
+    CACHED_BLOCK_ROWS,
+    ids=[f"{entry}-{parameter}-{kind}" for entry, parameter, kind, _ in CACHED_BLOCK_ROWS],
+)
+def test_unhashable_value_raises_a_block_error(entry, parameter, kind, call, value, clear_caches):
+    with pytest.raises(BlockError, match="integer"):
+        call(value)
+    call({"integer": 2, "count": 1, "extent": 8}[kind])  # and the cache still serves a value it can hash
 
 
 def test_every_new_kind_has_rows():

@@ -48,21 +48,22 @@ PINNED_COVERS = [
 
 
 def code_builds(monkeypatch, fn):
-    """The size of every edge-code set ``fn()`` builds, once per build, and its result.
+    """The size and the largest code of every edge-code set ``fn()`` builds, once per build, and its result.
 
     ``Graph.edge_codes`` is the only caller of ``frozenset`` in ``graphstate``.
     """
-    builds = []
+    builds, largest = [], []
 
     def counted(codes):
         built = frozenset(codes)
         builds.append(len(built))
+        largest.append(max(built, default=None))
         return built
 
     with monkeypatch.context() as patch:
         patch.setattr(graphstate, "frozenset", counted, raising=False)
         result = fn()
-    return builds, result
+    return builds, largest, result
 
 
 def target_lattice(dims):
@@ -496,7 +497,8 @@ def random_covers(draw):
     """Random blocks on a small torus, over an exact cover (one block maybe
     shifted) half of the time.  Extra blocks are random, with their pairs in
     random order and orientation, placed twice (their edges cancel), confined
-    to one site (in-site edges only) or a lone qubit placed off the lattice."""
+    to one site (in-site edges only), a lone qubit placed off the lattice, or an
+    edge from a lattice site to a site off it, whose code may equal a lattice edge's."""
     cover = []
     if draw(st.booleans()):
         dims = draw(st.sampled_from([(4, 4), (4, 8), (8, 4)]))
@@ -511,9 +513,14 @@ def random_covers(draw):
     target = target_lattice(dims)
     sites = sorted(target.coords.values())
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["twice", "one-site", "random", "off-lattice"]))
+        kind = draw(st.sampled_from(["twice", "one-site", "random", "off-lattice", "off-lattice edge"]))
         if kind == "off-lattice":
             cover.append((line_shape(1, ()), [dims]))
+            continue
+        if kind == "off-lattice edge":
+            pair = draw(st.sampled_from([(0, 1), (1, 0)]))
+            off = (dims[0], draw(st.integers(0, 2 * dims[1])))
+            cover.append((line_shape(2, [pair]), [draw(st.sampled_from(sites)), off]))
             continue
         n = draw(st.integers(2, 5))
         pairs = list(itertools.combinations(range(n), 2))
@@ -678,14 +685,30 @@ class TestCoverValidation:
         dims = (16, 16)
         target = target_lattice(dims)
         sizes = [(f, b) for f in ("windmill", "shifted-grid") for b in (1, 2, 4, 8)]
-        builds, verdicts = code_builds(
+        builds, _, verdicts = code_builds(
             monkeypatch, lambda: [validate_cover(family_cover(f, dims, b), target)[0] for f, b in sizes])
         assert verdicts == [True] * len(sizes)
         assert builds == [2 * 16 * 16]
         # another target builds its own, once
         other = target_lattice(dims)
-        builds, _ = code_builds(monkeypatch, lambda: [validate_cover(family_cover(f, dims, b), other) for f, b in sizes])
+        builds, _, _ = code_builds(
+            monkeypatch, lambda: [validate_cover(family_cover(f, dims, b), other) for f, b in sizes])
         assert builds == [2 * 16 * 16]
+
+    def test_wanted_codes_are_one_digit_ints(self, monkeypatch):
+        # the codes are as wide as the target's id span, not a fixed 32 bits: below 2**30 they are
+        # one-digit ints, whose shifts, sums and hashes take CPython's fast paths
+        targets = {dims: target_lattice(dims) for dims, *_ in PINNED_COVERS}
+        builds, largest, verdicts = code_builds(
+            monkeypatch, lambda: [validate_cover(family_cover(f, dims, b), targets[dims])[0]
+                                  for dims, f, b, _ in PINNED_COVERS])
+        assert verdicts == [True] * 53
+        assert builds == [t.edge_count() for t in targets.values()]  # each target's codes built once
+        assert all(0 < top < 2**30 for top in largest)
+        # the 64x64 torus of the 2D presets: 4096 ids, so 12-bit shifts and codes below 2**24
+        builds, largest, _ = code_builds(
+            monkeypatch, lambda: validate_cover(family_cover("windmill", (64, 64)), target_lattice((64, 64))))
+        assert builds == [2 * 64 * 64] and largest[0] < 2**24
 
     def test_cells_and_traces_agree_across_processes(self):
         # blocks._block leaves its edges in set order: the cells' index pairs and the
@@ -750,13 +773,14 @@ class TestCoverValidation:
         with pytest.raises(SchemeError, match="target vertex 2 has no coordinates"):
             validate_cover(edge, missing)
 
+    @pytest.mark.parametrize("relabel", [lambda v: 2 * v + 5, lambda v: v - 40], ids=["2v+5", "v-40"])
     @pytest.mark.parametrize("case", ["exact", "shifted", "off-lattice"])
-    def test_relabelled_target_matches_plain(self, case):
-        # sites are numbered by target id; with ids 2v + 5 the second off-lattice
-        # site would share number 65 with a target site if numbered from len(number)
+    def test_relabelled_target_matches_plain(self, case, relabel):
+        # sites are numbered by target id; with ids 2v + 5 the second off-lattice site would share
+        # number 65 with a target site if numbered from len(number); ids v - 40 give negative codes
         dims = (8, 8)
         plain = target_lattice(dims)
-        label = {v: 2 * v + 5 for v in plain.vertices()}
+        label = {v: relabel(v) for v in plain.vertices()}
         target = Graph(label.values(), [(label[a], label[b]) for a, b in plain.edges()],
                        coords={label[v]: c for v, c in plain.coords.items()})
         cover = family_cover("windmill", dims, 1)
@@ -768,6 +792,36 @@ class TestCoverValidation:
         result = validate_cover(cover, target)
         assert result == validate_cover(cover, plain) == replay_cover(cover, plain)
         assert result[0] == (case == "exact")
+
+    def test_off_target_code_may_equal_a_target_code(self):
+        # the codes are one-to-one on target pairs only: five lone off-target sites take numbers 16-20
+        # on the 4x4 torus (shift 4), and an edge from (0, 0), id 0, to a sixth, number 21, has code
+        # 21, which is also the code of the target edge (1, 5); that edge is then placed twice and its
+        # parity cancels, but the off-target sites fail the verdict, as the replay says
+        dims = (4, 4)
+        target = target_lattice(dims)
+        assert target.coords[0] == (0, 0) and target.has_edge(1, 5) and len(target.vertices()) == 16
+        cover = family_cover("shifted-grid", dims, 1)
+        assert validate_cover(cover, target)[0]
+        cover += [(line_shape(1, ()), [(9, y)]) for y in range(5)]
+        cover.append((line_shape(2, [(0, 1)]), [(0, 0), (9, 5)]))
+        ok, trace = validate_cover(cover, target)
+        assert not ok
+        assert (ok, trace) == replay_cover(cover, target)
+
+    @pytest.mark.parametrize("cover, ok", [
+        ([], False),
+        ([(line_shape(1, ()), [(0, 0)])], True),
+        ([(line_shape(2, [(0, 1)]), [(0, 0), (0, 0)])], True),  # an edge inside the one site vanishes
+        ([(line_shape(1, ()), [(0, 0)])] * 3, True),
+        ([(line_shape(2, [(1, 0)]), [(0, 0), (1, 0)])], False),
+        ([(line_shape(1, ()), [(0, 0)]), (line_shape(1, ()), [(1, 0)])], False),
+    ], ids=["empty", "one-qubit", "in-site-edge", "three-qubits", "edge-off", "qubit-off"])
+    def test_one_vertex_target(self, cover, ok):
+        # one id, so the shift is 1, its least, and every code has an off-target end
+        target = Graph([7], [], coords={7: (0, 0)})
+        assert validate_cover(cover, target) == replay_cover(cover, target)
+        assert validate_cover(cover, target)[0] == ok
 
     def test_pairs_in_any_order_and_orientation_match_merge_replay(self):
         # one block given with its sites shuffled, its pairs in reverse order and every
