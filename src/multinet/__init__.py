@@ -20,7 +20,6 @@ from .graphstate import (
 from .hashing import (
     HashingRun,
     InfeasibleTargetError,
-    bennett_success,
     bipartite_bound,
     entropy,
     multipartite_bound,
@@ -28,7 +27,6 @@ from .hashing import (
 from .noise import (
     BitMarginal,
     ChannelError,
-    EdgeZChannel,
     FlipSource,
     PauliChannel,
     bit_marginals,
@@ -40,7 +38,6 @@ from .schemes import (
     Architecture,
     SchemeResult,
     StorageModel,
-    allocate_global_storage,
     cluster_architecture_run,
     from_bell_run,
     ghz_scheme_fidelity,
@@ -56,7 +53,6 @@ __all__ = [
     "BitMarginal",
     "ChannelError",
     "ColoringError",
-    "EdgeZChannel",
     "FlipSource",
     "Graph",
     "GraphError",
@@ -66,8 +62,6 @@ __all__ = [
     "PauliChannel",
     "SchemeResult",
     "StorageModel",
-    "allocate_global_storage",
-    "bennett_success",
     "bipartite_bound",
     "bit_marginals",
     "build_graph",

@@ -214,7 +214,8 @@ def unit_cell(family: str, dim: int, b: int = 1) -> UnitCell:
     return UnitCell(period, cell)
 
 
-def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
+def _check_dims(family: str, dims: tuple[int, ...], b: int) -> tuple[tuple[int, ...], UnitCell]:
+    """``dims`` as checked ints, and the cell of a family that tiles them."""
     if family not in FAMILIES:
         raise BlockError(f"unknown block family {family!r} (choose from {FAMILIES})")
     dims = check_dims(dims, "lattice", BlockError)
@@ -225,7 +226,7 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> UnitCell:
                          f"and >= 4, got {dims}")
     if family == "shifted-grid" and len(dims) == 3 and len(set(dims)) != 1:
         raise BlockError("3D shifted-grid tiling is defined for cubic lattices")
-    return unit_cell(family, len(dims), b)
+    return dims, unit_cell(family, len(dims), b)
 
 
 def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], list[tuple[int, list[Site]]]]:
@@ -236,7 +237,7 @@ def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], l
     ``placed`` lists each block as (shape index, sites), its sites in the shape's order, zipped from per-axis
     tables of the shape's wrapped coordinates under every period shift.  No ``Graph`` is built.
     """
-    cell = _check_dims(family, dims, b)
+    dims, cell = _check_dims(family, dims, b)
     d0, d1, d2 = (*dims, 1)[:3]
     shapes, tables = [], []
     for shape in cell.shapes:  # wrapped by a comprehension per dimension
@@ -256,7 +257,7 @@ def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], l
 
 def blocks_count(family: str, dims: tuple[int, ...], b: int = 1) -> int:
     """Number of blocks in a full cover, without materializing it."""
-    cell = _check_dims(family, dims, b)
+    dims, cell = _check_dims(family, dims, b)
     return math.prod(dims) // math.prod(cell.period) * len(cell.shapes)
 
 
@@ -285,6 +286,6 @@ def site_costs(family: str, dim: int, b: int = 1) -> tuple[tuple[int, int], ...]
 
 def per_copy_total(family: str, dims: tuple[int, ...], b: int = 1) -> int:
     """Total stored qubits per copy across the whole lattice: every cell's loads (:func:`site_costs`)."""
-    cell = _check_dims(family, dims, b)
+    dims, cell = _check_dims(family, dims, b)
     cells = math.prod(dims) // math.prod(cell.period)
     return cells * sum(cost * sites for cost, sites in site_costs(family, len(dims), b))

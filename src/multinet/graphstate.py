@@ -158,9 +158,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self.iter_edges())
 
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
-
     def _require(self, v: int) -> int:
         if type(v) is not int:  # 2.0 and True would find vertices 2 and 1
             v = check_integer(v, "vertex id", GraphError)
@@ -183,7 +180,7 @@ class Graph:
         return self._adj == other._adj
 
     def __repr__(self) -> str:
-        return f"Graph({self.vertex_count} vertices, {self.edge_count()} edges)"
+        return f"Graph({self.vertex_count} vertices, {sum(map(len, self._adj.values())) // 2} edges)"
 
 
 # -- generators -------------------------------------------------------------

@@ -19,8 +19,9 @@ color every vertex with entropy below the color maximum automatically gets
 the surplus (delta_k = delta_c + (S_c - S_k)/2).  The global bound is the
 product of the per-vertex success probabilities, and vertices sharing a
 marginal and a color give equal factors.  The vertex-level API therefore
-checks and groups its input in one place, :func:`vertex_classes`, and reads
-each vertex's slack and success off its :class:`MarginalClass`.
+checks and groups its input in one place, :func:`vertex_classes`, evaluates
+the classes with the engine below, and gives each vertex its class's slack
+and success, read off the same S, a, V and :func:`_loss`.
 
 The class-level bound is evaluated by one engine.  A distribution's S, a and
 V are computed (and it is validated) on first use, in one bounded cache
@@ -172,15 +173,6 @@ def _loss(a: float, v: float, k: float | None, n: int, delta: float) -> float:
     return concentration + 2.0 ** (-n * delta)
 
 
-def bennett_success(probs: Sequence[float], n: int, delta: float) -> float:
-    """Lower bound on the success probability of identifying one string.
-
-    Clamped into [0, 1]; strictly increasing in n and in delta wherever the
-    bound is informative.
-    """
-    return max(0.0, 1.0 - bennett_loss(probs, n, delta))
-
-
 class HashingRun(NamedTuple):
     """One evaluation of the finite-size machinery."""
 
@@ -233,15 +225,6 @@ class MarginalClass(NamedTuple):
     color: int
     count: int
 
-    @property
-    def distribution(self) -> tuple[float, float]:
-        lam = check_real(self.lambda1, "class lambda1", DistributionError)
-        return (1.0 - lam, lam)
-
-    @property
-    def entropy(self) -> float:
-        return _spread_and_variance(self.distribution)[0]
-
 
 class _SplitBound:
     """The class-level bound for one (classes, n), as a function of m and the split.
@@ -259,7 +242,8 @@ class _SplitBound:
                 count, lam, color = c.count, c.lambda1, c.color
                 if type(count) is not int or count < 0:
                     count = check_integer(count, "class count", DistributionError, 0)
-                if type(lam) is not float:  # a bool would read its number's cache entry, a str raise TypeError
+                if type(lam) is not float or not 0.0 <= lam <= 1.0:  # a bool would read its number's cache
+                    # entry, a str raise TypeError, and a float just outside [0, 1] pass the cache's drift check
                     lam = check_real(lam, "class lambda1", DistributionError)
                 if type(color) is not int:  # True or 1.0 would join color 1, and 0 and "a" not sort
                     color = check_integer(color, "class color", DistributionError)
@@ -409,12 +393,13 @@ def multipartite_bound(
     bound = _SplitBound(classes, n)
     fidelity, delta_color = _at_split(bound, m, delta_split)
     by_class: dict[tuple[float, int], tuple[float, float]] = {}
-    for cls in classes:
-        if cls.color not in delta_color or cls.entropy == 0.0:
-            by_class[cls.lambda1, cls.color] = (0.0, 1.0)
+    for lam, color, _ in classes:
+        s, a, v = _spread_and_variance((1.0 - lam, lam))
+        if color not in delta_color or s == 0.0:
+            by_class[lam, color] = (0.0, 1.0)
             continue
-        d_k = delta_color[cls.color] + 0.5 * (bound.s_color[cls.color] - cls.entropy)
-        by_class[cls.lambda1, cls.color] = (d_k, bennett_success(cls.distribution, n, d_k))
+        d_k = delta_color[color] + 0.5 * (bound.s_color[color] - s)
+        by_class[lam, color] = (d_k, max(0.0, 1.0 - _loss(a, v, _constant(s, a, v, n), n, d_k)))
     delta_by_vertex = {v: by_class[key][0] for v, key in key_by_vertex.items()}
     fidelity_by_vertex = {v: by_class[key][1] for v, key in key_by_vertex.items()}
     return HashingRun(n, m, delta_color, delta_by_vertex, fidelity_by_vertex, fidelity)

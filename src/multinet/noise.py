@@ -61,22 +61,14 @@ class PauliChannel(NamedTuple("PauliChannel", [("p_i", float), ("p_x", float), (
         return cls(1.0 - p_x - p_z, p_x, 0.0, p_z)
 
 
-class EdgeZChannel(NamedTuple("EdgeZChannel", [("q", float)])):
-    """Correlated two-qubit channel mixing Z_a, Z_b and Z_a Z_b, each (1-q)/3."""
-
-    __slots__ = ()
-
-    def __new__(cls, q: float):
-        return super().__new__(cls, check_real(q, "edge channel parameter", ChannelError))
-
-
 class FlipSource(NamedTuple("FlipSource", [("flip_prob", dict[int, float])])):
     """One independent noise source as per-vertex bit-flip probabilities."""
 
     __slots__ = ()
 
     def __new__(cls, flip_prob: dict[int, float]):
-        return super().__new__(cls, {v: check_real(p, f"flip probability at vertex {v}", ChannelError)
+        return super().__new__(cls, {check_integer(v, "vertex id", ChannelError):
+                                     check_real(p, f"flip probability at vertex {v}", ChannelError)
                                      for v, p in flip_prob.items()})
 
 
@@ -91,10 +83,6 @@ class BitMarginal(NamedTuple("BitMarginal", [("vertex", int), ("lambda0", float)
         if not abs(lambda0 + lambda1 - 1.0) <= _PROB_SUM_TOL:
             raise ChannelError(f"marginal at vertex {vertex} sums to {lambda0 + lambda1}, not 1")
         return super().__new__(cls, vertex, lambda0, lambda1)
-
-    @property
-    def distribution(self) -> tuple[float, float]:
-        return (self.lambda0, self.lambda1)
 
 
 def channel_to_flip_source(g: Graph, v: int, ch: PauliChannel) -> FlipSource:
@@ -111,7 +99,7 @@ def channel_to_flip_source(g: Graph, v: int, ch: PauliChannel) -> FlipSource:
 
 
 def edge_channel_to_flip_source(edge: tuple[int, int], q: float) -> FlipSource:
-    """Marginal flip source of the two-qubit edge channel.
+    """Marginal flip source of the two-qubit edge channel, which mixes Z_a, Z_b and Z_a Z_b, each (1-q)/3.
 
     Each endpoint's bit flips in two of the three equally weighted Z terms,
     so marginally with probability 2(1-q)/3.  The Z_a Z_b correlation is
@@ -120,7 +108,7 @@ def edge_channel_to_flip_source(edge: tuple[int, int], q: float) -> FlipSource:
     a, b = (check_integer(v, "vertex id", ChannelError) for v in edge)
     if a == b:
         raise ChannelError("edge channel needs two distinct vertices")
-    p = 2.0 * (1.0 - EdgeZChannel(q).q) / 3.0
+    p = 2.0 * (1.0 - check_real(q, "edge channel parameter", ChannelError)) / 3.0
     return FlipSource(flip_prob={a: p, b: p})
 
 

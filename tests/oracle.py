@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from multinet.graphstate import Graph, GraphError, MultinetError, local_complement
-from multinet.noise import EdgeZChannel, PauliChannel
+from multinet.graphstate import Graph, GraphError, MultinetError, check_real, local_complement
+from multinet.noise import PauliChannel
 
 MAX_DISTRIBUTION_QUBITS = 16
 MAX_STATEVECTOR_QUBITS = 10
@@ -67,21 +67,23 @@ def _pauli_outcomes(g: Graph, v: int, ch: PauliChannel, order: dict[int, int]):
     ]
 
 
-def _edge_outcomes(a: int, b: int, ch: EdgeZChannel, order: dict[int, int]):
-    w = (1.0 - ch.q) / 3.0
+def _edge_outcomes(a: int, b: int, q: float, order: dict[int, int]):
+    """Z-pattern masks of the edge channel on a-b: Z_a, Z_b and Z_a Z_b, each (1-q)/3."""
+    q = check_real(q, "edge channel parameter", GraphError)
+    w = (1.0 - q) / 3.0
     ma, mb = 1 << order[a], 1 << order[b]
-    return [(ch.q, 0), (w, ma), (w, mb), (w, ma | mb)]
+    return [(q, 0), (w, ma), (w, mb), (w, ma | mb)]
 
 
 def exact_distribution(
     g: Graph,
     vertex_channels: dict[int, PauliChannel] | None = None,
-    edge_channels: dict[tuple[int, int], EdgeZChannel] | None = None,
+    edge_channels: dict[tuple[int, int], float] | None = None,
 ) -> DiagonalDistribution:
     """Exact graph-basis distribution of independent noise sources on ``g``.
 
-    Each source (a Pauli channel on a vertex, or a two-sided Z channel on an
-    edge) contributes an independent distribution over Z-pattern masks; the
+    Each source (a Pauli channel on a vertex, or a two-sided Z channel of
+    parameter q on an edge) contributes an independent distribution over Z-pattern masks; the
     joint pattern is their XOR, so the total distribution is the XOR
     convolution of all sources, taken over the full 2^N pattern space.
     """
@@ -96,12 +98,12 @@ def exact_distribution(
     for v, ch in (vertex_channels or {}).items():
         g._require(v)
         sources.append(_pauli_outcomes(g, v, ch, order))
-    for (a, b), ch in (edge_channels or {}).items():
+    for (a, b), q in (edge_channels or {}).items():
         g._require(a)
         g._require(b)
         if a == b:
             raise GraphError("edge channel needs two distinct vertices")
-        sources.append(_edge_outcomes(a, b, ch, order))
+        sources.append(_edge_outcomes(a, b, q, order))
     for outcomes in sources:
         new = np.zeros_like(probs)
         for p, mask in outcomes:

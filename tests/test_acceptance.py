@@ -22,13 +22,12 @@ from multinet.graphstate import (
 )
 from multinet.hashing import (
     InfeasibleTargetError,
-    bennett_success,
+    bennett_loss,
     entropy,
     multipartite_bound,
 )
 from multinet.noise import (
     BitMarginal,
-    EdgeZChannel,
     PauliChannel,
     bit_marginals,
     channel_to_flip_source,
@@ -82,7 +81,7 @@ def test_criterion_01_oracle_marginal_equivalence():
         for e in g.edges():
             if rng.random() < 0.35:
                 qe = rng.uniform(0.8, 1.0)
-                edge_channels[e] = EdgeZChannel(qe)
+                edge_channels[e] = qe
                 sources.append(edge_channel_to_flip_source(e, qe))
         dist = exact_distribution(g, vertex_channels, edge_channels)
         for marg in bit_marginals(g, sources):
@@ -291,18 +290,18 @@ def test_criterion_12_cover_validation():
 
 def test_criterion_13_bound_sanity():
     dist = (0.95, 0.05)
-    values = [bennett_success(dist, n, 0.08) for n in (10, 50, 200, 1000, 5000, 50000)]
+    values = [max(0.0, 1.0 - bennett_loss(dist, n, 0.08)) for n in (10, 50, 200, 1000, 5000, 50000)]
     assert all(0.0 <= f <= 1.0 for f in values)
     assert values == sorted(values)
     assert values[-1] > 1 - 1e-12
-    deltas = [bennett_success(dist, 500, d) for d in (0.02, 0.05, 0.1, 0.2, 0.3)]
+    deltas = [max(0.0, 1.0 - bennett_loss(dist, 500, d)) for d in (0.02, 0.05, 0.1, 0.2, 0.3)]
     assert deltas == sorted(deltas)
     # feasibility boundary sits exactly at the asymptotic yield 1 - S_A - S_B
     g = build_graph("ghz-star", s=3)
     coloring = color_graph(g)
     lam = {0: 0.029404, 1: 0.0198, 2: 0.0198}
     margs = [BitMarginal(v, 1 - lam[v], lam[v]) for v in g.vertices()]
-    s_sum = entropy(margs[0].distribution) + entropy(margs[1].distribution)
+    s_sum = entropy((margs[0].lambda0, margs[0].lambda1)) + entropy((margs[1].lambda0, margs[1].lambda1))
     n = 5000
     m_boundary = math.ceil(n * (1 - s_sum))  # m/n at or past the yield limit
     with pytest.raises(InfeasibleTargetError):

@@ -93,17 +93,17 @@ class TestGenerators:
     def test_small_open_lattice(self):
         g = build_graph("lattice2d", w=2, h=2, periodic=False)
         assert g.vertex_count == 4
-        assert g.edge_count() == 4
+        assert len(g.edges()) == 4
 
     def test_periodic_lattice_is_regular(self):
         g = build_graph("lattice2d", w=64, h=64, periodic=True)
         assert g.vertex_count == 4096
-        assert g.edge_count() == 8192
+        assert len(g.edges()) == 8192
         assert all(g.degree(v) == 4 for v in g.vertices())
 
     def test_periodic_3d(self):
         g = build_graph("lattice3d", w=4, h=4, d=4, periodic=True)
-        assert g.edge_count() == 3 * 64
+        assert len(g.edges()) == 3 * 64
         assert all(g.degree(v) == 6 for v in g.vertices())
 
     @pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
@@ -240,7 +240,7 @@ class TestConnect:
         g = Graph(range(6), [(0, 1), (0, 2), (3, 4), (3, 5)])
         out = connect_project(g, 2, 4)
         assert out.vertices() == [0, 1, 3, 5]
-        assert out.edge_count() == 3  # a connected 4-vertex tree
+        assert len(out.edges()) == 3  # a connected 4-vertex tree
 
     def test_adjacent_pair_rejected(self):
         with pytest.raises(GraphError):

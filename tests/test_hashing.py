@@ -18,7 +18,6 @@ from multinet.hashing import (
     MarginalClass,
     _SplitBound,
     bennett_loss,
-    bennett_success,
     bipartite_bound,
     entropy,
     largest_m,
@@ -35,6 +34,16 @@ from extras import max_output_copies, optimize_delta_split
 # frozen with an independent 40-digit evaluation of the same formulas
 ENTROPY_0198 = 0.140316123604030
 BENNETT_98_02 = 0.999961680553406
+
+
+def success(probs, n, delta):
+    """The success bound of identifying one string: :func:`bennett_loss` clamped into [0, 1]."""
+    return max(0.0, 1.0 - bennett_loss(probs, n, delta))
+
+
+def class_distribution(cls):
+    """A class's binary marginal, (1 - lambda1, lambda1)."""
+    return (1.0 - cls.lambda1, cls.lambda1)
 
 
 def binary_marginals(g, lam_by_vertex):
@@ -92,8 +101,6 @@ def test_malformed_class_raises_on_every_use(lambda1, probs):
     bad = MarginalClass(lambda1, 0, 1)
     for _ in range(2):
         with pytest.raises(DistributionError):
-            bad.entropy
-        with pytest.raises(DistributionError):
             multipartite_bound_classes([bad], 100, 1)
         with pytest.raises(DistributionError):
             bennett_loss(probs, 100, 0.1)
@@ -131,10 +138,14 @@ def test_class_color_must_be_an_integer(color):
 @pytest.mark.parametrize("lambda1", ["2", None, [1], True], ids=repr)
 def test_class_lambda1_must_be_a_number(lambda1):
     # "2", None and [1] raised a TypeError from 1.0 - lambda1, and True read the cache entry of 1
-    bad = MarginalClass(lambda1, 0, 1)
-    for read in (lambda: bad.distribution, lambda: bad.entropy):
+    classes = [MarginalClass(lambda1, 0, 1), MarginalClass(0.03, 1, 1)]
+    for call in (
+        lambda: multipartite_bound_classes(classes, 800, 100),
+        lambda: optimize_delta_split_classes(classes, 800, 100),
+        lambda: max_output_copies_classes(classes, 800, 0.9),
+    ):
         with pytest.raises(DistributionError, match="class lambda1 must be in"):
-            read()
+            call()
 
 
 def test_list_and_tuple_share_one_cache_entry():
@@ -146,23 +157,23 @@ def test_list_and_tuple_share_one_cache_entry():
 
 class TestBennett:
     def test_degenerate_distribution(self):
-        assert bennett_success((1.0, 0.0), 100, 0.495) == pytest.approx(
+        assert success((1.0, 0.0), 100, 0.495) == pytest.approx(
             1 - 2**-49.5, abs=1e-15
         )
 
     def test_frozen_value(self):
-        assert bennett_success((0.98, 0.02), 1000, 0.05) == pytest.approx(
+        assert success((0.98, 0.02), 1000, 0.05) == pytest.approx(
             BENNETT_98_02, abs=1e-12
         )
 
     def test_limit_in_n(self):
-        values = [bennett_success((0.9, 0.1), n, 0.1) for n in (10, 100, 1000, 10000, 100000)]
+        values = [success((0.9, 0.1), n, 0.1) for n in (10, 100, 1000, 10000, 100000)]
         assert values == sorted(values)
         assert values[-1] > 1 - 1e-9
 
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(InfeasibleTargetError):
-            bennett_success((0.9, 0.1), 100, 0.0)
+            success((0.9, 0.1), 100, 0.0)
 
     def test_subnormal_lambda_leaves_the_identification_loss(self):
         # u = a*delta/V overflows to inf, so the concentration term is 0
@@ -182,10 +193,10 @@ class TestBennett:
     )
     def test_in_unit_interval_and_monotone(self, lam, n, delta):
         d = (1 - lam, lam)
-        f = bennett_success(d, n, delta)
+        f = success(d, n, delta)
         assert 0.0 <= f <= 1.0
-        assert bennett_success(d, n + 50, delta) >= f - 1e-15
-        assert bennett_success(d, n, delta * 1.1) >= f - 1e-15
+        assert success(d, n + 50, delta) >= f - 1e-15
+        assert success(d, n, delta * 1.1) >= f - 1e-15
 
 
 class TestBipartite:
@@ -245,8 +256,8 @@ class TestMultipartite:
 
     def test_asymptotic_yield_boundary_infeasible(self):
         g, coloring, margs = self.star()
-        s_a = entropy(margs[0].distribution)
-        s_b = entropy(margs[1].distribution)
+        s_a = entropy((margs[0].lambda0, margs[0].lambda1))
+        s_b = entropy((margs[1].lambda0, margs[1].lambda1))
         n = 2000
         m = round(n * (1 - s_a - s_b))
         with pytest.raises(InfeasibleTargetError):
@@ -260,7 +271,7 @@ class TestMultipartite:
         run = multipartite_bound(g, {0: 0}, margs, n, m)
         delta = 0.5 * (1 - entropy((1 - lam, lam)) - m / n)
         assert run.fidelity == pytest.approx(
-            bennett_success((1 - lam, lam), n, delta), abs=1e-15
+            success((1 - lam, lam), n, delta), abs=1e-15
         )
 
     @pytest.mark.parametrize(
@@ -390,7 +401,7 @@ def reference_class_bound(classes, n, m, delta_split=None):
     for cls in classes:
         if cls.count:
             by_color.setdefault(cls.color, []).append(cls)
-    s_color = {col: max(entropy(c.distribution) for c in group) for col, group in by_color.items()}
+    s_color = {col: max(entropy(class_distribution(c)) for c in group) for col, group in by_color.items()}
     active = {col for col, s in s_color.items() if s > 0.0}
     if not active:
         return 1.0
@@ -407,11 +418,11 @@ def reference_class_bound(classes, n, m, delta_split=None):
     log_f = 0.0
     for color in sorted(active):
         for cls in by_color[color]:
-            s_k = entropy(cls.distribution)
+            s_k = entropy(class_distribution(cls))
             if s_k == 0.0:
                 continue
             delta_k = delta_color[color] + 0.5 * (s_color[color] - s_k)
-            loss = bennett_loss(cls.distribution, n, delta_k)
+            loss = bennett_loss(class_distribution(cls), n, delta_k)
             if loss >= 1.0:
                 return 0.0
             log_f += cls.count * math.log1p(-loss)
@@ -491,12 +502,13 @@ class TestEngineMatchesDefinition:
         bound = _SplitBound(classes, n)
         for i, color in enumerate(bound.colors):
             group = [c for c in classes if c.color == color and c.count]
-            s_color = max(c.entropy for c in group)
+            s_color = max(entropy(class_distribution(c)) for c in group)
             log_f, worst = 0.0, 0.0
             for c in group:
-                if c.entropy == 0.0:
+                s_k = entropy(class_distribution(c))
+                if s_k == 0.0:
                     continue
-                loss = bennett_loss(c.distribution, n, slack + 0.5 * (s_color - c.entropy))
+                loss = bennett_loss(class_distribution(c), n, slack + 0.5 * (s_color - s_k))
                 if loss >= 1.0:
                     log_f, worst = -math.inf, loss
                     break
@@ -671,7 +683,7 @@ def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None):
 
     The global bound comes from the classes of equal (lambda1, color); each
     vertex's slack comes from the largest entropy among the marginals of its
-    color, and its success from :func:`bennett_success` on its own marginal.
+    color, and its success max(0, 1 - :func:`bennett_loss`) on its own marginal.
     """
     counts = {}
     for marg in marginals:
@@ -682,19 +694,19 @@ def reference_vertex_bound(g, coloring, marginals, n, m, delta_split=None):
     s_color = {}
     for marg in marginals:
         c = coloring[marg.vertex]
-        s_color[c] = max(s_color.get(c, 0.0), entropy(marg.distribution))
+        s_color[c] = max(s_color.get(c, 0.0), entropy((marg.lambda0, marg.lambda1)))
     delta_by_vertex = {}
     fidelity_by_vertex = {}
     for marg in marginals:
         c = coloring[marg.vertex]
-        s_k = entropy(marg.distribution)
+        s_k = entropy((marg.lambda0, marg.lambda1))
         if c not in delta_color or s_k == 0.0:
             delta_by_vertex[marg.vertex] = 0.0
             fidelity_by_vertex[marg.vertex] = 1.0
             continue
         d_k = delta_color[c] + 0.5 * (s_color[c] - s_k)
         delta_by_vertex[marg.vertex] = d_k
-        fidelity_by_vertex[marg.vertex] = bennett_success(marg.distribution, n, d_k)
+        fidelity_by_vertex[marg.vertex] = success((marg.lambda0, marg.lambda1), n, d_k)
     return HashingRun(n, m, delta_color, delta_by_vertex, fidelity_by_vertex, fidelity)
 
 
@@ -730,7 +742,7 @@ class TestVertexAdapter:
         small = st.integers(min_value=1, max_value=n // 20 + 1)
         m = data.draw(small | small | small | st.sampled_from([0, n, n + 1]), label="m")
         split = None
-        active = sorted({coloring[marg.vertex] for marg in marginals if entropy(marg.distribution) > 0.0})
+        active = sorted({coloring[marg.vertex] for marg in marginals if entropy((marg.lambda0, marg.lambda1)) > 0.0})
         if active and data.draw(st.booleans(), label="explicit split"):
             weights = data.draw(
                 st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=len(active), max_size=len(active)),
@@ -870,7 +882,7 @@ def split_problems(draw, colors):
     s_color = {}
     for cls in classes:
         if cls.count:
-            s_color[cls.color] = max(s_color.get(cls.color, 0.0), entropy(cls.distribution))
+            s_color[cls.color] = max(s_color.get(cls.color, 0.0), entropy(class_distribution(cls)))
     edge = math.floor(n * (1.0 - sum(s_color.values())))
     small = st.integers(min_value=1, max_value=n // 20 + 1)
     near_edge = st.integers(min_value=max(1, edge - 3), max_value=max(1, edge + 1))

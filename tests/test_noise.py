@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from multinet.graphstate import Graph, build_graph
 from multinet.noise import (
     ChannelError,
-    EdgeZChannel,
     BitMarginal,
     FlipSource,
     PauliChannel,
@@ -41,7 +40,7 @@ class TestChannels:
 
     def test_edge_channel_range(self):
         with pytest.raises(ChannelError, match=r"edge channel parameter must be in \[0,1\], got 1.5"):
-            EdgeZChannel(1.5)
+            edge_channel_to_flip_source((0, 1), 1.5)
 
     @pytest.mark.parametrize(
         "build, message",
@@ -205,7 +204,8 @@ class TestInvariants:
             eval(code)
 
     def test_good_marginal_accepted(self):
-        assert BitMarginal(0, 0.5, 0.5).distribution == (0.5, 0.5)
+        m = BitMarginal(0, 0.5, 0.5)
+        assert (m.lambda0, m.lambda1) == (0.5, 0.5)
 
     @pytest.mark.parametrize("code", BAD)
     def test_raises_under_optimize_flag(self, code):

@@ -15,11 +15,12 @@ from multinet.graphstate import (
     merge_vertices,
 )
 from multinet.noise import (
-    EdgeZChannel,
     PauliChannel,
     bit_marginals,
     channel_to_flip_source,
     edge_channel_to_flip_source,
+    uniform_depolarizing_marginal,
+    uniform_edge_channel_marginal,
 )
 
 from conftest import random_graph
@@ -40,7 +41,7 @@ class TestExactDistribution:
 
     def test_single_edge_channel(self):
         g = Graph(range(2), [(0, 1)])
-        dist = exact_distribution(g, edge_channels={(0, 1): EdgeZChannel(0.98)})
+        dist = exact_distribution(g, edge_channels={(0, 1): 0.98})
         assert dist.probs == pytest.approx([0.98] + [0.02 / 3] * 3, abs=1e-15)
 
     def test_ghz_marginals_match_closed_form(self):
@@ -79,13 +80,26 @@ class TestExactDistribution:
             for e in g.edges():
                 if rng.random() < 0.4:
                     qe = rng.uniform(0.85, 1.0)
-                    echan[e] = EdgeZChannel(qe)
+                    echan[e] = qe
                     sources.append(edge_channel_to_flip_source(e, qe))
             dist = exact_distribution(g, vchan, echan)
             for marg in bit_marginals(g, sources):
                 assert dist.marginal(marg.vertex)[1] == pytest.approx(
                     marg.lambda1, abs=1e-12
                 )
+
+    def test_uniform_closed_forms_match_the_oracle(self, rng):
+        # the closed forms the cluster and from-bell scenarios read per degree, against the exact marginals:
+        # one LDN q on every vertex, or one edge-channel q on every edge
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 8), rng.random())
+            q = rng.uniform(0.5, 1.0)
+            ldn = exact_distribution(g, {v: PauliChannel.depolarizing(q) for v in g.vertices()})
+            edge = exact_distribution(g, edge_channels=dict.fromkeys(g.edges(), q))
+            for v in g.vertices():
+                d = g.degree(v)
+                assert ldn.marginal(v) == pytest.approx(uniform_depolarizing_marginal(q, d), abs=1e-12)
+                assert edge.marginal(v) == pytest.approx(uniform_edge_channel_marginal(q, d), abs=1e-12)
 
 
 class TestStatevector:

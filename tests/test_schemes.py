@@ -22,7 +22,6 @@ from multinet.schemes import (
     MAX_LEVELS,
     SchemeError,
     StorageModel,
-    allocate_global_storage,
     cluster_architecture_run,
     family_cover,
     from_bell_run,
@@ -64,6 +63,11 @@ def code_builds(monkeypatch, fn):
         patch.setattr(graphstate, "frozenset", counted, raising=False)
         result = fn()
     return builds, largest, result
+
+
+def global_copies(arch, capacity):
+    """The copy count global storage of ``capacity`` allows ``arch``: a scenario point's ``n_used``."""
+    return cluster_architecture_run(arch, StorageModel("global", capacity), 0.99, m=1).n_used
 
 
 def target_lattice(dims):
@@ -177,38 +181,30 @@ class TestStorageAccounting:
             assert storage_per_node(Architecture(family, dims, 1)) == expect, family
 
     def test_global_allocation_example(self):
-        assert allocate_global_storage(Architecture("bipartite", (64, 64)), 1200 * 64 * 64) == 300
+        assert global_copies(Architecture("bipartite", (64, 64)), 1200 * 64 * 64) == 300
 
     def test_global_copies_grow_with_block_size(self):
-        ns = [
-            allocate_global_storage(Architecture("shifted-grid", (64, 64), b), 1200 * 64 * 64)
-            for b in (1, 2, 4, 8)
-        ]
+        ns = [global_copies(Architecture("shifted-grid", (64, 64), b), 1200 * 64 * 64) for b in (1, 2, 4, 8)]
         assert ns == sorted(ns)
         assert ns[0] == 600
 
     def test_exact_single_copy(self):
         arch = Architecture("shifted-grid", (8, 8), 1)
-        from multinet.blocks import per_copy_total
-
         need = per_copy_total("shifted-grid", (8, 8), 1)
-        assert allocate_global_storage(arch, need) == 1
-        with pytest.raises(SchemeError):
-            allocate_global_storage(arch, need - 1)
+        assert global_copies(arch, need) == 1
+        short = cluster_architecture_run(arch, StorageModel("global", need - 1), 0.99, m=1)
+        assert short.infeasible and short.n_used == 0
 
-    def test_global_allocation_reads_the_scenarios_copy_count(self, monkeypatch, clear_caches):
-        # one storage accounting: the public allocation and a global-storage scenario share one division,
-        # so the lattice's per-copy total is read once for both, and no room still names what one copy needs
+    def test_global_allocation_reads_the_lattice_total_once(self, monkeypatch, clear_caches):
+        # one storage accounting: a global-storage point divides the capacity by the lattice's per-copy
+        # total, read once per (architecture, storage) however many points share them
         calls = []
         total = blocks.per_copy_total
         monkeypatch.setattr(blocks, "per_copy_total", lambda *arch: calls.append(arch) or total(*arch))
         arch, capacity = Architecture("shifted-grid", (64, 64), 2), 1200 * 64 * 64
-        n = allocate_global_storage(arch, capacity)
-        assert cluster_architecture_run(arch, StorageModel("global", capacity), 0.99, m=1).n_used == n
+        runs = [cluster_architecture_run(arch, StorageModel("global", capacity), 0.99, m=m) for m in (1, 2)]
+        assert [r.n_used for r in runs] == [capacity // total(*arch)] * 2
         assert len(calls) == 1
-        for short in (total(*arch) - 1, 0, -5):
-            with pytest.raises(SchemeError, match=f"^total capacity {short} is below the {total(*arch)} qubits"):
-                allocate_global_storage(arch, short)
 
     def test_global_beats_per_node_for_fused_blocks(self):
         # boundary concentration: freely placed storage supports more copies
@@ -216,7 +212,7 @@ class TestStorageAccounting:
         for b in (2, 4):
             arch = Architecture("shifted-grid", (64, 64), b)
             per_node_n = 1200 // storage_per_node(arch)
-            global_n = allocate_global_storage(arch, 1200 * sites)
+            global_n = global_copies(arch, 1200 * sites)
             assert global_n >= per_node_n
 
 
@@ -703,7 +699,7 @@ class TestCoverValidation:
             monkeypatch, lambda: [validate_cover(family_cover(f, dims, b), targets[dims])[0]
                                   for dims, f, b, _ in PINNED_COVERS])
         assert verdicts == [True] * 53
-        assert builds == [t.edge_count() for t in targets.values()]  # each target's codes built once
+        assert builds == [len(t.edges()) for t in targets.values()]  # each target's codes built once
         assert all(0 < top < 2**30 for top in largest)
         # the 64x64 torus of the 2D presets: 4096 ids, so 12-bit shifts and codes below 2**24
         builds, largest, _ = code_builds(
