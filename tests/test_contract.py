@@ -13,10 +13,11 @@ A value the kind admits may still raise a ``MultinetError`` for a reason
 of its own, such as an extent below the period or an infeasible target.
 Some kinds have malformed values of their own beyond those below, such as
 a distribution of numeral strings; every row of the kind must reject them.
-Hypothesis walks every numeric row with small numbers of the numeric
-tower's types (numpy scalars, ``Fraction``, ``Decimal``, int and float
-subclasses, -0.0, subnormals): an admitted one must give the outcome of
-the plain number its checker returns.
+Every numeric row also takes 2 or 0.25 as each of the numeric tower's
+other types (numpy scalars, ``Fraction``, ``Decimal``, int and float
+subclasses), and Hypothesis walks it with small numbers of those types,
+-0.0 and subnormals: an admitted one must give the outcome of the plain
+number its checker returns.
 """
 
 import math
@@ -370,21 +371,7 @@ def numeric_tower(draw):
     return draw(st.sampled_from(_INT_TYPES + _REAL_TYPES if type(x) is int else _REAL_TYPES))(x)
 
 
-@settings(max_examples=12, deadline=None)
-@given(value=numeric_tower())
-@example(value=np.int64(2))
-@example(value=np.int64(8))  # an extent the windmill tiles: blocks_count returned a numpy int
-@example(value=Fraction(1, 4))
-@example(value=np.float64(0.25))
-@example(value=-0.0)
-@example(value=5e-324)
-@example(value=-1e-300)  # a class lambda1 within 1e-12 below 0 was read as a clamped distribution
-@pytest.mark.parametrize(
-    "entry, parameter, kind, call",
-    NUMERIC_ROWS,
-    ids=[f"{entry}-{parameter}-{kind}" for entry, parameter, kind, _ in NUMERIC_ROWS],
-)
-def test_admitted_value_of_another_type_reads_as_its_number(entry, parameter, kind, call, value):
+def _check_reads_as_its_number(kind, call, value):
     # the plain number is what the kind's checker returns: an int for an integer kind (no float type has
     # __index__), a float for a real one.  Each entry keeps and uses it: an admitted value gives the plain
     # number's outcome and no result holds the other type (largest_m raised AttributeError on a numpy n,
@@ -402,6 +389,41 @@ def test_admitted_value_of_another_type_reads_as_its_number(entry, parameter, ki
     if not isinstance(outcome, tuple):
         kept = pickle.dumps(call(value))
         assert not any(name in kept for name in (b"numpy", b"fractions", b"decimal", b"test_contract"))
+
+
+# each numeric kind's admitted values of every other type the numeric tower offers, as (label, value):
+# every type on every row, where the walk below draws a few of them a row
+OTHER_TYPES = {
+    **{kind: [("numpy-int", np.int64(2)), ("int-subclass", _Int(2))] for kind in ("integer", "count", "count0")},
+    "extent": [("numpy-int", np.int64(8)), ("int-subclass", _Int(8))],  # an extent the windmill tiles
+    **{kind: [("fraction", Fraction(1, 4)), ("numpy-float", np.float64(0.25)), ("numpy-float32", np.float32(0.25)),
+              ("decimal", Decimal("0.25")), ("float-subclass", _Float(0.25))]
+       for kind in REAL_KINDS},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, call, value",
+    [(kind, call, value) for _, _, kind, call in TABLE for _, value in OTHER_TYPES.get(kind, [])],
+    ids=[f"{entry}-{parameter}-{kind}-{label}"
+         for entry, parameter, kind, _ in TABLE for label, _ in OTHER_TYPES.get(kind, [])],
+)
+def test_admitted_value_of_another_type_reads_as_its_number(kind, call, value):
+    _check_reads_as_its_number(kind, call, value)
+
+
+@settings(max_examples=12, deadline=None)
+@given(value=numeric_tower())
+@example(value=-0.0)
+@example(value=5e-324)
+@example(value=-1e-300)  # a class lambda1 within 1e-12 below 0 was read as a clamped distribution
+@pytest.mark.parametrize(
+    "entry, parameter, kind, call",
+    NUMERIC_ROWS,
+    ids=[f"{entry}-{parameter}-{kind}" for entry, parameter, kind, _ in NUMERIC_ROWS],
+)
+def test_drawn_value_of_another_type_reads_as_its_number(entry, parameter, kind, call, value):
+    _check_reads_as_its_number(kind, call, value)
 
 
 # the block helpers behind a cache, and the entries that reach them: a value the cache cannot hash
