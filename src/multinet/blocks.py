@@ -46,7 +46,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from operator import add, getitem, mod, mul
+from operator import add, mod, mul
 from typing import NamedTuple
 
 from .graphstate import MultinetError, check_dims, check_integer
@@ -229,16 +229,18 @@ def _check_dims(family: str, dims: tuple[int, ...], b: int) -> tuple[tuple[int, 
     return dims, unit_cell(family, len(dims), b)
 
 
-def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], list[tuple[int, list[Site]]]]:
+def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], list[tuple[int, list[int]]]]:
     """The cell's translates by every multiple of its period, exact by the module's lemma.
 
     Returns ``(shapes, placed)``.  Each shape is the cell's :class:`Shape` itself, unless the torus is narrower
     than the block and folds it: then a new one merges its coinciding wrapped sites in first-occurrence order.
-    ``placed`` lists each block as (shape index, sites), its sites in the shape's order, zipped from per-axis
-    tables of the shape's wrapped coordinates under every period shift.  No ``Graph`` is built.
+    ``placed`` lists each block as (shape index, sites), its sites in the shape's order as the torus's vertex
+    ids, row-major as ``build_graph`` numbers them: sums of codes ((x + t) % d) * stride from tables per shape,
+    axis and period shift t, the axes after the first summed into one: no tuple per site, and no ``Graph``.
     """
     dims, cell = _check_dims(family, dims, b)
     d0, d1, d2 = (*dims, 1)[:3]
+    strides = (d1 * d2, d2, 1)
     shapes, tables = [], []
     for shape in cell.shapes:  # wrapped by a comprehension per dimension
         wrapped = ([(x % d0, y % d1) for x, y in shape.sites] if len(dims) == 2 else
@@ -248,10 +250,13 @@ def lift(family: str, dims: tuple[int, ...], b: int = 1) -> tuple[list[Shape], l
             index = {s: i for i, s in enumerate(index)}
             shape = Shape(tuple(index), tuple((index[wrapped[i]], index[wrapped[j]]) for i, j in shape.pairs))
         shapes.append(shape)
-        tables.append([[tuple((x + t) % d for x in axis) for t in range(0, d, p)]
-                       for axis, d, p in zip(zip(*index), dims, cell.period)])
-    shifts = itertools.product(*(range(d // p) for d, p in zip(dims, cell.period)))
-    placed = [(k, list(zip(*map(getitem, table, shift)))) for shift in shifts for k, table in enumerate(tables)]
+        first, rest, *last = [[[(x + t) % d * stride for x in axis] for t in range(0, d, p)]
+                              for axis, d, p, stride in zip(zip(*index), dims, cell.period, strides)]
+        if last:  # 3D: the last axis summed into the second, its shifts fastest
+            rest = [list(map(add, a, c)) for a in rest for c in last[0]]
+        tables.append((first, rest))
+    shifts = itertools.product(range(len(first)), range(len(rest)))
+    placed = [(k, list(map(add, first[i], rest[j]))) for i, j in shifts for k, (first, rest) in enumerate(tables)]
     return shapes, placed
 
 

@@ -96,7 +96,7 @@ class Graph:
     edges : iterable of (int, int)
         Undirected edges; self-loops are rejected.
     coords : mapping vertex -> tuple, optional
-        Coordinate labels attached by the lattice generators.
+        Coordinate labels attached by the lattice generators, for reading only: a cover's sites are vertex ids.
     """
 
     __slots__ = ("_adj", "_codes", "coords")
@@ -187,7 +187,7 @@ class Graph:
 
 
 def _lattice(dims: tuple[int, ...], periodic: bool) -> Graph:
-    """The grid over ``dims``, sites numbered row-major (the last axis fastest).
+    """The grid over ``dims``, sites numbered row-major (the last axis fastest), as ``blocks.lift`` numbers them.
 
     Along an axis of extent d and index stride st, site i joins i + st unless
     it sits at the axis's end; a periodic axis with d > 2 also joins its two

@@ -39,7 +39,7 @@ class PauliChannel(NamedTuple("PauliChannel", [("p_i", float), ("p_x", float), (
                  for p in (p_i, p_x, p_y, p_z)]
         if abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
             raise ChannelError(f"channel probabilities sum to {sum(probs)}, not 1")
-        return super().__new__(cls, *probs)
+        return super().__new__(cls, *(min(1.0, max(0.0, p)) for p in probs))  # drift clamped into [0, 1]
 
     @classmethod
     def depolarizing(cls, q: float) -> "PauliChannel":

@@ -71,6 +71,8 @@ MAX_LEVELS = 646
 
 STORAGE_MODES = ("per-node", "global")
 
+INT = {int}  # the site type validate_cover reads unconverted
+
 
 class SchemeError(MultinetError):
     """Unknown scheme / family or inconsistent scenario parameters."""
@@ -364,38 +366,28 @@ def from_bell_run(
 # -- cover validation -------------------------------------------------------------
 
 
-def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph) -> tuple[bool, list[tuple]]:
-    """Merge placed blocks and check the result against the target lattice.
+def validate_cover(cover: list[tuple[blocks.Shape, list[int]]], target: Graph) -> tuple[bool, list[tuple]]:
+    """Merge placed blocks and check the result against the target graph.
 
     ``cover`` holds (shape, sites) pairs as :func:`family_cover` gives them: a :class:`blocks.Shape`, its
-    edges distinct index pairs into its sites, and the target coordinates (as in ``target.coords``) of those
-    sites in the shape's order.  Returned with the verdict is the trace of merges: qubits numbered block by
-    block in each shape's site order (a cell shape's own, as :func:`blocks.lift` keeps it), each merged into
-    the first one placed on its site, sorted by site coordinate, then qubit.
+    edges distinct index pairs into its sites, and the target vertex ids of those sites in the shape's order.
+    Returns the verdict, False if a site is no target vertex, and the trace of merges (id, first qubit, qubit):
+    qubits numbered block by block in each shape's site order (a cell shape's own, as :func:`blocks.lift` keeps
+    it), each merged into the first one placed on its site, sorted by id, then qubit.
 
     A merge adds one vertex's adjacency row to the survivor's over GF(2) (:func:`~multinet.graphstate.merge_vertices`),
     so merging every site leaves an edge between two sites exactly when an odd number of placed edges join them,
     and none inside a site.  So the verdict needs only each site pair's parity, kept on codes (p << shift) + q of
-    site numbers p < q, counted only if one repeats.  A target site's number is its vertex id, so the wanted codes
-    are the target's edges; an off-target site's lies above every id.  Target ids span under 2**shift, so codes are
-    one-to-one on target pairs, and small ints; one with an off-target end may equal another, but that site fails
-    the verdict anyway, and the trace reads no code.  No graph is built for the blocks; each distinct shape is
-    checked once, unless :func:`blocks.unit_cell` certified it (found by identity in ``blocks.CERTIFIED``).
-    Raises :class:`SchemeError` unless the target is a :class:`Graph` with distinct coordinates on every vertex,
-    and each block a (shape, sites) pair of a :class:`blocks.Shape`, its pairs a simple graph on its sites, and
-    as many sites.
+    ids p < q, counted only if one repeats: the wanted codes are the target's edges.  Target ids span under
+    2**shift, so codes are one-to-one on target pairs, and small ints; one with an off-target end may equal
+    another, but that site fails the verdict anyway, and the trace reads no code.  No graph is built for the
+    blocks; each distinct shape is checked once, unless :func:`blocks.unit_cell` certified it (found by identity
+    in ``blocks.CERTIFIED``).  Raises :class:`SchemeError` unless the target is a :class:`Graph`, and each block
+    a (shape, sites) pair of a :class:`blocks.Shape`, its pairs a simple graph on its sites, and as many sites,
+    each an int (:func:`~multinet.graphstate.check_integer`: a numpy int reads as its int).
     """
-    if not isinstance(target, Graph) or target.coords is None:
-        raise SchemeError(f"target {target!r} is not a Graph or carries no coordinates")
-    coords, vertices = target.coords, target.vertices()
-    number = dict(zip(map(coords.get, vertices), vertices))
-    if None in number:
-        raise SchemeError(f"target vertex {number[None]} has no coordinates")
-    if len(number) < len(vertices):
-        v = next(v for v in vertices if number[coords[v]] != v)
-        raise SchemeError(f"target vertices {v} and {number[coords[v]]} share the coordinate {coords[v]}")
-    top = vertices[-1] if vertices else -1
-    shift = max(1, (top - vertices[0]).bit_length()) if vertices else 1
+    vertices = check_instance(target, Graph, "target", SchemeError).vertices()
+    shift = max(1, (vertices[-1] - vertices[0]).bit_length()) if vertices else 1
     placed: list[int] = []  # the site of each qubit id
     codes: list[int] = []  # one per placed edge between two sites
     append = codes.append
@@ -408,17 +400,16 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
                 checked.add(id(shape))
             if len(sites) != len(shape.sites):
                 raise SchemeError(f"block {block_idx} places {len(sites)} sites, its shape has {len(shape.sites)}")
-            at = list(map(number.get, sites))
-            if None in at:  # a site off the target
-                at = [number.setdefault(site, top + 1 + len(number) - len(vertices)) for site in sites]
-            placed += at
+            if not INT.issuperset(map(type, sites)):  # 2.0 or True would read as a vertex id
+                sites = [check_integer(v, f"block {block_idx} site", SchemeError) for v in sites]
+            placed += sites
             for i, j in shape.pairs:  # a plain loop: under 3.11 it beats a comprehension per block
-                p, q = at[i], at[j]
+                p, q = sites[i], sites[j]
                 if p != q:
                     append((p << shift) + q if p < q else (q << shift) + p)
     except SchemeError:
         raise
-    except (TypeError, ValueError) as exc:  # no sequence of blocks, a block no pair, sites no sequence of sites
+    except (TypeError, ValueError) as exc:  # no sequence of blocks, a block no pair, sites no sequence
         raise SchemeError(f"cover block {block_idx} is not a (shape, sites) pair of a Shape and its sites: {exc}"
                           ) from None
     odd = set(codes)
@@ -426,10 +417,9 @@ def validate_cover(cover: list[tuple[blocks.Shape, list[tuple]]], target: Graph)
         odd = {code for code, count in Counter(codes).items() if count % 2}
     first: dict[int, int] = {}  # the first qubit placed on each site
     firsts = list(map(first.setdefault, placed, range(len(placed))))
-    where = coords if len(number) == len(vertices) else dict(zip(number.values(), number))  # number -> site
-    trace = [(where[placed[f]], f, q) for q, f in enumerate(firsts) if f != q]
+    trace = [(placed[f], f, q) for q, f in enumerate(firsts) if f != q]
     trace.sort(key=itemgetter(0))  # stable, so each site's qubits stay ascending
-    return odd == target.edge_codes(shift) and len(first) == len(number) == len(vertices), trace
+    return odd == target.edge_codes(shift) and first.keys() == set(vertices), trace
 
 
 def _check_shape(shape: blocks.Shape, block_idx: int) -> None:
@@ -450,8 +440,9 @@ def _check_shape(shape: blocks.Shape, block_idx: int) -> None:
         raise SchemeError(f"block {block_idx} pairs are not a simple graph on its {n} sites")
 
 
-def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[blocks.Shape, list[tuple]]]:
+def family_cover(family: str, dims: tuple[int, ...], b: int = 1) -> list[tuple[blocks.Shape, list[int]]]:
     """A family's cover as :func:`validate_cover` reads it: each block of :func:`blocks.lift` as (shape, sites),
-    the blocks of one cell shape sharing the cell's own :class:`blocks.Shape` (or its fold), each with its sites."""
+    the blocks of one cell shape sharing the cell's own :class:`blocks.Shape` (or its fold), each with its sites,
+    the vertex ids that ``build_graph`` gives them on the periodic lattice ``dims``."""
     shapes, placed = blocks.lift(family, dims, b)
     return [(shapes[k], sites) for k, sites in placed]

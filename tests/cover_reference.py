@@ -58,11 +58,17 @@ def cell_groups(cell) -> tuple[tuple[Edge, ...], ...]:
     return tuple(tuple((sites[i], sites[j]) for i, j in pairs) for sites, pairs in cell.shapes)
 
 
+def site_coords(dims: tuple[int, ...]) -> list[Site]:
+    """Each vertex id's site on the lattice ``dims``: ids count sites row-major, the last axis fastest."""
+    return list(itertools.product(*(range(d) for d in dims)))
+
+
 def cover_blocks(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Edge]]:
     """Edge groups of one full cover, read off ``blocks.lift``: each block's
-    edges as normalised site pairs, in the cell's edge order."""
+    edges as normalised pairs of the sites its vertex ids name, in the cell's edge order."""
+    coords = site_coords(dims)
     shapes, placed = lift(family, dims, b)
-    return [[norm_edge(sites[i], sites[j]) for i, j in shapes[k][1]] for k, sites in placed]
+    return [[norm_edge(coords[sites[i]], coords[sites[j]]) for i, j in shapes[k][1]] for k, sites in placed]
 
 
 def endpoint_lift(family: str, dims: tuple[int, ...], b: int = 1) -> list[list[Edge]]:
@@ -93,9 +99,9 @@ def merge_trace(cover) -> list[tuple]:
     """The merges ``validate_cover`` reports, rebuilt from per-site qubit lists.
 
     Qubits are numbered block by block in each shape's site order; every site,
-    in coordinate order, merges each later qubit into its first one.
+    in vertex-id order, merges each later qubit into its first one.
     """
-    ids: dict[tuple, list[int]] = {}
+    ids: dict[int, list[int]] = {}
     qubits = itertools.count()
     for _, sites in cover:
         for site in sites:

@@ -32,6 +32,7 @@ from cover_reference import (
     lattice_edges,
     norm_edge,
     per_site_cost_histogram,
+    site_coords,
 )
 
 SIZES = (1, 2, 3, 4, 6, 8)
@@ -193,9 +194,11 @@ class TestCovers:
         # same groups in the same order, each edge in the same order and orientation
         assert groups == endpoint_lift(family, dims, b)
         assert all(a < c for group in groups for a, c in group)
-        # each placed block: its group's distinct sites, one per shape site, and its edges
-        for group, (shape, sites) in zip(groups, family_cover(family, dims, b), strict=True):
-            assert len(sites) == shape.vertex_count == len(shape.sites)
+        # each placed block: its group's distinct sites, one vertex id per shape site, and its edges
+        coords = site_coords(dims)
+        for group, (shape, ids) in zip(groups, family_cover(family, dims, b), strict=True):
+            assert len(ids) == shape.vertex_count == len(shape.sites) and {type(v) for v in ids} == {int}
+            sites = [coords[v] for v in ids]
             assert sorted(sites) == sorted({s for e in group for s in e})
             assert all(a != c for a, c in shape.pairs) and len({frozenset(p) for p in shape.pairs}) == len(group)
             assert sorted(norm_edge(sites[a], sites[c]) for a, c in shape.pairs) == sorted(group)

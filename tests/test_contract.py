@@ -219,6 +219,8 @@ TABLE = [
     ("triangular_repeater", "p", "probability", lambda v: triangular_repeater(1, 40, 0.9, v)),
     ("validate_cover", "target", "graph", lambda v: validate_cover(COVER, v)),
     ("validate_cover", "cover", "cover", lambda v: validate_cover(v, TARGET)),
+    ("validate_cover", "sites", "integer",  # a site is a target vertex id; one off the target reads False
+     lambda v: validate_cover([(COVER[0][0], [v, *COVER[0][1][1:]]), *COVER[1:]], TARGET)),
     ("family_cover", "dims", "dims", lambda v: family_cover("windmill", v)),
     ("family_cover", "dims", "extent", lambda v: family_cover("windmill", (v, 8))),
     ("family_cover", "b", "count", lambda v: family_cover("windmill", (8, 8), v)),

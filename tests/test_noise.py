@@ -38,6 +38,18 @@ class TestChannels:
         with pytest.raises(ChannelError, match="channel probabilities sum to 2.0, not 1"):
             PauliChannel(0.5, 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("probs, kept", [
+        ((-3e-94, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0)),
+        ((1 + 1e-13, 0.0, 0.0, -1e-13), (1.0, 0.0, 0.0, 0.0)),
+    ], ids=["tiny-negative", "above-one"])
+    def test_drift_is_clamped_into_the_unit_interval(self, probs, kept):
+        # drift within 1e-12 of [0, 1] is tolerated and clamped, as hashing._validated clamps a distribution:
+        # a stored negative probability would reach pair_pattern_distribution and channel_to_flip_source
+        ch = PauliChannel(*probs)
+        assert tuple(ch) == kept and all(type(p) is float for p in ch)
+        flips = channel_to_flip_source(build_graph("line", n=2), 0, ch).flip_prob.values()
+        assert all(0.0 <= p <= 1.0 for p in flips)  # a kept p_z of -1e-13 raised ChannelError here
+
     def test_edge_channel_range(self):
         with pytest.raises(ChannelError, match=r"edge channel parameter must be in \[0,1\], got 1.5"):
             edge_channel_to_flip_source((0, 1), 1.5)

@@ -36,7 +36,7 @@ UNREACHED = {
     "cli._read_sections.<locals>.fail": "tests/test_cli.py::TestReader::test_malformed_lines_name_their_number",
     "graphstate.Graph.__eq__": "tests/test_graphstate.py::TestGenerators::test_lattice_matches_coordinate_construction",
     "graphstate.Graph.__repr__":
-        "tests/test_schemes.py::TestCoverValidation::test_rejects_mismatched_sites_and_coordinates",
+        "tests/test_schemes.py::TestCoverValidation::test_rejects_mismatched_sites_and_pairs: a Graph as a shape",
     "graphstate.Graph.copy": "the rules' result; tests/test_graphstate.py::TestEdgeCodes::test_any_rule_after_a_memo",
     "graphstate.Graph.has_edge": "connect_project's check; "
                                  "tests/test_graphstate.py::TestInvariants::test_adjacency_is_symmetric",

@@ -5,10 +5,13 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +34,7 @@ from multinet.schemes import (
     validate_cover,
 )
 
-from cover_reference import merge_trace
+from cover_reference import endpoint_lift, merge_trace, norm_edge
 
 CAPS = list(range(200, 2001, 200))
 
@@ -465,22 +468,27 @@ def replay_cover(cover, target):
     """Reference verdict: merge a union graph of every placed qubit, site by site.
 
     Qubit ids run block by block in each shape's site order; a shape's pairs,
-    in any order and orientation, are its edges."""
+    in any order and orientation, are its edges; a site is a target vertex id."""
     edges, position = [], []
     for shape, sites in cover:
         edges += [(len(position) + i, len(position) + j) for i, j in shape.pairs]
         position += sites
     g = Graph(range(len(position)), edges)
     trace = []
-    for coord in sorted(set(position)):
-        group = [v for v, c in enumerate(position) if c == coord]
+    for site in sorted(set(position)):
+        group = [v for v, s in enumerate(position) if s == site]
         for other in group[1:]:
             g = merge_vertices(g, group[0], other)
-            trace.append((coord, group[0], other))
+            trace.append((site, group[0], other))
     achieved = {tuple(sorted((position[a], position[b]))) for a, b in g.edges()}
-    wanted = {tuple(sorted((target.coords[a], target.coords[b]))) for a, b in target.edges()}
     sites = {position[v] for v in g.vertices()}
-    return achieved == wanted and sites == set(target.coords.values()), trace
+    return achieved == set(target.edges()) and sites == set(target.vertices()), trace
+
+
+def moved(sites, dims, axis=0, by=1):
+    """Vertex ids of the torus ``dims`` (row-major, the last axis fastest), each site ``by`` steps along ``axis``."""
+    stride, d = math.prod(dims[axis + 1:]), dims[axis]
+    return [v + ((v // stride + by) % d - v // stride % d) * stride for v in sites]
 
 
 def line_shape(n, pairs):
@@ -494,29 +502,29 @@ def random_covers(draw):
     shifted) half of the time.  Extra blocks are random, with their pairs in
     random order and orientation, placed twice (their edges cancel), confined
     to one site (in-site edges only), a lone qubit placed off the lattice, or an
-    edge from a lattice site to a site off it, whose code may equal a lattice edge's."""
+    edge from a lattice site to a site off it, whose code may equal a lattice edge's.
+    Off the lattice is an id past its last vertex or below 0."""
     cover = []
     if draw(st.booleans()):
         dims = draw(st.sampled_from([(4, 4), (4, 8), (8, 4)]))
         cover = family_cover(draw(st.sampled_from(FAMILIES)), dims)
         if draw(st.booleans()):
             k = draw(st.integers(0, len(cover) - 1))
-            shift = draw(st.integers(1, dims[0] - 1))
             shape, placed = cover[k]
-            cover[k] = (shape, [((c[0] + shift) % dims[0], c[1]) for c in placed])
+            cover[k] = (shape, moved(placed, dims, by=draw(st.integers(1, dims[0] - 1))))
     else:
         dims = (draw(st.integers(2, 4)), draw(st.integers(2, 4)))
     target = target_lattice(dims)
-    sites = sorted(target.coords.values())
+    sites = target.vertices()
+    off_lattice = st.integers(len(sites), 3 * len(sites)) | st.integers(-3, -1)
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["twice", "one-site", "random", "off-lattice", "off-lattice edge"]))
         if kind == "off-lattice":
-            cover.append((line_shape(1, ()), [dims]))
+            cover.append((line_shape(1, ()), [draw(off_lattice)]))
             continue
         if kind == "off-lattice edge":
             pair = draw(st.sampled_from([(0, 1), (1, 0)]))
-            off = (dims[0], draw(st.integers(0, 2 * dims[1])))
-            cover.append((line_shape(2, [pair]), [draw(st.sampled_from(sites)), off]))
+            cover.append((line_shape(2, [pair]), [draw(st.sampled_from(sites)), draw(off_lattice)]))
             continue
         n = draw(st.integers(2, 5))
         pairs = list(itertools.combinations(range(n), 2))
@@ -546,7 +554,7 @@ class TestCoverValidation:
     def test_misplaced_block_detected(self):
         cover = family_cover("windmill", (8, 8), 1)
         shape, sites = cover[0]
-        cover[0] = (shape, [((c[0] + 1) % 8, c[1]) for c in sites])
+        cover[0] = (shape, moved(sites, (8, 8)))
         ok, _ = validate_cover(cover, target_lattice((8, 8)))
         assert not ok
 
@@ -556,7 +564,7 @@ class TestCoverValidation:
         cover = family_cover("windmill", dims, 1)
         shape, sites = cover[1]
         assert shape is cover[0][0]
-        cover[1] = (shape, [(c[0], (c[1] + 1) % 8) for c in sites])
+        cover[1] = (shape, moved(sites, dims, axis=1))
         target = target_lattice(dims)
         ok, trace = validate_cover(cover, target)
         assert not ok
@@ -572,7 +580,7 @@ class TestCoverValidation:
         dims = (8, 8)
         cover, fresh = family_cover("shifted-grid", dims, 1), family_cover("shifted-grid", dims, 1)
         sites = cover[5][1]
-        sites[:] = [((c[0] + 1) % 8, c[1]) for c in sites]
+        sites[:] = moved(sites, dims)
         assert sites != fresh[5][1]
         assert [p for _, p in cover[:5] + cover[6:]] == [p for _, p in fresh[:5] + fresh[6:]]
         assert all(g == h for (g, _), (h, _) in zip(cover, fresh, strict=True))
@@ -613,10 +621,21 @@ class TestCoverValidation:
     @pytest.mark.parametrize("dims,family,b,merges", PINNED_COVERS,
                              ids=[f"{'x'.join(map(str, d))}-{f}-{b}" for d, f, b, _ in PINNED_COVERS])
     def test_pinned_covers(self, dims, family, b, merges):
-        cover = family_cover(family, dims, b)
-        ok, trace = validate_cover(cover, target_lattice(dims))
+        # the benchmark's three checks: the verdict, the pinned merge count, and placed qubits minus sites
+        cover, target = family_cover(family, dims, b), target_lattice(dims)
+        ok, trace = validate_cover(cover, target)
         assert ok and len(trace) == merges
+        assert sum(shape.vertex_count for shape, _ in cover) - target.vertex_count == merges
         assert trace == merge_trace(cover)
+
+    def test_ids_are_the_lattice_vertices(self):
+        # blocks.lift numbers sites as build_graph numbers the lattice: through the target's coordinates,
+        # every pinned cover's ids give endpoint_lift's wrapped sites, block by block and edge by edge
+        for dims, family, b, _ in PINNED_COVERS:
+            coords = target_lattice(dims).coords
+            placed = [[norm_edge(coords[sites[i]], coords[sites[j]]) for i, j in shape.pairs]
+                      for shape, sites in family_cover(family, dims, b)]
+            assert placed == endpoint_lift(family, dims, b), (dims, family, b)
 
     def test_no_graph_is_built_on_the_cover_path(self, monkeypatch):
         # family_cover and validate_cover over the 53 pinned covers build no Graph, new or copied
@@ -733,7 +752,7 @@ class TestCoverValidation:
         assert len(PINNED_COVERS) == 53
         assert {f for _, f, _, _ in PINNED_COVERS} == {"windmill", "shifted-grid"}
 
-    def test_rejects_mismatched_sites_and_coordinates(self):
+    def test_rejects_mismatched_sites_and_pairs(self):
         cover = family_cover("windmill", (8, 8), 1)
         shape, sites = cover[3]
         n = shape.vertex_count
@@ -745,77 +764,122 @@ class TestCoverValidation:
         assert validate_cover(cover, target_lattice((8, 8)))[0]
         # a shape is read as a simple graph on its sites: a pair out of range, a self-pair or one
         # pair given twice is refused, never read from the end, dropped, or cancelled by parity;
-        # the extra block's sites (0, 0) and (0, 2) are no lattice edge, so read as a simple graph
-        # (the duplicate merged) it makes the cover wrong, and by parity alone it would vanish
+        # the extra block's sites 0 and 2, (0, 0) and (0, 2), are no lattice edge, so read as a simple
+        # graph (the duplicate merged) it makes the cover wrong, and by parity alone it would vanish
         for pairs in ([(0, 3)], [(-1, 0)], [(0, 1), (1, 1)], [(0, 2), (2, 0)], [(0, 1), (2, 1), (1, 2)],
                       [(0, True)], [(0, 1.0)], [(0, 1, 2)], [(0,)], [[0, 1]], [0]):
-            extra = (line_shape(3, pairs), [(0, 0), (0, 1), (0, 2)])
+            extra = (line_shape(3, pairs), [0, 1, 2])
             with pytest.raises(SchemeError, match=rf"^block {len(cover)} pairs are not a simple graph on its 3 sites$"):
                 validate_cover(cover + [extra], target_lattice((8, 8)))
-        assert not validate_cover(cover + [(line_shape(3, [(2, 0)]), [(0, 0), (0, 1), (0, 2)])],
-                                  target_lattice((8, 8)))[0]
+        assert not validate_cover(cover + [(line_shape(3, [(2, 0)]), [0, 1, 2])], target_lattice((8, 8)))[0]
         with pytest.raises(SchemeError, match="block 0 pairs are not a simple graph on its 2 sites"):
-            validate_cover([(Shape(((0, 0), (0, 1)), None), [(0, 0), (0, 1)])], target_lattice((8, 8)))
-        with pytest.raises(SchemeError, match="block 0 shape must be a Shape"):
-            validate_cover([(Graph(range(2), [(0, 1)]), [(0, 0), (0, 1)])], target_lattice((8, 8)))
-        with pytest.raises(SchemeError, match="no coordinates"):
-            validate_cover(family_cover("windmill", (8, 8), 1), Graph(range(4), [(0, 1)]))
-        # targets 0 and 1 share (0, 0), so one edge (0, 0)-(1, 0) would stand in for (0, 2) and (1, 2)
-        edge = [(line_shape(2, [(0, 1)]), [(0, 0), (1, 0)])]
-        shared = Graph(range(3), [(0, 2), (1, 2)], coords={0: (0, 0), 1: (0, 0), 2: (1, 0)})
-        with pytest.raises(SchemeError, match=r"target vertices 0 and 1 share the coordinate \(0, 0\)"):
-            validate_cover(edge, shared)
-        missing = Graph(range(3), [(0, 2), (1, 2)], coords={0: (0, 0), 1: (0, 1)})
-        with pytest.raises(SchemeError, match="target vertex 2 has no coordinates"):
-            validate_cover(edge, missing)
+            validate_cover([(Shape(((0, 0), (0, 1)), None), [0, 1])], target_lattice((8, 8)))
+        with pytest.raises(SchemeError, match=r"^block 0 shape must be a Shape, got Graph\(2 vertices, 1 edges\)$"):
+            validate_cover([(Graph(range(2), [(0, 1)]), [0, 1])], target_lattice((8, 8)))
+        with pytest.raises(SchemeError, match="target must be a Graph"):
+            validate_cover(cover, {v: set() for v in range(64)})
 
-    @pytest.mark.parametrize("relabel", [lambda v: 2 * v + 5, lambda v: v - 40], ids=["2v+5", "v-40"])
-    @pytest.mark.parametrize("case", ["exact", "shifted", "off-lattice"])
-    def test_relabelled_target_matches_plain(self, case, relabel):
-        # sites are numbered by target id; with ids 2v + 5 the second off-lattice site would share
-        # number 65 with a target site if numbered from len(number); ids v - 40 give negative codes
+    @pytest.mark.parametrize("site", [2.0, True, False, "3", None, (0, 0), [0], np.float64(2.0), 2 + 0j],
+                             ids=repr)
+    @pytest.mark.parametrize("position", ["pair-end", "lone"])
+    def test_a_site_that_is_no_integer_names_its_block(self, site, position):
+        # 2.0 and True equal vertex ids 2 and 1 and would merge into them; a coordinate tuple is a site of
+        # the old cover format, which fails loudly rather than reading as a wrong cover
+        cover, target = family_cover("windmill", (8, 8), 1), target_lattice((8, 8))
+        if position == "lone":
+            cover.insert(3, (line_shape(1, ()), [site]))
+        else:
+            shape, sites = cover[3]
+            cover[3] = (shape, [site] + sites[1:])
+        with pytest.raises(SchemeError, match=rf"^block 3 site must be an integer, got {re.escape(repr(site))}$"):
+            validate_cover(cover, target)
+
+    def test_a_coordinate_cover_raises(self):
+        dims = (8, 8)
+        target = target_lattice(dims)
+        cover = [(shape, [target.coords[v] for v in sites]) for shape, sites in family_cover("windmill", dims, 1)]
+        with pytest.raises(SchemeError, match=r"^block 0 site must be an integer, got \(\d, \d\)$"):
+            validate_cover(cover, target)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16, lambda v: type("_Int", (int,), {})(v)],
+                             ids=["int64", "int32", "uint16", "int-subclass"])
+    def test_integer_sites_of_another_type_read_as_their_ints(self, kind):
+        # a numpy int leaves the int fast path for check_integer: the verdict and trace are the plain ints'
+        dims = (8, 8)
+        target = target_lattice(dims)
+        cover = family_cover("shifted-grid", dims, 1)
+        cover[5] = (cover[5][0], moved(cover[5][1], dims))  # a wrong cover, whose verdict reads False
+        plain = validate_cover(cover, target)
+        assert plain == replay_cover(cover, target) and not plain[0]
+        for converted in (range(len(cover)), [2, 5]):  # every block, or two among plain ints
+            other = [(shape, [kind(v) for v in sites]) if k in converted else (shape, sites)
+                     for k, (shape, sites) in enumerate(cover)]
+            result = validate_cover(other, target)
+            assert result == plain and {type(v) for entry in result[1] for v in entry} == {int}
+
+    def test_target_needs_no_coordinates(self):
+        # the sites are vertex ids: a target without coords validates alike, and a smaller one fails the cover
         dims = (8, 8)
         plain = target_lattice(dims)
-        label = {v: relabel(v) for v in plain.vertices()}
-        target = Graph(label.values(), [(label[a], label[b]) for a, b in plain.edges()],
-                       coords={label[v]: c for v, c in plain.coords.items()})
+        bare = Graph(plain.vertices(), plain.edges())
+        assert bare.coords is None
+        cover = family_cover("windmill", dims, 1)
+        assert validate_cover(cover, bare) == validate_cover(cover, plain)
+        assert validate_cover(cover, plain)[0]
+        assert validate_cover(cover, Graph(range(4), [(0, 1)])) == replay_cover(cover, Graph(range(4), [(0, 1)]))
+        assert not validate_cover(cover, Graph(range(4), [(0, 1)]))[0]
+
+    @pytest.mark.parametrize("relabel", ["2v+5", "v-40", "shuffled"])
+    @pytest.mark.parametrize("case", ["exact", "shifted", "off-lattice"])
+    def test_relabelled_target_matches_plain(self, case, relabel):
+        # validation assumes no row-major ids: the target's ids relabelled, and the cover's alike, give the
+        # plain verdict and its trace relabelled, re-sorted by the new ids; ids v - 40 give negative codes,
+        # and a shuffle of the 64 ids (the off-lattice ids 64 and 65 kept) reorders the trace
+        dims = (8, 8)
+        plain = target_lattice(dims)
+        shuffled = random.Random(3).sample(range(64), 64)
+        label = {"2v+5": lambda v: 2 * v + 5, "v-40": lambda v: v - 40,
+                 "shuffled": lambda v: shuffled[v] if 0 <= v < 64 else v}[relabel]
+        target = Graph(map(label, plain.vertices()), [(label(a), label(b)) for a, b in plain.edges()])
         cover = family_cover("windmill", dims, 1)
         if case == "shifted":
             shape, sites = cover[3]
-            cover[3] = (shape, [((c[0] + 1) % 8, c[1]) for c in sites])
+            cover[3] = (shape, moved(sites, dims))
         elif case == "off-lattice":
-            cover.append((line_shape(3, [(0, 1), (1, 2)]), [(8, 0), (8, 1), (0, 0)]))
-        result = validate_cover(cover, target)
-        assert result == validate_cover(cover, plain) == replay_cover(cover, plain)
-        assert result[0] == (case == "exact")
+            cover.append((line_shape(3, [(0, 1), (1, 2)]), [64, 65, 0]))
+        ok, trace = validate_cover(cover, plain)
+        assert (ok, trace) == replay_cover(cover, plain)
+        assert ok == (case == "exact")
+        relabelled = validate_cover([(shape, list(map(label, sites))) for shape, sites in cover], target)
+        assert relabelled == (ok, sorted([(label(v), f, q) for v, f, q in trace], key=itemgetter(0)))
+        assert (relabelled[1] == [(label(v), f, q) for v, f, q in trace]) == (relabel != "shuffled")
 
     def test_off_target_code_may_equal_a_target_code(self):
-        # the codes are one-to-one on target pairs only: five lone off-target sites take numbers 16-20
-        # on the 4x4 torus (shift 4), and an edge from (0, 0), id 0, to a sixth, number 21, has code
-        # 21, which is also the code of the target edge (1, 5); that edge is then placed twice and its
-        # parity cancels, but the off-target sites fail the verdict, as the replay says
+        # the codes are one-to-one on target pairs only: on the 4x4 torus (shift 4) an edge from id 0 to the
+        # off-target id 21 has code 21, which is also the code of the target edge (1, 5); that edge is then
+        # placed twice and its parity cancels, but the off-target site fails the verdict, as the replay says
         dims = (4, 4)
         target = target_lattice(dims)
-        assert target.coords[0] == (0, 0) and target.has_edge(1, 5) and len(target.vertices()) == 16
+        assert target.has_edge(1, 5) and target.vertex_count == 16 and (0 << 4) + 21 == (1 << 4) + 5
         cover = family_cover("shifted-grid", dims, 1)
         assert validate_cover(cover, target)[0]
-        cover += [(line_shape(1, ()), [(9, y)]) for y in range(5)]
-        cover.append((line_shape(2, [(0, 1)]), [(0, 0), (9, 5)]))
+        cover.append((line_shape(2, [(0, 1)]), [0, 21]))
         ok, trace = validate_cover(cover, target)
         assert not ok
         assert (ok, trace) == replay_cover(cover, target)
 
     @pytest.mark.parametrize("cover, ok", [
         ([], False),
-        ([(line_shape(1, ()), [(0, 0)])], True),
-        ([(line_shape(2, [(0, 1)]), [(0, 0), (0, 0)])], True),  # an edge inside the one site vanishes
-        ([(line_shape(1, ()), [(0, 0)])] * 3, True),
-        ([(line_shape(2, [(1, 0)]), [(0, 0), (1, 0)])], False),
-        ([(line_shape(1, ()), [(0, 0)]), (line_shape(1, ()), [(1, 0)])], False),
-    ], ids=["empty", "one-qubit", "in-site-edge", "three-qubits", "edge-off", "qubit-off"])
+        ([(line_shape(1, ()), [7])], True),
+        ([(line_shape(2, [(0, 1)]), [7, 7])], True),  # an edge inside the one site vanishes
+        ([(line_shape(1, ()), [7])] * 3, True),
+        ([(line_shape(2, [(1, 0)]), [7, 8])], False),
+        ([(line_shape(1, ()), [7]), (line_shape(1, ()), [6])], False),
+        ([(line_shape(1, ()), [6])], False),  # one site and no edge, as wanted, but not the target's vertex
+    ], ids=["empty", "one-qubit", "in-site-edge", "three-qubits", "edge-off", "qubit-off", "qubit-elsewhere"])
     def test_one_vertex_target(self, cover, ok):
         # one id, so the shift is 1, its least, and every code has an off-target end
-        target = Graph([7], [], coords={7: (0, 0)})
+        target = Graph([7], [])
         assert validate_cover(cover, target) == replay_cover(cover, target)
         assert validate_cover(cover, target)[0] == ok
 
@@ -829,13 +893,13 @@ class TestCoverValidation:
         n = shape.vertex_count
         to = list(range(n))
         random.Random(7).shuffle(to)  # site i moves to position to[i]
-        moved = [None] * n
+        order = [None] * n
         for i, site in enumerate(sites):
-            moved[to[i]] = site
+            order[to[i]] = site
         pairs = tuple((to[i], to[j]) if k % 2 else (to[j], to[i]) for k, (i, j) in enumerate(reversed(shape.pairs)))
         assert {a < c for a, c in pairs} == {True, False}
         assert sorted(map(sorted, pairs)) != sorted(map(sorted, shape.pairs))
-        cover[0] = (Shape(tuple(moved), pairs), moved)
+        cover[0] = (Shape(tuple(target.coords[v] for v in order), pairs), order)
         ok, trace = validate_cover(cover, target)
         assert ok
         assert (ok, trace) == replay_cover(cover, target)
